@@ -61,14 +61,23 @@ def _finite_or_str(x):
     return x
 
 
+def _number(kind, text: str):
+    """``kind(text)``, with a malformed number reported as a ParameterError."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ParameterError(f"cannot parse {text.strip()!r} as {kind.__name__}") from exc
+
+
 def _parse_grid_arg(text: str) -> TimeGrid:
     text = text.strip()
     if text.startswith("geometric:"):
         parts = text[len("geometric:"):].split(",")
         if len(parts) != 3:
             raise ParameterError("grid spec: geometric:start,stop,points")
-        return TimeGrid.geometric(float(parts[0]), float(parts[1]), int(parts[2]))
-    return TimeGrid(np.array([float(x) for x in text.split(",")], dtype=float))
+        return TimeGrid.geometric(_number(float, parts[0]), _number(float, parts[1]),
+                                  _number(int, parts[2]))
+    return TimeGrid(np.array([_number(float, x) for x in text.split(",")], dtype=float))
 
 
 def _parse_nlist(text: str):
@@ -87,8 +96,8 @@ def _parse_pow(text: str) -> int:
     text = text.strip()
     if "^" in text:
         base, exp = text.split("^", 1)
-        return int(base) ** int(exp)
-    return int(text)
+        return _number(int, base) ** _number(int, exp)
+    return _number(int, text)
 
 
 def _spec_and_grid(args) -> tuple[ProcessSpec, TimeGrid, RunConfig | None]:
@@ -305,7 +314,8 @@ def _add_common(p, spec_flag="--kernel"):
     p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (results are identical for any value)")
+                   help="accepted for compatibility; sampling is single-threaded and "
+                        "output is identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:

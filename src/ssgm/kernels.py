@@ -253,6 +253,10 @@ def spec_from_params(params: dict) -> ProcessSpec:
             return ProcessSpec.volterra_g(float(p["H"]), float(p["beta"]), GFunction.from_label(p["g"]))
     except KeyError as exc:
         raise ParameterError(f"missing parameter {exc} for family {family.value}") from exc
+    except ParameterError:
+        raise
+    except ValueError as exc:  # a malformed number
+        raise ParameterError(f"cannot parse {family.value} parameters: {exc}") from exc
     raise ParameterError(f"unhandled family {family!r}")
 
 

@@ -1,10 +1,14 @@
 """Path generation for every process family, with reproducible substreams.
 
-Randomness discipline: path ``i`` of a run draws from the counter-based
-Philox generator keyed by ``(seed, i)``, and consumes its draws in grid
-order.  Results are therefore bitwise independent of how paths are chunked
-across workers, and aggregation uses numpy's pairwise summation in a fixed
-order, so a run is reproducible for any ``--threads`` setting.
+Randomness discipline: paths are drawn in blocks of ``_BLOCK`` = 1024.
+Block ``b`` (paths ``b * 1024`` onward) fills a ``(rows, n_draws)`` array
+of standard normals from the counter-based Philox generator keyed by
+``(seed, b)``, one row per path in grid order, and each sampler maps that
+array to paths with one vectorised transform.  Matrix products go to BLAS
+in slices of exactly ``_TILE`` rows, so a path's values depend only on
+``(seed, path index)``: a longer run extends a shorter one.  Sampling runs
+in the calling thread, so a run is reproducible for any ``--threads``
+setting.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -42,12 +45,14 @@ __all__ = [
     "load_ensemble",
 ]
 
-_MASK64 = (1 << 64) - 1
+_BLOCK = 1024  # paths per Philox stream
+_TILE = 8  # rows per BLAS call; divides _BLOCK
+_RNG_LAYOUT = "philox-block-v1"  # recorded in ensemble sidecars
 _max_workers = 1
 
 
 def set_max_workers(n: Optional[int]) -> None:
-    """Cap the number of sampling workers (None or <=1 means serial)."""
+    """Record a worker cap (None or <=1 means 1); sampling output never depends on it."""
     global _max_workers
     _max_workers = max(1, int(n)) if n else 1
 
@@ -64,29 +69,35 @@ def get_max_workers() -> int:
     return 1
 
 
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _sample_blocks(
+    seed: int, n_paths: int, n_draws: int, d: int, transform: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Fill an (n_paths, d) array one block of ``_BLOCK`` paths at a time.
 
-
-def _run_paths(n_paths: int, d: int, one_path: Callable[[int], np.ndarray]) -> np.ndarray:
-    """Fill an (n_paths, d) array, one substream per path, chunked by workers."""
-    values = np.empty((n_paths, d), dtype=float)
-
-    def fill(block):
-        lo, hi = block
-        for i in range(lo, hi):
-            values[i, :] = one_path(i)
-
-    workers = min(get_max_workers(), n_paths) if n_paths else 1
-    if workers <= 1:
-        fill((0, n_paths))
-    else:
-        bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-        blocks = [(int(bounds[k]), int(bounds[k + 1])) for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
+    Block ``b`` draws ``standard_normal((rows, n_draws))`` from Philox keyed
+    ``(seed, b)``, pads it with zero rows to whole ``_TILE``-row tiles and
+    stores the first ``rows`` rows of ``transform`` of it.  A transform that
+    returns ``d - 1`` columns leaves the leading t = 0 column zero.
+    """
+    values = np.zeros((n_paths, d))
+    for b, lo in enumerate(range(0, n_paths, _BLOCK)):
+        rows = min(_BLOCK, n_paths - lo)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        z = np.zeros((-(-rows // _TILE) * _TILE, n_draws))
+        rng.standard_normal(out=z[:rows])
+        x = transform(z)[:rows]
+        values[lo:lo + rows, d - x.shape[1]:] = x
     return values
+
+
+def _tiled(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``z @ w`` in calls of exactly ``_TILE`` rows of ``z``.
+
+    BLAS picks its kernel, and with it the summation order, from the operand
+    shapes, so fixed-shape calls keep each row's result independent of how
+    many rows a run has.
+    """
+    return np.concatenate([z[i:i + _TILE] @ w for i in range(0, len(z), _TILE)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +132,11 @@ class EmpiricalCov:
     n_paths: int
 
 
-def _check_sampling_args(grid: TimeGrid, n_paths: int) -> None:
+def _check_sampling_args(grid: TimeGrid, n_paths: int, seed: int) -> None:
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths!r}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     times = grid.times
     if times[0] == 0.0 and times.size == 1:
         return
@@ -142,40 +155,27 @@ def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: in
     spec = ProcessSpec.canonical(H, c)
     if math.isinf(c):
         raise ParameterError("time-change sampler requires finite c; use sample_whitenoise")
-    _check_sampling_args(grid, n_paths)
+    _check_sampling_args(grid, n_paths, seed)
     times = grid.times
-    has_zero = times[0] == 0.0
-    pos = times[1:] if has_zero else times
+    pos = times[1:] if times[0] == 0.0 else times
     tau = pos ** (-2.0 * H - 2.0 * c)
     dtau = np.diff(np.concatenate([[0.0], tau]))
     if np.any(dtau < 0):  # theoretically impossible for c <= -H
         raise NumericalError("time change is not monotone")
     sqrt_dtau = np.sqrt(dtau)
     scale = pos ** (2.0 * H + c)
-    d = times.size
-
-    def one_path(i):
-        z = _path_rng(seed, i).standard_normal(pos.size)
-        w = np.cumsum(sqrt_dtau * z)
-        x = scale * w
-        return np.concatenate([[0.0], x]) if has_zero else x
-
-    values = _run_paths(n_paths, d, one_path)
+    values = _sample_blocks(seed, n_paths, pos.size, times.size,
+                            lambda z: scale * np.cumsum(sqrt_dtau * z, axis=1))
     return PathEnsemble(spec, grid, values, seed, "timechange")
 
 
 def sample_whitenoise(H: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Independent N(0, t^(2H)) draws per grid point per path."""
     spec = ProcessSpec.white_noise(H)
-    _check_sampling_args(grid, n_paths)
+    _check_sampling_args(grid, n_paths, seed)
     times = grid.times
     sd = times**H  # zero at t = 0
-
-    def one_path(i):
-        z = _path_rng(seed, i).standard_normal(times.size)
-        return sd * z
-
-    values = _run_paths(n_paths, times.size, one_path)
+    values = _sample_blocks(seed, n_paths, times.size, times.size, lambda z: sd * z)
     return PathEnsemble(spec, grid, values, seed, "whitenoise")
 
 
@@ -209,20 +209,12 @@ def sample_cholesky(kernel: CovKernel, grid: TimeGrid, n_paths: int, seed: int) 
     Paths have exactly the Gram covariance up to the recorded factorization
     jitter.  A leading t = 0 grid point maps to an identically zero column.
     """
-    _check_sampling_args(grid, n_paths)
+    _check_sampling_args(grid, n_paths, seed)
     times = grid.times
-    has_zero = times[0] == 0.0
-    pos_grid = TimeGrid(times[1:]) if has_zero else grid
+    pos_grid = TimeGrid(times[1:]) if times[0] == 0.0 else grid
     G = build_gram(kernel, pos_grid).entries
     L, jitter = _cholesky_with_jitter(G)
-    d = times.size
-
-    def one_path(i):
-        z = _path_rng(seed, i).standard_normal(len(pos_grid))
-        x = L @ z
-        return np.concatenate([[0.0], x]) if has_zero else x
-
-    values = _run_paths(n_paths, d, one_path)
+    values = _sample_blocks(seed, n_paths, len(pos_grid), times.size, lambda z: _tiled(z, L.T))
     return PathEnsemble(kernel.spec, grid, values, seed, "cholesky", jitter=jitter)
 
 
@@ -250,10 +242,9 @@ def sample_volterra_canonical(
         raise ParameterError("Volterra sampler requires finite c < -H")
     if inner_steps < 64:
         raise ParameterError("inner_steps must be >= 64")
-    _check_sampling_args(grid, n_paths)
+    _check_sampling_args(grid, n_paths, seed)
     times = grid.times
-    has_zero = times[0] == 0.0
-    pos = times[1:] if has_zero else times
+    pos = times[1:] if times[0] == 0.0 else times
     bounds = _cell_partition(float(pos[-1]), inner_steps, pos)
     widths = np.diff(bounds)
     sqrt_w = np.sqrt(widths)
@@ -266,13 +257,7 @@ def sample_volterra_canonical(
     anti = lambda u: u**e1 / e1
     kern_int = coef * pos ** (H - 0.5) * pos ** (-(-c - H - 0.5)) * (anti(upper) - anti(lower))
     weights = np.where(upper > lower, kern_int, 0.0) / sqrt_w[:, None]
-
-    def one_path(i):
-        z = _path_rng(seed, i).standard_normal(widths.size)
-        x = z @ weights
-        return np.concatenate([[0.0], x]) if has_zero else x
-
-    values = _run_paths(n_paths, times.size, one_path)
+    values = _sample_blocks(seed, n_paths, widths.size, times.size, lambda z: _tiled(z, weights))
     return PathEnsemble(spec, grid, values, seed, "volterra", inner_steps=inner_steps)
 
 
@@ -303,7 +288,7 @@ def sample_volterra_zg(
     proved for beta > 0.
     """
     spec = ProcessSpec.volterra_g(H, beta, g)
-    _check_sampling_args(grid, n_paths)
+    _check_sampling_args(grid, n_paths, seed)
     if inner_steps is None:
         inner_steps = 256
         while inner_steps < 4096:
@@ -315,28 +300,24 @@ def sample_volterra_zg(
     if inner_steps < 64:
         raise ParameterError("inner_steps must be >= 64")
     times = grid.times
-    has_zero = times[0] == 0.0
-    pos = times[1:] if has_zero else times
+    pos = times[1:] if times[0] == 0.0 else times
     bounds = _cell_partition(float(pos[-1]), inner_steps, pos)
     widths = np.diff(bounds)
     sqrt_w = np.sqrt(widths)
     mids = 0.5 * (bounds[:-1] + bounds[1:])
+    # cells inside [0, t_j]: a prefix, since the boundaries include every grid time
+    cut = np.searchsorted(bounds[1:], pos + 1e-15 * pos, side="right")
 
-    # weights[k, j] = t_j^(H-1/2) F(m_k / t_j) sqrt(w_k) for cells inside [0, t_j]
-    n_cells = widths.size
-    weights = np.zeros((n_cells, pos.size))
-    for j, t in enumerate(pos):
-        inside = bounds[1:] <= t + 1e-15 * t
-        x = mids[inside] / t
-        F = (1.0 - x) ** beta * g(x)
-        weights[inside, j] = t ** (H - 0.5) * F * sqrt_w[inside]
+    def transform(z):
+        # column j = t_j^(H-1/2) sum_k F(m_k / t_j) dB_k, one column at a time
+        dB = z * sqrt_w
+        x = np.empty((len(z), pos.size))
+        for j, (t, k) in enumerate(zip(pos, cut)):
+            m = mids[:k] / t
+            x[:, j] = t ** (H - 0.5) * _tiled(dB[:, :k], (1.0 - m) ** beta * g(m))
+        return x
 
-    def one_path(i):
-        z = _path_rng(seed, i).standard_normal(n_cells)
-        x = z @ weights
-        return np.concatenate([[0.0], x]) if has_zero else x
-
-    values = _run_paths(n_paths, times.size, one_path)
+    values = _sample_blocks(seed, n_paths, widths.size, times.size, transform)
     return PathEnsemble(spec, grid, values, seed, "volterra", inner_steps=inner_steps)
 
 
@@ -384,21 +365,16 @@ def empirical_cov(ensemble: PathEnsemble) -> EmpiricalCov:
 
     The standard error of cov[i, j] uses the Gaussian fourth-moment formula
     (c_ii c_jj + c_ij^2) / n with the estimated covariance plugged in.
-    Accumulations are plain numpy pairwise sums in a fixed order.
+    The covariance is one centred einsum contraction, which sums in a fixed
+    order and so gives the same bytes for any BLAS thread count.
     """
     n = ensemble.n_paths
     if n < 2:
         raise ParameterError("empirical covariance requires n_paths >= 2")
     X = ensemble.values
-    d = X.shape[1]
-    mean = np.array([float(np.sum(X[:, i])) / n for i in range(d)])
+    mean = X.mean(axis=0)
     C = X - mean
-    cov = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            cij = float(np.sum(C[:, i] * C[:, j])) / (n - 1)
-            cov[i, j] = cij
-            cov[j, i] = cij
+    cov = np.einsum("ni,nj->ij", C, C) / (n - 1)
     var = np.diag(cov)
     se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
     return EmpiricalCov(ensemble.grid, mean, cov, se, n)
@@ -468,6 +444,7 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
         "shape": list(ensemble.values.shape),
         "dtype": "float64",
         "order": "F",
+        "rng": _RNG_LAYOUT,
     }
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
@@ -478,8 +455,13 @@ def load_ensemble(path) -> PathEnsemble:
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     shape = tuple(sidecar["shape"])
-    raw = np.frombuffer(open(path, "rb").read(), dtype=np.float64)
-    values = np.asarray(raw.reshape(shape, order="F"))
+    data = path.read_bytes()
+    if len(data) != 8 * math.prod(shape):
+        raise ParameterError(
+            f"{path}: {len(data)} bytes, but the sidecar shape {list(shape)} needs "
+            f"{8 * math.prod(shape)} float64 bytes"
+        )
+    values = np.frombuffer(data, dtype=np.float64).reshape(shape, order="F")
     return PathEnsemble(
         parse_spec_string(sidecar["spec"]),
         TimeGrid(np.asarray(sidecar["grid"], dtype=float)),

@@ -34,7 +34,7 @@ from .errors import ParameterError
 from .gram import TimeGrid
 from .kernels import Family, GFunction, ProcessSpec, volterra_g_variance
 from .quadrature import DEFAULT_BUDGET, integrate_power_upper
-from .samplers import _cell_partition, _path_rng, sample_spec
+from .samplers import sample_spec, sample_volterra_zg
 
 __all__ = [
     "VariationReport",
@@ -201,9 +201,10 @@ def ergodic_average(
 ) -> ErgodicAverage:
     """Running average (1/n) sum f(Z_{k+1} - Z_k) along integer-time paths.
 
-    ``f`` is "square" or "abs-pow" (with exponent ``p``).  Each path is one
-    long Volterra discretization (``inner_steps`` cells per unit time, cell
-    draws consumed in time order from the path substream).  The target is
+    ``f`` is "square" or "abs-pow" (with exponent ``p``).  The paths are
+    ``sample_volterra_zg`` on the integer grid 0, 1, ..., n with
+    ``inner_steps`` cells per unit time, so path ``i`` is the same as in any
+    other volterra-g ensemble of that seed, spec and grid.  The target is
     E[f(J)] for J ~ N(0, int_0^1 F^2), evaluated in closed form.
     """
     if spec.family != Family.VOLTERRA_G:
@@ -212,29 +213,8 @@ def ergodic_average(
         raise ParameterError("n must be >= 2")
     if f not in ("square", "abs-pow"):
         raise ParameterError(f"f must be 'square' or 'abs-pow', got {f!r}")
-    H, beta, g = spec.H, spec.beta, spec.g
-    times = np.arange(1, n + 1, dtype=float)
-    bounds = _cell_partition(float(n), inner_steps, times)
-    widths = np.diff(bounds)
-    sqrt_w = np.sqrt(widths)
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    n_cells = widths.size
-
-    draws = np.empty((n_paths, n_cells))
-    for i in range(n_paths):
-        draws[i, :] = _path_rng(seed, i).standard_normal(n_cells)
-    draws *= sqrt_w  # now Brownian cell increments
-
-    # cells per integer time: bounds include every integer, so prefix slices
-    cut = np.searchsorted(bounds, times, side="right") - 1
-
-    z = np.zeros((n_paths, n + 1))
-    for j, t in enumerate(times):
-        k = cut[j]
-        x = mids[:k] / t
-        F = (1.0 - x) ** beta * g(x)
-        z[:, j + 1] = t ** (H - 0.5) * (draws[:, :k] @ F)
-
+    grid = TimeGrid(np.arange(n + 1, dtype=float))
+    z = sample_volterra_zg(spec.H, spec.beta, spec.g, grid, inner_steps, n_paths, seed).values
     incr = np.diff(z, axis=1)
     vals = incr**2 if f == "square" else np.abs(incr) ** p
     average = float(np.mean(np.sum(vals, axis=1) / n))

@@ -222,3 +222,21 @@ seed = 9
         assert rc == 0
         blobs.append(csv_path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-eval", "--kernel", "canonical:H=abc,c=-1", "--s", "1", "--t", "2"],
+    ["posdef", "--kernel", "fbm:H=0.3", "--grid", "1,x"],
+    ["variation", "--spec", "fbm:H=0.3", "--p", "2", "--n", "2^3..x", "--paths", "4", "--seed", "1"],
+], ids=["spec", "grid", "pow"])
+def test_cli_malformed_number_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ssgm: invalid parameters:")
+    assert err.count("\n") == 1
+
+
+def test_cli_sample_negative_seed_exit_2(capsys):
+    rc = main(["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "5", "--seed", "-1"])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err

@@ -1,6 +1,13 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ssgm
 from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   ensemble_to_csv, load_ensemble, make_kernel, sample_cholesky,
                   sample_spec, sample_timechange, sample_volterra_canonical,
@@ -273,3 +280,95 @@ def test_binary_round_trip(tmp_path):
     assert back.seed == ens.seed
     assert back.scheme == ens.scheme
     assert np.array_equal(back.grid.times, ens.grid.times)
+
+
+@pytest.mark.parametrize("keep_rng", [True, False], ids=["new_sidecar", "old_sidecar"])
+def test_sidecar_rng_marker(tmp_path, keep_rng):
+    # sidecars written before the block layout carry no "rng" key and still load
+    ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
+    path = tmp_path / "ens.bin"
+    save_ensemble(ens, path)
+    side = tmp_path / "ens.bin.json"
+    sidecar = json.loads(side.read_text())
+    assert sidecar["rng"] == "philox-block-v1"
+    if not keep_rng:
+        del sidecar["rng"]
+        side.write_text(json.dumps(sidecar))
+    assert np.array_equal(load_ensemble(path).values, ens.values)
+
+
+@pytest.mark.parametrize("extra", [-8, 8], ids=["truncated", "over_long"])
+def test_load_rejects_size_mismatch(tmp_path, extra):
+    ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
+    path = tmp_path / "ens.bin"
+    save_ensemble(ens, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:extra] if extra < 0 else data + bytes(extra))
+    with pytest.raises(ParameterError, match="ens.bin"):
+        load_ensemble(path)
+
+
+# ---------------------------------------------------------------------------
+# block layout, seed range, empirical_cov reference
+# ---------------------------------------------------------------------------
+
+_LEAF_SAMPLERS = {
+    "timechange": lambda n: sample_timechange(0.7, -1.5, GRID, n, 5),
+    "whitenoise": lambda n: sample_whitenoise(0.6, GRID, n, 5),
+    "cholesky": lambda n: sample_cholesky(make_kernel(ProcessSpec.fbm(0.3)), GRID, n, 5),
+    "volterra_canonical": lambda n: sample_volterra_canonical(0.7, -1.5, GRID, 64, n, 5),
+    "volterra_zg": lambda n: sample_volterra_zg(0.25, 1.0, GFunction.const(1.0), GRID, 64, n, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
+def test_paths_depend_only_on_seed_and_index(name):
+    # 1025 paths end one row into the second block; 1500 fill more of it
+    short = _LEAF_SAMPLERS[name](1025).values
+    long = _LEAF_SAMPLERS[name](1500).values
+    assert np.array_equal(long[:1025], short)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_seed_out_of_range_rejected(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        sample_timechange(0.7, -1.5, GRID, 3, seed)
+
+
+def test_largest_seed_accepted():
+    assert sample_timechange(0.7, -1.5, GRID, 3, 2**64 - 1).seed == 2**64 - 1
+
+
+def test_empirical_cov_matches_two_loop_reference():
+    ens = sample_cholesky(make_kernel(ProcessSpec.fbm(0.3)), GRID, 300, 34)
+    X = ens.values
+    n, d = X.shape
+    mean = [sum(X[:, i]) / n for i in range(d)]
+    ref = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            ref[i, j] = sum((X[:, i] - mean[i]) * (X[:, j] - mean[j])) / (n - 1)
+    emp = empirical_cov(ens)
+    assert np.max(np.abs(emp.cov - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.allclose(emp.mean, mean, rtol=1e-12, atol=0.0)
+
+
+_COV_BYTES = """
+import hashlib
+import numpy as np
+from ssgm import TimeGrid, empirical_cov, sample_whitenoise
+ens = sample_whitenoise(0.3, TimeGrid(np.arange(1, 514) / 512.0), 64, 3)
+print(hashlib.sha256(empirical_cov(ens).cov.tobytes()).hexdigest())
+"""
+
+
+def test_empirical_cov_bytes_independent_of_blas_threads():
+    src = str(pathlib.Path(ssgm.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _COV_BYTES], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
