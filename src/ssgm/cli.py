@@ -311,7 +311,8 @@ def _cmd_asym(args) -> int:
 def _add_common(p, spec_flag="--kernel"):
     p.add_argument(spec_flag, help="process spec, e.g. canonical:H=0.7,c=-0.9")
     p.add_argument("--config", help="RunConfig file (flags override its blocks)")
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="volterra-g quadrature tolerance; asym's noise floor is 10*tol")
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; sampling is single-threaded and "
@@ -329,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float)
     p.add_argument("--t", type=float)
     p.add_argument("--budget", type=int, default=None,
-                   help="quadrature evaluation budget (default 2^20)")
+                   help="quadrature evaluation budget (default 2^20); only volterra-g "
+                        "integrates, every other family is closed form")
     p.add_argument("--csv", help="write the Gram matrix as CSV")
     p.set_defaults(fn=_cmd_kernel_eval)
 

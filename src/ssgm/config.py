@@ -91,10 +91,22 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
+def _number(kind, block: str, key: str, text: str):
+    """``kind(text)`` for the value of ``key`` in ``[block]``, or a ParameterError naming both."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ParameterError(f"[{block}] {key} = {text!r} is not a valid {kind.__name__}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep H / htilde capitalization
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        # configparser messages span several lines; the CLI reports one
+        raise ParameterError(f"malformed config: {' '.join(str(exc).split())}") from exc
     if "process" not in cp or "grid" not in cp:
         raise ParameterError("config must contain [process] and [grid] blocks")
     spec = spec_from_params(dict(cp["process"]))
@@ -103,12 +115,14 @@ def parse_config(text: str) -> RunConfig:
     if "times" in gblock and "geometric" in gblock:
         raise ParameterError("grid block must not contain both 'times' and 'geometric'")
     if "times" in gblock:
-        grid = GridConfig(times=tuple(float(x) for x in gblock["times"].split()))
+        times = tuple(_number(float, "grid", "times", x) for x in gblock["times"].split())
+        grid = GridConfig(times=times)
     elif "geometric" in gblock:
         parts = gblock["geometric"].split()
         if len(parts) != 3:
             raise ParameterError("geometric grid needs 'start stop points'")
-        grid = GridConfig(geometric=(float(parts[0]), float(parts[1]), int(parts[2])))
+        recipe = tuple(_number(k, "grid", "geometric", x) for k, x in zip((float, float, int), parts))
+        grid = GridConfig(geometric=recipe)
     else:
         raise ParameterError("grid block needs 'times' or 'geometric'")
 
@@ -116,16 +130,17 @@ def parse_config(text: str) -> RunConfig:
     if "mc" in cp:
         m = cp["mc"]
         mc = MCConfig(
-            n_paths=int(m.get("n_paths", "1000")),
-            seed=int(m["seed"]) if "seed" in m else None,
-            inner_steps=int(m["inner_steps"]) if "inner_steps" in m else None,
+            n_paths=_number(int, "mc", "n_paths", m.get("n_paths", "1000")),
+            seed=_number(int, "mc", "seed", m["seed"]) if "seed" in m else None,
+            inner_steps=(_number(int, "mc", "inner_steps", m["inner_steps"])
+                         if "inner_steps" in m else None),
         )
     tols = ToleranceConfig()
     if "tolerances" in cp:
         tb = cp["tolerances"]
         tols = ToleranceConfig(
-            quad_tol=float(tb.get("quad_tol", "1e-10")),
-            psd_tol=float(tb.get("psd_tol", "1e-10")),
+            quad_tol=_number(float, "tolerances", "quad_tol", tb.get("quad_tol", "1e-10")),
+            psd_tol=_number(float, "tolerances", "psd_tol", tb.get("psd_tol", "1e-10")),
         )
     out = OutputConfig()
     if "output" in cp:
@@ -169,5 +184,9 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config {str(path)!r}: {exc}") from exc
+    return parse_config(text)

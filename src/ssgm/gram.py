@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ParameterError
 from .kernels import CovKernel
@@ -146,77 +145,25 @@ def build_gram(kernel: CovKernel, grid: TimeGrid) -> GramMatrix:
 
 
 def psd_check(gram: GramMatrix, tol: float = 1e-10) -> PosDefReport:
-    """Decide positive semidefiniteness via a pivoted LDL^T factorization.
+    """Decide positive semidefiniteness from one symmetric eigendecomposition.
 
-    The matrix passes when every pivot eigenvalue is at least
-    ``-tol * max(diagonal)``.  On failure the report carries a witness vector
-    ``a`` with ``sum_kl a_k a_l R(t_k, t_l) < 0``.
+    The matrix passes when its smallest eigenvalue is at least
+    ``-tol * max(diagonal)``.  On failure the report carries that
+    eigenvalue's unit eigenvector as a witness ``a`` with
+    ``sum_kl a_k a_l R(t_k, t_l) < 0``.
     """
     if tol < 0:
         raise ParameterError("tol must be nonnegative")
     G = gram.entries
-    d = G.shape[0]
-    max_diag = float(np.max(np.abs(np.diag(G)))) if d else 0.0
+    max_diag = float(np.max(np.abs(np.diag(G))))
     threshold = -tol * max(max_diag, 1.0e-300)
-
-    lu, dblock, perm = scipy.linalg.ldl(G, lower=True)
-    min_eig = float(np.min(np.linalg.eigvalsh(G)))
-
-    # pivot eigenvalues of the (block-)diagonal factor
-    pivots = []
-    i = 0
-    while i < d:
-        if i + 1 < d and (dblock[i + 1, i] != 0.0 or dblock[i, i + 1] != 0.0):
-            pivots.extend(np.linalg.eigvalsh(dblock[i : i + 2, i : i + 2]).tolist())
-            i += 2
-        else:
-            pivots.append(float(dblock[i, i]))
-            i += 1
-    min_pivot = min(pivots) if pivots else 0.0
-
-    if min_pivot >= threshold:
+    eigvals, eigvecs = np.linalg.eigh(G)
+    min_eig = float(eigvals[0])
+    if min_eig >= threshold:
         return PosDefReport("PSD", min_eig, tol)
-
-    witness = _negative_witness(G, lu, dblock, perm)
+    witness = eigvecs[:, 0]
     qform = float(witness @ G @ witness)
-    if qform >= 0.0:
-        # fall back to the most negative eigenvector
-        w, v = np.linalg.eigh(G)
-        witness = v[:, 0]
-        qform = float(witness @ G @ witness)
     return PosDefReport("NotPSD", min_eig, tol, witness=witness, quadratic_form=qform)
-
-
-def _negative_witness(G, lu, dblock, perm):
-    """Vector a with a^T G a equal to the most negative pivot eigenvalue."""
-    d = G.shape[0]
-    eigs = []
-    vecs = []
-    i = 0
-    while i < d:
-        if i + 1 < d and (dblock[i + 1, i] != 0.0 or dblock[i, i + 1] != 0.0):
-            w, v = np.linalg.eigh(dblock[i : i + 2, i : i + 2])
-            for k in range(2):
-                y = np.zeros(d)
-                y[i : i + 2] = v[:, k]
-                eigs.append(w[k])
-                vecs.append(y)
-            i += 2
-        else:
-            y = np.zeros(d)
-            y[i] = 1.0
-            eigs.append(float(dblock[i, i]))
-            vecs.append(y)
-            i += 1
-    k_min = int(np.argmin(eigs))
-    y = vecs[k_min]
-    # G = P L D L^T P^T with L[perm] lower triangular; solve L^T x = y there
-    Lp = lu[perm, :]
-    x = scipy.linalg.solve_triangular(Lp.T, y, lower=False)
-    a = np.zeros(d)
-    a[perm] = x
-    norm = np.linalg.norm(a)
-    return a / norm if norm > 0 else a
 
 
 def lindstrom_minor(q: MinorQuery) -> float:

@@ -13,6 +13,10 @@ increment-ratio profile ``l(u)`` with ``l(0) = 1``, and the Volterra kernel
 ``K(s, t) = sqrt(-2(c+H)) t^(H-1/2) (s/t)^(-c-H-1/2)`` that represents the
 canonical family as a stochastic integral.
 
+Every family except volterra-g is evaluated in closed form, Riemann-Liouville
+and its ``l(u)`` through the Gauss hypergeometric function; only volterra-g
+(and the isometry check) use the adaptive quadrature and its tolerance.
+
 All evaluators accept scalars or numpy arrays and are pure and stateless, so
 they are safe for concurrent use.
 """
@@ -25,10 +29,10 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, hyp2f1
 
 from .errors import ParameterError
-from .quadrature import DEFAULT_BUDGET, adaptive_simpson
+from .quadrature import DEFAULT_BUDGET, adaptive_simpson, integrate_power_upper
 
 __all__ = [
     "Family",
@@ -354,57 +358,25 @@ def rl_r11(H: float) -> float:
     return 1.0 / (2.0 * H * gamma_fn(H + 0.5) ** 2)
 
 
-def _rl_pair_integral(H: float, s: float, t: float, tol: float, budget: int) -> float:
-    """integral_0^m ((s-r)(t-r))^(H-1/2) dr, m = s ^ t, by transformed Simpson.
+def eval_rl(H: float, s, t):
+    """Riemann-Liouville covariance in closed form; 0 on the axes.
 
-    Substituting r = m (1 - w^q) with q = 1/(1 + p), where p is the power of
-    (m - r) in the integrand at r = m (H - 1/2 off the diagonal, 2H - 1 on
-    it), cancels the endpoint power exactly: the transformed integrand is
-    bounded, and (m - r) = m w^q is available without cancellation.
-    """
-    m = min(s, t)
-    big = max(s, t)
-    if m == 0.0:
-        return 0.0
-    hm = H - 0.5
-    if s == t:
-        q = 1.0 / (2.0 * H)
+    R(s, t) = Gamma(H+1/2)^-2 * integral_0^m ((s-r)(t-r))^(H-1/2) dr
+            = m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; m/M) / ((H+1/2) Gamma(H+1/2)^2)
 
-        def g(w):
-            w = np.asarray(w, dtype=float)
-            # ((m w^q)^2)^(H-1/2) * m q w^(q-1) collapses to a constant
-            return np.full_like(w, m ** (2.0 * H) * q)
-
-    else:
-        q = 1.0 / (H + 0.5)
-        gap = big - m
-
-        def g(w):
-            w = np.asarray(w, dtype=float)
-            # (m w^q)^(H-1/2) (gap + m w^q)^(H-1/2) m q w^(q-1); the w powers
-            # of the first and last factor cancel exactly
-            return m ** (H + 0.5) * q * (gap + m * w**q) ** hm
-
-    return adaptive_simpson(g, 0.0, 1.0, tol, budget).value
-
-
-def eval_rl(H: float, s, t, tol: float = 1e-10, budget: int = DEFAULT_BUDGET):
-    """Riemann-Liouville covariance by adaptive quadrature.
-
-    R(s, t) = Gamma(H+1/2)^-2 * integral_0^(s^t) ((s-r)(t-r))^(H-1/2) dr,
-    absolute error below ``tol`` (before the Gamma prefactor, whose size is
-    O(1) over the supported H range).
+    with m = s ^ t and M = s v t.
     """
     if not H > 0:
         raise ParameterError(f"rl requires H > 0, got {H!r}")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
     (s, t), scalar = _as_float_arrays(s, t)
-    pref = gamma_fn(H + 0.5) ** (-2.0)
-    out = np.empty(np.broadcast(s, t).shape, dtype=float)
-    it = np.nditer([np.broadcast_to(s, out.shape), np.broadcast_to(t, out.shape)], flags=["multi_index"])
-    for sv, tv in it:
-        out[it.multi_index] = pref * _rl_pair_integral(H, float(sv), float(tv), tol, budget)
+    if np.any(s < 0) or np.any(t < 0):
+        raise ParameterError("times must be nonnegative")
+    lo = np.minimum(s, t)
+    hi = np.maximum(s, t)
+    safe_lo = np.where(lo > 0, lo, 1.0)
+    safe_hi = np.where(lo > 0, hi, 1.0)
+    val = safe_lo ** (H + 0.5) * safe_hi ** (H - 0.5) * hyp2f1(0.5 - H, 1.0, H + 1.5, safe_lo / safe_hi)
+    out = np.where(lo > 0, val / ((H + 0.5) * gamma_fn(H + 0.5) ** 2), 0.0)
     return _ret(out, scalar)
 
 
@@ -412,40 +384,11 @@ def eval_rl(H: float, s, t, tol: float = 1e-10, budget: int = DEFAULT_BUDGET):
 # the l profile: R(s, s(1+u)) = R(1,1) s^(2H) l(u), l(0) = 1
 # ---------------------------------------------------------------------------
 
-def _rl_l_integral(H: float, u: float, tol: float, budget: int) -> float:
-    """integral_0^1 ((v+u) v)^(H-1/2) dv with the v = w^(1/(H+1/2)) (u > 0)
-    or v = w^(1/(2H)) (u = 0) endpoint substitution for H < 1/2."""
-    hm = H - 0.5
-    if u == 0.0:
-        r = 1.0 / (2.0 * H)
+def eval_l(spec: ProcessSpec, u):
+    """Normalized off-diagonal profile l(u) with l(0) = 1, in closed form.
 
-        def g(w):
-            w = np.asarray(w, dtype=float)
-            return np.full_like(w, r)
-
-        return adaptive_simpson(g, 0.0, 1.0, tol, budget).value
-    if H < 0.5:
-        r = 1.0 / (H + 0.5)
-
-        def g(w):
-            w = np.asarray(w, dtype=float)
-            v = w**r
-            return r * (v + u) ** hm
-
-        return adaptive_simpson(g, 0.0, 1.0, tol, budget).value
-
-    def g(v):
-        v = np.asarray(v, dtype=float)
-        return ((v + u) * v) ** hm
-
-    return adaptive_simpson(g, 0.0, 1.0, tol, budget).value
-
-
-def eval_l(spec: ProcessSpec, u, tol: float = 1e-10, budget: int = DEFAULT_BUDGET):
-    """Normalized off-diagonal profile l(u) with l(0) = 1.
-
-    Supported families: fbm, sfbm, bfbm (closed forms) and rl (quadrature,
-    normalized by the same quadrature at u = 0 so that l(0) = 1 exactly).
+    Supported families: fbm, sfbm, bfbm and rl; the rl profile is
+    R(1, 1+u) / R(1, 1) from :func:`eval_rl`, so l(0) = 1 exactly.
     Consistency contract: R(s, s(1+u)) = R(1,1) * s^(2H) * l(u).
     """
     u_arr, scalar = _as_float_arrays(u)
@@ -466,10 +409,7 @@ def eval_l(spec: ProcessSpec, u, tol: float = 1e-10, budget: int = DEFAULT_BUDGE
         ht, kt = spec.htilde, spec.ktilde
         out = 2.0 ** (-kt) * ((1.0 + (1.0 + u_arr) ** (2 * ht)) ** kt - u_arr ** (2 * ht * kt))
     elif fam == Family.RIEMANN_LIOUVILLE:
-        q0 = _rl_l_integral(H, 0.0, tol, budget)
-        flat = np.atleast_1d(u_arr).ravel()
-        vals = np.array([_rl_l_integral(H, float(v), tol, budget) for v in flat])
-        out = (vals / q0).reshape(np.shape(u_arr))
+        out = eval_rl(H, 1.0, 1.0 + u_arr) / eval_rl(H, 1.0, 1.0)
     else:
         raise ParameterError(f"eval_l does not support family {fam.value!r}")
     return _ret(np.asarray(out, dtype=float), scalar)
@@ -573,8 +513,6 @@ def _volterra_g_pair(spec: ProcessSpec, s: float, t: float, tol: float, budget: 
     def F(x):
         return (1.0 - x) ** beta * g(x)
 
-    from .quadrature import integrate_power_upper
-
     def f2(u, dist):
         # dist = m - u, exact; F(u/m) rewritten so the (1 - u/m) factor uses dist
         x_small = 1.0 - dist / m
@@ -594,7 +532,6 @@ def volterra_g_variance(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEF
     if spec.family != Family.VOLTERRA_G:
         raise ParameterError("variance integral applies to the volterra-g family")
     beta, g = spec.beta, spec.g
-    from .quadrature import integrate_power_upper
 
     def f2(x, dist):
         return dist ** (2.0 * beta) * g(1.0 - dist) ** 2
@@ -622,7 +559,7 @@ def make_kernel(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUD
         ht, kt = spec.htilde, spec.ktilde
         return CovKernel(spec, H, 1.0, lambda s, t: eval_bifbm(ht, kt, s, t))
     if fam == Family.RIEMANN_LIOUVILLE:
-        return CovKernel(spec, H, rl_r11(H), lambda s, t: eval_rl(H, s, t, tol, budget))
+        return CovKernel(spec, H, rl_r11(H), lambda s, t: eval_rl(H, s, t))
     if fam == Family.VOLTERRA_G:
         r11 = volterra_g_variance(spec, tol, budget)
 

@@ -120,14 +120,17 @@ def doob_residual(kernel: CovKernel, grid: TimeGrid) -> tuple[float, float]:
         raise ParameterError("doob residual requires positive grid times")
     G = build_gram(kernel, grid).entries
     d = G.shape[0]
-    i, j, k = np.meshgrid(np.arange(d), np.arange(d), np.arange(d), indexing="ij")
-    mask = (i <= j) & (j <= k)
-    a = G[i, k] * G[j, j]
-    b = G[i, j] * G[j, k]
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), _DOOB_FLOOR)
-    rel = np.abs(a - b) / denom
-    rel = rel[mask]
-    return float(np.max(rel)), float(np.mean(rel))
+    rel_max, rel_sum, count = 0.0, 0.0, 0
+    for j in range(d):
+        # triples (i, j, k) with i <= j <= k: rows i of column j, columns k of row j
+        a = G[: j + 1, j:] * G[j, j]
+        b = np.outer(G[: j + 1, j], G[j, j:])
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), _DOOB_FLOOR)
+        rel = np.abs(a - b) / denom
+        rel_max = max(rel_max, float(np.max(rel)))
+        rel_sum += float(np.sum(rel))
+        count += rel.size
+    return rel_max, rel_sum / count
 
 
 def fit_canonical(kernel: CovKernel, t_grid: Optional[TimeGrid] = None) -> CanonicalFit:
@@ -339,7 +342,8 @@ def asym_coeff_estimate(spec: ProcessSpec, u_values, tol: float = 1e-10) -> Asym
     which ``coefficient * u^exponent`` is fitted to the remainder on the
     lower half of the range, where it is far above the extrapolation error.
     Diverging profiles are fitted jointly as C + A u^e.  When the remainder
-    is below numerical noise only the constant is reported.
+    is below numerical noise only the constant is reported; that noise
+    floor is at least ``10 * tol``.
     """
     if spec.family not in (Family.RIEMANN_LIOUVILLE, Family.SUBFBM, Family.BIFBM, Family.FBM):
         raise ParameterError(f"asymptotics supported for l-form families, not {spec.family.value!r}")
@@ -348,7 +352,7 @@ def asym_coeff_estimate(spec: ProcessSpec, u_values, tol: float = 1e-10) -> Asym
         raise ParameterError("need at least 12 u values")
     if np.any(u <= 0) or np.any(np.diff(u) <= 0):
         raise ParameterError("u values must be positive and increasing")
-    lvals = np.asarray(eval_l(spec, u, tol=tol), dtype=float)
+    lvals = np.asarray(eval_l(spec, u), dtype=float)
     fam = spec.family.value
     pred_coeff, pred_exp = _predicted_pair(spec)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .gram import TimeGrid, build_gram
-from .kernels import CovKernel, Family, GFunction, ProcessSpec, make_kernel
+from .kernels import CovKernel, Family, GFunction, ProcessSpec, make_kernel, parse_spec_string
 
 __all__ = [
     "PathEnsemble",
@@ -450,8 +450,6 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> PathEnsemble:
-    from .kernels import parse_spec_string
-
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     shape = tuple(sidecar["shape"])

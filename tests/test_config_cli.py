@@ -104,10 +104,31 @@ def test_cli_invalid_parameters_exit_2(capsys):
     assert "invalid parameters" in capsys.readouterr().err
 
 
+_GOOD_HEAD = "[process]\nfamily = fbm\nH = 0.3\n[grid]\n"
+
+
+@pytest.mark.parametrize("text", [
+    _GOOD_HEAD + "geometric = 0.1 2 8\n[mc]\nn_paths = abc\n",
+    _GOOD_HEAD + "geometric = 0.1 2 x\n",
+    _GOOD_HEAD + "geometric = 0.1 2 8\n[tolerances]\nquad_tol = tiny\n",
+    "family = fbm\nH = 0.3\n",  # no section header
+    None,  # the file does not exist
+])
+def test_cli_malformed_config_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text)
+    rc = main(["kernel-eval", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("ssgm: invalid parameters:")
+    assert err.count("\n") == 1
+
+
 def test_cli_numerical_failure_exit_3(capsys):
     # a tiny evaluation budget cannot meet the default tolerance
-    rc = main(["kernel-eval", "--kernel", "rl:H=0.25", "--s", "1", "--t", "2",
-               "--budget", "5"])
+    rc = main(["kernel-eval", "--kernel", "volterra-g:H=0.25,beta=1.0,g=log-pow:1",
+               "--s", "1", "--t", "2", "--budget", "5"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
 

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma
 
 from ssgm import (Family, GFunction, ProcessSpec, eval_bifbm, eval_canonical,
                   eval_fbm, eval_l, eval_rl, eval_subfbm, format_spec_string,
                   isometry_residual, make_kernel, parse_spec_string, rl_r11,
-                  volterra_kernel)
+                  standard_grid, volterra_kernel)
 from ssgm.errors import ParameterError
 
 NEG_INF = float("-inf")
@@ -97,12 +98,30 @@ def test_rl_r11_closed_form():
         assert rl_r11(H) == pytest.approx(expected, rel=1e-15)
 
 
-def test_rl_two_resolution_quadrature_agreement():
-    # same value at tol and tol/100 certifies convergence
-    for H, s, t in [(0.25, 1.3, 4.1), (0.75, 0.7, 0.9)]:
-        a = eval_rl(H, s, t, tol=1e-8)
-        b = eval_rl(H, s, t, tol=1e-10)
-        assert abs(a - b) < 1e-7
+def _alg_quad(f, a, b, wvar):
+    """integral_a^b f(x) (x - a)^wvar[0] (b - x)^wvar[1] dx by QUADPACK's "alg" weight."""
+    val, _ = quad(f, a, b, weight="alg", wvar=wvar, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
+
+
+def _rl_oracle(H, s, t):
+    # Gamma(H+1/2)^-2 integral_0^m (M - r)^(H-1/2) (m - r)^(H-1/2) dr
+    m, big = min(s, t), max(s, t)
+    if s == t:
+        val = _alg_quad(lambda r: 1.0, 0.0, m, (0.0, 2 * H - 1.0))
+    else:
+        val = _alg_quad(lambda r: (big - r) ** (H - 0.5), 0.0, m, (0.0, H - 0.5))
+    return val / gamma(H + 0.5) ** 2
+
+
+def test_rl_closed_form_matches_quadrature_oracle():
+    t = standard_grid().times
+    # diagonal and off-diagonal pairs; at H = 2.5, R(t[0], t[1]) = 2.83e-8 is
+    # so small that an absolute-tolerance quadrature gets it 7e-4 off relatively
+    pairs = [(t[0], t[1])] + [(t[i], t[j]) for i in range(0, 20, 3) for j in range(i, 20, 4)]
+    for H in (0.1, 0.25, 0.5, 0.75, 1.3, 2.5):
+        for s, u in pairs:
+            assert eval_rl(H, s, u) == pytest.approx(_rl_oracle(H, s, u), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +145,13 @@ def test_rl_l_consistency_contract():
     # R(s, s(1+u)) = r11 * s^(2H) * l(u), cross-checked against eval_rl
     spec = ProcessSpec.riemann_liouville(0.25)
     k = make_kernel(spec)
-    # quadrature oracle at two resolutions for l(100)
-    l_coarse = eval_l(spec, 100.0, tol=1e-8)
-    l_fine = eval_l(spec, 100.0, tol=1e-11)
-    assert abs(l_coarse - l_fine) < 1e-7
+    # quadrature oracle for l(100) = 2H integral_0^1 ((v+u) v)^(H-1/2) dv
+    l100 = eval_l(spec, 100.0)
+    oracle = 0.5 * _alg_quad(lambda v: (v + 100.0) ** -0.25, 0.0, 1.0, (-0.25, 0.0))
+    assert l100 == pytest.approx(oracle, rel=1e-9)
     for s in (0.6, 1.3):
         lhs = k(s, s * 101.0)
-        rhs = k.r11 * s**0.5 * l_fine
+        rhs = k.r11 * s**0.5 * l100
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 

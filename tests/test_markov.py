@@ -53,6 +53,24 @@ def test_doob_white_noise_zero():
     assert dmax == 0.0
 
 
+def test_doob_matches_triple_loop_reference():
+    grid = TimeGrid.geometric(0.1, 4.0, 8)
+    for spec in (ProcessSpec.fbm(0.3), ProcessSpec.riemann_liouville(0.25),
+                 ProcessSpec.sub_fbm(0.75), ProcessSpec.white_noise(0.6)):
+        k = make_kernel(spec)
+        G = build_gram(k, grid).entries
+        rels = []
+        for i in range(8):
+            for j in range(i, 8):
+                for l in range(j, 8):
+                    a = G[i, l] * G[j, j]
+                    b = G[i, j] * G[j, l]
+                    rels.append(abs(a - b) / max(abs(a), abs(b), 1e-300))
+        dmax, dmean = doob_residual(k, grid)
+        assert dmax == pytest.approx(max(rels), rel=1e-12, abs=1e-300)
+        assert dmean == pytest.approx(sum(rels) / len(rels), rel=1e-12, abs=1e-300)
+
+
 def test_doob_needs_three_points():
     k = make_kernel(ProcessSpec.canonical(0.5, -1.0))
     with pytest.raises(ParameterError):
