@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, ToleranceConfig, load_config
 from .errors import NumericalError, ParameterError
 from .gram import (GramMatrix, MinorQuery, TimeGrid, build_gram, gram_to_csv,
                    lindstrom_minor, psd_check, standard_grid)
 from .kernels import Family, ProcessSpec, make_kernel, parse_spec_string
 from .markov import asym_coeff_estimate, markov_test, sqrt_diag_profile
+from .quadrature import DEFAULT_BUDGET
 from .samplers import (empirical_cov, ensemble_to_csv, sample_spec,
                        save_ensemble, set_max_workers)
 from .variation import pvariation_trichotomy, variation_to_csv
@@ -100,8 +101,20 @@ def _parse_pow(text: str) -> int:
     return _number(int, text)
 
 
+def _load_config(args) -> RunConfig | None:
+    """The --config file, if given; --tol / --psd-tol left unset take its
+    [tolerances] block, or 1e-10 without one."""
+    cfg = load_config(args.config) if args.config else None
+    tols = cfg.tolerances if cfg is not None else ToleranceConfig()
+    if args.tol is None:
+        args.tol = tols.quad_tol
+    if getattr(args, "psd_tol", 0.0) is None:
+        args.psd_tol = tols.psd_tol
+    return cfg
+
+
 def _spec_and_grid(args) -> tuple[ProcessSpec, TimeGrid, RunConfig | None]:
-    cfg = load_config(args.config) if getattr(args, "config", None) else None
+    cfg = _load_config(args)
     spec = None
     grid = None
     if cfg is not None:
@@ -119,10 +132,7 @@ def _spec_and_grid(args) -> tuple[ProcessSpec, TimeGrid, RunConfig | None]:
 
 def _cmd_kernel_eval(args) -> int:
     spec, grid, cfg = _spec_and_grid(args)
-    if args.budget is not None:
-        kernel = make_kernel(spec, tol=args.tol, budget=args.budget)
-    else:
-        kernel = make_kernel(spec, tol=args.tol)
+    kernel = make_kernel(spec, tol=args.tol, budget=args.budget)
     if args.s is not None and args.t is not None:
         value = float(kernel(args.s, args.t))
         print(f"kernel-eval {spec.label()} R({args.s:g},{args.t:g}) = {value:.16e}")
@@ -145,6 +155,7 @@ def _cmd_posdef(args) -> int:
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
             raise ParameterError("--alpha and --beta go together")
+        _load_config(args)
         grid = _parse_grid_arg(args.grid) if args.grid else standard_grid()
         q = MinorQuery(args.alpha, args.beta, grid)
         t = grid.times
@@ -311,8 +322,10 @@ def _cmd_asym(args) -> int:
 def _add_common(p, spec_flag="--kernel"):
     p.add_argument(spec_flag, help="process spec, e.g. canonical:H=0.7,c=-0.9")
     p.add_argument("--config", help="RunConfig file (flags override its blocks)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="volterra-g quadrature tolerance; asym's noise floor is 10*tol")
+    p.add_argument("--tol", type=float, default=None,
+                   help="quadrature tolerance (default: the config's quad_tol, else 1e-10); "
+                        "only off-diagonal volterra-g log-pow pairs integrate; "
+                        "asym's noise floor is 10*tol")
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; sampling is single-threaded and "
@@ -329,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid spec: geometric:start,stop,points or t1,t2,...")
     p.add_argument("--s", type=float)
     p.add_argument("--t", type=float)
-    p.add_argument("--budget", type=int, default=None,
-                   help="quadrature evaluation budget (default 2^20); only volterra-g "
-                        "integrates, every other family is closed form")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="quadrature evaluation budget (default 2^20); only off-diagonal "
+                        "volterra-g log-pow pairs integrate, everything else is closed form")
     p.add_argument("--csv", help="write the Gram matrix as CSV")
     p.set_defaults(fn=_cmd_kernel_eval)
 
@@ -340,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid spec")
     p.add_argument("--alpha", type=float, help="power-family exponent of s v t")
     p.add_argument("--beta", type=float, help="power-family exponent of s ^ t (divides)")
-    p.add_argument("--psd-tol", type=float, default=1e-10)
+    p.add_argument("--psd-tol", type=float, default=None,
+                   help="PSD tolerance (default: the config's psd_tol, else 1e-10)")
     p.add_argument("--csv", help="write the Gram matrix as CSV")
     p.set_defaults(fn=_cmd_posdef)
 

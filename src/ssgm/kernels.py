@@ -13,9 +13,9 @@ increment-ratio profile ``l(u)`` with ``l(0) = 1``, and the Volterra kernel
 ``K(s, t) = sqrt(-2(c+H)) t^(H-1/2) (s/t)^(-c-H-1/2)`` that represents the
 canonical family as a stochastic integral.
 
-Every family except volterra-g is evaluated in closed form, Riemann-Liouville
-and its ``l(u)`` through the Gauss hypergeometric function; only volterra-g
-(and the isometry check) use the adaptive quadrature and its tolerance.
+Every kernel is closed form except off-diagonal log-pow volterra-g pairs, which
+(with the isometry check) use the adaptive quadrature; RL, its ``l(u)`` and
+constant-g volterra-g (a rescaled RL) go through the Gauss hypergeometric function.
 
 All evaluators accept scalars or numpy arrays and are pure and stateless, so
 they are safe for concurrent use.
@@ -106,6 +106,12 @@ class GFunction:
             return np.zeros_like(x)
         base = np.log1p(x / (1.0 - x))
         return self.k * base ** (self.k - 1) / (1.0 - x)
+
+    def _at_one_minus(self, y: np.ndarray):
+        """g(1 - y) from y itself, finite where 1 - y would round to 1 (g(1) = inf)."""
+        if self.kind == "const":
+            return np.full_like(y, self.a)
+        return (-np.log(y)) ** self.k
 
     def label(self) -> str:
         if self.kind == "const":
@@ -364,7 +370,8 @@ def eval_rl(H: float, s, t):
     R(s, t) = Gamma(H+1/2)^-2 * integral_0^m ((s-r)(t-r))^(H-1/2) dr
             = m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; m/M) / ((H+1/2) Gamma(H+1/2)^2)
 
-    with m = s ^ t and M = s v t.
+    with m = s ^ t and M = s v t.  For H < 1/2 and m/M > 1/2, where scipy's 2F1 is up to
+    ~100% off a few ulps from the diagonal, it goes through z -> 1 - z in eps = (M - m)/M.
     """
     if not H > 0:
         raise ParameterError(f"rl requires H > 0, got {H!r}")
@@ -375,7 +382,14 @@ def eval_rl(H: float, s, t):
     hi = np.maximum(s, t)
     safe_lo = np.where(lo > 0, lo, 1.0)
     safe_hi = np.where(lo > 0, hi, 1.0)
-    val = safe_lo ** (H + 0.5) * safe_hi ** (H - 0.5) * hyp2f1(0.5 - H, 1.0, H + 1.5, safe_lo / safe_hi)
+    z = safe_lo / safe_hi
+    f = hyp2f1(0.5 - H, 1.0, H + 1.5, z)
+    if H < 0.5:
+        eps = (safe_hi - safe_lo) / safe_hi
+        f = np.where(z > 0.5, (H + 0.5) / (2.0 * H) * hyp2f1(0.5 - H, 1.0, 1.0 - 2.0 * H, eps)
+                     + eps ** (2.0 * H) * gamma_fn(H + 1.5) * gamma_fn(-2.0 * H) / gamma_fn(0.5 - H)
+                     * z ** (-H - 0.5), f)
+    val = safe_lo ** (H + 0.5) * safe_hi ** (H - 0.5) * f
     out = np.where(lo > 0, val / ((H + 0.5) * gamma_fn(H + 0.5) ** 2), 0.0)
     return _ret(out, scalar)
 
@@ -501,42 +515,29 @@ class CovKernel:
 
 
 def _volterra_g_pair(spec: ProcessSpec, s: float, t: float, tol: float, budget: int) -> float:
-    """(st)^(H-1/2) integral_0^(s^t) F(u/s) F(u/t) du for the weighted family,
-    F(x) = (1-x)^beta g(x)."""
+    """(st)^(H-1/2) integral_0^(s^t) F(u/s) F(u/t) du for s != t, F(x) = (1-x)^beta g(x),
+    each factor evaluated from its gap 1 - u/m = dist/m or 1 - u/M = (M - m + dist)/M."""
     if s == 0.0 or t == 0.0:
         return 0.0
-    m = min(s, t)
-    big = max(s, t)
+    m, big = min(s, t), max(s, t)
     beta, g = spec.beta, spec.g
-    p_end = 2.0 * beta if s == t else beta
 
-    def F(x):
-        return (1.0 - x) ** beta * g(x)
+    def F(gap):
+        return gap**beta * g._at_one_minus(gap)
 
-    def f2(u, dist):
-        # dist = m - u, exact; F(u/m) rewritten so the (1 - u/m) factor uses dist
-        x_small = 1.0 - dist / m
-        val_small = (dist / m) ** beta * g(x_small)
-        if big == m:
-            val_big = val_small
-        else:
-            val_big = F(u / big)
-        return val_small * val_big
-
-    quad = integrate_power_upper(f2, 0.0, m, p_end, tol, budget)
+    quad = integrate_power_upper(lambda u, dist: F(dist / m) * F((big - m + dist) / big),
+                                 0.0, m, beta, tol, budget)
     return (s * t) ** (spec.H - 0.5) * quad.value
 
 
-def volterra_g_variance(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET) -> float:
-    """integral_0^1 F(x)^2 dx with F(x) = (1-x)^beta g(x)."""
+def volterra_g_variance(spec: ProcessSpec) -> float:
+    """int_0^1 F^2 for F(x) = (1-x)^beta g(x): a^2/(2beta+1) for g = a, (2k)!/(2beta+1)^(2k+1) for log^k."""
     if spec.family != Family.VOLTERRA_G:
         raise ParameterError("variance integral applies to the volterra-g family")
     beta, g = spec.beta, spec.g
-
-    def f2(x, dist):
-        return dist ** (2.0 * beta) * g(1.0 - dist) ** 2
-
-    return integrate_power_upper(f2, 0.0, 1.0, 2.0 * beta, tol, budget).value
+    if g.kind == "const":
+        return g.a**2 / (2.0 * beta + 1.0)
+    return math.factorial(2 * g.k) / (2.0 * beta + 1.0) ** (2 * g.k + 1)
 
 
 def make_kernel(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET) -> CovKernel:
@@ -561,17 +562,21 @@ def make_kernel(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUD
     if fam == Family.RIEMANN_LIOUVILLE:
         return CovKernel(spec, H, rl_r11(H), lambda s, t: eval_rl(H, s, t))
     if fam == Family.VOLTERRA_G:
-        r11 = volterra_g_variance(spec, tol, budget)
+        beta, r11 = spec.beta, volterra_g_variance(spec)
+        # constant g: a^2 integral_0^m ((s-u)(t-u))^beta du = a^2 Gamma(beta+1)^2 R_RL(beta+1/2; s, t)
+        coef = (spec.g.a * gamma_fn(beta + 1.0)) ** 2
 
         def ev(s, t):
             (s_a, t_a), scalar = _as_float_arrays(s, t)
-            out = np.empty(np.broadcast(s_a, t_a).shape, dtype=float)
-            it = np.nditer(
-                [np.broadcast_to(s_a, out.shape), np.broadcast_to(t_a, out.shape)],
-                flags=["multi_index"],
-            )
-            for sv, tv in it:
-                out[it.multi_index] = _volterra_g_pair(spec, float(sv), float(tv), tol, budget)
+            if spec.g.kind == "const":
+                rl = eval_rl(beta + 0.5, s_a, t_a)  # 0 on the axes, raises on negative times
+                return _ret(coef * np.where(rl > 0, s_a * t_a, 1.0) ** (H - 0.5 - beta) * rl, scalar)
+            if np.any(s_a < 0) or np.any(t_a < 0):
+                raise ParameterError("times must be nonnegative")
+            s_a, t_a = np.broadcast_arrays(s_a, t_a)
+            out = np.where(s_a == t_a, r11 * s_a ** (2.0 * H), 0.0)  # R(s, s) = s^(2H) int F^2
+            off = s_a != t_a
+            out[off] = [_volterra_g_pair(spec, sv, tv, tol, budget) for sv, tv in zip(s_a[off], t_a[off])]
             return _ret(out, scalar)
 
         return CovKernel(spec, H, r11, ev)

@@ -18,7 +18,7 @@ Note: the empirical variance of the simulated increments Z_{t+1} - Z_t is a
 different quantity; for beta > 0 and H <= 1/2 it decays to zero like
 t^(2H-2), so ergodic averages of f(increments) track f(0) rather than the
 moments of a variable with variance int F^2.  ``ergodic_average`` reports
-both the empirical average and that quadrature target so the gap is visible.
+both the empirical average and that closed-form target so the gap is visible.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _dyadic_grid(n: int) -> TimeGrid:
     return TimeGrid(np.arange(n + 1, dtype=float) / n)
 
 
-def _sigma_j_sq(spec: ProcessSpec, tol: float) -> Optional[float]:
+def _sigma_j_sq(spec: ProcessSpec) -> Optional[float]:
     """Reference increment-scale sigma_J^2, where one is documented."""
     if spec.family == Family.FBM:
         return 1.0
@@ -123,7 +123,7 @@ def _sigma_j_sq(spec: ProcessSpec, tol: float) -> Optional[float]:
             return 1.0  # Brownian motion
         return None
     if spec.family == Family.VOLTERRA_G:
-        return volterra_g_variance(spec, tol)
+        return volterra_g_variance(spec)
     return None
 
 
@@ -133,7 +133,6 @@ def pvariation_trichotomy(
     n_list: Sequence[int],
     n_paths: int,
     seed: int,
-    tol: float = 1e-10,
 ) -> VariationReport:
     """Estimate the scaling of mean S_n across dyadic resolutions.
 
@@ -177,7 +176,7 @@ def pvariation_trichotomy(
         slope_estimate=slope,
         verdict=verdict,
         limit_value=limit,
-        sigmaJ_sq=_sigma_j_sq(spec, tol),
+        sigmaJ_sq=_sigma_j_sq(spec),
         proven_regime=spec.proven_regime,
     )
 
@@ -197,7 +196,6 @@ def ergodic_average(
     seed: int,
     p: float = 1.0,
     inner_steps: int = 64,
-    tol: float = 1e-10,
 ) -> ErgodicAverage:
     """Running average (1/n) sum f(Z_{k+1} - Z_k) along integer-time paths.
 
@@ -219,7 +217,7 @@ def ergodic_average(
     vals = incr**2 if f == "square" else np.abs(incr) ** p
     average = float(np.mean(np.sum(vals, axis=1) / n))
 
-    sigma_sq = volterra_g_variance(spec, tol)
+    sigma_sq = volterra_g_variance(spec)
     target = sigma_sq if f == "square" else gaussian_abs_moment(sigma_sq, p)
     return ErgodicAverage(average, float(target), float(sigma_sq), n, n_paths, spec.proven_regime)
 
@@ -228,11 +226,9 @@ def ergodic_average(
 # quadrature limits
 # ---------------------------------------------------------------------------
 
-def _weight_fn(beta: float, g: GFunction):
-    def F(x):
-        return (1.0 - x) ** beta * g(x)
-
-    return F
+def _weight_at_gap(beta: float, g: GFunction):
+    """F(1 - y) = y^beta g(1 - y) from the gap y, so F never rounds to F(1)."""
+    return lambda y: y**beta * g._at_one_minus(y)
 
 
 def increment_variance(
@@ -253,16 +249,15 @@ def increment_variance(
     if not t > 0:
         raise ParameterError("t must be positive")
     spec = ProcessSpec.volterra_g(H, beta, g)  # validates H, beta
-    F = _weight_fn(beta, g)
-    shrink = 1.0 - 1.0 / (t + 1.0)
+    F = _weight_at_gap(beta, g)
     root = math.sqrt(t / (1.0 + t))
 
     def f2(s, dist):
-        fs = dist**beta * g(1.0 - dist)
-        return fs * (fs - root * F(shrink * s))
+        fs = F(dist)  # 1 - (1 - 1/(t+1)) s = dist + s/(t+1)
+        return fs * (fs - root * F(dist + s / (t + 1.0)))
 
     bracket = integrate_power_upper(f2, 0.0, 1.0, beta, tol, budget)
-    limit = volterra_g_variance(spec, tol, budget)
+    limit = volterra_g_variance(spec)
     cross = 2.0 * (t + 1.0) ** H * t**H * bracket.value
     value = limit + cross
     ito = ((t + 1.0) ** H - t**H) ** 2 * limit + cross
@@ -287,15 +282,14 @@ def int_limit_residual(
     if t < 2:
         raise ParameterError("t must be >= 2")
     spec = ProcessSpec.volterra_g(0.25, beta, g)  # validates beta/g only
-    F = _weight_fn(beta, g)
-    shrink = 1.0 - 1.0 / t
+    F = _weight_at_gap(beta, g)
 
     def f2(s, dist):
-        fs = dist**beta * g(1.0 - dist)
-        return fs * (fs - F(shrink * s))
+        fs = F(dist)  # 1 - (1 - 1/t) s = dist + s/t
+        return fs * (fs - F(dist + s / t))
 
     bracket = integrate_power_upper(f2, 0.0, 1.0, beta, tol, budget)
-    half_var = 0.5 * volterra_g_variance(spec, tol, budget)
+    half_var = 0.5 * volterra_g_variance(spec)
     return float(t * bracket.value + half_var)
 
 

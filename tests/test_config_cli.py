@@ -133,6 +133,21 @@ def test_cli_numerical_failure_exit_3(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_config_tolerances(tmp_path, capsys):
+    # quad_tol = 0.01 from [tolerances] fits a budget of 20 evaluations; 1e-10 does not
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[process]\nfamily = volterra-g\nH = 0.25\nbeta = 1.0\ng = log-pow:1\n"
+                   "[grid]\ntimes = 1 2\n[tolerances]\nquad_tol = 0.01\npsd_tol = 1e-6\n")
+    argv = ["kernel-eval", "--config", str(cfg), "--s", "1", "--t", "2", "--budget", "20"]
+    assert main(argv) == 0
+    assert main(argv + ["--tol", "1e-10"]) == 3  # the flag wins over the file
+    assert "numerical failure" in capsys.readouterr().err
+    out = tmp_path / "psd.json"
+    for extra, psd_tol in (([], 1e-6), (["--psd-tol", "1e-9"], 1e-9)):
+        assert main(["posdef", "--config", str(cfg), "--json", str(out)] + extra) == 0
+        assert json.loads(out.read_text())["tol"] == psd_tol
+
+
 def test_cli_markov_canonical(tmp_path, capsys):
     out = tmp_path / "rep.json"
     rc = main(["markov-test", "--kernel", "canonical:H=0.7,c=-0.9", "--json", str(out)])

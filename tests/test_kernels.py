@@ -5,10 +5,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
-from ssgm import (Family, GFunction, ProcessSpec, eval_bifbm, eval_canonical,
-                  eval_fbm, eval_l, eval_rl, eval_subfbm, format_spec_string,
-                  isometry_residual, make_kernel, parse_spec_string, rl_r11,
-                  standard_grid, volterra_kernel)
+from ssgm import (Family, GFunction, ProcessSpec, build_gram, eval_bifbm,
+                  eval_canonical, eval_fbm, eval_l, eval_rl, eval_subfbm,
+                  format_spec_string, isometry_residual, make_kernel,
+                  parse_spec_string, rl_r11, standard_grid, volterra_g_variance,
+                  volterra_kernel)
 from ssgm.errors import ParameterError
 
 NEG_INF = float("-inf")
@@ -122,6 +123,78 @@ def test_rl_closed_form_matches_quadrature_oracle():
     for H in (0.1, 0.25, 0.5, 0.75, 1.3, 2.5):
         for s, u in pairs:
             assert eval_rl(H, s, u) == pytest.approx(_rl_oracle(H, s, u), rel=1e-9)
+
+
+def test_rl_near_diagonal_matches_mpmath():
+    # scipy's 2F1(1/2-H, 1; H+3/2; z) is up to ~100% off (H = 0.01) for 1 - z
+    # in [1e-16, 1e-14]; relative gaps 1e-4 down to one ulp above the diagonal
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    tops = [1.0 + 10.0**-k for k in range(4, 16)] + [np.nextafter(1.0, 2.0), 1.0]
+    for H in (0.01, 0.1, 0.25, 0.45, 0.75, 1.3):
+        h = mp.mpf(H)
+        for top in tops:
+            z = mp.mpf(1.0) / mp.mpf(top)
+            exact = (mp.mpf(top) ** (h - 0.5) * mp.hyp2f1(0.5 - h, 1, h + 1.5, z)
+                     / ((h + 0.5) * mp.gamma(h + 0.5) ** 2))
+            assert eval_rl(H, 1.0, top) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# volterra-g
+# ---------------------------------------------------------------------------
+
+def _volterra_const_oracle(H, beta, a, s, t):
+    # a^2 (st)^(H-1/2) integral_0^m (1-u/s)^beta (1-u/t)^beta du, (m-u)^beta as the "alg" weight
+    m, big = min(s, t), max(s, t)
+    if s == t:
+        val = _alg_quad(lambda u: 1.0, 0.0, m, (0.0, 2 * beta)) / m ** (2 * beta)
+    else:
+        val = _alg_quad(lambda u: (1.0 - u / big) ** beta, 0.0, m, (0.0, beta)) / m**beta
+    return a * a * (s * t) ** (H - 0.5) * val
+
+
+@pytest.mark.parametrize("H, beta, a", [(0.25, 1.0, 1.0), (0.3, 0.5, 2.0), (0.75, -0.25, 0.7),
+                                        (0.1, 2.7, 1.0), (1.3, -0.45, 1.0), (0.5, 0.0, 1.0)])
+def test_volterra_g_const_matches_quadrature_oracle(H, beta, a):
+    grid = standard_grid()
+    G = build_gram(make_kernel(ProcessSpec.volterra_g(H, beta, GFunction.const(a))), grid).entries
+    t = grid.times
+    for i in range(len(t)):
+        for j in range(i, len(t)):
+            assert G[i, j] == pytest.approx(_volterra_const_oracle(H, beta, a, t[i], t[j]), rel=1e-12)
+
+
+def _exp_quad(f):
+    """integral_0^inf f(v) dv; with y = e^-v this is where the log-pow oracles
+    put integral_0^1 ... dy, moving the (log 1/y)^k endpoint singularity to infinity."""
+    return quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+@pytest.mark.parametrize("beta, g", [(1.0, GFunction.const(1.0)), (-0.25, GFunction.const(0.7)),
+                                     (2.7, GFunction.const(2.0)), (0.5, GFunction.log_pow(1)),
+                                     (0.0, GFunction.log_pow(1)), (-0.25, GFunction.log_pow(3)),
+                                     (2.7, GFunction.log_pow(2))])
+def test_volterra_g_variance_matches_quadrature_oracle(beta, g):
+    # integral_0^1 F^2 with F(1 - y) = y^beta g(1 - y); g(1 - y) = (log 1/y)^k for log-pow
+    if g.kind == "const":
+        oracle = g.a**2 * _alg_quad(lambda y: 1.0, 0.0, 1.0, (2 * beta, 0.0))
+    else:
+        oracle = _exp_quad(lambda v: math.exp(-(2 * beta + 1) * v) * v ** (2 * g.k))
+    assert volterra_g_variance(ProcessSpec.volterra_g(0.25, beta, g)) == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("beta, k", [(0.0, 1), (-0.25, 3), (1.0, 1)])
+def test_volterra_g_log_pow_pair_matches_quadrature_oracle(beta, k):
+    # R(1, 2) = 2^(H-1/2) integral_0^1 F(u) F(u/2) du; with u = 1 - y the second
+    # gap is 1 - u/2 = (1 + y)/2.  beta <= 0 used to round g(1 - dist) to g(1) = inf
+    def F(y):
+        return y**beta * (-math.log(y)) ** k
+
+    val = _exp_quad(lambda v: math.exp(-(beta + 1) * v) * v**k * F(0.5 * (1.0 + math.exp(-v))))
+    kernel = make_kernel(ProcessSpec.volterra_g(0.25, beta, GFunction.log_pow(k)))
+    assert kernel(1.0, 2.0) == pytest.approx(2.0**-0.25 * val, rel=1e-8)
+    assert kernel(2.0, 2.0) == pytest.approx(2.0**0.5 * kernel.r11, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +315,8 @@ ALL_SPECS = [
     ProcessSpec.fbm(0.75),
     ProcessSpec.sub_fbm(0.25),
     ProcessSpec.bi_fbm(0.5, 0.5),
+    ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0)),
+    ProcessSpec.volterra_g(0.75, -0.25, GFunction.const(0.7)),
 ]
 
 
@@ -286,7 +361,8 @@ def test_axes_vanish():
 
 
 def test_r11_matches_evaluator():
-    for spec in ALL_SPECS + [ProcessSpec.riemann_liouville(0.4)]:
+    for spec in ALL_SPECS + [ProcessSpec.riemann_liouville(0.4),
+                             ProcessSpec.volterra_g(0.3, 0.5, GFunction.log_pow(2))]:
         k = make_kernel(spec)
         assert k(1.0, 1.0) == pytest.approx(k.r11, rel=1e-9)
 

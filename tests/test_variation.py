@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ssgm import (GFunction, ProcessSpec, TimeGrid, ergodic_average,
                   gaussian_abs_moment, increment_variance, int_limit_residual,
@@ -201,6 +202,35 @@ def test_increment_variance_log_weight_limit():
     iv = increment_variance(0.25, 0.5, GFunction.log_pow(1), 1e4)
     assert iv.limit_value == pytest.approx(0.25, abs=1e-9)
     assert iv.value == pytest.approx(0.25, rel=0.005)
+
+
+def _log_weight_oracle(beta, k, shrink, root):
+    """(integral F^2, integral F(s) [F(s) - root F(shrink s)] ds) by QUADPACK for
+    F(1 - y) = y^beta (log 1/y)^k, in v = log 1/(1 - s) so the log singularity
+    at s = 1 sits at v = inf."""
+    def F_gap(y):
+        return y**beta * (-math.log(y)) ** k
+
+    def on_v(f):
+        return quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    int_f2 = on_v(lambda v: math.exp(-(2 * beta + 1) * v) * v ** (2 * k))
+    bracket = on_v(lambda v: math.exp(-(beta + 1) * v) * v**k * (
+        math.exp(-beta * v) * v**k - root * F_gap(1.0 - shrink * (1.0 - math.exp(-v)))))
+    return int_f2, bracket
+
+
+@pytest.mark.parametrize("beta, k", [(0.0, 1), (0.5, 2)])
+@pytest.mark.parametrize("t", [3.0, 100.0])
+def test_log_weight_limits_match_quadrature_oracle(beta, k, t):
+    # beta = 0 used to round g(1 - dist) to g(1) = inf and exit with a NumericalError
+    g, H = GFunction.log_pow(k), 0.25
+    int_f2, bracket = _log_weight_oracle(beta, k, 1.0 - 1.0 / (t + 1.0), math.sqrt(t / (1.0 + t)))
+    iv = increment_variance(H, beta, g, t)
+    assert iv.limit_value == pytest.approx(int_f2, rel=1e-12)
+    assert iv.value == pytest.approx(int_f2 + 2.0 * (t + 1.0) ** H * t**H * bracket, rel=1e-8)
+    int_f2, bracket = _log_weight_oracle(beta, k, 1.0 - 1.0 / t, 1.0)
+    assert int_limit_residual(beta, g, t) == pytest.approx(t * bracket + 0.5 * int_f2, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
