@@ -8,6 +8,7 @@ artifacts embed the frozen report schema version.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -36,10 +37,24 @@ def report_schema_version() -> str:
     return SCHEMA_VERSION
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an output path that cannot be written as a parameter error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    with _writing(path):
+        Path(path).write_bytes(text.encode())
+
+
 def _write_json(path, payload: dict) -> None:
     payload = dict(payload)
     payload["version"] = report_schema_version()
-    Path(path).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, default=_json_default) + "\n")
 
 
 def _json_default(obj):
@@ -143,7 +158,7 @@ def _cmd_kernel_eval(args) -> int:
         grid = standard_grid()
     gram = build_gram(kernel, grid)
     if args.csv:
-        Path(args.csv).write_bytes(gram_to_csv(gram).encode())
+        _write_text(args.csv, gram_to_csv(gram))
     print(f"kernel-eval {spec.label()} gram {len(grid)}x{len(grid)} "
           f"max|R| = {np.max(np.abs(gram.entries)):.6e}")
     if args.json:
@@ -174,7 +189,7 @@ def _cmd_posdef(args) -> int:
     verdict = "PSD" if report.is_psd else "NotPSD"
     print(f"posdef {label}: {verdict} (min eigenvalue {report.min_eigenvalue_bound:.6e})")
     if args.csv:
-        Path(args.csv).write_bytes(gram_to_csv(gram).encode())
+        _write_text(args.csv, gram_to_csv(gram))
     if args.json:
         payload = {
             "kernel": label,
@@ -247,9 +262,10 @@ def _cmd_sample(args) -> int:
     print(f"sample {spec.label()} scheme={ens.scheme} paths={ens.n_paths} "
           f"d={len(grid)} seed={ens.seed}")
     if args.out:
-        save_ensemble(ens, args.out)
+        with _writing(args.out):
+            save_ensemble(ens, args.out)
     if args.csv:
-        Path(args.csv).write_bytes(ensemble_to_csv(ens).encode())
+        _write_text(args.csv, ensemble_to_csv(ens))
     if args.json:
         payload = {
             "spec": spec.label(),
@@ -279,7 +295,7 @@ def _cmd_variation(args) -> int:
     print(f"variation {spec.label()} p={args.p:g}: {report.verdict} "
           f"(slope {report.slope_estimate:+.3f}){limit}")
     if args.csv:
-        Path(args.csv).write_bytes(variation_to_csv(report).encode())
+        _write_text(args.csv, variation_to_csv(report))
     if args.json:
         _write_json(args.json, {
             "spec": spec.label(),
@@ -368,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid spec")
     p.add_argument("--paths", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--scheme", choices=["timechange", "cholesky", "whitenoise", "volterra"])
+    p.add_argument("--scheme", choices=["timechange", "cholesky", "circulant", "whitenoise", "volterra"],
+                   help="sampling scheme (default: the family's own; fbm takes circulant on a "
+                        "uniform grid t_k = k*h, with or without a leading 0, and cholesky otherwise)")
     p.add_argument("--inner-steps", type=int)
     p.add_argument("--out", help="binary ensemble file (JSON sidecar alongside)")
     p.add_argument("--csv", help="CSV export (small ensembles)")

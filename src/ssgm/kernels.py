@@ -305,6 +305,16 @@ def _ret(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
+def _axes_zero(out: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``out`` with R(0, t) = R(s, 0) = 0 exactly.
+
+    Differences of powers cancel only to the last bit there: numpy's scalar
+    and array ``**`` may round t^2H differently.
+    """
+    on_axis = (s == 0) | (t == 0)
+    return np.where(on_axis, 0.0, out) if np.any(on_axis) else out
+
+
 def eval_canonical(H: float, c: float, s, t):
     """Canonical covariance (s v t)^(2H+c) (s ^ t)^(-c); 0 on the axes.
 
@@ -335,7 +345,7 @@ def eval_fbm(H: float, s, t):
         raise ParameterError(f"fbm requires H in (0,1), got {H!r}")
     (s, t), scalar = _as_float_arrays(s, t)
     out = 0.5 * (s ** (2 * H) + t ** (2 * H) - np.abs(s - t) ** (2 * H))
-    return _ret(out, scalar)
+    return _ret(_axes_zero(out, s, t), scalar)
 
 
 def eval_subfbm(H: float, s, t):
@@ -344,7 +354,7 @@ def eval_subfbm(H: float, s, t):
         raise ParameterError(f"sfbm requires H in (0,1), got {H!r}")
     (s, t), scalar = _as_float_arrays(s, t)
     out = s ** (2 * H) + t ** (2 * H) - 0.5 * ((s + t) ** (2 * H) + np.abs(s - t) ** (2 * H))
-    return _ret(out, scalar)
+    return _ret(_axes_zero(out, s, t), scalar)
 
 
 def eval_bifbm(htilde: float, ktilde: float, s, t):
@@ -356,7 +366,7 @@ def eval_bifbm(htilde: float, ktilde: float, s, t):
         (s ** (2 * htilde) + t ** (2 * htilde)) ** ktilde
         - np.abs(s - t) ** (2 * htilde * ktilde)
     )
-    return _ret(out, scalar)
+    return _ret(_axes_zero(out, s, t), scalar)
 
 
 def rl_r11(H: float) -> float:

@@ -33,6 +33,7 @@ __all__ = [
     "sample_timechange",
     "sample_whitenoise",
     "sample_cholesky",
+    "sample_circulant",
     "sample_volterra_canonical",
     "sample_volterra_zg",
     "sample_spec",
@@ -108,7 +109,7 @@ class PathEnsemble:
     grid: TimeGrid
     values: np.ndarray  # n_paths x d
     seed: int
-    scheme: str  # "timechange" | "cholesky" | "volterra" | "whitenoise"
+    scheme: str  # "timechange" | "cholesky" | "circulant" | "volterra" | "whitenoise"
     inner_steps: Optional[int] = None
     jitter: float = 0.0
 
@@ -216,6 +217,72 @@ def sample_cholesky(kernel: CovKernel, grid: TimeGrid, n_paths: int, seed: int) 
     L, jitter = _cholesky_with_jitter(G)
     values = _sample_blocks(seed, n_paths, len(pos_grid), times.size, lambda z: _tiled(z, L.T))
     return PathEnsemble(kernel.spec, grid, values, seed, "cholesky", jitter=jitter)
+
+
+def _uniform_step(grid: TimeGrid) -> Optional[float]:
+    """The step h when the positive grid times are k*h, k = 1..n, else None.
+
+    A leading t = 0 is allowed; the test is max |t_k - k*h| <= 4 eps t_max
+    with h = t_max / n.
+    """
+    times = grid.times
+    pos = times[1:] if times[0] == 0.0 else times
+    if pos.size == 0:
+        return None
+    h = pos[-1] / pos.size
+    k = np.arange(1, pos.size + 1)
+    return float(h) if np.max(np.abs(pos - k * h)) <= 4.0 * np.finfo(float).eps * pos[-1] else None
+
+
+def _circulant_transform(H: float, n: int, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Map rows of 2n standard normals to fBm at h, 2h, ..., nh (Davies-Harte).
+
+    The fGn autocovariance r(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2 is
+    embedded in a symmetric circulant of size 2n, whose eigenvalues are one
+    rfft.  A row's first n + 1 normals are the real parts of the rfft
+    coefficients 0..n, the last n - 1 the imaginary parts of 1..n-1; the
+    first n values of their irfft are exact fGn, and their cumulative sum
+    times h^H is fBm.
+    """
+    k = np.arange(1, n + 1, dtype=float)
+    r = np.ones(n + 1)
+    # r(k) = k^2H ((1+1/k)^2H + (1-1/k)^2H - 2) / 2 without the cancellation of the raw form
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at k = 1
+        r[1:] = 0.5 * k ** (2.0 * H) * (np.expm1(2.0 * H * np.log1p(1.0 / k))
+                                         + np.expm1(2.0 * H * np.log1p(-1.0 / k)))
+    lam = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
+    if np.min(lam) < 0:
+        raise NumericalError(
+            f"circulant embedding of fGn is not PSD: min eigenvalue {np.min(lam):.3e} "
+            f"(H={H!r}, n={n})"
+        )
+    scale = np.sqrt(lam / 2.0) * h**H  # complex coefficients split their variance
+    scale[[0, n]] *= math.sqrt(2.0)  # ... except the real ones at 0 and n
+
+    def transform(z):
+        w = scale * (z[:, :n + 1] + 1j * np.pad(z[:, n + 1:], ((0, 0), (1, 1))))
+        return np.cumsum(np.fft.irfft(w, 2 * n, axis=1, norm="ortho")[:, :n], axis=1)
+
+    return transform
+
+
+def sample_circulant(H: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
+    """Exact fBm sampler on a uniform grid by circulant embedding, O(n log n) per path.
+
+    The grid must be h, 2h, ..., nh, optionally with a leading t = 0 (a zero
+    column).  Each path draws 2n normals; its covariance is exactly the fBm
+    covariance on the grid, up to rounding.  A negative circulant eigenvalue
+    raises :class:`NumericalError`; there is no fallback.
+    """
+    spec = ProcessSpec.fbm(H)
+    _check_sampling_args(grid, n_paths, seed)
+    h = _uniform_step(grid)
+    if h is None:
+        raise ParameterError("circulant scheme needs a uniform grid t_k = k*h (optionally with a leading 0)")
+    times = grid.times
+    n = times.size - 1 if times[0] == 0.0 else times.size
+    values = _sample_blocks(seed, n_paths, 2 * n, times.size, _circulant_transform(H, n, h))
+    return PathEnsemble(spec, grid, values, seed, "circulant")
 
 
 def _cell_partition(t_max: float, inner_steps: int, grid_times: np.ndarray) -> np.ndarray:
@@ -329,7 +396,11 @@ def sample_spec(
     scheme: Optional[str] = None,
     inner_steps: Optional[int] = None,
 ) -> PathEnsemble:
-    """Sample a spec with its family-appropriate (or requested) scheme."""
+    """Sample a spec with its family-appropriate (or requested) scheme.
+
+    fBm goes through ``circulant`` on a uniform grid and ``cholesky`` on any
+    other grid.
+    """
     fam = spec.family
     if scheme is None:
         scheme = {
@@ -339,6 +410,8 @@ def sample_spec(
         }.get(fam, "cholesky")
         if fam == Family.CANONICAL and math.isinf(spec.c):
             scheme = "whitenoise"
+        if fam == Family.FBM and _uniform_step(grid) is not None:
+            scheme = "circulant"
     if scheme == "timechange":
         if fam != Family.CANONICAL:
             raise ParameterError("timechange scheme applies to the canonical family")
@@ -355,6 +428,10 @@ def sample_spec(
         if fam == Family.VOLTERRA_G:
             return sample_volterra_zg(spec.H, spec.beta, spec.g, grid, inner_steps, n_paths, seed)
         raise ParameterError("volterra scheme applies to canonical or volterra-g specs")
+    if scheme == "circulant":
+        if fam != Family.FBM:
+            raise ParameterError("circulant scheme applies to the fbm family")
+        return sample_circulant(spec.H, grid, n_paths, seed)
     if scheme == "cholesky":
         return sample_cholesky(make_kernel(spec), grid, n_paths, seed)
     raise ParameterError(f"unknown sampling scheme {scheme!r}")

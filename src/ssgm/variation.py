@@ -136,8 +136,10 @@ def pvariation_trichotomy(
 ) -> VariationReport:
     """Estimate the scaling of mean S_n across dyadic resolutions.
 
-    Samples an ensemble per n (family-exact scheme where one exists,
-    Cholesky otherwise; each n uses substream family seed + index), then fits
+    Samples an ensemble per n with ``sample_spec``'s default scheme (time
+    change for canonical, circulant embedding for fBm, whose dyadic grids are
+    uniform, discretized Volterra for volterra-g, Cholesky otherwise; each n
+    uses substream family seed + index), then fits
     the log-log slope over the top half of ``n_list``.  Slopes within
     +-0.1 of zero classify as FiniteLimit with the largest-n mean as the
     limit estimate; the self-similar stationary-increment benchmark slope is

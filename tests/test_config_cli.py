@@ -276,3 +276,45 @@ def test_cli_sample_negative_seed_exit_2(capsys):
     rc = main(["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "5", "--seed", "-1"])
     assert rc == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "3", "--seed", "1",
+     "--out", "{missing}/x.bin"],
+    ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "3", "--seed", "1",
+     "--json", "{missing}/x.json"],
+    ["markov-test", "--kernel", "fbm:H=0.3", "--json", "{missing}/x.json"],
+    ["variation", "--spec", "fbm:H=0.3", "--p", "2", "--n", "2^3..2^4", "--paths", "4",
+     "--seed", "1", "--csv", "{missing}/v.csv"],
+], ids=["sample_out", "sample_json", "markov_json", "variation_csv"])
+def test_cli_unwritable_output_exit_2(tmp_path, argv, capsys):
+    missing = tmp_path / "no_such_dir"
+    argv = [a.format(missing=missing) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ssgm: invalid parameters: cannot write")
+    assert str(missing) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--spec", "fbm:H=0.3", "--grid", "geometric:0.1,2,5", "--paths", "3",
+     "--seed", "1", "--scheme", "circulant"],
+    ["sample", "--spec", "sfbm:H=0.3", "--grid", "1,2,3", "--paths", "3", "--seed", "1",
+     "--scheme", "circulant"],
+], ids=["nonuniform_grid", "not_fbm"])
+def test_cli_circulant_misuse_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ssgm: invalid parameters:")
+    assert err.count("\n") == 1
+
+
+def test_cli_sample_fbm_uniform_grid_uses_circulant(tmp_path, capsys):
+    out = tmp_path / "fbm.json"
+    argv = ["sample", "--spec", "fbm:H=0.3", "--grid", "0,0.25,0.5,0.75,1", "--paths", "3",
+            "--seed", "1", "--json", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["scheme"] == "circulant"
+    assert main(argv + ["--scheme", "cholesky"]) == 0
+    assert json.loads(out.read_text())["scheme"] == "cholesky"

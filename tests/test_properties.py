@@ -1,0 +1,109 @@
+"""Kernel properties on random (s, t, a), one strategy per family.
+
+Every covariance here is symmetric, H-self-similar (R(as, at) = a^(2H) R(s, t))
+and zero on the axes.  Riemann-Liouville switches formulas at z = m/M = 1/2
+for H < 1/2, and the two must meet there.  Examples are derandomized, so a
+run is reproducible.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ssgm import Family, GFunction, ProcessSpec, eval_rl, make_kernel  # noqa: E402
+
+_TOL = 1e-10  # make_kernel's absolute quadrature tolerance (log-pow volterra-g only)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_SPECS = {
+    Family.CANONICAL: st.builds(lambda H, gap: ProcessSpec.canonical(H, -H - gap),
+                                _floats(0.05, 2.0), _floats(0.0, 5.0)),
+    Family.WHITE_NOISE: st.builds(ProcessSpec.white_noise, _floats(0.05, 2.0)),
+    Family.FBM: st.builds(ProcessSpec.fbm, _floats(0.02, 0.98)),
+    Family.SUBFBM: st.builds(ProcessSpec.sub_fbm, _floats(0.02, 0.98)),
+    Family.BIFBM: st.builds(lambda ht, kt: ProcessSpec.bi_fbm(ht, kt),
+                            _floats(0.02, 0.98), _floats(0.02, 1.0)),
+    Family.RIEMANN_LIOUVILLE: st.builds(ProcessSpec.riemann_liouville, _floats(0.02, 3.0)),
+    Family.VOLTERRA_G: st.one_of(
+        st.builds(lambda H, beta, a: ProcessSpec.volterra_g(H, beta, GFunction.const(a)),
+                  _floats(0.05, 1.5), _floats(-0.45, 3.0), _floats(0.1, 3.0)),
+        st.builds(lambda H, beta, k: ProcessSpec.volterra_g(H, beta, GFunction.log_pow(k)),
+                  _floats(0.1, 1.0), _floats(0.0, 2.0), st.integers(1, 2)),
+    ),
+}
+_FAMILIES = sorted(_SPECS, key=lambda f: f.value)
+_TIMES = _floats(0.01, 100.0)
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _quad_slack(spec, s, t):
+    """Absolute error a log-pow pair may carry: (st)^(H-1/2) times the integral's
+    tolerance, with a factor 10 because the tolerance bounds an error estimate."""
+    if spec.family == Family.VOLTERRA_G and spec.g.kind == "log-pow" and s != t:
+        return 10.0 * _TOL * (s * t) ** (spec.H - 0.5)
+    return 0.0
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.value)
+def test_symmetry(family):
+    @_SETTINGS
+    @given(_SPECS[family], _TIMES, _TIMES)
+    def check(spec, s, t):
+        k = make_kernel(spec)
+        a, b = float(k(s, t)), float(k(t, s))
+        assert abs(a - b) <= 1e-14 * abs(a)
+
+    check()
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.value)
+def test_self_similarity(family):
+    @_SETTINGS
+    @given(_SPECS[family], _TIMES, _TIMES, _floats(0.01, 100.0))
+    def check(spec, s, t, a):
+        k = make_kernel(spec)
+        lhs = float(k(a * s, a * t))
+        rhs = a ** (2.0 * spec.H) * float(k(s, t))
+        # rounding is relative to the largest term, which the diagonal bounds
+        scale = a ** (2.0 * spec.H) * max(abs(float(k(s, s))), abs(float(k(t, t))))
+        slack = _quad_slack(spec, a * s, a * t) + a ** (2.0 * spec.H) * _quad_slack(spec, s, t)
+        assert abs(lhs - rhs) <= 1e-12 * scale + slack
+
+    check()
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.value)
+def test_zero_on_axes(family):
+    @_SETTINGS
+    @given(_SPECS[family], _TIMES)
+    def check(spec, t):
+        k = make_kernel(spec)
+        assert float(k(0.0, t)) == 0.0
+        assert float(k(t, 0.0)) == 0.0
+        assert float(k(0.0, 0.0)) == 0.0
+
+    check()
+
+
+@_SETTINGS
+@given(_floats(0.01, 0.49), _floats(0.01, 100.0))
+def test_rl_continuous_across_branch_switch(H, big):
+    # z = m/M = 1/2 exactly takes the direct 2F1; one ulp above it takes z -> 1 - z
+    m = 0.5 * big
+    at = float(eval_rl(H, m, big))
+    above = float(eval_rl(H, math.nextafter(m, math.inf), big))
+    below = float(eval_rl(H, math.nextafter(m, 0.0), big))
+    assert abs(above - at) <= 1e-13 * at
+    assert abs(below - at) <= 1e-13 * at
+
+
+def test_every_family_has_a_strategy():
+    assert set(_SPECS) == set(Family)

@@ -9,13 +9,16 @@ import pytest
 
 import ssgm
 from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
-                  ensemble_to_csv, load_ensemble, make_kernel, sample_cholesky,
-                  sample_spec, sample_timechange, sample_volterra_canonical,
+                  ensemble_to_csv, eval_fbm, load_ensemble, make_kernel,
+                  sample_cholesky, sample_circulant, sample_spec,
+                  sample_timechange, sample_volterra_canonical,
                   sample_volterra_zg, sample_whitenoise, save_ensemble,
                   selfsim_check, set_max_workers)
-from ssgm.errors import ParameterError
+from ssgm.errors import NumericalError, ParameterError
+from ssgm.samplers import _circulant_transform, _uniform_step
 
 GRID = TimeGrid.geometric(0.1, 2.0, 12)
+UNIFORM = TimeGrid(np.arange(1, 13) * 0.3)
 SPEC = ProcessSpec.canonical(0.7, -1.5)
 
 
@@ -156,6 +159,45 @@ def test_cholesky_zero_column():
 
 
 # ---------------------------------------------------------------------------
+# circulant (Davies-Harte) sampler
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lead0", [False, True], ids=["no_zero", "leading_zero"])
+@pytest.mark.parametrize("H", [0.05, 0.25, 0.5, 0.75, 0.99])
+def test_circulant_exact_covariance(H, lead0):
+    # the transform is linear: on identity rows it is the matrix A with Cov = A^T A
+    times = np.arange(0 if lead0 else 1, 17) * 0.3
+    h = _uniform_step(TimeGrid(times))
+    assert h == pytest.approx(0.3, rel=1e-15)
+    A = np.zeros((32, times.size))
+    A[:, int(lead0):] = _circulant_transform(H, 16, h)(np.eye(32))
+    exact = eval_fbm(H, times[:, None], times[None, :])
+    assert np.max(np.abs(A.T @ A - exact)) <= 1e-12 * np.max(exact)
+
+
+def test_circulant_zero_column():
+    grid = TimeGrid(np.arange(0, 65) / 64.0)
+    ens = sample_circulant(0.3, grid, 64, 20)
+    assert ens.scheme == "circulant"
+    assert np.all(ens.values[:, 0] == 0.0)
+    assert ens.spec == ProcessSpec.fbm(0.3)
+
+
+@pytest.mark.parametrize("times", [[0.1, 0.2, 0.4], [0.0, 0.5, 1.5], [0.0]])
+def test_circulant_rejects_nonuniform_grid(times):
+    with pytest.raises(ParameterError, match="uniform grid"):
+        sample_circulant(0.3, TimeGrid(np.array(times)), 4, 1)
+
+
+def test_circulant_negative_eigenvalue_raises(monkeypatch):
+    # no silent fallback: a non-PSD embedding is a numerical failure, also via sample_spec
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda c: -rfft(c))
+    with pytest.raises(NumericalError, match="min eigenvalue"):
+        sample_spec(ProcessSpec.fbm(0.3), UNIFORM, 4, 1)
+
+
+# ---------------------------------------------------------------------------
 # Volterra samplers
 # ---------------------------------------------------------------------------
 
@@ -254,12 +296,22 @@ def test_sample_spec_dispatch():
     assert sample_spec(SPEC, GRID, 5, 1).scheme == "timechange"
     assert sample_spec(ProcessSpec.white_noise(0.5), GRID, 5, 1).scheme == "whitenoise"
     assert sample_spec(ProcessSpec.fbm(0.3), GRID, 5, 1).scheme == "cholesky"
+    assert sample_spec(ProcessSpec.fbm(0.3), UNIFORM, 5, 1).scheme == "circulant"
+    zero_led = TimeGrid(np.concatenate([[0.0], UNIFORM.times]))
+    assert sample_spec(ProcessSpec.fbm(0.3), zero_led, 5, 1).scheme == "circulant"
+    assert sample_spec(ProcessSpec.fbm(0.3), UNIFORM, 5, 1, scheme="cholesky").scheme == "cholesky"
+    assert sample_spec(ProcessSpec.sub_fbm(0.3), UNIFORM, 5, 1).scheme == "cholesky"
+    nearly = UNIFORM.times.copy()
+    nearly[5] *= 1.0 + 1e-9  # far above the 4 eps t_max rounding allowance
+    assert sample_spec(ProcessSpec.fbm(0.3), TimeGrid(nearly), 5, 1).scheme == "cholesky"
     wn_limit = ProcessSpec.canonical(0.5, float("-inf"))
     assert sample_spec(wn_limit, GRID, 5, 1).scheme == "whitenoise"
     vg = ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0))
     assert sample_spec(vg, TimeGrid(np.array([1.0])), 5, 1).scheme == "volterra"
     with pytest.raises(ParameterError):
         sample_spec(ProcessSpec.fbm(0.3), GRID, 5, 1, scheme="timechange")
+    with pytest.raises(ParameterError, match="fbm family"):
+        sample_spec(ProcessSpec.sub_fbm(0.3), UNIFORM, 5, 1, scheme="circulant")
 
 
 def test_csv_export_format():
@@ -316,6 +368,7 @@ _LEAF_SAMPLERS = {
     "timechange": lambda n: sample_timechange(0.7, -1.5, GRID, n, 5),
     "whitenoise": lambda n: sample_whitenoise(0.6, GRID, n, 5),
     "cholesky": lambda n: sample_cholesky(make_kernel(ProcessSpec.fbm(0.3)), GRID, n, 5),
+    "circulant": lambda n: sample_circulant(0.3, UNIFORM, n, 5),
     "volterra_canonical": lambda n: sample_volterra_canonical(0.7, -1.5, GRID, 64, n, 5),
     "volterra_zg": lambda n: sample_volterra_zg(0.25, 1.0, GFunction.const(1.0), GRID, 64, n, 5),
 }
