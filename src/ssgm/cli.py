@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -44,6 +45,25 @@ def _writing(path):
         yield
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(*paths) -> None:
+    """Refuse an output path that cannot be written, before any work is done.
+
+    Creates and truncates nothing; ``_writing`` still reports a write that
+    fails later.
+    """
+    for path in filter(None, paths):
+        target = Path(path)
+        if target.is_dir():
+            code = errno.EISDIR
+        elif not target.parent.is_dir():
+            code = errno.ENOENT
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ParameterError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_text(path, text: str) -> None:
@@ -384,10 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid spec")
     p.add_argument("--paths", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--scheme", choices=["timechange", "cholesky", "circulant", "whitenoise", "volterra"],
+    p.add_argument("--scheme",
+                   choices=["timechange", "cholesky", "circulant", "whitenoise", "volterra", "poly"],
                    help="sampling scheme (default: the family's own; fbm takes circulant on a "
-                        "uniform grid t_k = k*h, with or without a leading 0, and cholesky otherwise)")
-    p.add_argument("--inner-steps", type=int)
+                        "uniform grid t_k = k*h, with or without a leading 0, and cholesky otherwise; "
+                        "volterra-g takes the exact poly scheme for g=const and an integer beta >= 0, "
+                        "and the midpoint volterra scheme otherwise)")
+    p.add_argument("--inner-steps", type=int, help="cells per unit time for the volterra scheme")
     p.add_argument("--out", help="binary ensemble file (JSON sidecar alongside)")
     p.add_argument("--csv", help="CSV export (small ensembles)")
     p.set_defaults(fn=_cmd_sample)
@@ -421,6 +444,7 @@ def main(argv=None) -> int:
             print(f"ssgm: invalid thread count {threads!r}", file=sys.stderr)
             return 2
     try:
+        _check_writable(*(getattr(args, name, None) for name in ("out", "csv", "json")))
         return args.fn(args)
     except ParameterError as exc:
         print(f"ssgm: invalid parameters: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ __all__ = [
     "sample_circulant",
     "sample_volterra_canonical",
     "sample_volterra_zg",
+    "sample_volterra_poly",
     "sample_spec",
     "empirical_cov",
     "selfsim_check",
@@ -109,7 +110,7 @@ class PathEnsemble:
     grid: TimeGrid
     values: np.ndarray  # n_paths x d
     seed: int
-    scheme: str  # "timechange" | "cholesky" | "circulant" | "volterra" | "whitenoise"
+    scheme: str  # "timechange" | "cholesky" | "circulant" | "volterra" | "poly" | "whitenoise"
     inner_steps: Optional[int] = None
     jitter: float = 0.0
 
@@ -388,6 +389,93 @@ def sample_volterra_zg(
     return PathEnsemble(spec, grid, values, seed, "volterra", inner_steps=inner_steps)
 
 
+def _poly_degree(beta: float, g: GFunction) -> Optional[int]:
+    """beta as an int when the volterra-g weight (1-x)^beta g(x) is a polynomial, else None."""
+    return int(beta) if g.kind == "const" and float(beta).is_integer() and beta >= 0 else None
+
+
+def _hilbert_cholesky(K: int) -> np.ndarray:
+    """Lower Cholesky factor of the K x K Hilbert matrix 1/(k+l+1), in closed form.
+
+    Row k holds the coefficients of v^k in the orthonormal shifted Legendre
+    basis sqrt(2m+1) P_m(2v-1) of L^2[0, 1]:
+    L_km = sqrt(2m+1) k!^2 / ((k+m+1)! (k-m)!).
+    """
+    f = math.factorial
+    return np.array([[math.sqrt(2 * m + 1) * (f(k) ** 2 / (f(k + m + 1) * f(k - m))) if m <= k else 0.0
+                      for m in range(K)] for k in range(K)])
+
+
+def _poly_transform(H: float, beta: int, a: float, times: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Map rows of (beta+1) d standard normals to Z at the d positive ``times``, exactly.
+
+    Z_t = a t^(H-1/2-beta) Y_beta(t) with Y_k(t) = int_0^t (t-u)^k dB_u.  The
+    state X_k(t) = t^-(k+1/2) Y_k(t), k = 0..beta, is Gaussian Markov: from
+    t to t' = t + h, with rho = t/t' and q = h/t',
+
+        X_k(t') = sum_i C(k,i) q^(k-i) rho^(i+1/2) X_i(t) + q^(k+1/2) (L z)_k,
+
+    since (t'-u)^k = sum_i C(k,i) h^(k-i) (t-u)^i and the new increments'
+    moments int_0^h v^(k+l) dv = h^(k+l+1) / (k+l+1) are a scaled Hilbert
+    matrix with factor ``_hilbert_cholesky``.  This is the transition
+    Y(t+h) = P(h) Y(t) + C(h) z conjugated by diag(t^(k+1/2)), so the state
+    stays O(1) and Z_t = a t^H X_beta(t).  Step j uses normals
+    z[:, j(beta+1):(j+1)(beta+1)]; each step is elementwise in fixed order,
+    so a row's result does not depend on how many rows there are.
+    """
+    K = beta + 1
+    k = np.arange(K)
+    prev = np.concatenate([[0.0], times[:-1]])
+    rho = (prev / times)[:, None, None]
+    q = ((times - prev) / times)[:, None, None]
+    binom = np.array([[math.comb(r, c) for c in range(K)] for r in range(K)], dtype=float)
+    P = binom * q ** np.maximum(k[:, None] - k, 0) * rho ** (k + 0.5)  # (d, K, K), lower triangular
+    C = q ** (k[:, None] + 0.5) * _hilbert_cholesky(K)  # (d, K, K)
+    scale = a * times**H
+
+    def transform(z):
+        z = z.reshape(len(z), times.size, K)
+        noise = z[:, :, :1] * C[:, :, 0]
+        for m in range(1, K):
+            noise += z[:, :, m:m + 1] * C[:, :, m]
+        x = np.zeros((len(z), K))
+        out = np.empty((len(z), times.size))
+        for j in range(times.size):
+            new = noise[:, j]
+            for i in range(K):
+                new = new + x[:, i:i + 1] * P[j, :, i]
+            x = new
+            out[:, j] = x[:, beta]
+        return scale * out
+
+    return transform
+
+
+def sample_volterra_poly(
+    H: float, beta: float, a: float, grid: TimeGrid, n_paths: int, seed: int
+) -> PathEnsemble:
+    """Exact sampler for constant-g volterra-g, g = a, with integer beta >= 0.
+
+    (t-u)^beta is a polynomial in u, so Z_t is a linear function of the
+    (beta+1)-dimensional Gaussian Markov state described in
+    ``_poly_transform``.  Each path draws (beta+1) normals per positive grid
+    point and costs O(d (beta+1)^2); there is no Gram matrix, factorization
+    or ``inner_steps``.  Any positive grid works, with or without a leading
+    t = 0 (a zero column), and the covariance equals ``make_kernel``'s up to
+    rounding.
+    """
+    spec = ProcessSpec.volterra_g(H, beta, GFunction.const(a))
+    degree = _poly_degree(spec.beta, spec.g)
+    if degree is None:
+        raise ParameterError(f"poly scheme needs an integer beta >= 0, got beta={beta!r}")
+    _check_sampling_args(grid, n_paths, seed)
+    times = grid.times
+    pos = times[1:] if times[0] == 0.0 else times
+    values = _sample_blocks(seed, n_paths, (degree + 1) * pos.size, times.size,
+                            _poly_transform(spec.H, degree, spec.g.a, pos))
+    return PathEnsemble(spec, grid, values, seed, "poly")
+
+
 def sample_spec(
     spec: ProcessSpec,
     grid: TimeGrid,
@@ -399,7 +487,9 @@ def sample_spec(
     """Sample a spec with its family-appropriate (or requested) scheme.
 
     fBm goes through ``circulant`` on a uniform grid and ``cholesky`` on any
-    other grid.
+    other grid.  Volterra-g goes through the exact ``poly`` scheme when g is
+    constant and beta an integer >= 0, and through the midpoint ``volterra``
+    scheme otherwise.  ``inner_steps`` reaches only the ``volterra`` scheme.
     """
     fam = spec.family
     if scheme is None:
@@ -412,6 +502,8 @@ def sample_spec(
             scheme = "whitenoise"
         if fam == Family.FBM and _uniform_step(grid) is not None:
             scheme = "circulant"
+        if fam == Family.VOLTERRA_G and _poly_degree(spec.beta, spec.g) is not None:
+            scheme = "poly"
     if scheme == "timechange":
         if fam != Family.CANONICAL:
             raise ParameterError("timechange scheme applies to the canonical family")
@@ -428,6 +520,10 @@ def sample_spec(
         if fam == Family.VOLTERRA_G:
             return sample_volterra_zg(spec.H, spec.beta, spec.g, grid, inner_steps, n_paths, seed)
         raise ParameterError("volterra scheme applies to canonical or volterra-g specs")
+    if scheme == "poly":
+        if fam != Family.VOLTERRA_G or spec.g.kind != "const":
+            raise ParameterError("poly scheme applies to volterra-g specs with constant g")
+        return sample_volterra_poly(spec.H, spec.beta, spec.g.a, grid, n_paths, seed)
     if scheme == "circulant":
         if fam != Family.FBM:
             raise ParameterError("circulant scheme applies to the fbm family")

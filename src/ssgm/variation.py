@@ -34,7 +34,7 @@ from .errors import ParameterError
 from .gram import TimeGrid
 from .kernels import Family, GFunction, ProcessSpec, volterra_g_variance
 from .quadrature import DEFAULT_BUDGET, integrate_power_upper
-from .samplers import sample_spec, sample_volterra_zg
+from .samplers import sample_spec
 
 __all__ = [
     "VariationReport",
@@ -138,8 +138,10 @@ def pvariation_trichotomy(
 
     Samples an ensemble per n with ``sample_spec``'s default scheme (time
     change for canonical, circulant embedding for fBm, whose dyadic grids are
-    uniform, discretized Volterra for volterra-g, Cholesky otherwise; each n
-    uses substream family seed + index), then fits
+    uniform, the exact polynomial-kernel state recursion for volterra-g with
+    constant g and integer beta >= 0, discretized Volterra for other
+    volterra-g, Cholesky otherwise; each n uses substream family
+    seed + index), then fits
     the log-log slope over the top half of ``n_list``.  Slopes within
     +-0.1 of zero classify as FiniteLimit with the largest-n mean as the
     limit estimate; the self-similar stationary-increment benchmark slope is
@@ -202,10 +204,10 @@ def ergodic_average(
     """Running average (1/n) sum f(Z_{k+1} - Z_k) along integer-time paths.
 
     ``f`` is "square" or "abs-pow" (with exponent ``p``).  The paths are
-    ``sample_volterra_zg`` on the integer grid 0, 1, ..., n with
-    ``inner_steps`` cells per unit time, so path ``i`` is the same as in any
-    other volterra-g ensemble of that seed, spec and grid.  The target is
-    E[f(J)] for J ~ N(0, int_0^1 F^2), evaluated in closed form.
+    ``sample_spec`` on the integer grid 0, 1, ..., n: exact ``poly`` paths for
+    constant g with integer beta >= 0, otherwise the midpoint ``volterra``
+    scheme with ``inner_steps`` cells per unit time.  The target is E[f(J)]
+    for J ~ N(0, int_0^1 F^2), evaluated in closed form.
     """
     if spec.family != Family.VOLTERRA_G:
         raise ParameterError("ergodic averages run on the volterra-g family")
@@ -214,7 +216,7 @@ def ergodic_average(
     if f not in ("square", "abs-pow"):
         raise ParameterError(f"f must be 'square' or 'abs-pow', got {f!r}")
     grid = TimeGrid(np.arange(n + 1, dtype=float))
-    z = sample_volterra_zg(spec.H, spec.beta, spec.g, grid, inner_steps, n_paths, seed).values
+    z = sample_spec(spec, grid, n_paths, seed, inner_steps=inner_steps).values
     incr = np.diff(z, axis=1)
     vals = incr**2 if f == "square" else np.abs(incr) ** p
     average = float(np.mean(np.sum(vals, axis=1) / n))

@@ -291,10 +291,12 @@ def test_cli_unwritable_output_exit_2(tmp_path, argv, capsys):
     missing = tmp_path / "no_such_dir"
     argv = [a.format(missing=missing) for a in argv]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("ssgm: invalid parameters: cannot write")
     assert str(missing) in err
     assert err.count("\n") == 1
+    assert captured.out == ""  # refused before any work, so no summary line
 
 
 @pytest.mark.parametrize("argv", [
@@ -308,6 +310,31 @@ def test_cli_circulant_misuse_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ssgm: invalid parameters:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["volterra-g:H=0.25,beta=1.0,g=log-pow:1",
+                                  "volterra-g:H=0.25,beta=0.5,g=const:1.0"],
+                         ids=["log_pow", "non_integer_beta"])
+def test_cli_poly_misuse_exit_2(spec, capsys):
+    argv = ["sample", "--spec", spec, "--grid", "1,2,3", "--paths", "3", "--seed", "1",
+            "--scheme", "poly"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ssgm: invalid parameters:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_cli_sample_volterra_g_schemes(tmp_path):
+    out = tmp_path / "vg.json"
+    argv = ["sample", "--spec", "volterra-g:H=0.25,beta=2.0,g=const:0.5", "--grid", "0,0.5,1,3",
+            "--paths", "3", "--seed", "1", "--json", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["scheme"] == "poly"
+    assert json.loads(out.read_text())["inner_steps"] is None
+    assert main(argv + ["--scheme", "volterra", "--inner-steps", "64"]) == 0
+    assert json.loads(out.read_text())["scheme"] == "volterra"
+    assert json.loads(out.read_text())["inner_steps"] == 64
 
 
 def test_cli_sample_fbm_uniform_grid_uses_circulant(tmp_path, capsys):

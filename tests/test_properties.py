@@ -1,9 +1,11 @@
-"""Kernel properties on random (s, t, a), one strategy per family.
+"""Kernel properties on random (s, t, a), one strategy per family, and
+round-trips of the text formats.
 
 Every covariance here is symmetric, H-self-similar (R(as, at) = a^(2H) R(s, t))
 and zero on the axes.  Riemann-Liouville switches formulas at z = m/M = 1/2
-for H < 1/2, and the two must meet there.  Examples are derandomized, so a
-run is reproducible.
+for H < 1/2, and the two must meet there.  Spec strings and config files
+parse back to what was formatted.  Examples are derandomized, so a run is
+reproducible.
 """
 
 import math
@@ -14,7 +16,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ssgm import Family, GFunction, ProcessSpec, eval_rl, make_kernel  # noqa: E402
+from ssgm import (Family, GFunction, ProcessSpec, eval_rl,  # noqa: E402
+                  format_spec_string, make_kernel, parse_spec_string)
+from ssgm.config import (GridConfig, MCConfig, OutputConfig, RunConfig,  # noqa: E402
+                         ToleranceConfig, parse_config, serialize_config)
 
 _TOL = 1e-10  # make_kernel's absolute quadrature tolerance (log-pow volterra-g only)
 
@@ -107,3 +112,50 @@ def test_rl_continuous_across_branch_switch(H, big):
 
 def test_every_family_has_a_strategy():
     assert set(_SPECS) == set(Family)
+
+
+# spec strings also spell the white-noise limit c = -inf
+_ROUND_TRIP_SPECS = dict(_SPECS)
+_ROUND_TRIP_SPECS[Family.CANONICAL] = st.one_of(
+    _SPECS[Family.CANONICAL],
+    st.builds(lambda H: ProcessSpec.canonical(H, -math.inf), _floats(0.05, 2.0)))
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.value)
+def test_spec_string_round_trip(family):
+    @_SETTINGS
+    @given(_ROUND_TRIP_SPECS[family])
+    def check(spec):
+        text = format_spec_string(spec)
+        assert parse_spec_string(text) == spec
+        assert format_spec_string(parse_spec_string(text)) == text
+
+    check()
+
+
+_POSITIVE = _floats(1e-6, 1e6)
+_NAMES = st.none() | st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_./-]{0,15}", fullmatch=True)
+_GRIDS = st.one_of(
+    st.builds(lambda ts: GridConfig(times=tuple(sorted(ts))),
+              st.sets(_floats(0.0, 1e3), min_size=1, max_size=6)),
+    st.builds(lambda start, ratio, points: GridConfig(geometric=(start, start * ratio, points)),
+              _floats(1e-3, 10.0), _floats(1.5, 100.0), st.integers(1, 50)),
+)
+_CONFIGS = st.builds(
+    RunConfig,
+    process=st.one_of(*_ROUND_TRIP_SPECS.values()),
+    grid=_GRIDS,
+    mc=st.builds(MCConfig, n_paths=st.integers(1, 10**6),
+                 seed=st.none() | st.integers(0, 2**64 - 1),
+                 inner_steps=st.none() | st.integers(64, 4096)),
+    tolerances=st.builds(ToleranceConfig, quad_tol=_POSITIVE, psd_tol=_POSITIVE),
+    output=st.builds(OutputConfig, csv=_NAMES, json=_NAMES),
+)
+
+
+@_SETTINGS
+@given(_CONFIGS)
+def test_config_round_trip(cfg):
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text

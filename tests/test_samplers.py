@@ -9,13 +9,14 @@ import pytest
 
 import ssgm
 from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
-                  ensemble_to_csv, eval_fbm, load_ensemble, make_kernel,
-                  sample_cholesky, sample_circulant, sample_spec,
-                  sample_timechange, sample_volterra_canonical,
+                  ensemble_to_csv, eval_fbm, increment_variance,
+                  load_ensemble, make_kernel, sample_cholesky,
+                  sample_circulant, sample_spec, sample_timechange,
+                  sample_volterra_canonical, sample_volterra_poly,
                   sample_volterra_zg, sample_whitenoise, save_ensemble,
                   selfsim_check, set_max_workers)
 from ssgm.errors import NumericalError, ParameterError
-from ssgm.samplers import _circulant_transform, _uniform_step
+from ssgm.samplers import _circulant_transform, _poly_transform, _uniform_step
 
 GRID = TimeGrid.geometric(0.1, 2.0, 12)
 UNIFORM = TimeGrid(np.arange(1, 13) * 0.3)
@@ -254,6 +255,61 @@ def test_volterra_zg_unproven_regime_allowed():
 
 
 # ---------------------------------------------------------------------------
+# exact polynomial-kernel volterra-g sampler
+# ---------------------------------------------------------------------------
+
+def _poly_matrix(H, beta, a, times):
+    """The linear map A of the poly transform on identity rows, so that Cov = A^T A."""
+    pos = times[1:] if times[0] == 0.0 else times
+    A = np.zeros(((beta + 1) * pos.size, times.size))
+    A[:, times.size - pos.size:] = _poly_transform(H, beta, a, pos)(np.eye(len(A)))
+    return A
+
+
+@pytest.mark.parametrize("lead0", [False, True], ids=["no_zero", "leading_zero"])
+@pytest.mark.parametrize("positive", [UNIFORM.times, GRID.times], ids=["uniform", "geometric"])
+@pytest.mark.parametrize("beta", [0, 1, 2, 3, 8])
+def test_poly_exact_covariance(beta, positive, lead0):
+    times = np.concatenate([[0.0], positive]) if lead0 else positive
+    for H in (0.1, 0.25, 0.5, 0.9):
+        for a in (1.0, 0.7):
+            A = _poly_matrix(H, beta, a, times)
+            spec = ProcessSpec.volterra_g(H, float(beta), GFunction.const(a))
+            exact = build_gram(make_kernel(spec), TimeGrid(times)).entries
+            assert np.max(np.abs(A.T @ A - exact)) <= 1e-12 * np.max(exact), (H, a)
+    if beta == 0:  # H = 1/2, g = 1 is Brownian motion
+        A = _poly_matrix(0.5, 0, 1.0, times)
+        bm = np.minimum.outer(times, times)
+        assert np.max(np.abs(A.T @ A - bm)) <= 1e-12 * np.max(bm)
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("beta, H", [(1, 0.25), (2, 0.4), (3, 0.1)])
+def test_poly_increment_variance_matches_ito_exact(beta, H, t):
+    # the t^(2H-2) decay of E[(Z_{t+1} - Z_t)^2], against its quadrature value
+    A = _poly_matrix(H, beta, 1.0, np.array([t, t + 1.0]))
+    var = float(np.sum((A[:, 1] - A[:, 0]) ** 2))
+    ito = increment_variance(H, float(beta), GFunction.const(1.0), t).ito_exact
+    assert var == pytest.approx(ito, rel=1e-6)
+
+
+def test_poly_zero_column_and_metadata():
+    grid = TimeGrid(np.array([0.0, 0.5, 1.5, 4.0]))
+    ens = sample_volterra_poly(0.25, 2, 0.7, grid, 16, 9)
+    assert ens.scheme == "poly"
+    assert ens.inner_steps is None
+    assert ens.spec == ProcessSpec.volterra_g(0.25, 2.0, GFunction.const(0.7))
+    assert np.all(ens.values[:, 0] == 0.0)
+    assert np.all(ens.values[:, 1:] != 0.0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0 + 1e-12])
+def test_poly_rejects_non_integer_beta(beta):
+    with pytest.raises(ParameterError, match="integer beta"):
+        sample_volterra_poly(0.25, beta, 1.0, GRID, 4, 1)
+
+
+# ---------------------------------------------------------------------------
 # empirical_cov / selfsim_check
 # ---------------------------------------------------------------------------
 
@@ -307,7 +363,18 @@ def test_sample_spec_dispatch():
     wn_limit = ProcessSpec.canonical(0.5, float("-inf"))
     assert sample_spec(wn_limit, GRID, 5, 1).scheme == "whitenoise"
     vg = ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0))
-    assert sample_spec(vg, TimeGrid(np.array([1.0])), 5, 1).scheme == "volterra"
+    assert sample_spec(vg, TimeGrid(np.array([1.0])), 5, 1).scheme == "poly"
+    assert sample_spec(vg, GRID, 5, 1, inner_steps=64).inner_steps is None
+    forced = sample_spec(vg, TimeGrid(np.array([1.0])), 5, 1, scheme="volterra", inner_steps=64)
+    assert (forced.scheme, forced.inner_steps) == ("volterra", 64)
+    log_pow = ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))
+    half = ProcessSpec.volterra_g(0.25, 0.5, GFunction.const(1.0))
+    for midpoint_only in (log_pow, half):
+        assert sample_spec(midpoint_only, TimeGrid(np.array([1.0])), 5, 1, inner_steps=64).scheme == "volterra"
+        with pytest.raises(ParameterError):
+            sample_spec(midpoint_only, GRID, 5, 1, scheme="poly")
+    with pytest.raises(ParameterError, match="volterra-g"):
+        sample_spec(ProcessSpec.fbm(0.3), GRID, 5, 1, scheme="poly")
     with pytest.raises(ParameterError):
         sample_spec(ProcessSpec.fbm(0.3), GRID, 5, 1, scheme="timechange")
     with pytest.raises(ParameterError, match="fbm family"):
@@ -371,6 +438,7 @@ _LEAF_SAMPLERS = {
     "circulant": lambda n: sample_circulant(0.3, UNIFORM, n, 5),
     "volterra_canonical": lambda n: sample_volterra_canonical(0.7, -1.5, GRID, 64, n, 5),
     "volterra_zg": lambda n: sample_volterra_zg(0.25, 1.0, GFunction.const(1.0), GRID, 64, n, 5),
+    "poly": lambda n: sample_volterra_poly(0.25, 3, 0.7, GRID, n, 5),
 }
 
 
