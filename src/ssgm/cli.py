@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float)
     p.add_argument("--t", type=float)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="quadrature evaluation budget (default 2^20); only off-diagonal "
+                   help="quadrature evaluation budget per pair (default 2^20); only off-diagonal "
                         "volterra-g log-pow pairs integrate, everything else is closed form")
     p.add_argument("--csv", help="write the Gram matrix as CSV")
     p.set_defaults(fn=_cmd_kernel_eval)

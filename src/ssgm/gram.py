@@ -12,6 +12,7 @@ which is also the positive-definiteness boundary of that kernel family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -127,6 +128,8 @@ def build_gram(kernel: CovKernel, grid: TimeGrid) -> GramMatrix:
     iu, ju = np.triu_indices(d)
     try:
         vals = np.asarray(kernel(times[iu], times[ju]), dtype=float)
+    except ParameterError:
+        raise
     except Exception as exc:
         # locate the first failing pair so the error carries (i, j) context
         for i, j in zip(iu, ju):
@@ -135,7 +138,7 @@ def build_gram(kernel: CovKernel, grid: TimeGrid) -> GramMatrix:
             except Exception as inner:
                 raise NumericalError(
                     f"kernel evaluation failed at grid indices ({i},{j}), "
-                    f"times ({times[i]!r}, {times[j]!r}): {inner}"
+                    f"times ({float(times[i])!r}, {float(times[j])!r}): {inner}"
                 ) from inner
         raise NumericalError(f"kernel evaluation failed on grid: {exc}") from exc
     entries = np.zeros((d, d), dtype=float)
@@ -152,8 +155,8 @@ def psd_check(gram: GramMatrix, tol: float = 1e-10) -> PosDefReport:
     eigenvalue's unit eigenvector as a witness ``a`` with
     ``sum_kl a_k a_l R(t_k, t_l) < 0``.
     """
-    if tol < 0:
-        raise ParameterError("tol must be nonnegative")
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ParameterError(f"PSD tolerance must be nonnegative and finite, got {tol!r}")
     G = gram.entries
     max_diag = float(np.max(np.abs(np.diag(G))))
     threshold = -tol * max(max_diag, 1.0e-300)

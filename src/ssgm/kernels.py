@@ -14,8 +14,10 @@ increment-ratio profile ``l(u)`` with ``l(0) = 1``, and the Volterra kernel
 canonical family as a stochastic integral.
 
 Every kernel is closed form except off-diagonal log-pow volterra-g pairs, which
-(with the isometry check) use the adaptive quadrature; RL, its ``l(u)`` and
-constant-g volterra-g (a rescaled RL) go through the Gauss hypergeometric function.
+(with the isometry check) use the adaptive quadrature: all such pairs of one
+evaluator call share one batched pass, each with its own mesh, tolerance share
+and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g (a rescaled RL) go
+through the Gauss hypergeometric function.
 
 All evaluators accept scalars or numpy arrays and are pure and stateless, so
 they are safe for concurrent use.
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, hyp2f1
 
 from .errors import ParameterError
-from .quadrature import DEFAULT_BUDGET, adaptive_simpson, integrate_power_upper
+from .quadrature import DEFAULT_BUDGET, adaptive_simpson, integrate_power_upper_batch
 
 __all__ = [
     "Family",
@@ -524,19 +526,21 @@ class CovKernel:
         return self.spec.label()
 
 
-def _volterra_g_pair(spec: ProcessSpec, s: float, t: float, tol: float, budget: int) -> float:
-    """(st)^(H-1/2) integral_0^(s^t) F(u/s) F(u/t) du for s != t, F(x) = (1-x)^beta g(x),
-    each factor evaluated from its gap 1 - u/m = dist/m or 1 - u/M = (M - m + dist)/M."""
-    if s == 0.0 or t == 0.0:
-        return 0.0
-    m, big = min(s, t), max(s, t)
+def _volterra_g_pairs(spec: ProcessSpec, s: np.ndarray, t: np.ndarray, tol: float, budget: int) -> np.ndarray:
+    """(st)^(H-1/2) integral_0^(s^t) F(u/s) F(u/t) du for positive s != t, F(x) = (1-x)^beta g(x),
+    all pairs in one batched adaptive pass; each factor is evaluated from its gap
+    1 - u/m = dist/m or 1 - u/M = (M - m + dist)/M."""
+    m, big = np.minimum(s, t), np.maximum(s, t)
     beta, g = spec.beta, spec.g
 
     def F(gap):
         return gap**beta * g._at_one_minus(gap)
 
-    quad = integrate_power_upper(lambda u, dist: F(dist / m) * F((big - m + dist) / big),
-                                 0.0, m, beta, tol, budget)
+    def f2(u, dist, i):
+        mi, bi = m[i], big[i]
+        return F(dist / mi) * F((bi - mi + dist) / bi)
+
+    quad = integrate_power_upper_batch(f2, 0.0, m, beta, tol, budget)
     return (s * t) ** (spec.H - 0.5) * quad.value
 
 
@@ -585,8 +589,9 @@ def make_kernel(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUD
                 raise ParameterError("times must be nonnegative")
             s_a, t_a = np.broadcast_arrays(s_a, t_a)
             out = np.where(s_a == t_a, r11 * s_a ** (2.0 * H), 0.0)  # R(s, s) = s^(2H) int F^2
-            off = s_a != t_a
-            out[off] = [_volterra_g_pair(spec, sv, tv, tol, budget) for sv, tv in zip(s_a[off], t_a[off])]
+            off = (s_a != t_a) & (s_a > 0) & (t_a > 0)  # the axes stay exactly 0
+            if np.any(off):
+                out[off] = _volterra_g_pairs(spec, s_a[off], t_a[off], tol, budget)
             return _ret(out, scalar)
 
         return CovKernel(spec, H, r11, ev)

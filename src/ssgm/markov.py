@@ -347,6 +347,8 @@ def asym_coeff_estimate(spec: ProcessSpec, u_values, tol: float = 1e-10) -> Asym
     """
     if spec.family not in (Family.RIEMANN_LIOUVILLE, Family.SUBFBM, Family.BIFBM, Family.FBM):
         raise ParameterError(f"asymptotics supported for l-form families, not {spec.family.value!r}")
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ParameterError(f"noise-floor tolerance must be nonnegative and finite, got {tol!r}")
     u = np.asarray(u_values, dtype=float)
     if u.size < 12:
         raise ParameterError("need at least 12 u values")

@@ -133,6 +133,44 @@ def test_cli_numerical_failure_exit_3(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+_LOG_POW = "volterra-g:H=0.25,beta=1.0,g=log-pow:1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["posdef", "--kernel", "fbm:H=0.25", "--grid", "1,2,3", "--psd-tol", "nan"],
+    ["posdef", "--kernel", "fbm:H=0.25", "--grid", "1,2,3", "--psd-tol", "-1"],
+    ["kernel-eval", "--kernel", _LOG_POW, "--tol", "0"],
+    ["kernel-eval", "--kernel", _LOG_POW, "--tol", "nan"],
+    ["kernel-eval", "--kernel", _LOG_POW, "--tol=-1e-10"],
+    ["kernel-eval", "--kernel", _LOG_POW, "--s", "1", "--t", "2", "--tol", "inf"],
+    ["markov-test", "--kernel", _LOG_POW, "--tol", "nan"],
+    ["asym", "--spec", "rl:H=0.25", "--tol", "inf"],
+])
+def test_cli_bad_tolerance_exit_2(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("ssgm: invalid parameters:") and "tolerance" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_config_nan_quad_tol_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[process]\nfamily = volterra-g\nH = 0.25\nbeta = 1.0\ng = log-pow:1\n"
+                   "[grid]\ntimes = 1 2 3\n[tolerances]\nquad_tol = nan\n")
+    assert main(["kernel-eval", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("ssgm: invalid parameters: quadrature tolerance")
+
+
+def test_cli_grid_budget_exit_3_names_pair(capsys):
+    rc = main(["kernel-eval", "--kernel", _LOG_POW, "--budget", "20"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("ssgm: numerical failure: kernel evaluation failed at grid indices (0,1), "
+                          "times (0.05, ")
+    assert err.count("\n") == 1
+
+
 def test_cli_config_tolerances(tmp_path, capsys):
     # quad_tol = 0.01 from [tolerances] fits a budget of 20 evaluations; 1e-10 does not
     cfg = tmp_path / "run.cfg"

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ssgm import (MinorQuery, ProcessSpec, TimeGrid, build_gram, chain_det,
-                  gram_to_csv, lindstrom_minor, make_kernel, minor_residual,
-                  psd_check, standard_grid)
-from ssgm.errors import ParameterError
+from ssgm import (GFunction, MinorQuery, ProcessSpec, TimeGrid, build_gram,
+                  chain_det, gram_to_csv, lindstrom_minor, make_kernel,
+                  minor_residual, psd_check, standard_grid)
+from ssgm.errors import NumericalError, ParameterError
 
 
 def _power_gram(alpha, beta, times):
@@ -81,6 +81,28 @@ def test_psd_white_noise():
     k = make_kernel(ProcessSpec.white_noise(0.7))
     rep = psd_check(build_gram(k, standard_grid()))
     assert rep.is_psd
+
+
+@pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf")])
+def test_psd_rejects_bad_tolerance(tol):
+    gram = build_gram(make_kernel(ProcessSpec.fbm(0.25)), TimeGrid(np.array([1.0, 2.0, 3.0])))
+    with pytest.raises(ParameterError):
+        psd_check(gram, tol=tol)
+
+
+def test_build_gram_passes_parameter_errors_through():
+    kernel = make_kernel(ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1)), tol=0.0)
+    with pytest.raises(ParameterError, match="tolerance"):
+        build_gram(kernel, standard_grid())
+
+
+def test_build_gram_locates_failing_pair():
+    kernel = make_kernel(ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1)), budget=20)
+    with pytest.raises(NumericalError) as info:
+        build_gram(kernel, standard_grid())
+    msg = str(info.value)
+    assert "grid indices (0,1), times (0.05, 0.0637" in msg
+    assert "np." not in msg and "budget of 20" in msg
 
 
 def test_not_psd_above_boundary_with_witness():

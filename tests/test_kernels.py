@@ -11,6 +11,7 @@ from ssgm import (Family, GFunction, ProcessSpec, build_gram, eval_bifbm,
                   parse_spec_string, rl_r11, standard_grid, volterra_g_variance,
                   volterra_kernel)
 from ssgm.errors import ParameterError
+from ssgm.quadrature import integrate_power_upper, integrate_power_upper_batch
 
 NEG_INF = float("-inf")
 
@@ -195,6 +196,57 @@ def test_volterra_g_log_pow_pair_matches_quadrature_oracle(beta, k):
     kernel = make_kernel(ProcessSpec.volterra_g(0.25, beta, GFunction.log_pow(k)))
     assert kernel(1.0, 2.0) == pytest.approx(2.0**-0.25 * val, rel=1e-8)
     assert kernel(2.0, 2.0) == pytest.approx(2.0**0.5 * kernel.r11, rel=1e-15)
+
+
+def _log_pow_f2(beta, k, m, big):
+    """The pair integrand F(u/m) F(u/M) of a log-pow volterra-g entry, from the gap dist = m - u."""
+    g = GFunction.log_pow(k)
+
+    def F(gap):
+        return gap**beta * g._at_one_minus(gap)
+
+    return lambda u, dist: F(dist / m) * F((big - m + dist) / big)
+
+
+def _log_pow_pair_alone(H, beta, k, s, t):
+    """One off-diagonal log-pow pair as its own scalar quadrature, (R(s, t), evaluations)."""
+    m, big = min(s, t), max(s, t)
+    res = integrate_power_upper(_log_pow_f2(beta, k, m, big), 0.0, m, beta)
+    return (s * t) ** (H - 0.5) * res.value, res.evals
+
+
+@pytest.mark.parametrize("beta, k", [(1.0, 1), (0.5, 2), (0.0, 1), (-0.25, 3)])
+def test_volterra_g_log_pow_batch_matches_pairs_alone(beta, k):
+    # the Gram's one batched pass gives every pair what its own quadrature gives,
+    # with the same number of integrand evaluations
+    H = 0.25
+    t = standard_grid().times
+    G = build_gram(make_kernel(ProcessSpec.volterra_g(H, beta, GFunction.log_pow(k))), standard_grid()).entries
+    iu, ju = np.triu_indices(t.size, 1)
+    alone = [_log_pow_pair_alone(H, beta, k, t[i], t[j]) for i, j in zip(iu, ju)]
+    np.testing.assert_allclose(G[iu, ju], [v for v, _ in alone], rtol=1e-14, atol=0.0)
+
+    m, big = t[iu], t[ju]
+    batch = integrate_power_upper_batch(
+        lambda u, dist, i: _log_pow_f2(beta, k, m[i], big[i])(u, dist), 0.0, m, beta)
+    assert list(batch.evals) == [n for _, n in alone]
+
+
+def test_volterra_g_log_pow_axes_and_diagonal():
+    # a leading 0 and a repeated time: exact zeros on the axes, s^(2H) int F^2 on the diagonal
+    spec = ProcessSpec.volterra_g(0.3, 0.5, GFunction.log_pow(2))
+    kernel = make_kernel(spec)
+    times = np.array([0.0, 0.5, 1.0, 1.0, 2.0])
+    s, t = np.meshgrid(times, times, indexing="ij")
+    R = kernel(s, t)
+    assert np.all(R[(s == 0) | (t == 0)] == 0.0)
+    diag = (s == t) & (s > 0)
+    np.testing.assert_array_equal(R[diag], volterra_g_variance(spec) * s[diag] ** (2 * spec.H))
+    assert R[2, 3] == R[3, 3] == R[2, 2]
+    for i, j in zip(*np.nonzero((s != t) & (s > 0) & (t > 0))):
+        value, _ = _log_pow_pair_alone(spec.H, spec.beta, 2, s[i, j], t[i, j])
+        assert R[i, j] == pytest.approx(value, rel=1e-14)
+    assert kernel(0.0, 1.0) == 0.0 and kernel(1.0, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

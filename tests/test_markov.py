@@ -258,6 +258,13 @@ def test_asym_fbm_brownian_below_noise():
     assert rep.constant_term == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf")])
+def test_asym_rejects_bad_tolerance(tol):
+    # an infinite noise floor used to drop the power fit without a word
+    with pytest.raises(ParameterError, match="tolerance"):
+        asym_coeff_estimate(ProcessSpec.riemann_liouville(0.25), U_DEFAULT, tol=tol)
+
+
 def test_asym_rejects_unsupported():
     with pytest.raises(ParameterError):
         asym_coeff_estimate(ProcessSpec.canonical(0.5, -1.0), U_DEFAULT)

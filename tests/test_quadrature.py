@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ssgm.errors import NumericalError, ParameterError
-from ssgm.quadrature import adaptive_simpson, integrate_power_upper
+from ssgm.quadrature import adaptive_simpson, integrate_power_upper, integrate_power_upper_batch
 
 
 def test_polynomial_exact():
@@ -62,3 +62,79 @@ def test_power_endpoint_with_log():
 def test_nonintegrable_power_rejected():
     with pytest.raises(NumericalError):
         integrate_power_upper(lambda s, d: d ** (-1.5), 0.0, 1.0, -1.5)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+def test_bad_tolerance_rejected_before_any_evaluation(tol):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.exp(x)
+
+    with pytest.raises(ParameterError):
+        adaptive_simpson(f, 0.0, 1.0, tol=tol)
+    with pytest.raises(ParameterError):
+        integrate_power_upper_batch(lambda s, d, i: d, 0.0, [1.0, 2.0], 0.0, tol=tol)
+    assert calls == []
+
+
+def test_evals_count_integrand_points():
+    seen = [0]
+
+    def f(x):
+        seen[0] += np.size(x)
+        return np.sin(5.0 * x)
+
+    res = adaptive_simpson(f, 0.0, 2.0, tol=1e-11)
+    assert res.evals == seen[0] > 5
+    assert adaptive_simpson(np.exp, 1.0, 1.0).evals == 0
+
+
+def _batch_and_alone(f2_of, params, power, **kw):
+    """One batched pass over ``params`` and each integral on its own."""
+    params = np.asarray(params, dtype=float)
+    batch = integrate_power_upper_batch(lambda s, d, i: f2_of(params[i])(s, d), 0.0, np.ones_like(params),
+                                        power, **kw)
+    alone = [integrate_power_upper(f2_of(p), 0.0, 1.0, power, **kw) for p in params]
+    return batch, alone
+
+
+def test_batch_matches_each_integral_alone():
+    # integrals of different difficulty share a pass but keep their own meshes
+    def f2_of(p):
+        return lambda s, d: d * np.log(1.0 / d) ** 2 * np.cos(p * s)
+
+    batch, alone = _batch_and_alone(f2_of, [0.0, 3.0, 20.0, 60.0], 1.0, tol=1e-12)
+    assert list(batch.evals) == [r.evals for r in alone]
+    assert len(set(batch.evals)) > 1
+    np.testing.assert_allclose(batch.value, [r.value for r in alone], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(batch.abs_error_estimate, [r.abs_error_estimate for r in alone],
+                               rtol=1e-12, atol=0.0)
+    assert batch.value[0] == pytest.approx(0.25, abs=1e-11)
+
+
+def test_batch_zero_span_integrals():
+    batch = integrate_power_upper_batch(lambda s, d, i: d, [0.0, 1.0, 0.0], [1.0, 1.0, 2.0], 1.0, tol=1e-12)
+    assert batch.value[1] == 0.0 and batch.evals[1] == 0
+    np.testing.assert_allclose(batch.value[[0, 2]], [0.5, 2.0], rtol=1e-12)
+
+
+def test_batch_budget_is_per_integral():
+    # the oscillatory integral needs far more than 200 evaluations, the smooth ones far fewer
+    def f2_of(p):
+        return lambda s, d: np.cos(p * s)
+
+    kw = {"tol": 1e-6, "budget": 200}
+    with pytest.raises(NumericalError, match="budget of 200"):
+        _batch_and_alone(f2_of, [1.0, 400.0, 2.0], 0.0, **kw)
+    batch, alone = _batch_and_alone(f2_of, [1.0, 2.0], 0.0, **kw)
+    assert max(batch.evals) <= 200
+    assert list(batch.evals) == [r.evals for r in alone]
+    with pytest.raises(NumericalError):
+        integrate_power_upper(f2_of(400.0), 0.0, 1.0, 0.0, **kw)
+
+
+def test_batch_non_finite_integrand():
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        integrate_power_upper_batch(lambda s, d, i: np.where(i == 1, np.inf, d), 0.0, [1.0, 1.0], 1.0)
