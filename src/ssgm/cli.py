@@ -359,9 +359,9 @@ def _add_common(p, spec_flag="--kernel"):
     p.add_argument(spec_flag, help="process spec, e.g. canonical:H=0.7,c=-0.9")
     p.add_argument("--config", help="RunConfig file (flags override its blocks)")
     p.add_argument("--tol", type=float, default=None,
-                   help="quadrature tolerance (default: the config's quad_tol, else 1e-10); "
-                        "only off-diagonal volterra-g log-pow pairs integrate; "
-                        "asym's noise floor is 10*tol")
+                   help="quadrature tolerance, positive and finite (default: the config's quad_tol, "
+                        "else 1e-10); only off-diagonal volterra-g log-pow pairs integrate; "
+                        "asym's noise floor is 10*tol, where 0 is allowed")
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; sampling is single-threaded and "
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variation", help="p-variation trichotomy estimate")
     _add_common(p, spec_flag="--spec")
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=float, required=True, help="exponent p, finite and >= 1")
     p.add_argument("--n", required=True, help="dyadic list, e.g. 2^10..2^16")
     p.add_argument("--paths", type=int)
     p.add_argument("--seed", type=int)

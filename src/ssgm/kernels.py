@@ -555,7 +555,14 @@ def volterra_g_variance(spec: ProcessSpec) -> float:
 
 
 def make_kernel(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET) -> CovKernel:
-    """Build the evaluatable covariance kernel for a process spec."""
+    """Build the evaluatable covariance kernel for a process spec.
+
+    ``tol`` and ``budget`` reach only the adaptive quadrature of off-diagonal
+    log-pow volterra-g pairs, but ``tol`` is checked for every family: it
+    must be positive and finite.
+    """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ParameterError(f"quadrature tolerance must be positive and finite, got {tol!r}")
     H = spec.H
     fam = spec.family
     if fam == Family.CANONICAL:

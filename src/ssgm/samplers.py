@@ -166,8 +166,14 @@ def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: in
         raise NumericalError("time change is not monotone")
     sqrt_dtau = np.sqrt(dtau)
     scale = pos ** (2.0 * H + c)
-    values = _sample_blocks(seed, n_paths, pos.size, times.size,
-                            lambda z: scale * np.cumsum(sqrt_dtau * z, axis=1))
+
+    def transform(z):
+        # in place on the block's normals: scale * cumsum(sqrt_dtau * z), no full-size temporaries
+        np.multiply(z, sqrt_dtau, out=z)
+        np.cumsum(z, axis=1, out=z)
+        return np.multiply(z, scale, out=z)
+
+    values = _sample_blocks(seed, n_paths, pos.size, times.size, transform)
     return PathEnsemble(spec, grid, values, seed, "timechange")
 
 

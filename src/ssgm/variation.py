@@ -4,7 +4,10 @@ For an H-self-similar process with stationary (or asymptotically stationary,
 nondegenerate) increments, the dyadic sums S_n = sum |Z_{(k+1)/n} - Z_{k/n}|^p
 scale like n^(1 - pH): they vanish for p > 1/H, settle at E|J|^p for
 p = 1/H, and diverge for p < 1/H.  The trichotomy estimator below fits the
-log-log slope of mean S_n and classifies accordingly.
+log-log slope of mean S_n and classifies accordingly.  As in Levy's
+quadratic variation of Brownian motion, S_n follows the same paths along
+refining partitions: one ensemble is drawn on the finest dyadic grid (with
+``seed`` itself) and every coarser level reads its sub-grid columns.
 
 The quadrature side evaluates, for F(x) = (1-x)^beta g(x),
 
@@ -93,11 +96,24 @@ class ErgodicAverage:
     proven_regime: bool
 
 
+def _check_p(p: float) -> None:
+    if not (p >= 1 and math.isfinite(p)):
+        raise ParameterError(f"p must be finite and >= 1, got {p!r}")
+
+
+def _pvariation_sums(values: np.ndarray, p: float) -> np.ndarray:
+    """sum_k |Z_{k+1} - Z_k|^p along each row of a 2-D array of paths."""
+    incr = np.diff(values, axis=1)
+    np.abs(incr, out=incr)
+    incr **= p  # in place, with the same fast paths as incr ** p
+    return np.sum(incr, axis=1)
+
+
 def pvariation_sum(values, p: float) -> float:
     """sum |Z_{(k+1)/n} - Z_{k/n}|^p for one path on the dyadic grid of [0,1].
 
     ``values`` holds the n+1 points Z_0, Z_{1/n}, ..., Z_1 with n a power of
-    two.
+    two; ``p`` must be finite and >= 1.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -105,9 +121,8 @@ def pvariation_sum(values, p: float) -> float:
     n = v.size - 1
     if n & (n - 1):
         raise ParameterError(f"grid must have 2^k + 1 points, got {v.size}")
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p!r}")
-    return float(np.sum(np.abs(np.diff(v)) ** p))
+    _check_p(p)
+    return float(_pvariation_sums(v[None, :], p)[0])
 
 
 def _dyadic_grid(n: int) -> TimeGrid:
@@ -136,27 +151,37 @@ def pvariation_trichotomy(
 ) -> VariationReport:
     """Estimate the scaling of mean S_n across dyadic resolutions.
 
-    Samples an ensemble per n with ``sample_spec``'s default scheme (time
-    change for canonical, circulant embedding for fBm, whose dyadic grids are
-    uniform, the exact polynomial-kernel state recursion for volterra-g with
-    constant g and integer beta >= 0, discretized Volterra for other
-    volterra-g, Cholesky otherwise; each n uses substream family
-    seed + index), then fits
-    the log-log slope over the top half of ``n_list``.  Slopes within
-    +-0.1 of zero classify as FiniteLimit with the largest-n mean as the
-    limit estimate; the self-similar stationary-increment benchmark slope is
-    1 - pH.
+    Draws one ensemble of ``n_paths`` paths on the finest grid
+    k / max(n_list) with ``sample_spec``'s default scheme and substream
+    family ``seed`` itself, not ``seed`` + level index (time change for
+    canonical, circulant embedding for fBm, whose dyadic grids are uniform,
+    the exact polynomial-kernel state recursion for volterra-g with constant
+    g and integer beta >= 0, discretized Volterra for other volterra-g,
+    Cholesky otherwise).  Level n reads the columns
+    ``values[:, ::max(n_list) // n]``: the sub-grid k / n of the same paths,
+    so the levels' means are correlated.  For the exact schemes, the
+    restriction of an exact sample to a sub-grid is an exact sample there,
+    so each level's mean and SE keep their meaning; for the midpoint
+    ``volterra`` scheme a coarse level comes from cells at least as fine as
+    a run on its own grid would use.  ``p`` must be finite and >= 1.
+
+    Fits the log-log slope of mean S_n over the top half of ``n_list``.
+    Slopes within +-0.1 of zero classify as FiniteLimit with the largest-n
+    mean as the limit estimate; the self-similar stationary-increment
+    benchmark slope is 1 - pH.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2 or any(n & (n - 1) or n < 2 for n in n_list):
         raise ParameterError("n_list must hold at least two powers of two")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ParameterError("n_list must be increasing")
+    _check_p(p)
+    n_max = n_list[-1]
+    paths = sample_spec(spec, _dyadic_grid(n_max), n_paths, seed).values
     means = []
     ses = []
-    for idx, n in enumerate(n_list):
-        ens = sample_spec(spec, _dyadic_grid(n), n_paths, seed + idx)
-        sums = np.array([pvariation_sum(row, p) for row in ens.values])
+    for n in n_list:
+        sums = _pvariation_sums(paths[:, ::n_max // n], p)
         means.append(float(np.mean(sums)))
         ses.append(float(np.std(sums, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0)
     means_arr = np.array(means)

@@ -145,6 +145,11 @@ _LOG_POW = "volterra-g:H=0.25,beta=1.0,g=log-pow:1"
     ["kernel-eval", "--kernel", _LOG_POW, "--s", "1", "--t", "2", "--tol", "inf"],
     ["markov-test", "--kernel", _LOG_POW, "--tol", "nan"],
     ["asym", "--spec", "rl:H=0.25", "--tol", "inf"],
+    # closed-form pairs and families: make_kernel checks the tolerance for all of them
+    ["kernel-eval", "--kernel", "fbm:H=0.3", "--s", "1", "--t", "2", "--tol", "nan"],
+    ["kernel-eval", "--kernel", _LOG_POW, "--s", "1", "--t", "1", "--tol", "0"],
+    ["markov-test", "--kernel", "rl:H=0.25", "--tol", "0"],
+    ["posdef", "--kernel", "fbm:H=0.25", "--grid", "1,2,3", "--tol", "inf"],
 ])
 def test_cli_bad_tolerance_exit_2(capsys, argv):
     rc = main(argv)
@@ -152,6 +157,21 @@ def test_cli_bad_tolerance_exit_2(capsys, argv):
     assert rc == 2
     assert err.startswith("ssgm: invalid parameters:") and "tolerance" in err
     assert err.count("\n") == 1
+
+
+def test_cli_asym_zero_noise_floor_tolerance(capsys):
+    # asym's --tol is a noise floor, not a quadrature tolerance: 0 is allowed
+    assert main(["asym", "--spec", "rl:H=0.25", "--tol", "0"]) == 0
+
+
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_cli_variation_nonfinite_p_exit_2(capsys, p):
+    rc = main(["variation", "--spec", "fbm:H=0.75", "--p", p, "--n", "2^7..2^8",
+               "--paths", "4", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("ssgm: invalid parameters: p must be finite")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_config_nan_quad_tol_exit_2(tmp_path, capsys):

@@ -5,6 +5,8 @@ from ssgm import (GFunction, MinorQuery, ProcessSpec, TimeGrid, build_gram,
                   chain_det, gram_to_csv, lindstrom_minor, make_kernel,
                   minor_residual, psd_check, standard_grid)
 from ssgm.errors import NumericalError, ParameterError
+from ssgm.kernels import CovKernel
+from ssgm.quadrature import adaptive_simpson
 
 
 def _power_gram(alpha, beta, times):
@@ -91,7 +93,12 @@ def test_psd_rejects_bad_tolerance(tol):
 
 
 def test_build_gram_passes_parameter_errors_through():
-    kernel = make_kernel(ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1)), tol=0.0)
+    # make_kernel rejects tol = 0 itself; an evaluator whose quadrature still
+    # meets it must surface the ParameterError from build_gram unwrapped
+    spec = ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))
+    with pytest.raises(ParameterError, match="tolerance"):
+        make_kernel(spec, tol=0.0)
+    kernel = CovKernel(spec, spec.H, 1.0, lambda s, t: adaptive_simpson(np.cos, 0.0, 1.0, 0.0).value)
     with pytest.raises(ParameterError, match="tolerance"):
         build_gram(kernel, standard_grid())
 

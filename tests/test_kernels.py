@@ -396,6 +396,16 @@ def test_self_similarity_scaling(spec):
         assert abs(lhs - rhs) <= 1e-10 * max(a ** (2 * H) * abs(k(s, t)), 1e-300)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS + [ProcessSpec.riemann_liouville(0.25),
+                                              ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))],
+                         ids=lambda s: s.label())
+def test_make_kernel_rejects_bad_tolerance(spec):
+    # every family, closed form or not, refuses the tolerance before any evaluation
+    for tol in (0.0, -1e-10, float("inf"), float("nan")):
+        with pytest.raises(ParameterError, match="quadrature tolerance"):
+            make_kernel(spec, tol=tol)
+
+
 def test_rl_self_similarity():
     k = make_kernel(ProcessSpec.riemann_liouville(0.25))
     rng = np.random.default_rng(7)

@@ -4,8 +4,10 @@ round-trips of the text formats.
 Every covariance here is symmetric, H-self-similar (R(as, at) = a^(2H) R(s, t))
 and zero on the axes.  Riemann-Liouville switches formulas at z = m/M = 1/2
 for H < 1/2, and the two must meet there.  Spec strings and config files
-parse back to what was formatted.  Examples are derandomized, so a run is
-reproducible.
+parse back to what was formatted.  The p-variation trichotomy reads every
+dyadic level off one ensemble on the finest grid, so two level lists with the
+same finest n agree exactly on the levels they share.  Examples are
+derandomized, so a run is reproducible.
 """
 
 import math
@@ -17,7 +19,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ssgm import (Family, GFunction, ProcessSpec, eval_rl,  # noqa: E402
-                  format_spec_string, make_kernel, parse_spec_string)
+                  format_spec_string, make_kernel, parse_spec_string,
+                  pvariation_trichotomy)
 from ssgm.config import (GridConfig, MCConfig, OutputConfig, RunConfig,  # noqa: E402
                          ToleranceConfig, parse_config, serialize_config)
 
@@ -131,6 +134,29 @@ def test_spec_string_round_trip(family):
         assert format_spec_string(parse_spec_string(text)) == text
 
     check()
+
+
+_TRICHOTOMY_SPECS = st.sampled_from([
+    ProcessSpec.canonical(0.5, -1.0),  # timechange
+    ProcessSpec.fbm(0.3),  # circulant
+    ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0)),  # poly
+    ProcessSpec.volterra_g(0.25, 0.5, GFunction.log_pow(1)),  # midpoint volterra
+])
+
+
+@_SETTINGS
+@given(spec=_TRICHOTOMY_SPECS, top=st.integers(2, 9), data=st.data(),
+       n_paths=st.integers(2, 6), seed=st.integers(0, 2**32), p=_floats(1.0, 4.0))
+def test_trichotomy_shared_levels_agree(spec, top, data, n_paths, seed, p):
+    lower = st.sets(st.integers(1, top - 1), min_size=1)
+    levels_a = sorted(data.draw(lower)) + [top]
+    levels_b = sorted(data.draw(lower)) + [top]
+    rep_a = pvariation_trichotomy(spec, p, [2**k for k in levels_a], n_paths, seed)
+    rep_b = pvariation_trichotomy(spec, p, [2**k for k in levels_b], n_paths, seed)
+    for k in set(levels_a) & set(levels_b):
+        i, j = levels_a.index(k), levels_b.index(k)
+        assert rep_a.mean_sums[i] == rep_b.mean_sums[j]
+        assert rep_a.se_sums[i] == rep_b.se_sums[j]
 
 
 _POSITIVE = _floats(1e-6, 1e6)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ssgm.variation
 from ssgm import (GFunction, ProcessSpec, TimeGrid, ergodic_average,
                   gaussian_abs_moment, increment_variance, int_limit_residual,
-                  pvariation_sum, pvariation_trichotomy, variation_to_csv)
+                  pvariation_sum, pvariation_trichotomy, sample_spec, variation_to_csv)
 from ssgm.errors import ParameterError
 
 G1 = GFunction.const(1.0)
@@ -31,6 +32,12 @@ def test_sum_grid_validation():
         pvariation_sum(np.zeros(6), 2.0)  # 5 increments, not a power of two
     with pytest.raises(ParameterError):
         pvariation_sum(np.zeros(9), 0.5)  # p < 1
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_sum_rejects_nonfinite_p(p):
+    with pytest.raises(ParameterError, match="p must be finite"):
+        pvariation_sum(np.linspace(0.0, 1.0, 9), p)
 
 
 def test_sum_bm_quadratic_variation():
@@ -102,6 +109,46 @@ def test_trichotomy_validation():
         pvariation_trichotomy(ProcessSpec.fbm(0.5), 2.0, [100, 200], 8, 1)
     with pytest.raises(ParameterError):
         pvariation_trichotomy(ProcessSpec.fbm(0.5), 2.0, [256], 8, 1)
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_trichotomy_rejects_nonfinite_p_before_sampling(monkeypatch, p):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking p")
+
+    monkeypatch.setattr(ssgm.variation, "sample_spec", no_sampling)
+    with pytest.raises(ParameterError, match="p must be finite"):
+        pvariation_trichotomy(ProcessSpec.fbm(0.75), p, [2**7, 2**8], 4, 1)
+
+
+@pytest.mark.parametrize("spec,scheme", [
+    (ProcessSpec.canonical(0.5, -1.0), "timechange"),
+    (ProcessSpec.fbm(0.3), "circulant"),
+    (ProcessSpec.volterra_g(0.25, 1.0, G1), "poly"),
+], ids=lambda x: getattr(x, "label", lambda: x)())
+def test_trichotomy_levels_are_subgrids_of_one_ensemble(spec, scheme):
+    # level n is the sub-grid k/n of the paths drawn on the finest grid with the trichotomy's own seed
+    n_list, n_paths, seed, p = [2**4, 2**5, 2**7], 6, 41, 2.0
+    n_max = n_list[-1]
+    ens = sample_spec(spec, TimeGrid(np.arange(n_max + 1, dtype=float) / n_max), n_paths, seed)
+    assert ens.scheme == scheme
+    rep = pvariation_trichotomy(spec, p, n_list, n_paths, seed)
+    for j, n in enumerate(n_list):
+        sums = [pvariation_sum(row[::n_max // n], p) for row in ens.values]
+        assert rep.mean_sums[j] == np.mean(sums)
+        assert rep.se_sums[j] == np.std(sums, ddof=1) / np.sqrt(n_paths)
+
+
+def test_trichotomy_samples_once(monkeypatch):
+    calls = []
+
+    def counting(spec, grid, *args, **kwargs):
+        calls.append(len(grid))
+        return sample_spec(spec, grid, *args, **kwargs)
+
+    monkeypatch.setattr(ssgm.variation, "sample_spec", counting)
+    pvariation_trichotomy(ProcessSpec.fbm(0.75), 2.0, [2**6, 2**7, 2**8, 2**9], 4, 5)
+    assert calls == [2**9 + 1]
 
 
 def test_variation_csv():
