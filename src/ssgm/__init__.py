@@ -18,10 +18,9 @@ from .quadrature import (QuadResult, adaptive_simpson, integrate_power_upper,
 from .samplers import (EmpiricalCov, PathEnsemble, SelfSimReport,
                        empirical_cov, ensemble_to_csv, load_ensemble,
                        sample_cholesky, sample_circulant, sample_spec,
-                       sample_timechange, sample_volterra_canonical,
-                       sample_volterra_poly, sample_volterra_zg,
-                       sample_whitenoise, save_ensemble, selfsim_check,
-                       set_max_workers)
+                       sample_timechange, sample_volterra_poly,
+                       sample_volterra_zg, sample_whitenoise, save_ensemble,
+                       selfsim_check, set_max_workers)
 from .variation import (ErgodicAverage, IncrementVariance, VariationReport,
                         ergodic_average, gaussian_abs_moment,
                         increment_variance, int_limit_residual,

@@ -138,11 +138,15 @@ def _parse_pow(text: str) -> int:
 
 def _load_config(args) -> RunConfig | None:
     """The --config file, if given; --tol / --psd-tol left unset take its
-    [tolerances] block, or 1e-10 without one."""
+    [tolerances] block, or 1e-10 without one.  The quadrature tolerance must
+    be positive and finite, also where a command does not use it."""
     cfg = load_config(args.config) if args.config else None
     tols = cfg.tolerances if cfg is not None else ToleranceConfig()
     if args.tol is None:
         args.tol = tols.quad_tol
+    # asym's --tol is a noise floor, where 0 is allowed; asym_coeff_estimate checks it
+    if args.command != "asym" and not (args.tol > 0 and math.isfinite(args.tol)):
+        raise ParameterError(f"quadrature tolerance must be positive and finite, got {args.tol!r}")
     if getattr(args, "psd_tol", 0.0) is None:
         args.psd_tol = tols.psd_tol
     return cfg
@@ -409,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling scheme (default: the family's own; fbm takes circulant on a "
                         "uniform grid t_k = k*h, with or without a leading 0, and cholesky otherwise; "
                         "volterra-g takes the exact poly scheme for g=const and an integer beta >= 0, "
-                        "and the midpoint volterra scheme otherwise)")
+                        "and the midpoint volterra scheme otherwise; volterra applies to volterra-g only)")
     p.add_argument("--inner-steps", type=int, help="cells per unit time for the volterra scheme")
     p.add_argument("--out", help="binary ensemble file (JSON sidecar alongside)")
     p.add_argument("--csv", help="CSV export (small ensembles)")

@@ -20,12 +20,9 @@ Example::
     quad_tol = 1e-10
     psd_tol = 1e-10
 
-    [output]
-    csv = out.csv
-    json = out.json
-
 Numbers parse in full double precision; ``c = -inf`` spells the white-noise
-limit.  ``parse_config(serialize_config(cfg))`` is the identity.
+limit.  Other blocks are ignored; output paths are command-line flags.
+``parse_config(serialize_config(cfg))`` is the identity.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from .errors import ParameterError
 from .gram import TimeGrid
 from .kernels import ProcessSpec, spec_from_params, spec_to_params
 
-__all__ = ["GridConfig", "MCConfig", "ToleranceConfig", "OutputConfig", "RunConfig",
+__all__ = ["GridConfig", "MCConfig", "ToleranceConfig", "RunConfig",
            "parse_config", "serialize_config", "load_config"]
 
 
@@ -77,18 +74,11 @@ class ToleranceConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
-    csv: Optional[str] = None
-    json: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     process: ProcessSpec
     grid: GridConfig
     mc: MCConfig = field(default_factory=MCConfig)
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
 
 
 def _number(kind, block: str, key: str, text: str):
@@ -142,11 +132,7 @@ def parse_config(text: str) -> RunConfig:
             quad_tol=_number(float, "tolerances", "quad_tol", tb.get("quad_tol", "1e-10")),
             psd_tol=_number(float, "tolerances", "psd_tol", tb.get("psd_tol", "1e-10")),
         )
-    out = OutputConfig()
-    if "output" in cp:
-        ob = cp["output"]
-        out = OutputConfig(csv=ob.get("csv") or None, json=ob.get("json") or None)
-    return RunConfig(spec, grid, mc, tols, out)
+    return RunConfig(spec, grid, mc, tols)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -171,13 +157,6 @@ def serialize_config(cfg: RunConfig) -> str:
         "quad_tol": repr(cfg.tolerances.quad_tol),
         "psd_tol": repr(cfg.tolerances.psd_tol),
     }
-    out = {}
-    if cfg.output.csv:
-        out["csv"] = cfg.output.csv
-    if cfg.output.json:
-        out["json"] = cfg.output.json
-    if out:
-        cp["output"] = out
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -214,6 +214,16 @@ class ProcessSpec:
             return True
         return self.beta > 0 and 0 < self.H < 0.5
 
+    def weight_at_gap(self, gap):
+        """Volterra-g weight F(1 - gap) = gap^beta g(1 - gap), F(x) = (1-x)^beta g(x).
+
+        Taking the gap 1 - x itself keeps F finite where 1 - gap would round
+        to 1 (g(1) = inf for log-pow g).
+        """
+        if self.family != Family.VOLTERRA_G:
+            raise ParameterError("the Volterra weight F applies to the volterra-g family")
+        return gap**self.beta * self.g._at_one_minus(gap)
+
     def to_white_noise(self) -> "ProcessSpec":
         """Explicit conversion of a canonical spec with c = -inf."""
         if self.family == Family.CANONICAL and self.c is not None and math.isinf(self.c):
@@ -531,16 +541,13 @@ def _volterra_g_pairs(spec: ProcessSpec, s: np.ndarray, t: np.ndarray, tol: floa
     all pairs in one batched adaptive pass; each factor is evaluated from its gap
     1 - u/m = dist/m or 1 - u/M = (M - m + dist)/M."""
     m, big = np.minimum(s, t), np.maximum(s, t)
-    beta, g = spec.beta, spec.g
-
-    def F(gap):
-        return gap**beta * g._at_one_minus(gap)
+    F = spec.weight_at_gap
 
     def f2(u, dist, i):
         mi, bi = m[i], big[i]
         return F(dist / mi) * F((bi - mi + dist) / bi)
 
-    quad = integrate_power_upper_batch(f2, 0.0, m, beta, tol, budget)
+    quad = integrate_power_upper_batch(f2, 0.0, m, spec.beta, tol, budget)
     return (s * t) ** (spec.H - 0.5) * quad.value
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "sample_whitenoise",
     "sample_cholesky",
     "sample_circulant",
-    "sample_volterra_canonical",
     "sample_volterra_zg",
     "sample_volterra_poly",
     "sample_spec",
@@ -110,7 +109,9 @@ class PathEnsemble:
     grid: TimeGrid
     values: np.ndarray  # n_paths x d
     seed: int
-    scheme: str  # "timechange" | "cholesky" | "circulant" | "volterra" | "poly" | "whitenoise"
+    # "timechange" | "cholesky" | "circulant" | "poly" | "whitenoise", or "volterra",
+    # the midpoint scheme of volterra-g
+    scheme: str
     inner_steps: Optional[int] = None
     jitter: float = 0.0
 
@@ -292,53 +293,10 @@ def sample_circulant(H: float, grid: TimeGrid, n_paths: int, seed: int) -> PathE
     return PathEnsemble(spec, grid, values, seed, "circulant")
 
 
-def _cell_partition(t_max: float, inner_steps: int, grid_times: np.ndarray) -> np.ndarray:
-    """Cell boundaries: the uniform 1/inner_steps lattice refined by grid times."""
-    n_cells = int(np.ceil(t_max * inner_steps))
-    lattice = np.arange(n_cells + 1, dtype=float) / inner_steps
-    bounds = np.union1d(lattice[lattice <= t_max], grid_times[grid_times > 0])
-    if bounds[0] > 0.0:
-        bounds = np.concatenate([[0.0], bounds])
-    return bounds
-
-
-def sample_volterra_canonical(
-    H: float, c: float, grid: TimeGrid, inner_steps: int, n_paths: int, seed: int
-) -> PathEnsemble:
-    """Discretized Volterra sampler for the canonical family, c < -H.
-
-    Uses exact per-cell integrals of K(u, t) (closed-form power integrals)
-    against shared Brownian increments, so each X_t is the L^2 projection of
-    the stochastic integral onto piecewise-constant integrands.
-    """
-    spec = ProcessSpec.canonical(H, c)
-    if math.isinf(c) or not c < -H:
-        raise ParameterError("Volterra sampler requires finite c < -H")
-    if inner_steps < 64:
-        raise ParameterError("inner_steps must be >= 64")
-    _check_sampling_args(grid, n_paths, seed)
-    times = grid.times
-    pos = times[1:] if times[0] == 0.0 else times
-    bounds = _cell_partition(float(pos[-1]), inner_steps, pos)
-    widths = np.diff(bounds)
-    sqrt_w = np.sqrt(widths)
-    coef = math.sqrt(-2.0 * (c + H))
-    e1 = -c - H + 0.5  # exponent of the kernel antiderivative
-
-    # weight[k, j] = integral over cell k of K(u, t_j), for cells inside [0, t_j]
-    upper = np.minimum.outer(bounds[1:], pos)
-    lower = np.minimum.outer(bounds[:-1], pos)
-    anti = lambda u: u**e1 / e1
-    kern_int = coef * pos ** (H - 0.5) * pos ** (-(-c - H - 0.5)) * (anti(upper) - anti(lower))
-    weights = np.where(upper > lower, kern_int, 0.0) / sqrt_w[:, None]
-    values = _sample_blocks(seed, n_paths, widths.size, times.size, lambda z: _tiled(z, weights))
-    return PathEnsemble(spec, grid, values, seed, "volterra", inner_steps=inner_steps)
-
-
 def _zg_discrete_var(spec: ProcessSpec, inner_steps: int) -> float:
     """Discretized Var(Z_1) for the resolution-doubling policy."""
     m = np.arange(inner_steps) / inner_steps + 0.5 / inner_steps
-    F = (1.0 - m) ** spec.beta * spec.g(m)
+    F = spec.weight_at_gap(1.0 - m)
     return float(np.sum(F * F) / inner_steps)
 
 
@@ -375,7 +333,10 @@ def sample_volterra_zg(
         raise ParameterError("inner_steps must be >= 64")
     times = grid.times
     pos = times[1:] if times[0] == 0.0 else times
-    bounds = _cell_partition(float(pos[-1]), inner_steps, pos)
+    t_max = float(pos[-1])
+    # cell boundaries: the 1/inner_steps lattice on [0, t_max] refined by every grid time
+    lattice = np.arange(int(np.ceil(t_max * inner_steps)) + 1, dtype=float) / inner_steps
+    bounds = np.union1d(lattice[lattice <= t_max], pos)
     widths = np.diff(bounds)
     sqrt_w = np.sqrt(widths)
     mids = 0.5 * (bounds[:-1] + bounds[1:])
@@ -387,8 +348,7 @@ def sample_volterra_zg(
         dB = z * sqrt_w
         x = np.empty((len(z), pos.size))
         for j, (t, k) in enumerate(zip(pos, cut)):
-            m = mids[:k] / t
-            x[:, j] = t ** (H - 0.5) * _tiled(dB[:, :k], (1.0 - m) ** beta * g(m))
+            x[:, j] = t ** (H - 0.5) * _tiled(dB[:, :k], spec.weight_at_gap(1.0 - mids[:k] / t))
         return x
 
     values = _sample_blocks(seed, n_paths, widths.size, times.size, transform)
@@ -492,10 +452,12 @@ def sample_spec(
 ) -> PathEnsemble:
     """Sample a spec with its family-appropriate (or requested) scheme.
 
-    fBm goes through ``circulant`` on a uniform grid and ``cholesky`` on any
+    The canonical family goes through the exact ``timechange`` scheme.  fBm
+    goes through ``circulant`` on a uniform grid and ``cholesky`` on any
     other grid.  Volterra-g goes through the exact ``poly`` scheme when g is
     constant and beta an integer >= 0, and through the midpoint ``volterra``
-    scheme otherwise.  ``inner_steps`` reaches only the ``volterra`` scheme.
+    scheme otherwise.  ``volterra`` applies to volterra-g only, and
+    ``inner_steps`` reaches only that scheme.
     """
     fam = spec.family
     if scheme is None:
@@ -521,11 +483,9 @@ def sample_spec(
             raise ParameterError("whitenoise scheme applies to the white-noise family")
         return sample_whitenoise(spec.H, grid, n_paths, seed)
     if scheme == "volterra":
-        if fam == Family.CANONICAL:
-            return sample_volterra_canonical(spec.H, spec.c, grid, inner_steps or 256, n_paths, seed)
-        if fam == Family.VOLTERRA_G:
-            return sample_volterra_zg(spec.H, spec.beta, spec.g, grid, inner_steps, n_paths, seed)
-        raise ParameterError("volterra scheme applies to canonical or volterra-g specs")
+        if fam != Family.VOLTERRA_G:
+            raise ParameterError("volterra scheme applies to volterra-g specs")
+        return sample_volterra_zg(spec.H, spec.beta, spec.g, grid, inner_steps, n_paths, seed)
     if scheme == "poly":
         if fam != Family.VOLTERRA_G or spec.g.kind != "const":
             raise ParameterError("poly scheme applies to volterra-g specs with constant g")

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _SLOPE_BAND = 0.1
+_ERGODIC_INNER_STEPS = 64  # midpoint volterra cells per unit time in ergodic_average
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,15 +225,14 @@ def ergodic_average(
     n_paths: int,
     seed: int,
     p: float = 1.0,
-    inner_steps: int = 64,
 ) -> ErgodicAverage:
     """Running average (1/n) sum f(Z_{k+1} - Z_k) along integer-time paths.
 
     ``f`` is "square" or "abs-pow" (with exponent ``p``).  The paths are
     ``sample_spec`` on the integer grid 0, 1, ..., n: exact ``poly`` paths for
     constant g with integer beta >= 0, otherwise the midpoint ``volterra``
-    scheme with ``inner_steps`` cells per unit time.  The target is E[f(J)]
-    for J ~ N(0, int_0^1 F^2), evaluated in closed form.
+    scheme with 64 cells per unit time.  The target is E[f(J)] for
+    J ~ N(0, int_0^1 F^2), evaluated in closed form.
     """
     if spec.family != Family.VOLTERRA_G:
         raise ParameterError("ergodic averages run on the volterra-g family")
@@ -241,7 +241,7 @@ def ergodic_average(
     if f not in ("square", "abs-pow"):
         raise ParameterError(f"f must be 'square' or 'abs-pow', got {f!r}")
     grid = TimeGrid(np.arange(n + 1, dtype=float))
-    z = sample_spec(spec, grid, n_paths, seed, inner_steps=inner_steps).values
+    z = sample_spec(spec, grid, n_paths, seed, inner_steps=_ERGODIC_INNER_STEPS).values
     incr = np.diff(z, axis=1)
     vals = incr**2 if f == "square" else np.abs(incr) ** p
     average = float(np.mean(np.sum(vals, axis=1) / n))
@@ -254,11 +254,6 @@ def ergodic_average(
 # ---------------------------------------------------------------------------
 # quadrature limits
 # ---------------------------------------------------------------------------
-
-def _weight_at_gap(beta: float, g: GFunction):
-    """F(1 - y) = y^beta g(1 - y) from the gap y, so F never rounds to F(1)."""
-    return lambda y: y**beta * g._at_one_minus(y)
-
 
 def increment_variance(
     H: float,
@@ -278,7 +273,7 @@ def increment_variance(
     if not t > 0:
         raise ParameterError("t must be positive")
     spec = ProcessSpec.volterra_g(H, beta, g)  # validates H, beta
-    F = _weight_at_gap(beta, g)
+    F = spec.weight_at_gap
     root = math.sqrt(t / (1.0 + t))
 
     def f2(s, dist):
@@ -311,7 +306,7 @@ def int_limit_residual(
     if t < 2:
         raise ParameterError("t must be >= 2")
     spec = ProcessSpec.volterra_g(0.25, beta, g)  # validates beta/g only
-    F = _weight_at_gap(beta, g)
+    F = spec.weight_at_gap
 
     def f2(s, dist):
         fs = F(dist)  # 1 - (1 - 1/t) s = dist + s/t

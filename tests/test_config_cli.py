@@ -6,8 +6,8 @@ import pytest
 
 from ssgm import GFunction, ProcessSpec
 from ssgm.cli import main, report_schema_version
-from ssgm.config import (GridConfig, MCConfig, OutputConfig, RunConfig,
-                         ToleranceConfig, parse_config, serialize_config)
+from ssgm.config import (GridConfig, MCConfig, RunConfig, ToleranceConfig,
+                         parse_config, serialize_config)
 from ssgm.errors import ParameterError
 
 
@@ -21,7 +21,6 @@ def _configs():
         GridConfig(geometric=(0.1, 2.0, 16)),
         MCConfig(n_paths=50000, seed=42, inner_steps=256),
         ToleranceConfig(),
-        OutputConfig(csv="out.csv", json="out.json"),
     )
     yield RunConfig(
         ProcessSpec.canonical(0.5, float("-inf")),
@@ -58,6 +57,12 @@ def test_full_precision_round_trip():
     back = parse_config(serialize_config(cfg))
     assert back.process.H == H
     assert back.grid.times == (1.0 / 3.0, 2.0 / 3.0)
+
+
+def test_unknown_blocks_ignored():
+    # output paths are command-line flags; an [output] block parses as before and is ignored
+    text = "[process]\nfamily = fbm\nH = 0.3\n[grid]\ntimes = 1 2\n[output]\ncsv = a.csv\njson = a.json\n"
+    assert parse_config(text) == RunConfig(ProcessSpec.fbm(0.3), GridConfig(times=(1.0, 2.0)))
 
 
 def test_grid_config_validation():
@@ -150,6 +155,11 @@ _LOG_POW = "volterra-g:H=0.25,beta=1.0,g=log-pow:1"
     ["kernel-eval", "--kernel", _LOG_POW, "--s", "1", "--t", "1", "--tol", "0"],
     ["markov-test", "--kernel", "rl:H=0.25", "--tol", "0"],
     ["posdef", "--kernel", "fbm:H=0.25", "--grid", "1,2,3", "--tol", "inf"],
+    # commands that integrate nothing still check --tol
+    ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "2", "--seed", "1", "--tol", "nan"],
+    ["variation", "--spec", "fbm:H=0.75", "--p", "2", "--n", "2^3..2^4", "--paths", "2", "--seed", "1",
+     "--tol", "nan"],
+    ["posdef", "--alpha", "0.3", "--beta", "0.1", "--grid", "1,2", "--tol", "0"],
 ])
 def test_cli_bad_tolerance_exit_2(capsys, argv):
     rc = main(argv)
@@ -180,6 +190,17 @@ def test_cli_config_nan_quad_tol_exit_2(tmp_path, capsys):
                    "[grid]\ntimes = 1 2 3\n[tolerances]\nquad_tol = nan\n")
     assert main(["kernel-eval", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("ssgm: invalid parameters: quadrature tolerance")
+
+
+def test_cli_sample_config_zero_quad_tol_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[process]\nfamily = fbm\nH = 0.3\n[grid]\ntimes = 1 2\n"
+                   "[mc]\nn_paths = 2\nseed = 1\n[tolerances]\nquad_tol = 0\n")
+    assert main(["sample", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ssgm: invalid parameters: quadrature tolerance")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_grid_budget_exit_3_names_pair(capsys):
@@ -393,6 +414,15 @@ def test_cli_sample_volterra_g_schemes(tmp_path):
     assert main(argv + ["--scheme", "volterra", "--inner-steps", "64"]) == 0
     assert json.loads(out.read_text())["scheme"] == "volterra"
     assert json.loads(out.read_text())["inner_steps"] == 64
+
+
+def test_cli_sample_canonical_volterra_scheme_exit_2(capsys):
+    rc = main(["sample", "--spec", "canonical:H=0.7,c=-1.5", "--grid", "0.5,1,2", "--paths", "3",
+               "--seed", "1", "--scheme", "volterra"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("ssgm: invalid parameters: volterra scheme applies to volterra-g")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_sample_fbm_uniform_grid_uses_circulant(tmp_path, capsys):

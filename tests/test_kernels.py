@@ -200,11 +200,7 @@ def test_volterra_g_log_pow_pair_matches_quadrature_oracle(beta, k):
 
 def _log_pow_f2(beta, k, m, big):
     """The pair integrand F(u/m) F(u/M) of a log-pow volterra-g entry, from the gap dist = m - u."""
-    g = GFunction.log_pow(k)
-
-    def F(gap):
-        return gap**beta * g._at_one_minus(gap)
-
+    F = ProcessSpec.volterra_g(0.25, beta, GFunction.log_pow(k)).weight_at_gap
     return lambda u, dist: F(dist / m) * F((big - m + dist) / big)
 
 

@@ -1,0 +1,55 @@
+"""Module boundaries: no ssgm module reaches into another module's private names."""
+
+import ast
+import pathlib
+
+import pytest
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ssgm"
+_MODULES = sorted(_SRC.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _defined_names(tree: ast.AST) -> set:
+    """Every name the module binds: defs, classes, assignment targets and attributes it sets."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def _foreign_private_uses(path: pathlib.Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    own = _defined_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("ssgm")):
+            found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Attribute) and _private(node.attr) and node.attr not in own:
+            found.append(f"{path.name}:{node.lineno} uses {ast.unparse(node)}")
+    return found
+
+
+def test_modules_found():
+    assert {p.name for p in _MODULES} >= {"kernels.py", "samplers.py", "variation.py", "cli.py"}
+
+
+def test_checker_flags_both_forms(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from .kernels import _x, y\n"
+                   "class A:\n    def __init__(self):\n        self._own = 1\n"
+                   "def f(g):\n    return g._hidden + A()._own + g.__class__.__name__\n")
+    assert _foreign_private_uses(mod) == ["mod.py:1 imports _x", "mod.py:6 uses g._hidden"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_foreign_private_names(path):
+    assert _foreign_private_uses(path) == []

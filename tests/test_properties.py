@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ssgm import (Family, GFunction, ProcessSpec, eval_rl,  # noqa: E402
                   format_spec_string, make_kernel, parse_spec_string,
                   pvariation_trichotomy)
-from ssgm.config import (GridConfig, MCConfig, OutputConfig, RunConfig,  # noqa: E402
+from ssgm.config import (GridConfig, MCConfig, RunConfig,  # noqa: E402
                          ToleranceConfig, parse_config, serialize_config)
 
 _TOL = 1e-10  # make_kernel's absolute quadrature tolerance (log-pow volterra-g only)
@@ -160,7 +160,6 @@ def test_trichotomy_shared_levels_agree(spec, top, data, n_paths, seed, p):
 
 
 _POSITIVE = _floats(1e-6, 1e6)
-_NAMES = st.none() | st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_./-]{0,15}", fullmatch=True)
 _GRIDS = st.one_of(
     st.builds(lambda ts: GridConfig(times=tuple(sorted(ts))),
               st.sets(_floats(0.0, 1e3), min_size=1, max_size=6)),
@@ -175,7 +174,6 @@ _CONFIGS = st.builds(
                  seed=st.none() | st.integers(0, 2**64 - 1),
                  inner_steps=st.none() | st.integers(64, 4096)),
     tolerances=st.builds(ToleranceConfig, quad_tol=_POSITIVE, psd_tol=_POSITIVE),
-    output=st.builds(OutputConfig, csv=_NAMES, json=_NAMES),
 )
 
 

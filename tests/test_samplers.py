@@ -12,9 +12,9 @@ from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   ensemble_to_csv, eval_fbm, increment_variance,
                   load_ensemble, make_kernel, sample_cholesky,
                   sample_circulant, sample_spec, sample_timechange,
-                  sample_volterra_canonical, sample_volterra_poly,
-                  sample_volterra_zg, sample_whitenoise, save_ensemble,
-                  selfsim_check, set_max_workers)
+                  sample_volterra_poly, sample_volterra_zg,
+                  sample_whitenoise, save_ensemble, selfsim_check,
+                  set_max_workers)
 from ssgm.errors import NumericalError, ParameterError
 from ssgm.samplers import _circulant_transform, _poly_transform, _uniform_step
 
@@ -202,12 +202,6 @@ def test_circulant_negative_eigenvalue_raises(monkeypatch):
 # Volterra samplers
 # ---------------------------------------------------------------------------
 
-def test_volterra_canonical_matches_kernel():
-    ens = sample_volterra_canonical(0.7, -1.5, GRID, 256, 20000, 21)
-    # discretization + MC tolerance
-    assert _max_z(SPEC, ens) < 5.0
-
-
 def test_volterra_zg_brownian():
     grid = TimeGrid(np.array([0.25, 0.5, 1.0]))
     ens = sample_volterra_zg(0.5, 0.0, GFunction.const(1.0), grid, 256, 20000, 22)
@@ -381,6 +375,14 @@ def test_sample_spec_dispatch():
         sample_spec(ProcessSpec.sub_fbm(0.3), UNIFORM, 5, 1, scheme="circulant")
 
 
+@pytest.mark.parametrize("spec", [SPEC, ProcessSpec.canonical(0.5, -1.0), ProcessSpec.fbm(0.3)],
+                         ids=lambda s: s.label())
+def test_volterra_scheme_is_volterra_g_only(spec):
+    # the canonical family has one sampler, the exact time change
+    with pytest.raises(ParameterError, match="volterra-g"):
+        sample_spec(spec, GRID, 5, 1, scheme="volterra", inner_steps=64)
+
+
 def test_csv_export_format():
     ens = sample_timechange(0.5, -1.0, TimeGrid(np.array([1.0, 2.0])), 3, 5)
     text = ensemble_to_csv(ens)
@@ -436,7 +438,6 @@ _LEAF_SAMPLERS = {
     "whitenoise": lambda n: sample_whitenoise(0.6, GRID, n, 5),
     "cholesky": lambda n: sample_cholesky(make_kernel(ProcessSpec.fbm(0.3)), GRID, n, 5),
     "circulant": lambda n: sample_circulant(0.3, UNIFORM, n, 5),
-    "volterra_canonical": lambda n: sample_volterra_canonical(0.7, -1.5, GRID, 64, n, 5),
     "volterra_zg": lambda n: sample_volterra_zg(0.25, 1.0, GFunction.const(1.0), GRID, 64, n, 5),
     "poly": lambda n: sample_volterra_poly(0.25, 3, 0.7, GRID, n, 5),
 }
