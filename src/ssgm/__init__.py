@@ -13,8 +13,7 @@ from .markov import (AsymReport, CanonicalFit, FactorizationResult,
                      MarkovReport, asym_coeff_estimate, doob_residual,
                      fit_canonical, gf_factorize, markov_test,
                      multiplicative_check, sqrt_diag_profile)
-from .quadrature import (QuadResult, adaptive_simpson, integrate_power_upper,
-                         integrate_power_upper_batch)
+from .quadrature import QuadResult, integrate_power_upper
 from .samplers import (EmpiricalCov, PathEnsemble, SelfSimReport,
                        empirical_cov, ensemble_to_csv, load_ensemble,
                        sample_cholesky, sample_circulant, sample_spec,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import errno
 import json
 import math
@@ -82,10 +81,6 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "-inf" if obj < 0 else "inf"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ParameterError", "NumericalError"]
+
 
 class ParameterError(ValueError):
     """A parameter lies outside its admissible domain."""

@@ -38,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing, nonnegative sample times."""
+    """Strictly increasing, nonnegative, finite sample times."""
 
     times: np.ndarray
 
@@ -47,14 +47,12 @@ class TimeGrid:
         object.__setattr__(self, "times", times)
         if times.ndim != 1 or times.size < 1:
             raise ParameterError("grid must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(times)):
+            raise ParameterError("grid times must be finite")
         if np.any(times < 0):
             raise ParameterError("grid times must be nonnegative")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ParameterError("grid times must be strictly increasing")
-
-    @classmethod
-    def from_times(cls, times) -> "TimeGrid":
-        return cls(np.asarray(times, dtype=float))
 
     @classmethod
     def geometric(cls, start: float, stop: float, points: int) -> "TimeGrid":

@@ -14,10 +14,10 @@ increment-ratio profile ``l(u)`` with ``l(0) = 1``, and the Volterra kernel
 canonical family as a stochastic integral.
 
 Every kernel is closed form except off-diagonal log-pow volterra-g pairs, which
-(with the isometry check) use the adaptive quadrature: all such pairs of one
-evaluator call share one batched pass, each with its own mesh, tolerance share
-and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g (a rescaled RL) go
-through the Gauss hypergeometric function.
+(like the isometry check) go through ``integrate_power_upper``: all such pairs
+of one evaluator call share one adaptive pass, each with its own mesh,
+tolerance share and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g
+(a rescaled RL) go through the Gauss hypergeometric function.
 
 All evaluators accept scalars or numpy arrays and are pure and stateless, so
 they are safe for concurrent use.
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, hyp2f1
 
 from .errors import ParameterError
-from .quadrature import DEFAULT_BUDGET, adaptive_simpson, integrate_power_upper_batch
+from .quadrature import DEFAULT_BUDGET, integrate_power_upper
 
 __all__ = [
     "Family",
@@ -484,35 +484,19 @@ def isometry_residual(
 ) -> float:
     """| integral_0^(s^t) K(u,s) K(u,t) du  -  R_can(s,t) |.
 
-    The integrand is a pure power u^(q-1) with q = -2(c+H) > 0; substituting
-    u = m w^(3/q) makes the transformed integrand vanish like w^2 at 0, after
-    which the quadrature converges quickly.  K is evaluated through
-    :func:`volterra_kernel` so the check exercises the same code path users
-    call.
+    The integrand is a pure power u^(q-1) with q = -2(c+H) > 0, so it goes
+    through :func:`integrate_power_upper` over x = (s^t) - u, which puts that
+    power at the upper limit, where ``dist`` is u itself.  K is evaluated
+    through :func:`volterra_kernel` so the check exercises the same code path
+    users call.
     """
     if not (s > 0 and t > 0):
         raise ParameterError("s and t must be positive")
     if math.isinf(c) or not c < -H:
         raise ParameterError(f"isometry check requires finite c < -H, got c={c!r}, H={H!r}")
-    m = min(s, t)
     q = -2.0 * (c + H)
-    gamma = 3.0 / q
-
-    def g(w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros_like(w)
-        pos = w > 0.0
-        if np.any(pos):
-            wp = w[pos]
-            u = m * wp**gamma
-            out[pos] = (
-                volterra_kernel(H, c, u, s)
-                * volterra_kernel(H, c, u, t)
-                * m * gamma * wp ** (gamma - 1.0)
-            )
-        return out
-
-    quad = adaptive_simpson(g, 0.0, 1.0, tol, budget)
+    quad = integrate_power_upper(lambda x, u, _: volterra_kernel(H, c, u, s) * volterra_kernel(H, c, u, t),
+                                 0.0, min(s, t), q - 1.0, tol, budget)
     return abs(quad.value - eval_canonical(H, c, s, t))
 
 
@@ -547,7 +531,7 @@ def _volterra_g_pairs(spec: ProcessSpec, s: np.ndarray, t: np.ndarray, tol: floa
         mi, bi = m[i], big[i]
         return F(dist / mi) * F((bi - mi + dist) / bi)
 
-    quad = integrate_power_upper_batch(f2, 0.0, m, spec.beta, tol, budget)
+    quad = integrate_power_upper(f2, 0.0, m, spec.beta, tol, budget)
     return (s * t) ** (spec.H - 0.5) * quad.value
 
 

@@ -157,11 +157,8 @@ def fit_canonical(kernel: CovKernel, t_grid: Optional[TimeGrid] = None) -> Canon
         return CanonicalFit(r11_hat=r11, c_hat=float("-inf"), regression_residual=0.0)
     if np.any(r[interior] <= 0.0):
         raise ParameterError("R(t, 1) has zeros on (0, 1); no canonical power-law fit exists")
-    x = np.log(t)
-    y = np.log(r)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.max(np.abs(y - (slope * x + intercept))))
-    return CanonicalFit(r11_hat=float(np.exp(intercept)), c_hat=float(-slope), regression_residual=resid)
+    slope, intercept, resid = _line_fit(np.log(t), np.log(r))
+    return CanonicalFit(r11_hat=float(np.exp(intercept)), c_hat=-slope, regression_residual=resid)
 
 
 def multiplicative_check(

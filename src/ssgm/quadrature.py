@@ -1,13 +1,13 @@
 """Adaptive Simpson quadrature with an evaluation budget.
 
-All integrands used in this package are numpy-vectorized callables, so the
-adaptive refinement processes whole batches of subintervals per pass instead
-of recursing one interval at a time.  One refinement loop serves any number of
-integrals at once: each live subinterval carries the index of the integral it
-belongs to, and every integral keeps its own mesh, acceptance test, budget and
-result.  :func:`adaptive_simpson` is its one-integral case;
-:func:`integrate_power_upper_batch` runs many endpoint-substituted integrals
-(e.g. all off-diagonal pairs of one log-pow volterra-g Gram) in one pass.
+Every integral in this package has an endpoint ``b`` where its integrand
+behaves like ``(b - s)^power``, and goes through :func:`integrate_power_upper`:
+the off-diagonal log-pow volterra-g pairs, the criterion-8 brackets and the
+Volterra isometry check.  It substitutes ``w^q`` at that endpoint and hands
+all its integrals to one refinement loop, which processes whole batches of
+numpy-vectorized subintervals per pass instead of recursing one interval at a
+time: each live subinterval carries the index of the integral it belongs to,
+and every integral keeps its own mesh, acceptance test, budget and result.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ParameterError
+
+__all__ = ["DEFAULT_BUDGET", "QuadResult", "integrate_power_upper"]
 
 DEFAULT_BUDGET = 1 << 20
 _MIN_WIDTH_FACTOR = 1e-13
@@ -99,27 +101,6 @@ def _simpson(f, a: np.ndarray, b: np.ndarray, tol: float, budget: int):
         state = state.reshape(7, owner.size)
 
 
-def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    budget: int = DEFAULT_BUDGET,
-) -> QuadResult:
-    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
-
-    ``f`` must accept and return numpy arrays.  Each subinterval is accepted
-    once the Richardson error estimate ``(S2 - S1)/15`` falls below the
-    tolerance share proportional to its width.  Raises
-    :class:`ParameterError` for a tolerance that is not positive and finite,
-    and :class:`NumericalError` when more than ``budget`` evaluations would
-    be needed.
-    """
-    ends = np.array([a, b], dtype=float)
-    values, errors, evals = _simpson(lambda x, _: f(x), ends[:1], ends[1:], tol, budget)
-    return QuadResult(float(values[0]), float(errors[0]), int(evals[0]))
-
-
 def _upper_substitution(f2, a: np.ndarray, b: np.ndarray, power: float):
     """``f2(s, dist, owner)`` on ``[a, b]`` as an integrand ``g(w, owner)`` on ``[0, 1]``.
 
@@ -145,30 +126,6 @@ def _upper_substitution(f2, a: np.ndarray, b: np.ndarray, power: float):
 
 
 def integrate_power_upper(
-    f2: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    power: float,
-    tol: float = 1e-10,
-    budget: int = DEFAULT_BUDGET,
-) -> QuadResult:
-    """Integrate over ``[a, b]`` when the integrand behaves like
-    ``(b - s)^power`` (possibly times slowly varying log factors) near ``b``.
-
-    ``f2(s, dist)`` receives both the abscissa and ``dist = b - s`` computed
-    without cancellation.  Substituting ``s = b - (b - a) w^q`` with
-    ``q = 3/(1 + power)`` turns the endpoint behaviour into ``w^2``, which the
-    Simpson rule handles comfortably; the transformed integrand is pinned to 0
-    at ``w = 0``.
-    """
-    g = _upper_substitution(lambda s, dist, _: f2(s, dist), np.array([a], dtype=float),
-                            np.array([b], dtype=float), power)
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
-    return adaptive_simpson(lambda w: g(w, np.zeros(np.shape(w), dtype=np.intp)), 0.0, 1.0, tol, budget)
-
-
-def integrate_power_upper_batch(
     f2: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     a,
     b,
@@ -176,16 +133,22 @@ def integrate_power_upper_batch(
     tol: float = 1e-10,
     budget: int = DEFAULT_BUDGET,
 ) -> QuadResult:
-    """:func:`integrate_power_upper` over every ``[a[i], b[i]]`` in one adaptive pass.
+    """Integrate over ``[a, b]`` when the integrand behaves like ``(b - s)^power``
+    (possibly times slowly varying log factors) near ``b``.
 
+    ``a`` and ``b`` are scalars or arrays, broadcast to one integral per entry
+    and all refined in one pass; each keeps its own mesh, tolerance share and
+    ``budget``, so an entry is what its integral gives alone.
     ``f2(s, dist, owner)`` evaluates integral ``owner[j]``'s integrand at
-    ``s[j]``, with ``dist[j] = b[owner[j]] - s[j]``.  Each integral keeps its
-    own mesh, tolerance share and ``budget``, so entry ``i`` of each result
-    array (value, error estimate, evaluation count) is what
-    :func:`integrate_power_upper` gives for that integral alone; any one
-    integral that cannot meet ``tol`` within ``budget`` raises
-    :class:`NumericalError` for the whole batch.
+    ``s[j]``, with ``dist[j] = b - s[j]`` computed without cancellation.
+    Scalar ``a`` and ``b`` give Python scalars in the result, arrays give
+    arrays; an empty interval gives 0 with 0 evaluations.  Raises
+    :class:`NumericalError` for ``power <= -1`` or when any integral exhausts
+    ``budget``, and :class:`ParameterError`, before any evaluation, for a
+    ``tol`` that is not positive and finite.
     """
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     a, b = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
     g = _upper_substitution(f2, a, b, power)
-    return QuadResult(*_simpson(g, np.zeros(a.size), (a != b).astype(float), tol, budget))
+    out = _simpson(g, np.zeros(a.size), (a != b).astype(float), tol, budget)
+    return QuadResult(*(x.item() if shape == () else x.reshape(shape) for x in out))

@@ -333,7 +333,7 @@ def sample_volterra_zg(
         raise ParameterError("inner_steps must be >= 64")
     times = grid.times
     pos = times[1:] if times[0] == 0.0 else times
-    t_max = float(pos[-1])
+    t_max = float(times[-1])  # 0 on the grid {0}: no cells, a zero column
     # cell boundaries: the 1/inner_steps lattice on [0, t_max] refined by every grid time
     lattice = np.arange(int(np.ceil(t_max * inner_steps)) + 1, dtype=float) / inner_steps
     bounds = np.union1d(lattice[lattice <= t_max], pos)
@@ -477,9 +477,7 @@ def sample_spec(
             raise ParameterError("timechange scheme applies to the canonical family")
         return sample_timechange(spec.H, spec.c, grid, n_paths, seed)
     if scheme == "whitenoise":
-        if fam == Family.CANONICAL and math.isinf(spec.c):
-            return sample_whitenoise(spec.H, grid, n_paths, seed)
-        if fam != Family.WHITE_NOISE:
+        if fam != Family.WHITE_NOISE and not (fam == Family.CANONICAL and math.isinf(spec.c)):
             raise ParameterError("whitenoise scheme applies to the white-noise family")
         return sample_whitenoise(spec.H, grid, n_paths, seed)
     if scheme == "volterra":

@@ -255,6 +255,17 @@ def ergodic_average(
 # quadrature limits
 # ---------------------------------------------------------------------------
 
+def _bracket(spec: ProcessSpec, d: float, root: float, tol: float, budget: int):
+    """int_0^1 F(s) [F(s) - root F((1-1/d) s)] ds in one quadrature; 1 - (1-1/d) s = dist + s/d."""
+    F = spec.weight_at_gap
+
+    def f2(s, dist, _):
+        fs = F(dist)
+        return fs * (fs - root * F(dist + s / d))
+
+    return integrate_power_upper(f2, 0.0, 1.0, spec.beta, tol, budget)
+
+
 def increment_variance(
     H: float,
     beta: float,
@@ -273,14 +284,7 @@ def increment_variance(
     if not t > 0:
         raise ParameterError("t must be positive")
     spec = ProcessSpec.volterra_g(H, beta, g)  # validates H, beta
-    F = spec.weight_at_gap
-    root = math.sqrt(t / (1.0 + t))
-
-    def f2(s, dist):
-        fs = F(dist)  # 1 - (1 - 1/(t+1)) s = dist + s/(t+1)
-        return fs * (fs - root * F(dist + s / (t + 1.0)))
-
-    bracket = integrate_power_upper(f2, 0.0, 1.0, beta, tol, budget)
+    bracket = _bracket(spec, t + 1.0, math.sqrt(t / (1.0 + t)), tol, budget)
     limit = volterra_g_variance(spec)
     cross = 2.0 * (t + 1.0) ** H * t**H * bracket.value
     value = limit + cross
@@ -306,13 +310,7 @@ def int_limit_residual(
     if t < 2:
         raise ParameterError("t must be >= 2")
     spec = ProcessSpec.volterra_g(0.25, beta, g)  # validates beta/g only
-    F = spec.weight_at_gap
-
-    def f2(s, dist):
-        fs = F(dist)  # 1 - (1 - 1/t) s = dist + s/t
-        return fs * (fs - F(dist + s / t))
-
-    bracket = integrate_power_upper(f2, 0.0, 1.0, beta, tol, budget)
+    bracket = _bracket(spec, t, 1.0, tol, budget)
     half_var = 0.5 * volterra_g_variance(spec)
     return float(t * bracket.value + half_var)
 

@@ -433,3 +433,35 @@ def test_cli_sample_fbm_uniform_grid_uses_circulant(tmp_path, capsys):
     assert json.loads(out.read_text())["scheme"] == "circulant"
     assert main(argv + ["--scheme", "cholesky"]) == 0
     assert json.loads(out.read_text())["scheme"] == "cholesky"
+
+
+# every subcommand that reads --grid, on degenerate and non-finite grids
+_PATHS = ["--paths", "2", "--seed", "1"]
+_GRID_ROWS = {
+    "sample_canonical": ["sample", "--spec", "canonical:H=0.7,c=-1.5"] + _PATHS,
+    "sample_whitenoise": ["sample", "--spec", "white-noise:H=0.3"] + _PATHS,
+    "sample_fbm": ["sample", "--spec", "fbm:H=0.3"] + _PATHS,
+    "sample_sfbm": ["sample", "--spec", "sfbm:H=0.3"] + _PATHS,
+    "sample_bfbm": ["sample", "--spec", "bfbm:htilde=0.5,ktilde=0.5"] + _PATHS,
+    "sample_rl": ["sample", "--spec", "rl:H=0.3"] + _PATHS,
+    "sample_poly": ["sample", "--spec", "volterra-g:H=0.25,beta=1.0,g=const:1.0"] + _PATHS,
+    "sample_midpoint": ["sample", "--spec", "volterra-g:H=0.25,beta=0.5,g=const:1.0"] + _PATHS,
+    "sample_volterra": ["sample", "--spec", "volterra-g:H=0.25,beta=1.0,g=const:1.0"] + _PATHS
+    + ["--scheme", "volterra"],
+    "kernel_eval": ["kernel-eval", "--kernel", "fbm:H=0.25"],
+    "posdef": ["posdef", "--kernel", "fbm:H=0.25"],
+    "markov_test": ["markov-test", "--kernel", "canonical:H=0.5,c=-1"],
+}
+_NON_FINITE_GRIDS = ["nan", "inf", "1,inf", "1e400"]
+
+
+@pytest.mark.parametrize("grid", ["0", *_NON_FINITE_GRIDS, "1,1", "geometric:1,2,0"])
+@pytest.mark.parametrize("row", list(_GRID_ROWS))
+def test_cli_grid_table_exit_0_or_2(row, grid, capsys):
+    rc = main(_GRID_ROWS[row] + [f"--grid={grid}"])  # an uncaught exception fails the test
+    err = capsys.readouterr().err
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.startswith("ssgm: invalid parameters:") and err.count("\n") == 1
+    if grid in _NON_FINITE_GRIDS:
+        assert rc == 2

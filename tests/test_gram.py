@@ -6,7 +6,7 @@ from ssgm import (GFunction, MinorQuery, ProcessSpec, TimeGrid, build_gram,
                   minor_residual, psd_check, standard_grid)
 from ssgm.errors import NumericalError, ParameterError
 from ssgm.kernels import CovKernel
-from ssgm.quadrature import adaptive_simpson
+from ssgm.quadrature import integrate_power_upper
 
 
 def _power_gram(alpha, beta, times):
@@ -29,6 +29,12 @@ def test_grid_validation():
         TimeGrid(np.array([]))
     g = TimeGrid(np.array([0.0, 1.0, 2.0]))
     assert len(g) == 3
+
+
+@pytest.mark.parametrize("times", [[np.nan], [1.0, np.inf], [0.0, 1.0, np.nan]])
+def test_grid_rejects_non_finite_times(times):
+    with pytest.raises(ParameterError, match="finite"):
+        TimeGrid(np.array(times))
 
 
 def test_geometric_grid():
@@ -98,7 +104,8 @@ def test_build_gram_passes_parameter_errors_through():
     spec = ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))
     with pytest.raises(ParameterError, match="tolerance"):
         make_kernel(spec, tol=0.0)
-    kernel = CovKernel(spec, spec.H, 1.0, lambda s, t: adaptive_simpson(np.cos, 0.0, 1.0, 0.0).value)
+    quad = integrate_power_upper
+    kernel = CovKernel(spec, spec.H, 1.0, lambda s, t: quad(lambda x, d, _: np.cos(x), 0.0, 1.0, 0.0, 0.0).value)
     with pytest.raises(ParameterError, match="tolerance"):
         build_gram(kernel, standard_grid())
 

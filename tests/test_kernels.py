@@ -11,7 +11,7 @@ from ssgm import (Family, GFunction, ProcessSpec, build_gram, eval_bifbm,
                   parse_spec_string, rl_r11, standard_grid, volterra_g_variance,
                   volterra_kernel)
 from ssgm.errors import ParameterError
-from ssgm.quadrature import integrate_power_upper, integrate_power_upper_batch
+from ssgm.quadrature import integrate_power_upper
 
 NEG_INF = float("-inf")
 
@@ -201,7 +201,7 @@ def test_volterra_g_log_pow_pair_matches_quadrature_oracle(beta, k):
 def _log_pow_f2(beta, k, m, big):
     """The pair integrand F(u/m) F(u/M) of a log-pow volterra-g entry, from the gap dist = m - u."""
     F = ProcessSpec.volterra_g(0.25, beta, GFunction.log_pow(k)).weight_at_gap
-    return lambda u, dist: F(dist / m) * F((big - m + dist) / big)
+    return lambda u, dist, _: F(dist / m) * F((big - m + dist) / big)
 
 
 def _log_pow_pair_alone(H, beta, k, s, t):
@@ -223,8 +223,8 @@ def test_volterra_g_log_pow_batch_matches_pairs_alone(beta, k):
     np.testing.assert_allclose(G[iu, ju], [v for v, _ in alone], rtol=1e-14, atol=0.0)
 
     m, big = t[iu], t[ju]
-    batch = integrate_power_upper_batch(
-        lambda u, dist, i: _log_pow_f2(beta, k, m[i], big[i])(u, dist), 0.0, m, beta)
+    batch = integrate_power_upper(
+        lambda u, dist, i: _log_pow_f2(beta, k, m[i], big[i])(u, dist, i), 0.0, m, beta)
     assert list(batch.evals) == [n for _, n in alone]
 
 

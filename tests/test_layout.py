@@ -53,3 +53,31 @@ def test_checker_flags_both_forms(tmp_path):
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_foreign_private_names(path):
     assert _foreign_private_uses(path) == []
+
+
+def _package_imports() -> dict:
+    """{module file name: names} that ``ssgm/__init__.py`` imports from each sibling module."""
+    tree = ast.parse((_SRC / "__init__.py").read_text())
+    return {f"{node.module}.py": [a.name for a in node.names]
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def _declared_all(path: pathlib.Path):
+    """The literal ``__all__`` list a module assigns, or None."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_package_imports_found():
+    assert {"errors.py", "kernels.py", "quadrature.py", "samplers.py"} <= set(_package_imports())
+
+
+@pytest.mark.parametrize("module", sorted(_package_imports()))
+def test_package_exports_are_declared_in_all(module):
+    # each module the package re-exports from says what its public names are
+    declared = _declared_all(_SRC / module)
+    assert declared is not None, f"{module} declares no __all__"
+    assert [n for n in _package_imports()[module] if n not in declared] == []

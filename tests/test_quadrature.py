@@ -2,57 +2,63 @@ import numpy as np
 import pytest
 
 from ssgm.errors import NumericalError, ParameterError
-from ssgm.quadrature import adaptive_simpson, integrate_power_upper, integrate_power_upper_batch
+from ssgm.quadrature import integrate_power_upper
+
+
+def _plain(f, a, b, **kw):
+    """``integrate_power_upper`` as a plain integral of ``f`` over ``[a, b]`` (power 0)."""
+    return integrate_power_upper(lambda s, dist, _: f(s), a, b, 0.0, **kw)
 
 
 def test_polynomial_exact():
-    res = adaptive_simpson(lambda x: 3.0 * x**2, 0.0, 2.0, tol=1e-12)
+    res = _plain(lambda x: 3.0 * x**2, 0.0, 2.0, tol=1e-12)
     assert abs(res.value - 8.0) < 1e-12
 
 
 def test_smooth_transcendental():
-    res = adaptive_simpson(np.exp, 0.0, 1.0, tol=1e-12)
+    res = _plain(np.exp, 0.0, 1.0, tol=1e-12)
     assert abs(res.value - (np.e - 1.0)) < 1e-11
     assert res.abs_error_estimate >= 0.0
 
 
 def test_empty_interval():
-    res = adaptive_simpson(np.exp, 1.0, 1.0)
+    res = _plain(np.exp, 1.0, 1.0)
     assert res.value == 0.0
 
 
 def test_oscillatory():
-    res = adaptive_simpson(lambda x: np.sin(10.0 * x), 0.0, np.pi, tol=1e-11)
+    res = _plain(lambda x: np.sin(10.0 * x), 0.0, np.pi, tol=1e-11)
     exact = (1.0 - np.cos(10.0 * np.pi)) / 10.0
     assert abs(res.value - exact) < 1e-10
 
 
 def test_budget_exhaustion():
-    # a genuine endpoint singularity cannot meet 1e-14 within a tiny budget
+    # a genuine singularity at the lower end, where no substitution helps, cannot
+    # meet 1e-14 within a tiny budget
     def f(x):
         x = np.asarray(x)
         with np.errstate(divide="ignore"):
             return np.where(x > 0, np.abs(np.where(x > 0, x, 1.0)) ** (-0.5), 0.0)
 
     with pytest.raises(NumericalError):
-        adaptive_simpson(f, 0.0, 1.0, tol=1e-14, budget=2000)
+        _plain(f, 0.0, 1.0, tol=1e-14, budget=2000)
 
 
 def test_bad_tolerance():
     with pytest.raises(ParameterError):
-        adaptive_simpson(np.exp, 0.0, 1.0, tol=0.0)
+        _plain(np.exp, 0.0, 1.0, tol=0.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, -0.25])
 def test_power_endpoint(p):
     # integral of (1-s)^p over [0,1] is 1/(p+1)
-    res = integrate_power_upper(lambda s, dist: dist**p, 0.0, 1.0, p, tol=1e-12)
+    res = integrate_power_upper(lambda s, dist, _: dist**p, 0.0, 1.0, p, tol=1e-12)
     assert abs(res.value - 1.0 / (p + 1.0)) < 1e-11
 
 
 def test_power_endpoint_with_log():
     # integral of (1-s) log(1/(1-s))^2 ds = integral u log^2 u du = 1/4
-    def f2(s, dist):
+    def f2(s, dist, _):
         return dist * np.log(1.0 / dist) ** 2
 
     res = integrate_power_upper(f2, 0.0, 1.0, 1.0, tol=1e-12)
@@ -61,7 +67,7 @@ def test_power_endpoint_with_log():
 
 def test_nonintegrable_power_rejected():
     with pytest.raises(NumericalError):
-        integrate_power_upper(lambda s, d: d ** (-1.5), 0.0, 1.0, -1.5)
+        integrate_power_upper(lambda s, d, _: d ** (-1.5), 0.0, 1.0, -1.5)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
@@ -73,9 +79,11 @@ def test_bad_tolerance_rejected_before_any_evaluation(tol):
         return np.exp(x)
 
     with pytest.raises(ParameterError):
-        adaptive_simpson(f, 0.0, 1.0, tol=tol)
+        _plain(f, 0.0, 1.0, tol=tol)
     with pytest.raises(ParameterError):
-        integrate_power_upper_batch(lambda s, d, i: d, 0.0, [1.0, 2.0], 0.0, tol=tol)
+        _plain(f, 1.0, 1.0, tol=tol)
+    with pytest.raises(ParameterError):
+        integrate_power_upper(lambda s, d, i: f(d), 0.0, [1.0, 2.0], 0.0, tol=tol)
     assert calls == []
 
 
@@ -86,18 +94,33 @@ def test_evals_count_integrand_points():
         seen[0] += np.size(x)
         return np.sin(5.0 * x)
 
-    res = adaptive_simpson(f, 0.0, 2.0, tol=1e-11)
-    assert res.evals == seen[0] > 5
-    assert adaptive_simpson(np.exp, 1.0, 1.0).evals == 0
+    res = _plain(f, 0.0, 2.0, tol=1e-11)
+    # the substituted integrand is pinned to 0 at the upper end (w = 0): that one
+    # point is counted without calling f
+    assert res.evals == seen[0] + 1 > 6
+    assert _plain(np.exp, 1.0, 1.0).evals == 0
 
 
 def _batch_and_alone(f2_of, params, power, **kw):
-    """One batched pass over ``params`` and each integral on its own."""
+    """One array call over ``params`` and a scalar call of the same function per integral."""
     params = np.asarray(params, dtype=float)
-    batch = integrate_power_upper_batch(lambda s, d, i: f2_of(params[i])(s, d), 0.0, np.ones_like(params),
-                                        power, **kw)
-    alone = [integrate_power_upper(f2_of(p), 0.0, 1.0, power, **kw) for p in params]
+    batch = integrate_power_upper(lambda s, d, i: f2_of(params[i])(s, d), 0.0, np.ones_like(params),
+                                  power, **kw)
+    alone = [integrate_power_upper(lambda s, d, _: f2_of(p)(s, d), 0.0, 1.0, power, **kw) for p in params]
     return batch, alone
+
+
+def test_scalar_limits_give_python_scalars_and_arrays_give_arrays():
+    res = integrate_power_upper(lambda s, d, _: d, 0.0, 2.0, 1.0)
+    assert [type(x) for x in (res.value, res.abs_error_estimate, res.evals)] == [float, float, int]
+    assert res.value == pytest.approx(2.0, rel=1e-12)
+    empty = integrate_power_upper(lambda s, d, _: d, 1.0, 1.0, 1.0)
+    assert [type(x) for x in (empty.value, empty.abs_error_estimate, empty.evals)] == [float, float, int]
+    for b in ([2.0], np.array([[1.0, 2.0], [3.0, 4.0]])):
+        res = integrate_power_upper(lambda s, d, _: d, 0.0, b, 1.0)
+        for x in (res.value, res.abs_error_estimate, res.evals):
+            assert isinstance(x, np.ndarray) and x.shape == np.shape(b)
+        np.testing.assert_allclose(res.value, np.square(b) / 2.0, rtol=1e-12)
 
 
 def test_batch_matches_each_integral_alone():
@@ -115,7 +138,7 @@ def test_batch_matches_each_integral_alone():
 
 
 def test_batch_zero_span_integrals():
-    batch = integrate_power_upper_batch(lambda s, d, i: d, [0.0, 1.0, 0.0], [1.0, 1.0, 2.0], 1.0, tol=1e-12)
+    batch = integrate_power_upper(lambda s, d, i: d, [0.0, 1.0, 0.0], [1.0, 1.0, 2.0], 1.0, tol=1e-12)
     assert batch.value[1] == 0.0 and batch.evals[1] == 0
     np.testing.assert_allclose(batch.value[[0, 2]], [0.5, 2.0], rtol=1e-12)
 
@@ -132,9 +155,9 @@ def test_batch_budget_is_per_integral():
     assert max(batch.evals) <= 200
     assert list(batch.evals) == [r.evals for r in alone]
     with pytest.raises(NumericalError):
-        integrate_power_upper(f2_of(400.0), 0.0, 1.0, 0.0, **kw)
+        integrate_power_upper(lambda s, d, _: f2_of(400.0)(s, d), 0.0, 1.0, 0.0, **kw)
 
 
 def test_batch_non_finite_integrand():
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
-        integrate_power_upper_batch(lambda s, d, i: np.where(i == 1, np.inf, d), 0.0, [1.0, 1.0], 1.0)
+        integrate_power_upper(lambda s, d, i: np.where(i == 1, np.inf, d), 0.0, [1.0, 1.0], 1.0)

@@ -243,6 +243,13 @@ def test_volterra_zg_auto_steps():
     assert ens.inner_steps >= 256
 
 
+@pytest.mark.parametrize("inner_steps", [None, 64])
+def test_volterra_zg_zero_only_grid_gives_zero_column(inner_steps):
+    # like the exact schemes: no positive time, so no cells and one zero column
+    ens = sample_volterra_zg(0.25, 0.5, GFunction.const(1.0), TimeGrid(np.array([0.0])), inner_steps, 3, 1)
+    np.testing.assert_array_equal(ens.values, np.zeros((3, 1)))
+
+
 def test_volterra_zg_unproven_regime_allowed():
     ens = sample_volterra_zg(0.25, -0.25, GFunction.const(1.0), TimeGrid(np.array([0.5, 1.0])), 128, 5, 26)
     assert not ens.spec.proven_regime
