@@ -135,17 +135,17 @@ class EmpiricalCov:
     n_paths: int
 
 
-def _check_sampling_args(grid: TimeGrid, n_paths: int, seed: int) -> None:
+def _check_sampling_args(n_paths: int, seed: int) -> None:
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths!r}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
+def _positive_times(grid: TimeGrid) -> np.ndarray:
+    """The times after an optional leading t = 0 (a zero column); TimeGrid makes them positive."""
     times = grid.times
-    if times[0] == 0.0 and times.size == 1:
-        return
-    positive = times[1:] if times[0] == 0.0 else times
-    if np.any(positive <= 0):
-        raise ParameterError("grid must be positive except for an optional leading t = 0")
+    return times[1:] if times[0] == 0.0 else times
 
 
 def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -158,9 +158,8 @@ def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: in
     spec = ProcessSpec.canonical(H, c)
     if math.isinf(c):
         raise ParameterError("time-change sampler requires finite c; use sample_whitenoise")
-    _check_sampling_args(grid, n_paths, seed)
-    times = grid.times
-    pos = times[1:] if times[0] == 0.0 else times
+    _check_sampling_args(n_paths, seed)
+    pos = _positive_times(grid)
     tau = pos ** (-2.0 * H - 2.0 * c)
     dtau = np.diff(np.concatenate([[0.0], tau]))
     if np.any(dtau < 0):  # theoretically impossible for c <= -H
@@ -174,14 +173,14 @@ def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: in
         np.cumsum(z, axis=1, out=z)
         return np.multiply(z, scale, out=z)
 
-    values = _sample_blocks(seed, n_paths, pos.size, times.size, transform)
+    values = _sample_blocks(seed, n_paths, pos.size, len(grid), transform)
     return PathEnsemble(spec, grid, values, seed, "timechange")
 
 
 def sample_whitenoise(H: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Independent N(0, t^(2H)) draws per grid point per path."""
     spec = ProcessSpec.white_noise(H)
-    _check_sampling_args(grid, n_paths, seed)
+    _check_sampling_args(n_paths, seed)
     times = grid.times
     sd = times**H  # zero at t = 0
     values = _sample_blocks(seed, n_paths, times.size, times.size, lambda z: sd * z)
@@ -218,23 +217,20 @@ def sample_cholesky(kernel: CovKernel, grid: TimeGrid, n_paths: int, seed: int) 
     Paths have exactly the Gram covariance up to the recorded factorization
     jitter.  A leading t = 0 grid point maps to an identically zero column.
     """
-    _check_sampling_args(grid, n_paths, seed)
-    times = grid.times
-    pos_grid = TimeGrid(times[1:]) if times[0] == 0.0 else grid
-    G = build_gram(kernel, pos_grid).entries
+    _check_sampling_args(n_paths, seed)
+    pos = _positive_times(grid)
+    G = build_gram(kernel, TimeGrid(pos)).entries if pos.size else np.zeros((0, 0))
     L, jitter = _cholesky_with_jitter(G)
-    values = _sample_blocks(seed, n_paths, len(pos_grid), times.size, lambda z: _tiled(z, L.T))
+    values = _sample_blocks(seed, n_paths, pos.size, len(grid), lambda z: _tiled(z, L.T))
     return PathEnsemble(kernel.spec, grid, values, seed, "cholesky", jitter=jitter)
 
 
-def _uniform_step(grid: TimeGrid) -> Optional[float]:
-    """The step h when the positive grid times are k*h, k = 1..n, else None.
+def _uniform_step(pos: np.ndarray) -> Optional[float]:
+    """The step h when the positive grid times ``pos`` are k*h, k = 1..n, else None.
 
-    A leading t = 0 is allowed; the test is max |t_k - k*h| <= 4 eps t_max
-    with h = t_max / n.
+    The test is max |t_k - k*h| <= 4 eps t_max with h = t_max / n; no
+    positive time means no step.
     """
-    times = grid.times
-    pos = times[1:] if times[0] == 0.0 else times
     if pos.size == 0:
         return None
     h = pos[-1] / pos.size
@@ -283,13 +279,12 @@ def sample_circulant(H: float, grid: TimeGrid, n_paths: int, seed: int) -> PathE
     raises :class:`NumericalError`; there is no fallback.
     """
     spec = ProcessSpec.fbm(H)
-    _check_sampling_args(grid, n_paths, seed)
-    h = _uniform_step(grid)
+    _check_sampling_args(n_paths, seed)
+    pos = _positive_times(grid)
+    h = _uniform_step(pos)
     if h is None:
         raise ParameterError("circulant scheme needs a uniform grid t_k = k*h (optionally with a leading 0)")
-    times = grid.times
-    n = times.size - 1 if times[0] == 0.0 else times.size
-    values = _sample_blocks(seed, n_paths, 2 * n, times.size, _circulant_transform(H, n, h))
+    values = _sample_blocks(seed, n_paths, 2 * pos.size, len(grid), _circulant_transform(H, pos.size, h))
     return PathEnsemble(spec, grid, values, seed, "circulant")
 
 
@@ -298,6 +293,31 @@ def _zg_discrete_var(spec: ProcessSpec, inner_steps: int) -> float:
     m = np.arange(inner_steps) / inner_steps + 0.5 / inner_steps
     F = spec.weight_at_gap(1.0 - m)
     return float(np.sum(F * F) / inner_steps)
+
+
+def _volterra_transform(spec: ProcessSpec, pos: np.ndarray, inner_steps: int) -> tuple[int, Callable]:
+    """(n_cells, transform) of the midpoint scheme at the positive times ``pos``.
+
+    Cells of width w_k and midpoint m_k end at every 1/inner_steps lattice
+    point and grid time up to max pos.  ``transform`` maps rows of n_cells
+    normals, dB_k = sqrt(w_k) z_k, to Z_{t_j} = t_j^(H-1/2) sum_k F(m_k / t_j)
+    dB_k over the cells inside [0, t_j], the first searchsorted(bounds, t_j).
+    """
+    t_max = float(pos.max(initial=0.0))
+    lattice = np.arange(int(np.ceil(t_max * inner_steps)) + 1, dtype=float) / inner_steps
+    bounds = np.union1d(lattice[lattice <= t_max], pos)
+    sqrt_w = np.sqrt(np.diff(bounds))
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    cut = np.searchsorted(bounds, pos)  # exact: bounds holds every grid time
+
+    def transform(z):
+        dB = z * sqrt_w
+        x = np.empty((len(z), pos.size))
+        for j, (t, k) in enumerate(zip(pos, cut)):
+            x[:, j] = t ** (spec.H - 0.5) * _tiled(dB[:, :k], spec.weight_at_gap(1.0 - mids[:k] / t))
+        return x
+
+    return sqrt_w.size, transform
 
 
 def sample_volterra_zg(
@@ -311,16 +331,15 @@ def sample_volterra_zg(
 ) -> PathEnsemble:
     """Discretized Z_t = t^(H-1/2) integral_0^t (1-s/t)^beta g(s/t) dB_s.
 
-    Midpoint weights F(m_k / t) on a cell partition of [0, max t] whose
-    boundaries include every grid time, so cells never straddle evaluation
-    points.  When ``inner_steps`` is None it starts at 256 per unit time and
-    doubles until the Var(Z_1)-style Richardson gap between consecutive
-    resolutions is below 1%.  ``beta <= 0`` is permitted but flagged: the
-    asymptotic-stationarity theory behind downstream diagnostics is only
-    proved for beta > 0.
+    The midpoint scheme of ``_volterra_transform``, on cells no wider than
+    1/inner_steps that never straddle a grid time.  When ``inner_steps`` is
+    None it starts at 256 per unit time and doubles until the Var(Z_1)-style
+    Richardson gap between consecutive resolutions is below 1%.  ``beta <=
+    0`` is permitted but flagged: the asymptotic-stationarity theory behind
+    downstream diagnostics is only proved for beta > 0.
     """
     spec = ProcessSpec.volterra_g(H, beta, g)
-    _check_sampling_args(grid, n_paths, seed)
+    _check_sampling_args(n_paths, seed)
     if inner_steps is None:
         inner_steps = 256
         while inner_steps < 4096:
@@ -331,27 +350,8 @@ def sample_volterra_zg(
             inner_steps *= 2
     if inner_steps < 64:
         raise ParameterError("inner_steps must be >= 64")
-    times = grid.times
-    pos = times[1:] if times[0] == 0.0 else times
-    t_max = float(times[-1])  # 0 on the grid {0}: no cells, a zero column
-    # cell boundaries: the 1/inner_steps lattice on [0, t_max] refined by every grid time
-    lattice = np.arange(int(np.ceil(t_max * inner_steps)) + 1, dtype=float) / inner_steps
-    bounds = np.union1d(lattice[lattice <= t_max], pos)
-    widths = np.diff(bounds)
-    sqrt_w = np.sqrt(widths)
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    # cells inside [0, t_j]: a prefix, since the boundaries include every grid time
-    cut = np.searchsorted(bounds[1:], pos + 1e-15 * pos, side="right")
-
-    def transform(z):
-        # column j = t_j^(H-1/2) sum_k F(m_k / t_j) dB_k, one column at a time
-        dB = z * sqrt_w
-        x = np.empty((len(z), pos.size))
-        for j, (t, k) in enumerate(zip(pos, cut)):
-            x[:, j] = t ** (H - 0.5) * _tiled(dB[:, :k], spec.weight_at_gap(1.0 - mids[:k] / t))
-        return x
-
-    values = _sample_blocks(seed, n_paths, widths.size, times.size, transform)
+    n_cells, transform = _volterra_transform(spec, _positive_times(grid), inner_steps)
+    values = _sample_blocks(seed, n_paths, n_cells, len(grid), transform)
     return PathEnsemble(spec, grid, values, seed, "volterra", inner_steps=inner_steps)
 
 
@@ -434,10 +434,9 @@ def sample_volterra_poly(
     degree = _poly_degree(spec.beta, spec.g)
     if degree is None:
         raise ParameterError(f"poly scheme needs an integer beta >= 0, got beta={beta!r}")
-    _check_sampling_args(grid, n_paths, seed)
-    times = grid.times
-    pos = times[1:] if times[0] == 0.0 else times
-    values = _sample_blocks(seed, n_paths, (degree + 1) * pos.size, times.size,
+    _check_sampling_args(n_paths, seed)
+    pos = _positive_times(grid)
+    values = _sample_blocks(seed, n_paths, (degree + 1) * pos.size, len(grid),
                             _poly_transform(spec.H, degree, spec.g.a, pos))
     return PathEnsemble(spec, grid, values, seed, "poly")
 
@@ -468,7 +467,7 @@ def sample_spec(
         }.get(fam, "cholesky")
         if fam == Family.CANONICAL and math.isinf(spec.c):
             scheme = "whitenoise"
-        if fam == Family.FBM and _uniform_step(grid) is not None:
+        if fam == Family.FBM and _uniform_step(_positive_times(grid)) is not None:
             scheme = "circulant"
         if fam == Family.VOLTERRA_G and _poly_degree(spec.beta, spec.g) is not None:
             scheme = "poly"

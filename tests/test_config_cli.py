@@ -465,3 +465,5 @@ def test_cli_grid_table_exit_0_or_2(row, grid, capsys):
         assert err.startswith("ssgm: invalid parameters:") and err.count("\n") == 1
     if grid in _NON_FINITE_GRIDS:
         assert rc == 2
+    if grid == "0" and row.startswith("sample"):  # every scheme samples the grid {0} as a zero column
+        assert rc == 0

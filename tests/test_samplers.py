@@ -10,13 +10,13 @@ import pytest
 import ssgm
 from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   ensemble_to_csv, eval_fbm, increment_variance,
-                  load_ensemble, make_kernel, sample_cholesky,
+                  load_ensemble, make_kernel, parse_spec_string, sample_cholesky,
                   sample_circulant, sample_spec, sample_timechange,
                   sample_volterra_poly, sample_volterra_zg,
                   sample_whitenoise, save_ensemble, selfsim_check,
                   set_max_workers)
 from ssgm.errors import NumericalError, ParameterError
-from ssgm.samplers import _circulant_transform, _poly_transform, _uniform_step
+from ssgm.samplers import _circulant_transform, _poly_transform, _uniform_step, _volterra_transform
 
 GRID = TimeGrid.geometric(0.1, 2.0, 12)
 UNIFORM = TimeGrid(np.arange(1, 13) * 0.3)
@@ -159,6 +159,24 @@ def test_cholesky_zero_column():
     assert np.all(ens.values[:, 0] == 0.0)
 
 
+@pytest.mark.parametrize("label, scheme", [
+    ("fbm:H=0.3", "cholesky"),
+    ("sfbm:H=0.3", "cholesky"),
+    ("bfbm:htilde=0.6,ktilde=0.5", "cholesky"),
+    ("rl:H=0.25", "cholesky"),
+    ("canonical:H=0.7,c=-1.5", "timechange"),
+    ("white-noise:H=0.4", "whitenoise"),
+    ("volterra-g:H=0.25,beta=1,g=const:1.0", "poly"),
+    ("volterra-g:H=0.25,beta=0.5,g=const:1.0", "volterra"),
+    ("volterra-g:H=0.25,beta=0.5,g=log-pow:1", "volterra"),
+])
+def test_default_scheme_on_zero_only_grid_gives_zero_column(label, scheme):
+    # t = 0 is the only time: every scheme leaves its column zero and draws nothing
+    ens = sample_spec(parse_spec_string(label), TimeGrid(np.array([0.0])), 3, 1)
+    assert ens.scheme == scheme
+    np.testing.assert_array_equal(ens.values, np.zeros((3, 1)))
+
+
 # ---------------------------------------------------------------------------
 # circulant (Davies-Harte) sampler
 # ---------------------------------------------------------------------------
@@ -168,7 +186,7 @@ def test_cholesky_zero_column():
 def test_circulant_exact_covariance(H, lead0):
     # the transform is linear: on identity rows it is the matrix A with Cov = A^T A
     times = np.arange(0 if lead0 else 1, 17) * 0.3
-    h = _uniform_step(TimeGrid(times))
+    h = _uniform_step(times[int(lead0):])
     assert h == pytest.approx(0.3, rel=1e-15)
     A = np.zeros((32, times.size))
     A[:, int(lead0):] = _circulant_transform(H, 16, h)(np.eye(32))
@@ -248,6 +266,50 @@ def test_volterra_zg_zero_only_grid_gives_zero_column(inner_steps):
     # like the exact schemes: no positive time, so no cells and one zero column
     ens = sample_volterra_zg(0.25, 0.5, GFunction.const(1.0), TimeGrid(np.array([0.0])), inner_steps, 3, 1)
     np.testing.assert_array_equal(ens.values, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("inner_steps", [64, None])
+@pytest.mark.parametrize("g", [GFunction.const(1.0), GFunction.log_pow(1)], ids=["const", "log-pow"])
+def test_volterra_zg_grid_time_just_below_lattice_point(g, inner_steps):
+    # 0.7 - 0.2 is one ulp below the lattice point 1/2: the cell ending at 1/2 lies past t
+    grid = TimeGrid(np.array([0.7 - 0.2, 1.0]))
+    ens = sample_volterra_zg(0.25, 0.5, g, grid, inner_steps, 3, 1)
+    assert np.all(np.isfinite(ens.values))
+
+
+def _midpoint_cov(spec, pos, inner_steps):
+    """The midpoint scheme's covariance, summed cell by cell over an independently built partition."""
+    t_max = float(pos[-1])
+    lattice = {k / inner_steps for k in range(int(t_max * inner_steps) + 2) if k / inner_steps <= t_max}
+    edges = sorted(lattice | {float(t) for t in pos})
+    cells = list(zip(edges[:-1], edges[1:]))
+
+    def F(x):
+        return (1.0 - x) ** spec.beta * float(spec.g(x))
+
+    cov = np.zeros((pos.size, pos.size))
+    for i, s in enumerate(pos):
+        for j, t in enumerate(pos):
+            inside = [(b - a, 0.5 * (a + b)) for a, b in cells if b <= min(s, t)]
+            cov[i, j] = (s * t) ** (spec.H - 0.5) * sum(w * F(m / s) * F(m / t) for w, m in inside)
+    return len(cells), cov
+
+
+@pytest.mark.parametrize("times", [
+    np.array([0.25, 0.5, 1.0]),
+    np.geomspace(0.1, 2.0, 7),
+    np.array([0.7 - 0.2, 0.6, 1.0, 1.7]),
+], ids=["lattice", "geometric", "ulp_below_lattice"])
+@pytest.mark.parametrize("beta", [-0.25, 0.5, 1.0])
+@pytest.mark.parametrize("g", [GFunction.const(0.7), GFunction.log_pow(2)], ids=["const", "log-pow"])
+def test_volterra_midpoint_exact_covariance(g, beta, times):
+    # the transform is linear: on identity rows it is the matrix A with Cov = A^T A
+    spec = ProcessSpec.volterra_g(0.3, beta, g)
+    n_cells, transform = _volterra_transform(spec, times, 64)
+    expected_cells, exact = _midpoint_cov(spec, times, 64)
+    assert n_cells == expected_cells
+    A = transform(np.eye(n_cells))
+    np.testing.assert_allclose(A.T @ A, exact, rtol=1e-12, atol=0.0)
 
 
 def test_volterra_zg_unproven_regime_allowed():
