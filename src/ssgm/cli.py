@@ -277,7 +277,6 @@ def _cmd_sample(args) -> int:
     if n_paths is None or seed is None:
         raise ParameterError("sample requires --paths and --seed (or an [mc] config block with both)")
     ens = sample_spec(spec, grid, int(n_paths), int(seed), scheme=args.scheme, inner_steps=inner)
-    emp = empirical_cov(ens) if ens.n_paths >= 2 else None
     print(f"sample {spec.label()} scheme={ens.scheme} paths={ens.n_paths} "
           f"d={len(grid)} seed={ens.seed}")
     if args.out:
@@ -295,7 +294,8 @@ def _cmd_sample(args) -> int:
             "jitter": ens.jitter,
             "inner_steps": ens.inner_steps,
         }
-        if emp is not None:
+        if ens.n_paths >= 2:
+            emp = empirical_cov(ens)
             payload["empirical_cov"] = emp.cov
             payload["empirical_se"] = emp.se
         _write_json(args.json, payload)

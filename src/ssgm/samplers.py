@@ -1,14 +1,20 @@
 """Path generation for every process family, with reproducible substreams.
 
 Randomness discipline: paths are drawn in blocks of ``_BLOCK`` = 1024.
-Block ``b`` (paths ``b * 1024`` onward) fills a ``(rows, n_draws)`` array
-of standard normals from the counter-based Philox generator keyed by
-``(seed, b)``, one row per path in grid order, and each sampler maps that
-array to paths with one vectorised transform.  Matrix products go to BLAS
-in slices of exactly ``_TILE`` rows, so a path's values depend only on
-``(seed, path index)``: a longer run extends a shorter one.  Sampling runs
-in the calling thread, so a run is reproducible for any ``--threads``
-setting.
+Block ``b`` (paths ``b * 1024`` onward) draws ``n_draws`` standard normals
+per path, one row per path in grid order, from the counter-based Philox
+generator keyed by ``(seed, b)``, and each sampler maps rows of normals to
+paths with a vectorised, row-independent transform.  A block's rows are
+drawn and transformed in consecutive chunks of whole ``_TILE``-row tiles,
+about ``_CHUNK`` normals each (at least ``_LOOP_ROWS`` rows for the
+``poly`` and midpoint transforms, which loop over grid times in Python),
+through one reused buffer.  Consecutive draws from one generator continue
+the same stream, so the normals, and the paths, are the bytes one draw of
+the whole block would give, while the memory beside the output stays one
+chunk.  Matrix products go to BLAS in slices of exactly ``_TILE`` rows, so
+a path's values depend only on ``(seed, path index)``: a longer run
+extends a shorter one.  Sampling runs in the calling thread, so a run is
+reproducible for any ``--threads`` setting.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ __all__ = [
 
 _BLOCK = 1024  # paths per Philox stream
 _TILE = 8  # rows per BLAS call; divides _BLOCK
+_CHUNK = 2**18  # normals per transform call, rounded to whole tiles (at least one)
+_LOOP_ROWS = 64  # least rows per call of a transform that loops over grid times in Python
 _RNG_LAYOUT = "philox-block-v1"  # recorded in ensemble sidecars
 _max_workers = 1
 
@@ -71,23 +79,32 @@ def get_max_workers() -> int:
 
 
 def _sample_blocks(
-    seed: int, n_paths: int, n_draws: int, d: int, transform: Callable[[np.ndarray], np.ndarray]
+    seed: int, n_paths: int, n_draws: int, d: int, transform: Callable[[np.ndarray], np.ndarray],
+    min_rows: int = _TILE,
 ) -> np.ndarray:
     """Fill an (n_paths, d) array one block of ``_BLOCK`` paths at a time.
 
-    Block ``b`` draws ``standard_normal((rows, n_draws))`` from Philox keyed
-    ``(seed, b)``, pads it with zero rows to whole ``_TILE``-row tiles and
-    stores the first ``rows`` rows of ``transform`` of it.  A transform that
-    returns ``d - 1`` columns leaves the leading t = 0 column zero.
+    Block ``b`` draws its rows of ``n_draws`` normals from Philox keyed
+    ``(seed, b)`` in consecutive chunks of ``step`` rows (fewer at the
+    block's end): whole ``_TILE``-row tiles holding about ``_CHUNK``
+    normals, but at least ``min_rows`` rows, a multiple of ``_TILE``, for
+    transforms whose cost per call does not shrink with the row count.
+    Each chunk is padded with zero rows to whole tiles, and the first rows
+    of ``transform`` of it are stored.  A transform that returns ``d - 1``
+    columns leaves the leading t = 0 column zero.
     """
     values = np.zeros((n_paths, d))
+    step = min(_BLOCK, max(min_rows, _TILE * (_CHUNK // (_TILE * max(1, n_draws)))))
+    z = np.empty((min(step, -(-n_paths // _TILE) * _TILE), n_draws))  # reused by every chunk
     for b, lo in enumerate(range(0, n_paths, _BLOCK)):
-        rows = min(_BLOCK, n_paths - lo)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-        z = np.zeros((-(-rows // _TILE) * _TILE, n_draws))
-        rng.standard_normal(out=z[:rows])
-        x = transform(z)[:rows]
-        values[lo:lo + rows, d - x.shape[1]:] = x
+        for start in range(lo, min(lo + _BLOCK, n_paths), step):
+            rows = min(step, lo + _BLOCK - start, n_paths - start)
+            padded = -(-rows // _TILE) * _TILE
+            rng.standard_normal(out=z[:rows])  # continues the block's stream
+            z[rows:padded] = 0.0
+            x = transform(z[:padded])[:rows]
+            values[start:start + rows, d - x.shape[1]:] = x
     return values
 
 
@@ -342,16 +359,16 @@ def sample_volterra_zg(
     _check_sampling_args(n_paths, seed)
     if inner_steps is None:
         inner_steps = 256
+        v1 = _zg_discrete_var(spec, inner_steps)
         while inner_steps < 4096:
-            v1 = _zg_discrete_var(spec, inner_steps)
             v2 = _zg_discrete_var(spec, 2 * inner_steps)
             if abs(v2 - v1) <= 0.01 * max(abs(v2), 1e-300):
                 break
-            inner_steps *= 2
+            inner_steps, v1 = 2 * inner_steps, v2
     if inner_steps < 64:
         raise ParameterError("inner_steps must be >= 64")
     n_cells, transform = _volterra_transform(spec, _positive_times(grid), inner_steps)
-    values = _sample_blocks(seed, n_paths, n_cells, len(grid), transform)
+    values = _sample_blocks(seed, n_paths, n_cells, len(grid), transform, _LOOP_ROWS)
     return PathEnsemble(spec, grid, values, seed, "volterra", inner_steps=inner_steps)
 
 
@@ -400,19 +417,20 @@ def _poly_transform(H: float, beta: int, a: float, times: np.ndarray) -> Callabl
     scale = a * times**H
 
     def transform(z):
-        z = z.reshape(len(z), times.size, K)
-        noise = z[:, :, :1] * C[:, :, 0]
+        zt = z.reshape(len(z), times.size, K).transpose(1, 2, 0)  # (d, K, rows) view
+        # the noise (C z)_k of every step, laid out (d, K, rows) so that each step is contiguous;
+        # step j's state then overwrites its noise in place
+        state = np.multiply(zt[:, :1], C[:, :, :1], out=np.empty((times.size, K, len(z))))
         for m in range(1, K):
-            noise += z[:, :, m:m + 1] * C[:, :, m]
-        x = np.zeros((len(z), K))
-        out = np.empty((len(z), times.size))
-        for j in range(times.size):
-            new = noise[:, j]
+            state += zt[:, m:m + 1] * C[:, :, m:m + 1]
+        x = np.zeros((K, len(z)))
+        prod = np.empty((K, K, len(z)))
+        for new, Pj in zip(state, P[:, :, :, None]):
+            np.multiply(x, Pj, out=prod)  # prod[k, i] = P[j, k, i] x_i
             for i in range(K):
-                new = new + x[:, i:i + 1] * P[j, :, i]
+                new += prod[:, i]
             x = new
-            out[:, j] = x[:, beta]
-        return scale * out
+        return scale * state[:, beta].T
 
     return transform
 
@@ -437,7 +455,7 @@ def sample_volterra_poly(
     _check_sampling_args(n_paths, seed)
     pos = _positive_times(grid)
     values = _sample_blocks(seed, n_paths, (degree + 1) * pos.size, len(grid),
-                            _poly_transform(spec.H, degree, spec.g.a, pos))
+                            _poly_transform(spec.H, degree, spec.g.a, pos), _LOOP_ROWS)
     return PathEnsemble(spec, grid, values, seed, "poly")
 
 
@@ -569,7 +587,7 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
     """Write a column-major float64 matrix file plus a JSON sidecar."""
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(np.asfortranarray(ensemble.values).tobytes(order="F"))
+        fh.write(np.ascontiguousarray(ensemble.values.T))  # column-major bytes, one copy at most
     sidecar = {
         "spec": ensemble.spec.label(),
         "grid": [float(t) for t in ensemble.grid.times],

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _SLOPE_BAND = 0.1
+_SUM_CHUNK = 2**16  # increments per p-variation reduction buffer
 _ERGODIC_INNER_STEPS = 64  # midpoint volterra cells per unit time in ergodic_average
 
 
@@ -103,11 +104,27 @@ def _check_p(p: float) -> None:
 
 
 def _pvariation_sums(values: np.ndarray, p: float) -> np.ndarray:
-    """sum_k |Z_{k+1} - Z_k|^p along each row of a 2-D array of paths."""
-    incr = np.diff(values, axis=1)
-    np.abs(incr, out=incr)
-    incr **= p  # in place, with the same fast paths as incr ** p
-    return np.sum(incr, axis=1)
+    """sum_k |Z_{k+1} - Z_k|^p along each row of a 2-D array of paths.
+
+    Rows are reduced in chunks of about ``_SUM_CHUNK`` increments through
+    one reused buffer, so no array of the input's size is allocated.  Each
+    chunk's increments are ``np.diff``'s bytes, the power is taken in place
+    with the same fast paths as ``incr ** p``, and every row is summed on
+    its own, so the sums are bytewise those of the unchunked
+    ``np.sum(np.abs(np.diff(values, axis=1)) ** p, axis=1)``.
+    """
+    n_rows, n_incr = values.shape[0], values.shape[1] - 1
+    step = max(1, _SUM_CHUNK // max(1, n_incr))
+    buf = np.empty((min(step, n_rows), n_incr))
+    sums = np.empty(n_rows)
+    for lo in range(0, n_rows, step):
+        v = values[lo:lo + step]
+        incr = buf[:len(v)]
+        np.subtract(v[:, 1:], v[:, :-1], out=incr)
+        np.abs(incr, out=incr)
+        incr **= p
+        np.sum(incr, axis=1, out=sums[lo:lo + len(v)])
+    return sums
 
 
 def pvariation_sum(values, p: float) -> float:

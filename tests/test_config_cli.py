@@ -4,7 +4,8 @@ import pathlib
 
 import pytest
 
-from ssgm import GFunction, ProcessSpec
+import ssgm.cli
+from ssgm import GFunction, ProcessSpec, empirical_cov
 from ssgm.cli import main, report_schema_version
 from ssgm.config import (GridConfig, MCConfig, RunConfig, ToleranceConfig,
                          parse_config, serialize_config)
@@ -286,6 +287,22 @@ seed = 42
     assert rc == 0
     lines = csv_path.read_text().strip().split("\n")
     assert len(lines) == 51  # header + 50 paths
+
+
+def test_cli_sample_computes_covariance_only_for_json(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(ens):
+        calls.append(ens.n_paths)
+        return empirical_cov(ens)
+
+    monkeypatch.setattr(ssgm.cli, "empirical_cov", counting)
+    argv = ["sample", "--spec", "fbm:H=0.3", "--grid", "0.5,1,2", "--paths", "5", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "e.bin"), "--csv", str(tmp_path / "e.csv")]) == 0
+    assert calls == []
+    assert main(argv + ["--json", str(tmp_path / "e.json")]) == 0
+    assert calls == [5]
+    assert "empirical_cov" in json.loads((tmp_path / "e.json").read_text())
 
 
 def test_cli_sample_requires_seed(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -16,7 +17,8 @@ from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   sample_whitenoise, save_ensemble, selfsim_check,
                   set_max_workers)
 from ssgm.errors import NumericalError, ParameterError
-from ssgm.samplers import _circulant_transform, _poly_transform, _uniform_step, _volterra_transform
+from ssgm.samplers import (_circulant_transform, _hilbert_cholesky, _poly_transform, _uniform_step,
+                           _volterra_transform, _zg_discrete_var)
 
 GRID = TimeGrid.geometric(0.1, 2.0, 12)
 UNIFORM = TimeGrid(np.arange(1, 13) * 0.3)
@@ -372,6 +374,40 @@ def test_poly_rejects_non_integer_beta(beta):
         sample_volterra_poly(0.25, beta, 1.0, GRID, 4, 1)
 
 
+def _poly_stepwise(H, beta, a, times, z):
+    """The poly recursion on (rows, K) states, one grid step and one term at a time."""
+    K = beta + 1
+    k = np.arange(K)
+    prev = np.concatenate([[0.0], times[:-1]])
+    rho = (prev / times)[:, None, None]
+    q = ((times - prev) / times)[:, None, None]
+    binom = np.array([[math.comb(r, c) for c in range(K)] for r in range(K)], dtype=float)
+    P = binom * q ** np.maximum(k[:, None] - k, 0) * rho ** (k + 0.5)
+    C = q ** (k[:, None] + 0.5) * _hilbert_cholesky(K)
+    z = z.reshape(len(z), times.size, K)
+    noise = z[:, :, :1] * C[:, :, 0]
+    for m in range(1, K):
+        noise += z[:, :, m:m + 1] * C[:, :, m]
+    x = np.zeros((len(z), K))
+    out = np.empty((len(z), times.size))
+    for j in range(times.size):
+        new = noise[:, j]
+        for i in range(K):
+            new = new + x[:, i:i + 1] * P[j, :, i]
+        x = new
+        out[:, j] = x[:, beta]
+    return a * times**H * out
+
+
+@pytest.mark.parametrize("beta", [0, 1, 3, 8])
+def test_poly_transform_matches_stepwise_reference(beta):
+    times = GRID.times
+    z = np.random.default_rng(beta).standard_normal((13, (beta + 1) * times.size))
+    expected = _poly_stepwise(0.3, beta, 0.7, times, z)
+    got = _poly_transform(0.3, beta, 0.7, times)(z.copy())
+    assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # empirical_cov / selfsim_check
 # ---------------------------------------------------------------------------
@@ -472,6 +508,17 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.grid.times, ens.grid.times)
 
 
+def test_saved_bytes_are_column_major_values(tmp_path):
+    # a C-ordered ensemble as sampled and an F-ordered one as loaded write the same column-major bytes
+    ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_ensemble(ens, first)
+    save_ensemble(load_ensemble(first), second)
+    expected = np.asfortranarray(ens.values).tobytes(order="F")
+    assert first.read_bytes() == expected
+    assert second.read_bytes() == expected
+
+
 @pytest.mark.parametrize("keep_rng", [True, False], ids=["new_sidecar", "old_sidecar"])
 def test_sidecar_rng_marker(tmp_path, keep_rng):
     # sidecars written before the block layout carry no "rng" key and still load
@@ -518,6 +565,43 @@ def test_paths_depend_only_on_seed_and_index(name):
     short = _LEAF_SAMPLERS[name](1025).values
     long = _LEAF_SAMPLERS[name](1500).values
     assert np.array_equal(long[:1025], short)
+
+
+@pytest.mark.parametrize("chunk, loop_rows", [(1, 8), (2**10, 40), (2**40, 64)],
+                         ids=["8_rows", "mid", "whole_block"])
+@pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
+def test_row_chunks_keep_bytes(monkeypatch, name, chunk, loop_rows):
+    # 8-row chunks end the second block on a partial tile; 40-row chunks do not divide a block
+    default = _LEAF_SAMPLERS[name](1500).values
+    monkeypatch.setattr(ssgm.samplers, "_CHUNK", chunk)
+    monkeypatch.setattr(ssgm.samplers, "_LOOP_ROWS", loop_rows)
+    assert _LEAF_SAMPLERS[name](1500).values.tobytes() == default.tobytes()
+
+
+def test_midpoint_doubling_evaluates_each_resolution_once(monkeypatch):
+    calls = []
+
+    def counting(spec, inner_steps):
+        calls.append(inner_steps)
+        return _zg_discrete_var(spec, inner_steps)
+
+    monkeypatch.setattr(ssgm.samplers, "_zg_discrete_var", counting)
+    grid = TimeGrid(np.array([0.7 - 0.2, 0.6, 1.0, 1.7]))  # a grid of the exact-covariance test
+    for g in (GFunction.const(0.7), GFunction.log_pow(2)):
+        for beta in (-0.25, 0.5, 1.0):
+            spec = ProcessSpec.volterra_g(0.3, beta, g)
+            expected = 256  # the policy as first written, which evaluated v1 afresh at every step
+            while expected < 4096:
+                v1, v2 = _zg_discrete_var(spec, expected), _zg_discrete_var(spec, 2 * expected)
+                if abs(v2 - v1) <= 0.01 * max(abs(v2), 1e-300):
+                    break
+                expected *= 2
+            calls.clear()
+            ens = sample_volterra_zg(0.3, beta, g, grid, None, 5, 8)
+            assert ens.inner_steps == expected
+            assert len(calls) == len(set(calls)), calls
+            pinned = sample_volterra_zg(0.3, beta, g, grid, expected, 5, 8)
+            assert ens.values.tobytes() == pinned.values.tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,28 @@ def test_trichotomy_samples_once(monkeypatch):
     monkeypatch.setattr(ssgm.variation, "sample_spec", counting)
     pvariation_trichotomy(ProcessSpec.fbm(0.75), 2.0, [2**6, 2**7, 2**8, 2**9], 4, 5)
     assert calls == [2**9 + 1]
+
+
+@pytest.mark.parametrize("shape, stride", [((3, 2**17 + 1), 1), ((200, 1001), 1), ((50, 17), 1),
+                                           ((40, 4097), 4)],
+                         ids=["row_per_chunk", "partial_last_chunk", "one_chunk", "strided"])
+def test_chunked_sums_match_unchunked(shape, stride):
+    paths = np.cumsum(np.random.default_rng(shape[1]).standard_normal(shape), axis=1)
+    v = paths[:, ::stride]
+    for p in (1.0, 4.0 / 3.0, 2.0, 2.5):
+        expected = np.sum(np.abs(np.diff(v, axis=1)) ** p, axis=1)
+        assert ssgm.variation._pvariation_sums(v, p).tobytes() == expected.tobytes(), p
+
+
+def test_trichotomy_memory_bounded_by_ensemble():
+    # the Brownian trichotomy of criterion 7 holds its 64 x 65537 ensemble and little else
+    tracemalloc.start()
+    try:
+        pvariation_trichotomy(ProcessSpec.canonical(0.5, -1.0), 2.0, [2**13, 2**14, 2**15, 2**16], 64, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 64 * 65537 * 8, peak / (64 * 65537 * 8)
 
 
 def test_variation_csv():
