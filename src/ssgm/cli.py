@@ -115,11 +115,11 @@ def _parse_nlist(text: str):
     """Parse '2^10..2^16' or a comma list of powers of two."""
     text = text.strip()
     if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo = _parse_pow(lo_s)
-        hi = _parse_pow(hi_s)
-        k0, k1 = int(math.log2(lo)), int(math.log2(hi))
-        return [2**k for k in range(k0, k1 + 1)]
+        ends = [_parse_pow(x) for x in text.split("..", 1)]
+        for n in ends:
+            if not (isinstance(n, int) and n >= 2 and n & (n - 1) == 0):
+                raise ParameterError(f"--n range ends must be powers of two >= 2, got {n!r}")
+        return [2**k for k in range(ends[0].bit_length() - 1, ends[1].bit_length())]
     return [_parse_pow(x) for x in text.split(",")]
 
 
@@ -334,6 +334,9 @@ def _cmd_variation(args) -> int:
 
 def _cmd_asym(args) -> int:
     spec, _, _ = _spec_and_grid(args)
+    if not (0 < args.u_min < args.u_max < math.inf and args.points >= 1):
+        raise ParameterError(f"asym needs 0 < --u-min < --u-max < inf and --points >= 1, "
+                             f"got {args.u_min!r}, {args.u_max!r}, {args.points!r}")
     u = np.geomspace(args.u_min, args.u_max, args.points)
     report = asym_coeff_estimate(spec, u, tol=args.tol)
     coeff = "n/a" if report.coefficient is None else f"{report.coefficient:.6g}"

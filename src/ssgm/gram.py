@@ -100,6 +100,9 @@ class MinorQuery:
     grid: TimeGrid
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ParameterError(f"minor queries require finite alpha and beta, "
+                                 f"got {self.alpha!r}, {self.beta!r}")
         if np.any(self.grid.times <= 0):
             raise ParameterError("minor queries require strictly positive grid times")
 

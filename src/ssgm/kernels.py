@@ -19,8 +19,12 @@ of one evaluator call share one adaptive pass, each with its own mesh,
 tolerance share and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g
 (a rescaled RL) go through the Gauss hypergeometric function.
 
-All evaluators accept scalars or numpy arrays and are pure and stateless, so
-they are safe for concurrent use.
+Every covariance, public ``eval_*`` or ``make_kernel``, goes through one front
+end, ``_on_quadrant``: it refuses negative or non-finite times, hands the
+family's formula the pairs (s ^ t, s v t) off the axes and sets R = 0 on them.
+Parameter domains are checked in one place, ``ProcessSpec``, which every
+public evaluator builds.  All evaluators accept scalars or numpy arrays and
+are pure and stateless, so they are safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,7 +90,9 @@ class GFunction:
     def __post_init__(self):
         if self.kind not in ("const", "log-pow"):
             raise ParameterError(f"unknown g function kind {self.kind!r}")
-        if self.kind == "log-pow" and (self.k < 1 or self.k != int(self.k)):
+        if self.kind == "const" and not math.isfinite(self.a):
+            raise ParameterError(f"const g requires a finite value, got {self.a!r}")
+        if self.kind == "log-pow" and not (1 <= self.k < math.inf and self.k == int(self.k)):
             raise ParameterError("log-pow exponent k must be a positive integer")
 
     @classmethod
@@ -135,8 +142,10 @@ class GFunction:
 class ProcessSpec:
     """Tagged description of a process family and its parameters.
 
-    ``c`` may be ``-inf`` for the canonical family; every arithmetic use of
-    ``c`` downstream branches on finiteness first.
+    Every parameter is finite except that ``c`` may be ``-inf`` for the
+    canonical family; every arithmetic use of ``c`` downstream branches on
+    finiteness first.  This is the one check of each family's parameter
+    domain: the public evaluators build a spec to check theirs.
     """
 
     family: Family
@@ -149,17 +158,15 @@ class ProcessSpec:
 
     def __post_init__(self):
         H = self.H
-        if not (H > 0):
-            raise ParameterError(f"H must be positive, got {H!r}")
+        if not (0 < H < math.inf):
+            raise ParameterError(f"H must be positive and finite, got {H!r}")
         fam = self.family
         if fam == Family.CANONICAL:
             c = self.c
             if c is None:
                 raise ParameterError("canonical family requires c")
-            if not math.isinf(c) and c > -H:
+            if not c <= -H:  # also refuses nan and +inf
                 raise ParameterError(f"canonical family requires c <= -H, got c={c!r}, H={H!r}")
-            if math.isinf(c) and c > 0:
-                raise ParameterError("c = +inf is not admissible")
         elif fam in (Family.FBM, Family.SUBFBM):
             if not H < 1:
                 raise ParameterError(f"{fam.value} requires H in (0,1), got {H!r}")
@@ -174,8 +181,8 @@ class ProcessSpec:
         elif fam == Family.VOLTERRA_G:
             if self.beta is None or self.g is None:
                 raise ParameterError("volterra-g requires beta and g")
-            if not self.beta > -0.5:
-                raise ParameterError(f"volterra-g requires beta > -1/2, got {self.beta!r}")
+            if not -0.5 < self.beta < math.inf:
+                raise ParameterError(f"volterra-g requires a finite beta > -1/2, got {self.beta!r}")
 
     # -- factories ---------------------------------------------------------
     @classmethod
@@ -304,27 +311,84 @@ def format_spec_string(spec: ProcessSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# closed-form kernels
+# covariances: one front end, one formula per family
 # ---------------------------------------------------------------------------
 
-def _as_float_arrays(*xs):
-    arrs = [np.asarray(x, dtype=float) for x in xs]
-    scalar = all(a.ndim == 0 for a in arrs)
-    return arrs, scalar
+def _on_quadrant(formula: Callable, s, t):
+    """R(s, t) = formula(s ^ t, s v t) off the axes, and exactly 0 on them.
 
-
-def _ret(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
-
-
-def _axes_zero(out: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``out`` with R(0, t) = R(s, 0) = 0 exactly.
-
-    Differences of powers cancel only to the last bit there: numpy's scalar
-    and array ``**`` may round t^2H differently.
+    The one front end of every covariance evaluator.  Times must be
+    nonnegative and finite.  An axis pair hands the formula 1.0 for both
+    times, so no formula divides by zero or integrates there; the axes are
+    then set to 0 (differences of powers would cancel only to the last bit).
+    The formula sees arrays, 0-d for scalar times (numpy's scalar ``**``
+    rounds differently), and scalar times give a float.
     """
-    on_axis = (s == 0) | (t == 0)
-    return np.where(on_axis, 0.0, out) if np.any(on_axis) else out
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    lo, hi = np.asarray(np.minimum(s, t)), np.asarray(np.maximum(s, t))
+    first = lo.min(initial=math.inf)
+    if not (first >= 0 and hi.max(initial=0.0) < math.inf):  # nan fails both
+        raise ParameterError("times must be nonnegative and finite")
+    if first > 0:  # no pair on an axis
+        out = formula(lo, hi)
+    else:
+        axis = lo == 0
+        out = np.where(axis, 0.0, formula(np.where(axis, 1.0, lo), np.where(axis, 1.0, hi)))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _rl(H: float, lo, hi):
+    """Riemann-Liouville R(lo, hi) for 0 < lo <= hi (see :func:`eval_rl`)."""
+    z = lo / hi
+    f = hyp2f1(0.5 - H, 1.0, H + 1.5, z)
+    if H < 0.5:
+        eps = (hi - lo) / hi
+        f = np.where(z > 0.5, (H + 0.5) / (2.0 * H) * hyp2f1(0.5 - H, 1.0, 1.0 - 2.0 * H, eps)
+                     + eps ** (2.0 * H) * gamma_fn(H + 1.5) * gamma_fn(-2.0 * H) / gamma_fn(0.5 - H)
+                     * z ** (-H - 0.5), f)
+    return lo ** (H + 0.5) * hi ** (H - 0.5) * f / ((H + 0.5) * gamma_fn(H + 0.5) ** 2)
+
+
+def _formula(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET) -> Callable:
+    """The covariance of ``spec`` as a function of (lo, hi) with 0 < lo <= hi."""
+    H, fam = spec.H, spec.family
+    if fam == Family.WHITE_NOISE or (fam == Family.CANONICAL and math.isinf(spec.c)):
+        return lambda lo, hi: np.where(lo == hi, hi ** (2.0 * H), 0.0)
+    if fam == Family.CANONICAL:
+        c = spec.c
+        return lambda lo, hi: hi ** (2.0 * H + c) * lo ** (-c)
+    if fam == Family.FBM:
+        return lambda lo, hi: 0.5 * (lo ** (2 * H) + hi ** (2 * H) - (hi - lo) ** (2 * H))
+    if fam == Family.SUBFBM:
+        return lambda lo, hi: (lo ** (2 * H) + hi ** (2 * H)
+                               - 0.5 * ((lo + hi) ** (2 * H) + (hi - lo) ** (2 * H)))
+    if fam == Family.BIFBM:
+        ht, kt = spec.htilde, spec.ktilde
+        return lambda lo, hi: 2.0 ** (-kt) * ((lo ** (2 * ht) + hi ** (2 * ht)) ** kt
+                                              - (hi - lo) ** (2 * ht * kt))
+    if fam == Family.RIEMANN_LIOUVILLE:
+        return lambda lo, hi: _rl(H, lo, hi)
+    beta, g = spec.beta, spec.g  # volterra-g
+    if g.kind == "const":
+        # a^2 integral_0^m ((s-u)(t-u))^beta du = a^2 Gamma(beta+1)^2 R_RL(beta+1/2; s, t)
+        coef = (g.a * gamma_fn(beta + 1.0)) ** 2
+
+        def const(lo, hi):
+            rl = _rl(beta + 0.5, lo, hi)
+            # the base stays an array (numpy's scalar ** rounds differently) and is 1 where R_RL underflows
+            return coef * np.where(rl > 0, lo * hi, 1.0) ** (H - 0.5 - beta) * rl
+
+        return const
+    r11 = volterra_g_variance(spec)
+
+    def log_pow(lo, hi):
+        out = np.where(lo == hi, r11 * hi ** (2.0 * H), 0.0)  # R(s, s) = s^(2H) int F^2
+        off = lo != hi
+        if np.any(off):
+            out[off] = _volterra_g_pairs(spec, lo[off], hi[off], tol, budget)
+        return out
+
+    return log_pow
 
 
 def eval_canonical(H: float, c: float, s, t):
@@ -332,53 +396,22 @@ def eval_canonical(H: float, c: float, s, t):
 
     ``c = -inf`` selects the white-noise limit t^(2H) * 1{s = t}.
     """
-    if not H > 0:
-        raise ParameterError(f"H must be positive, got {H!r}")
-    if not math.isinf(c) and c > -H:
-        raise ParameterError(f"canonical kernel requires c <= -H, got c={c!r}, H={H!r}")
-    (s, t), scalar = _as_float_arrays(s, t)
-    if np.any(s < 0) or np.any(t < 0):
-        raise ParameterError("times must be nonnegative")
-    if math.isinf(c):
-        # white-noise limit; t^(2H) vanishes at t = 0, covering the axes
-        out = np.where(s == t, t ** (2.0 * H), 0.0)
-        return _ret(out, scalar)
-    lo = np.minimum(s, t)
-    hi = np.maximum(s, t)
-    safe_lo = np.where(lo > 0, lo, 1.0)
-    safe_hi = np.where(lo > 0, hi, 1.0)
-    out = np.where(lo > 0, safe_hi ** (2.0 * H + c) * safe_lo ** (-c), 0.0)
-    return _ret(out, scalar)
+    return _on_quadrant(_formula(ProcessSpec.canonical(H, c)), s, t)
 
 
 def eval_fbm(H: float, s, t):
     """Fractional Brownian motion covariance (s^2H + t^2H - |s-t|^2H) / 2."""
-    if not (0 < H < 1):
-        raise ParameterError(f"fbm requires H in (0,1), got {H!r}")
-    (s, t), scalar = _as_float_arrays(s, t)
-    out = 0.5 * (s ** (2 * H) + t ** (2 * H) - np.abs(s - t) ** (2 * H))
-    return _ret(_axes_zero(out, s, t), scalar)
+    return _on_quadrant(_formula(ProcessSpec.fbm(H)), s, t)
 
 
 def eval_subfbm(H: float, s, t):
-    """Sub-fractional Brownian motion covariance."""
-    if not (0 < H < 1):
-        raise ParameterError(f"sfbm requires H in (0,1), got {H!r}")
-    (s, t), scalar = _as_float_arrays(s, t)
-    out = s ** (2 * H) + t ** (2 * H) - 0.5 * ((s + t) ** (2 * H) + np.abs(s - t) ** (2 * H))
-    return _ret(_axes_zero(out, s, t), scalar)
+    """Sub-fractional Brownian motion covariance s^2H + t^2H - ((s+t)^2H + |s-t|^2H) / 2."""
+    return _on_quadrant(_formula(ProcessSpec.sub_fbm(H)), s, t)
 
 
 def eval_bifbm(htilde: float, ktilde: float, s, t):
     """Bi-fractional Brownian motion covariance with H = htilde * ktilde."""
-    if not (0 < htilde < 1) or not (0 < ktilde <= 1):
-        raise ParameterError(f"bfbm requires htilde in (0,1), ktilde in (0,1], got {htilde!r}, {ktilde!r}")
-    (s, t), scalar = _as_float_arrays(s, t)
-    out = 2.0 ** (-ktilde) * (
-        (s ** (2 * htilde) + t ** (2 * htilde)) ** ktilde
-        - np.abs(s - t) ** (2 * htilde * ktilde)
-    )
-    return _ret(_axes_zero(out, s, t), scalar)
+    return _on_quadrant(_formula(ProcessSpec.bi_fbm(htilde, ktilde)), s, t)
 
 
 def rl_r11(H: float) -> float:
@@ -395,25 +428,7 @@ def eval_rl(H: float, s, t):
     with m = s ^ t and M = s v t.  For H < 1/2 and m/M > 1/2, where scipy's 2F1 is up to
     ~100% off a few ulps from the diagonal, it goes through z -> 1 - z in eps = (M - m)/M.
     """
-    if not H > 0:
-        raise ParameterError(f"rl requires H > 0, got {H!r}")
-    (s, t), scalar = _as_float_arrays(s, t)
-    if np.any(s < 0) or np.any(t < 0):
-        raise ParameterError("times must be nonnegative")
-    lo = np.minimum(s, t)
-    hi = np.maximum(s, t)
-    safe_lo = np.where(lo > 0, lo, 1.0)
-    safe_hi = np.where(lo > 0, hi, 1.0)
-    z = safe_lo / safe_hi
-    f = hyp2f1(0.5 - H, 1.0, H + 1.5, z)
-    if H < 0.5:
-        eps = (safe_hi - safe_lo) / safe_hi
-        f = np.where(z > 0.5, (H + 0.5) / (2.0 * H) * hyp2f1(0.5 - H, 1.0, 1.0 - 2.0 * H, eps)
-                     + eps ** (2.0 * H) * gamma_fn(H + 1.5) * gamma_fn(-2.0 * H) / gamma_fn(0.5 - H)
-                     * z ** (-H - 0.5), f)
-    val = safe_lo ** (H + 0.5) * safe_hi ** (H - 0.5) * f
-    out = np.where(lo > 0, val / ((H + 0.5) * gamma_fn(H + 0.5) ** 2), 0.0)
-    return _ret(out, scalar)
+    return _on_quadrant(_formula(ProcessSpec.riemann_liouville(H)), s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +442,9 @@ def eval_l(spec: ProcessSpec, u):
     R(1, 1+u) / R(1, 1) from :func:`eval_rl`, so l(0) = 1 exactly.
     Consistency contract: R(s, s(1+u)) = R(1,1) * s^(2H) * l(u).
     """
-    u_arr, scalar = _as_float_arrays(u)
-    (u_arr,) = u_arr
-    if np.any(u_arr < 0):
-        raise ParameterError("u must be nonnegative")
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all((u_arr >= 0) & (u_arr < math.inf)):  # nan fails both
+        raise ParameterError("u must be nonnegative and finite")
     H = spec.H
     fam = spec.family
     if fam == Family.FBM:
@@ -448,7 +462,8 @@ def eval_l(spec: ProcessSpec, u):
         out = eval_rl(H, 1.0, 1.0 + u_arr) / eval_rl(H, 1.0, 1.0)
     else:
         raise ParameterError(f"eval_l does not support family {fam.value!r}")
-    return _ret(np.asarray(out, dtype=float), scalar)
+    out = np.asarray(out, dtype=float)
+    return float(out) if u_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +476,7 @@ def volterra_kernel(H: float, c: float, s, t):
         raise ParameterError(f"H must be positive, got {H!r}")
     if math.isinf(c) or not c < -H:
         raise ParameterError(f"Volterra kernel requires finite c < -H, got c={c!r}, H={H!r}")
-    (s, t), scalar = _as_float_arrays(s, t)
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ParameterError("t must be positive")
     if np.any(s > t) or np.any(s < 0):
@@ -471,7 +486,7 @@ def volterra_kernel(H: float, c: float, s, t):
     ratio = s / t
     with np.errstate(divide="ignore"):
         out = coef * t ** (H - 0.5) * ratio**expo
-    return _ret(out, scalar)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def isometry_residual(
@@ -520,11 +535,10 @@ class CovKernel:
         return self.spec.label()
 
 
-def _volterra_g_pairs(spec: ProcessSpec, s: np.ndarray, t: np.ndarray, tol: float, budget: int) -> np.ndarray:
-    """(st)^(H-1/2) integral_0^(s^t) F(u/s) F(u/t) du for positive s != t, F(x) = (1-x)^beta g(x),
+def _volterra_g_pairs(spec: ProcessSpec, m: np.ndarray, big: np.ndarray, tol: float, budget: int):
+    """(m M)^(H-1/2) integral_0^m F(u/m) F(u/M) du for 0 < m < M, F(x) = (1-x)^beta g(x),
     all pairs in one batched adaptive pass; each factor is evaluated from its gap
     1 - u/m = dist/m or 1 - u/M = (M - m + dist)/M."""
-    m, big = np.minimum(s, t), np.maximum(s, t)
     F = spec.weight_at_gap
 
     def f2(u, dist, i):
@@ -532,7 +546,7 @@ def _volterra_g_pairs(spec: ProcessSpec, s: np.ndarray, t: np.ndarray, tol: floa
         return F(dist / mi) * F((bi - mi + dist) / bi)
 
     quad = integrate_power_upper(f2, 0.0, m, spec.beta, tol, budget)
-    return (s * t) ** (spec.H - 0.5) * quad.value
+    return (m * big) ** (spec.H - 0.5) * quad.value
 
 
 def volterra_g_variance(spec: ProcessSpec) -> float:
@@ -554,43 +568,12 @@ def make_kernel(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUD
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ParameterError(f"quadrature tolerance must be positive and finite, got {tol!r}")
-    H = spec.H
-    fam = spec.family
-    if fam == Family.CANONICAL:
-        c = spec.c
-        return CovKernel(spec, H, 1.0, lambda s, t: eval_canonical(H, c, s, t))
-    if fam == Family.WHITE_NOISE:
-        return CovKernel(
-            spec, H, 1.0,
-            lambda s, t: eval_canonical(H, float("-inf"), s, t),
-        )
-    if fam == Family.FBM:
-        return CovKernel(spec, H, 1.0, lambda s, t: eval_fbm(H, s, t))
-    if fam == Family.SUBFBM:
-        return CovKernel(spec, H, 2.0 - 2.0 ** (2 * H - 1.0), lambda s, t: eval_subfbm(H, s, t))
-    if fam == Family.BIFBM:
-        ht, kt = spec.htilde, spec.ktilde
-        return CovKernel(spec, H, 1.0, lambda s, t: eval_bifbm(ht, kt, s, t))
-    if fam == Family.RIEMANN_LIOUVILLE:
-        return CovKernel(spec, H, rl_r11(H), lambda s, t: eval_rl(H, s, t))
-    if fam == Family.VOLTERRA_G:
-        beta, r11 = spec.beta, volterra_g_variance(spec)
-        # constant g: a^2 integral_0^m ((s-u)(t-u))^beta du = a^2 Gamma(beta+1)^2 R_RL(beta+1/2; s, t)
-        coef = (spec.g.a * gamma_fn(beta + 1.0)) ** 2
-
-        def ev(s, t):
-            (s_a, t_a), scalar = _as_float_arrays(s, t)
-            if spec.g.kind == "const":
-                rl = eval_rl(beta + 0.5, s_a, t_a)  # 0 on the axes, raises on negative times
-                return _ret(coef * np.where(rl > 0, s_a * t_a, 1.0) ** (H - 0.5 - beta) * rl, scalar)
-            if np.any(s_a < 0) or np.any(t_a < 0):
-                raise ParameterError("times must be nonnegative")
-            s_a, t_a = np.broadcast_arrays(s_a, t_a)
-            out = np.where(s_a == t_a, r11 * s_a ** (2.0 * H), 0.0)  # R(s, s) = s^(2H) int F^2
-            off = (s_a != t_a) & (s_a > 0) & (t_a > 0)  # the axes stay exactly 0
-            if np.any(off):
-                out[off] = _volterra_g_pairs(spec, s_a[off], t_a[off], tol, budget)
-            return _ret(out, scalar)
-
-        return CovKernel(spec, H, r11, ev)
-    raise ParameterError(f"unhandled family {fam!r}")
+    if spec.family == Family.SUBFBM:
+        r11 = 2.0 - 2.0 ** (2 * spec.H - 1.0)
+    elif spec.family == Family.RIEMANN_LIOUVILLE:
+        r11 = rl_r11(spec.H)
+    elif spec.family == Family.VOLTERRA_G:
+        r11 = volterra_g_variance(spec)
+    else:
+        r11 = 1.0
+    return CovKernel(spec, spec.H, r11, partial(_on_quadrant, _formula(spec, tol, budget)))

@@ -351,12 +351,18 @@ def sample_volterra_zg(
     The midpoint scheme of ``_volterra_transform``, on cells no wider than
     1/inner_steps that never straddle a grid time.  When ``inner_steps`` is
     None it starts at 256 per unit time and doubles until the Var(Z_1)-style
-    Richardson gap between consecutive resolutions is below 1%.  ``beta <=
-    0`` is permitted but flagged: the asymptotic-stationarity theory behind
-    downstream diagnostics is only proved for beta > 0.
+    Richardson gap between consecutive resolutions is below 1%; a grid with
+    no positive time draws no cell, so it picks none and records None.
+    ``beta <= 0`` is permitted but flagged: the asymptotic-stationarity
+    theory behind downstream diagnostics is only proved for beta > 0.
     """
     spec = ProcessSpec.volterra_g(H, beta, g)
     _check_sampling_args(n_paths, seed)
+    if inner_steps is not None and inner_steps < 64:
+        raise ParameterError("inner_steps must be >= 64")
+    pos = _positive_times(grid)
+    if not pos.size:  # the grid {0}: one zero column
+        return PathEnsemble(spec, grid, np.zeros((n_paths, 1)), seed, "volterra", inner_steps=inner_steps)
     if inner_steps is None:
         inner_steps = 256
         v1 = _zg_discrete_var(spec, inner_steps)
@@ -365,9 +371,7 @@ def sample_volterra_zg(
             if abs(v2 - v1) <= 0.01 * max(abs(v2), 1e-300):
                 break
             inner_steps, v1 = 2 * inner_steps, v2
-    if inner_steps < 64:
-        raise ParameterError("inner_steps must be >= 64")
-    n_cells, transform = _volterra_transform(spec, _positive_times(grid), inner_steps)
+    n_cells, transform = _volterra_transform(spec, pos, inner_steps)
     values = _sample_blocks(seed, n_paths, n_cells, len(grid), transform, _LOOP_ROWS)
     return PathEnsemble(spec, grid, values, seed, "volterra", inner_steps=inner_steps)
 

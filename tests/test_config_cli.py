@@ -484,3 +484,35 @@ def test_cli_grid_table_exit_0_or_2(row, grid, capsys):
         assert rc == 2
     if grid == "0" and row.startswith("sample"):  # every scheme samples the grid {0} as a zero column
         assert rc == 0
+
+
+# malformed arguments outside the grid: each exits 2 with one line and prints nothing
+_MALFORMED_ROWS = {
+    "negative_time_fbm": ["kernel-eval", "--kernel", "fbm:H=0.3", "--s", "-1", "--t", "2"],
+    "negative_time_bfbm": ["kernel-eval", "--kernel", "bfbm:htilde=0.5,ktilde=0.5", "--s", "-1", "--t", "2"],
+    "nan_time": ["kernel-eval", "--kernel", "canonical:H=0.7,c=-1.5", "--s", "nan", "--t", "2"],
+    "inf_time_log_pow": ["kernel-eval", "--kernel", _LOG_POW, "--s", "inf", "--t", "2"],
+    "canonical_c_nan": ["kernel-eval", "--kernel", "canonical:H=0.5,c=nan", "--s", "1", "--t", "2"],
+    "rl_H_inf": ["kernel-eval", "--kernel", "rl:H=inf", "--s", "1", "--t", "2"],
+    "volterra_g_beta_inf": ["kernel-eval", "--kernel", "volterra-g:H=0.25,beta=inf,g=const:1.0",
+                            "--s", "1", "--t", "2"],
+    "const_g_inf": ["kernel-eval", "--kernel", "volterra-g:H=0.25,beta=1.0,g=const:inf",
+                    "--s", "1", "--t", "2"],
+    "sample_canonical_c_nan": ["sample", "--spec", "canonical:H=0.5,c=nan", "--grid", "1,2"] + _PATHS,
+    "n_range_not_power": ["variation", "--spec", "fbm:H=0.75", "--p", "2", "--n", "3..2^4"] + _PATHS,
+    "n_range_zero": ["variation", "--spec", "fbm:H=0.75", "--p", "2", "--n", "0..4"] + _PATHS,
+    "u_min_nan": ["asym", "--spec", "rl:H=0.25", "--u-min", "nan"],
+    "u_min_zero": ["asym", "--spec", "rl:H=0.25", "--u-min", "0"],
+    "u_max_inf": ["asym", "--spec", "rl:H=0.25", "--u-max", "inf"],
+    "negative_points": ["asym", "--spec", "rl:H=0.25", "--points", "-1"],
+    "alpha_nan": ["posdef", "--alpha", "nan", "--beta", "0.1", "--grid", "1,2"],
+    "beta_inf": ["posdef", "--alpha", "0.3", "--beta", "inf", "--grid", "1,2"],
+}
+
+
+@pytest.mark.parametrize("row", list(_MALFORMED_ROWS))
+def test_cli_malformed_argument_table_exit_2(row, capsys):
+    rc = main(_MALFORMED_ROWS[row])  # an uncaught exception fails the test
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("ssgm: invalid parameters:") and captured.err.count("\n") == 1

@@ -189,6 +189,12 @@ def test_lindstrom_requires_positive_grid():
         MinorQuery(0.0, -1.0, TimeGrid(np.array([0.0, 1.0])))
 
 
+@pytest.mark.parametrize("alpha, beta", [(float("nan"), 0.1), (0.3, float("inf")), (float("-inf"), 0.0)])
+def test_minor_query_rejects_nonfinite_exponents(alpha, beta):
+    with pytest.raises(ParameterError, match="finite alpha and beta"):
+        MinorQuery(alpha, beta, TimeGrid(np.array([1.0, 2.0])))
+
+
 def test_chain_det_trivial():
     assert chain_det(np.array([[7.0]]), TimeGrid(np.array([1.0]))) == 7.0
 

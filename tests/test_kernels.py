@@ -289,6 +289,15 @@ def test_l_form_consistency_closed_families():
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, np.array([0.0, 1.0, math.inf]), np.array([math.nan])],
+                         ids=["nan", "inf", "inf_in_array", "nan_in_array"])
+@pytest.mark.parametrize("spec", [ProcessSpec.fbm(0.3), ProcessSpec.riemann_liouville(0.25)],
+                         ids=lambda s: s.label())
+def test_l_rejects_nonfinite_u(spec, u):
+    with pytest.raises(ParameterError, match="u must be nonnegative and finite"):
+        eval_l(spec, u)
+
+
 def test_l_unsupported_family():
     with pytest.raises(ParameterError):
         eval_l(ProcessSpec.canonical(0.5, -1.0), 1.0)
@@ -400,6 +409,51 @@ def test_make_kernel_rejects_bad_tolerance(spec):
     for tol in (0.0, -1e-10, float("inf"), float("nan")):
         with pytest.raises(ParameterError, match="quadrature tolerance"):
             make_kernel(spec, tol=tol)
+
+
+def _public_eval(spec):
+    """The public eval_* of a spec's family as a function of (s, t); None for volterra-g."""
+    return {
+        Family.CANONICAL: lambda s, t: eval_canonical(spec.H, spec.c, s, t),
+        Family.WHITE_NOISE: lambda s, t: eval_canonical(spec.H, NEG_INF, s, t),
+        Family.FBM: lambda s, t: eval_fbm(spec.H, s, t),
+        Family.SUBFBM: lambda s, t: eval_subfbm(spec.H, s, t),
+        Family.BIFBM: lambda s, t: eval_bifbm(spec.htilde, spec.ktilde, s, t),
+        Family.RIEMANN_LIOUVILLE: lambda s, t: eval_rl(spec.H, s, t),
+    }.get(spec.family)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [ProcessSpec.canonical(0.6, NEG_INF),
+                                              ProcessSpec.riemann_liouville(0.25),
+                                              ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))],
+                         ids=lambda s: s.label())
+def test_every_evaluator_rejects_negative_and_nonfinite_times(spec):
+    # one front end: every family refuses the same times, as a scalar or inside an array
+    evaluators = [make_kernel(spec), _public_eval(spec)]
+    for ev in filter(None, evaluators):
+        for bad in (-1.0, math.nan, math.inf):
+            for s, t in ((bad, 2.0), (2.0, bad), (np.array([1.0, bad]), np.array([2.0, 2.0]))):
+                with pytest.raises(ParameterError, match="times must be nonnegative and finite"):
+                    ev(s, t)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProcessSpec.canonical(0.5, math.nan),
+    lambda: ProcessSpec.canonical(math.inf, NEG_INF),
+    lambda: ProcessSpec.white_noise(math.inf),
+    lambda: ProcessSpec.riemann_liouville(math.inf),
+    lambda: ProcessSpec.volterra_g(0.25, math.inf, GFunction.const(1.0)),
+    lambda: ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(math.inf)),
+    lambda: GFunction.const(math.nan),
+    lambda: GFunction("log-pow", k=math.inf),
+    lambda: eval_canonical(0.5, math.nan, 1.0, 2.0),
+    lambda: eval_rl(math.inf, 1.0, 2.0),
+], ids=["canonical_c_nan", "canonical_H_inf", "white_noise_H_inf", "rl_H_inf", "volterra_g_beta_inf",
+        "const_g_inf", "const_g_nan", "log_pow_k_inf", "eval_canonical_c_nan", "eval_rl_H_inf"])
+def test_nonfinite_parameters_rejected(build):
+    # only the canonical c may be infinite, and only -inf
+    with pytest.raises(ParameterError):
+        build()
 
 
 def test_rl_self_similarity():

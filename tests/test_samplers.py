@@ -264,10 +264,14 @@ def test_volterra_zg_auto_steps():
 
 
 @pytest.mark.parametrize("inner_steps", [None, 64])
-def test_volterra_zg_zero_only_grid_gives_zero_column(inner_steps):
-    # like the exact schemes: no positive time, so no cells and one zero column
+def test_volterra_zg_zero_only_grid_gives_zero_column(inner_steps, monkeypatch):
+    # like the exact schemes: no positive time, so no cells and one zero column; the doubling
+    # policy does not run, and without inner_steps none is recorded, as for poly
+    calls = []
+    monkeypatch.setattr(ssgm.samplers, "_zg_discrete_var", lambda *a: calls.append(a) or 1.0)
     ens = sample_volterra_zg(0.25, 0.5, GFunction.const(1.0), TimeGrid(np.array([0.0])), inner_steps, 3, 1)
     np.testing.assert_array_equal(ens.values, np.zeros((3, 1)))
+    assert calls == [] and ens.inner_steps == inner_steps
 
 
 @pytest.mark.parametrize("inner_steps", [64, None])
