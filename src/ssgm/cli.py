@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: kernel-eval, posdef, markov-test, sample, variation, asym.
-Exit codes: 0 success, 2 invalid parameters, 3 numerical failure.  All JSON
-artifacts embed the frozen report schema version.
+Every input is settled once, before any subcommand runs: its flag, else the
+``--config`` block, else the default.  Exit codes: 0 success, 2 invalid
+parameters (a malformed command line too, in one line), 3 numerical failure.
+All JSON artifacts embed the frozen report schema version.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, ToleranceConfig, load_config
+from .config import MCConfig, ToleranceConfig, load_config
 from .errors import NumericalError, ParameterError
 from .gram import (GramMatrix, MinorQuery, TimeGrid, build_gram, gram_to_csv,
                    lindstrom_minor, psd_check, standard_grid)
-from .kernels import Family, ProcessSpec, make_kernel, parse_spec_string
+from .kernels import Family, make_kernel, parse_spec_string
 from .markov import asym_coeff_estimate, markov_test, sqrt_diag_profile
 from .quadrature import DEFAULT_BUDGET
 from .samplers import (empirical_cov, ensemble_to_csv, sample_spec,
@@ -131,50 +133,45 @@ def _parse_pow(text: str) -> int:
     return _number(int, text)
 
 
-def _load_config(args) -> RunConfig | None:
-    """The --config file, if given; --tol / --psd-tol left unset take its
-    [tolerances] block, or 1e-10 without one.  The quadrature tolerance must
-    be positive and finite, also where a command does not use it."""
+def _settle(args) -> None:
+    """Settle every input once: its flag, else the --config block, else the default.
+
+    ``args.spec`` becomes a ProcessSpec (None only for power-family posdef)
+    and ``args.grid`` a TimeGrid or None.  ``tol`` and ``psd_tol`` default to
+    1e-10; ``paths``, ``seed`` and ``inner_steps`` to MCConfig's defaults with
+    a config and to None without one.  The quadrature tolerance must be
+    positive and finite, also where a command does not use it.  The config and
+    its grid are checked first, then the flag spec, then the flag grid.
+    """
     cfg = load_config(args.config) if args.config else None
-    tols = cfg.tolerances if cfg is not None else ToleranceConfig()
-    if args.tol is None:
-        args.tol = tols.quad_tol
+    tols = cfg.tolerances if cfg else ToleranceConfig()
+    mc = cfg.mc if cfg else MCConfig(n_paths=None)
+    for name, default in (("tol", tols.quad_tol), ("psd_tol", tols.psd_tol), ("paths", mc.n_paths),
+                          ("seed", mc.seed), ("inner_steps", mc.inner_steps)):
+        if getattr(args, name, None) is None:
+            setattr(args, name, default)
     # asym's --tol is a noise floor, where 0 is allowed; asym_coeff_estimate checks it
     if args.command != "asym" and not (args.tol > 0 and math.isfinite(args.tol)):
         raise ParameterError(f"quadrature tolerance must be positive and finite, got {args.tol!r}")
-    if getattr(args, "psd_tol", 0.0) is None:
-        args.psd_tol = tols.psd_tol
-    return cfg
-
-
-def _spec_and_grid(args) -> tuple[ProcessSpec, TimeGrid, RunConfig | None]:
-    cfg = _load_config(args)
-    spec = None
-    grid = None
-    if cfg is not None:
-        spec = cfg.process
-        grid = cfg.grid.build()
-    spec_arg = getattr(args, "kernel", None) or getattr(args, "spec", None)
-    if spec_arg:
-        spec = parse_spec_string(spec_arg)
-    if getattr(args, "grid", None):
-        grid = _parse_grid_arg(args.grid)
-    if spec is None:
+    grid = cfg.grid.build() if cfg else None
+    args.spec = parse_spec_string(args.spec) if args.spec else (cfg.process if cfg else None)
+    args.grid = _parse_grid_arg(args.grid) if getattr(args, "grid", None) else grid
+    if args.spec is None and getattr(args, "alpha", None) is None and getattr(args, "beta", None) is None:
         raise ParameterError("no process spec given (flag or config [process] block)")
-    return spec, grid, cfg
 
 
 def _cmd_kernel_eval(args) -> int:
-    spec, grid, cfg = _spec_and_grid(args)
+    if (args.s is None) != (args.t is None):
+        raise ParameterError("kernel-eval takes both --s and --t for a point, or neither for a Gram matrix")
+    spec = args.spec
     kernel = make_kernel(spec, tol=args.tol, budget=args.budget)
-    if args.s is not None and args.t is not None:
+    if args.s is not None:
         value = float(kernel(args.s, args.t))
         print(f"kernel-eval {spec.label()} R({args.s:g},{args.t:g}) = {value:.16e}")
         if args.json:
             _write_json(args.json, {"kernel": spec.label(), "s": args.s, "t": args.t, "value": value})
         return 0
-    if grid is None:
-        grid = standard_grid()
+    grid = standard_grid() if args.grid is None else args.grid
     gram = build_gram(kernel, grid)
     if args.csv:
         _write_text(args.csv, gram_to_csv(gram))
@@ -186,11 +183,10 @@ def _cmd_kernel_eval(args) -> int:
 
 
 def _cmd_posdef(args) -> int:
+    grid = standard_grid() if args.grid is None else args.grid
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
             raise ParameterError("--alpha and --beta go together")
-        _load_config(args)
-        grid = _parse_grid_arg(args.grid) if args.grid else standard_grid()
         q = MinorQuery(args.alpha, args.beta, grid)
         t = grid.times
         entries = np.maximum.outer(t, t) ** args.alpha / np.minimum.outer(t, t) ** args.beta
@@ -198,11 +194,8 @@ def _cmd_posdef(args) -> int:
         label = f"power-family:alpha={args.alpha!r},beta={args.beta!r}"
         minor = lindstrom_minor(q)
     else:
-        spec, grid, _ = _spec_and_grid(args)
-        if grid is None:
-            grid = standard_grid()
-        gram = build_gram(make_kernel(spec, tol=args.tol), grid)
-        label = spec.label()
+        gram = build_gram(make_kernel(args.spec, tol=args.tol), grid)
+        label = args.spec.label()
         minor = None
     report = psd_check(gram, tol=args.psd_tol)
     verdict = "PSD" if report.is_psd else "NotPSD"
@@ -225,9 +218,9 @@ def _cmd_posdef(args) -> int:
 
 
 def _cmd_markov_test(args) -> int:
-    spec, grid, _ = _spec_and_grid(args)
+    spec = args.spec
     kernel = make_kernel(spec, tol=args.tol)
-    report = markov_test(kernel, grid)
+    report = markov_test(kernel, args.grid)
     payload = {
         "kernel": report.kernel,
         "verdict": report.verdict,
@@ -268,15 +261,12 @@ def _cmd_markov_test(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    spec, grid, cfg = _spec_and_grid(args)
+    spec, grid = args.spec, args.grid
     if grid is None:
         raise ParameterError("sample requires a grid")
-    n_paths = args.paths if args.paths is not None else (cfg.mc.n_paths if cfg else None)
-    seed = args.seed if args.seed is not None else (cfg.mc.seed if cfg else None)
-    inner = args.inner_steps if args.inner_steps is not None else (cfg.mc.inner_steps if cfg else None)
-    if n_paths is None or seed is None:
+    if args.paths is None or args.seed is None:
         raise ParameterError("sample requires --paths and --seed (or an [mc] config block with both)")
-    ens = sample_spec(spec, grid, int(n_paths), int(seed), scheme=args.scheme, inner_steps=inner)
+    ens = sample_spec(spec, grid, args.paths, args.seed, scheme=args.scheme, inner_steps=args.inner_steps)
     print(f"sample {spec.label()} scheme={ens.scheme} paths={ens.n_paths} "
           f"d={len(grid)} seed={ens.seed}")
     if args.out:
@@ -303,13 +293,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_variation(args) -> int:
-    spec, _, cfg = _spec_and_grid(args)
-    n_paths = args.paths if args.paths is not None else (cfg.mc.n_paths if cfg else None)
-    seed = args.seed if args.seed is not None else (cfg.mc.seed if cfg else None)
-    if n_paths is None or seed is None:
+    spec = args.spec
+    if args.paths is None or args.seed is None:
         raise ParameterError("variation requires --paths and --seed")
     n_list = _parse_nlist(args.n)
-    report = pvariation_trichotomy(spec, args.p, n_list, int(n_paths), int(seed))
+    report = pvariation_trichotomy(spec, args.p, n_list, args.paths, args.seed)
     limit = f" limit~{report.limit_value:.6g}" if report.limit_value is not None else ""
     print(f"variation {spec.label()} p={args.p:g}: {report.verdict} "
           f"(slope {report.slope_estimate:+.3f}){limit}")
@@ -327,13 +315,13 @@ def _cmd_variation(args) -> int:
             "limit_value": report.limit_value,
             "sigmaJ_sq": report.sigmaJ_sq,
             "proven_regime": report.proven_regime,
-            "seed": int(seed),
+            "seed": args.seed,
         })
     return 0
 
 
 def _cmd_asym(args) -> int:
-    spec, _, _ = _spec_and_grid(args)
+    spec = args.spec
     if not (0 < args.u_min < args.u_max < math.inf and args.points >= 1):
         raise ParameterError(f"asym needs 0 < --u-min < --u-max < inf and --points >= 1, "
                              f"got {args.u_min!r}, {args.u_max!r}, {args.points!r}")
@@ -357,8 +345,16 @@ def _cmd_asym(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ParameterError line, not a usage block."""
+
+    def error(self, message):
+        raise ParameterError(" ".join(message.split()))
+
+
 def _add_common(p, spec_flag="--kernel"):
-    p.add_argument(spec_flag, help="process spec, e.g. canonical:H=0.7,c=-0.9")
+    p.add_argument(spec_flag, dest="spec", metavar=spec_flag[2:].upper(),
+                   help="process spec, e.g. canonical:H=0.7,c=-0.9")
     p.add_argument("--config", help="RunConfig file (flags override its blocks)")
     p.add_argument("--tol", type=float, default=None,
                    help="quadrature tolerance, positive and finite (default: the config's quad_tol, "
@@ -371,8 +367,7 @@ def _add_common(p, spec_flag="--kernel"):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ssgm",
-                                 description="self-similar Gaussian Markov process toolkit")
+    ap = _Parser(prog="ssgm", description="self-similar Gaussian Markov process toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel-eval", help="evaluate a kernel at a point or on a grid")
@@ -437,16 +432,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    threads = args.threads if args.threads is not None else os.environ.get("SSGM_THREADS")
-    if threads is not None:
-        try:
-            set_max_workers(int(threads))
-        except ValueError:
-            print(f"ssgm: invalid thread count {threads!r}", file=sys.stderr)
-            return 2
     try:
+        args = build_parser().parse_args(argv)
+        threads = args.threads if args.threads is not None else os.environ.get("SSGM_THREADS")
+        if threads is not None:
+            try:
+                set_max_workers(int(threads))
+            except ValueError:
+                print(f"ssgm: invalid thread count {threads!r}", file=sys.stderr)
+                return 2
         _check_writable(*(getattr(args, name, None) for name in ("out", "csv", "json")))
+        _settle(args)
         return args.fn(args)
     except ParameterError as exc:
         print(f"ssgm: invalid parameters: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ are pure and stateless, so they are safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Optional
@@ -260,33 +260,33 @@ def spec_to_params(spec: ProcessSpec) -> dict:
 
 
 def spec_from_params(params: dict) -> ProcessSpec:
+    """The spec the parameters name; a family takes the keys ``spec_to_params`` writes for it."""
     p = {k.strip(): str(v).strip() for k, v in params.items()}
     try:
-        family = Family(p.pop("family"))
+        family = Family(p["family"])
     except (KeyError, ValueError) as exc:
         raise ParameterError(f"missing or unknown process family in {params!r}") from exc
     try:
         if family == Family.CANONICAL:
-            return ProcessSpec.canonical(float(p["H"]), float(p["c"]))
-        if family == Family.WHITE_NOISE:
-            return ProcessSpec.white_noise(float(p["H"]))
-        if family == Family.FBM:
-            return ProcessSpec.fbm(float(p["H"]))
-        if family == Family.SUBFBM:
-            return ProcessSpec.sub_fbm(float(p["H"]))
-        if family == Family.BIFBM:
-            return ProcessSpec.bi_fbm(float(p["htilde"]), float(p["ktilde"]))
-        if family == Family.RIEMANN_LIOUVILLE:
-            return ProcessSpec.riemann_liouville(float(p["H"]))
-        if family == Family.VOLTERRA_G:
-            return ProcessSpec.volterra_g(float(p["H"]), float(p["beta"]), GFunction.from_label(p["g"]))
+            spec = ProcessSpec.canonical(float(p["H"]), float(p["c"]))
+        elif family == Family.BIFBM:
+            spec = ProcessSpec.bi_fbm(float(p["htilde"]), float(p["ktilde"]))
+            if "H" in p:  # a given H must pass the H = htilde * ktilde check
+                replace(spec, H=float(p["H"]))
+        elif family == Family.VOLTERRA_G:
+            spec = ProcessSpec.volterra_g(float(p["H"]), float(p["beta"]), GFunction.from_label(p["g"]))
+        else:  # white noise, fbm, sfbm and rl take H alone
+            spec = ProcessSpec(family, float(p["H"]))
     except KeyError as exc:
         raise ParameterError(f"missing parameter {exc} for family {family.value}") from exc
     except ParameterError:
         raise
     except ValueError as exc:  # a malformed number
         raise ParameterError(f"cannot parse {family.value} parameters: {exc}") from exc
-    raise ParameterError(f"unhandled family {family!r}")
+    unknown = sorted(p.keys() - spec_to_params(spec).keys())
+    if unknown:
+        raise ParameterError(f"unknown parameter {', '.join(map(repr, unknown))} for family {family.value}")
+    return spec
 
 
 def parse_spec_string(text: str) -> ProcessSpec:
@@ -477,9 +477,9 @@ def volterra_kernel(H: float, c: float, s, t):
     if math.isinf(c) or not c < -H:
         raise ParameterError(f"Volterra kernel requires finite c < -H, got c={c!r}, H={H!r}")
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ParameterError("t must be positive")
-    if np.any(s > t) or np.any(s < 0):
+    if not np.all((t > 0) & (t < math.inf)):  # nan fails both
+        raise ParameterError("t must be positive and finite")
+    if not np.all((s >= 0) & (s <= t)):
         raise ParameterError("requires 0 <= s <= t")
     coef = math.sqrt(-2.0 * (c + H))
     expo = -c - H - 0.5

@@ -587,6 +587,10 @@ def ensemble_to_csv(ensemble: PathEnsemble) -> str:
     return "\n".join(lines) + "\n"
 
 
+# every sidecar carries these; "rng", "inner_steps" and "jitter" are optional
+_SIDECAR_KEYS = frozenset({"spec", "grid", "seed", "scheme", "shape", "dtype", "order"})
+
+
 def save_ensemble(ensemble: PathEnsemble, path) -> None:
     """Write a column-major float64 matrix file plus a JSON sidecar."""
     path = Path(path)
@@ -608,8 +612,20 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> PathEnsemble:
+    """Read what :func:`save_ensemble` wrote; a sidecar that does not describe
+    a float64 column-major file, or lacks a key, is refused naming it."""
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    side = path.with_suffix(path.suffix + ".json")
+    try:
+        sidecar = json.loads(side.read_text())
+    except ValueError as exc:  # truncated or not JSON
+        raise ParameterError(f"{side}: malformed sidecar: {exc}") from exc
+    missing = _SIDECAR_KEYS - sidecar.keys() if isinstance(sidecar, dict) else _SIDECAR_KEYS
+    if missing:
+        raise ParameterError(f"{side}: sidecar lacks {', '.join(sorted(missing))}")
+    if (sidecar["dtype"], sidecar["order"]) != ("float64", "F"):
+        raise ParameterError(f"{side}: sidecar says dtype {sidecar['dtype']!r}, order {sidecar['order']!r}; "
+                             "ensemble files are float64 in column-major (F) order")
     shape = tuple(sidecar["shape"])
     data = path.read_bytes()
     if len(data) != 8 * math.prod(shape):

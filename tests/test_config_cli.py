@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import ssgm.cli
-from ssgm import GFunction, ProcessSpec, empirical_cov
+from ssgm import GFunction, GramMatrix, ProcessSpec, TimeGrid, empirical_cov, standard_grid
 from ssgm.cli import main, report_schema_version
 from ssgm.config import (GridConfig, MCConfig, RunConfig, ToleranceConfig,
                          parse_config, serialize_config)
@@ -119,6 +119,7 @@ _GOOD_HEAD = "[process]\nfamily = fbm\nH = 0.3\n[grid]\n"
     _GOOD_HEAD + "geometric = 0.1 2 8\n[tolerances]\nquad_tol = tiny\n",
     "family = fbm\nH = 0.3\n",  # no section header
     None,  # the file does not exist
+    "[process]\nfamily = fbm\nH = 0.3\nc = -1\n[grid]\ntimes = 1 2\n",  # a key fbm does not take
 ])
 def test_cli_malformed_config_exit_2(tmp_path, capsys, text):
     path = tmp_path / "run.cfg"
@@ -507,6 +508,17 @@ _MALFORMED_ROWS = {
     "negative_points": ["asym", "--spec", "rl:H=0.25", "--points", "-1"],
     "alpha_nan": ["posdef", "--alpha", "nan", "--beta", "0.1", "--grid", "1,2"],
     "beta_inf": ["posdef", "--alpha", "0.3", "--beta", "inf", "--grid", "1,2"],
+    "s_without_t": ["kernel-eval", "--kernel", "fbm:H=0.3", "--s", "1"],
+    "t_without_s": ["kernel-eval", "--kernel", "fbm:H=0.3", "--t", "2", "--grid", "1,2"],
+    "spec_key_fbm_c": ["kernel-eval", "--kernel", "fbm:H=0.3,c=5", "--s", "1", "--t", "2"],
+    "bfbm_H_not_product": ["kernel-eval", "--kernel", "bfbm:H=0.9,htilde=0.5,ktilde=0.5", "--s", "1", "--t", "2"],
+    # argparse failures: one line, not a usage block
+    "paths_not_int": ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "x", "--seed", "1"],
+    "scheme_bad_choice": ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--scheme", "foo"] + _PATHS,
+    "p_missing": ["variation", "--spec", "fbm:H=0.75", "--n", "2^3..2^4"] + _PATHS,
+    "p_without_value": ["variation", "--spec", "fbm:H=0.75", "--n", "2^3..2^4", "--p"],
+    "unknown_flag": ["asym", "--spec", "rl:H=0.25", "--bogus"],
+    "no_subcommand": [],
 }
 
 
@@ -516,3 +528,110 @@ def test_cli_malformed_argument_table_exit_2(row, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("ssgm: invalid parameters:") and captured.err.count("\n") == 1
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ssgm sample")
+
+
+def test_cli_config_unknown_process_key_named(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[process]\nfamily = fbm\nH = 0.3\nc = -1\n[grid]\ntimes = 1 2\n")
+    assert main(["kernel-eval", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "ssgm: invalid parameters: unknown parameter 'c' for family fbm\n"
+
+
+# Every settled input, read back from the library call the subcommand makes:
+# the flag wins over the --config block, which wins over the default.
+_FULL_CFG = ("[process]\nfamily = fbm\nH = 0.3\n[grid]\ntimes = 1 2 3\n"
+             "[mc]\nn_paths = 5\nseed = 3\ninner_steps = 128\n[tolerances]\nquad_tol = 1e-8\npsd_tol = 1e-6\n")
+_BARE_CFG = "[process]\nfamily = fbm\nH = 0.3\n[grid]\ntimes = 1 2 3\n"  # no [mc], no [tolerances]
+_EXIT_2 = "exit 2"
+_STD = tuple(standard_grid().times)
+_CFG_GRID = (1.0, 2.0, 3.0)
+_POWER = ["posdef", "--alpha", "0.3", "--beta", "0.1"]
+_MIDPOINT = "volterra-g:H=0.25,beta=0.5,g=const:1.0"  # the scheme that reads inner_steps
+
+# row: base argv, flag, recorded argument, then the value under the flag and the full
+# config, the full config, a config without [mc] and [tolerances], and no config
+_PRECEDENCE = {
+    "spec-kernel-eval": (["kernel-eval", "--s", "1", "--t", "2"], ["--kernel", "rl:H=0.25"],
+                         "make_kernel.spec", "rl:H=0.25", "fbm:H=0.3", "fbm:H=0.3", _EXIT_2),
+    "spec-sample": (["sample", "--grid", "1,2"] + _PATHS, ["--spec", "sfbm:H=0.4"],
+                    "sample_spec.spec", "sfbm:H=0.4", "fbm:H=0.3", "fbm:H=0.3", _EXIT_2),
+    "spec-asym": (["asym", "--points", "12"], ["--spec", "rl:H=0.25"],
+                  "asym_coeff_estimate.spec", "rl:H=0.25", "fbm:H=0.3", "fbm:H=0.3", _EXIT_2),
+    "grid-kernel-eval": (["kernel-eval", "--kernel", "fbm:H=0.3"], ["--grid", "0.5,1"],
+                         "build_gram.grid", (0.5, 1.0), _CFG_GRID, _CFG_GRID, _STD),
+    "grid-posdef": (["posdef", "--kernel", "fbm:H=0.3"], ["--grid", "0.5,1"],
+                    "psd_check.gram", (0.5, 1.0), _CFG_GRID, _CFG_GRID, _STD),
+    "grid-posdef-power": (_POWER, ["--grid", "0.5,1"],
+                          "psd_check.gram", (0.5, 1.0), _CFG_GRID, _CFG_GRID, _STD),
+    "grid-markov-test": (["markov-test", "--kernel", "fbm:H=0.3"], ["--grid", "0.5,1,2"],
+                         "markov_test.grid", (0.5, 1.0, 2.0), _CFG_GRID, _CFG_GRID, None),
+    "grid-sample": (["sample", "--spec", "fbm:H=0.3"] + _PATHS, ["--grid", "0.5,1"],
+                    "sample_spec.grid", (0.5, 1.0), _CFG_GRID, _CFG_GRID, _EXIT_2),
+    "tol-kernel-eval": (["kernel-eval", "--kernel", "fbm:H=0.3", "--s", "1", "--t", "2"], ["--tol", "1e-9"],
+                        "make_kernel.tol", 1e-9, 1e-8, 1e-10, 1e-10),
+    "tol-posdef": (["posdef", "--kernel", "fbm:H=0.3", "--grid", "1,2"], ["--tol", "1e-9"],
+                   "make_kernel.tol", 1e-9, 1e-8, 1e-10, 1e-10),
+    "tol-markov-test": (["markov-test", "--kernel", "canonical:H=0.5,c=-1"], ["--tol", "1e-9"],
+                        "make_kernel.tol", 1e-9, 1e-8, 1e-10, 1e-10),
+    "tol-asym": (["asym", "--spec", "rl:H=0.25", "--points", "12"], ["--tol", "1e-9"],
+                 "asym_coeff_estimate.tol", 1e-9, 1e-8, 1e-10, 1e-10),
+    "psd_tol-posdef": (["posdef", "--kernel", "fbm:H=0.3", "--grid", "1,2"], ["--psd-tol", "1e-9"],
+                       "psd_check.tol", 1e-9, 1e-6, 1e-10, 1e-10),
+    "psd_tol-posdef-power": (_POWER + ["--grid", "1,2"], ["--psd-tol", "1e-9"],
+                             "psd_check.tol", 1e-9, 1e-6, 1e-10, 1e-10),
+    "paths-sample": (["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--seed", "1"], ["--paths", "7"],
+                     "sample_spec.n_paths", 7, 5, 1000, _EXIT_2),
+    "paths-variation": (["variation", "--spec", "fbm:H=0.75", "--p", "2", "--n", "2^3..2^4", "--seed", "1"],
+                        ["--paths", "7"], "pvariation_trichotomy.n_paths", 7, 5, 1000, _EXIT_2),
+    "seed-sample": (["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "2"], ["--seed", "11"],
+                    "sample_spec.seed", 11, 3, _EXIT_2, _EXIT_2),
+    "seed-variation": (["variation", "--spec", "fbm:H=0.75", "--p", "2", "--n", "2^3..2^4", "--paths", "2"],
+                       ["--seed", "11"], "pvariation_trichotomy.seed", 11, 3, _EXIT_2, _EXIT_2),
+    "inner_steps-sample": (["sample", "--spec", _MIDPOINT, "--grid", "1,2"] + _PATHS, ["--inner-steps", "256"],
+                           "sample_spec.inner_steps", 256, 128, None, None),
+}
+_SOURCES = {"flag": _FULL_CFG, "config": _FULL_CFG, "config_without_block": _BARE_CFG, "default": None}
+
+
+def _plain(value):
+    if isinstance(value, ProcessSpec):
+        return value.label()
+    if isinstance(value, GramMatrix):
+        value = value.grid
+    return tuple(value.times) if isinstance(value, TimeGrid) else value
+
+
+@pytest.mark.parametrize("source", list(_SOURCES))
+@pytest.mark.parametrize("row", list(_PRECEDENCE))
+def test_cli_settles_flag_over_config_over_default(tmp_path, monkeypatch, capsys, row, source):
+    base, flag, recorded, *expected = _PRECEDENCE[row]
+    seen = {}
+    for name, positional in (("make_kernel", ("spec",)), ("build_gram", ("kernel", "grid")),
+                             ("psd_check", ("gram",)), ("markov_test", ("kernel", "grid")),
+                             ("asym_coeff_estimate", ("spec", "u")),
+                             ("sample_spec", ("spec", "grid", "n_paths", "seed")),
+                             ("pvariation_trichotomy", ("spec", "p", "n_list", "n_paths", "seed"))):
+        def recording(*args, _name=name, _positional=positional, _real=getattr(ssgm.cli, name), **kwargs):
+            seen.update((f"{_name}.{key}", value) for key, value in zip(_positional, args))
+            seen.update((f"{_name}.{key}", value) for key, value in kwargs.items())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ssgm.cli, name, recording)
+    argv = base + (flag if source == "flag" else [])
+    if _SOURCES[source] is not None:
+        (tmp_path / "run.cfg").write_text(_SOURCES[source])
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    rc = main(argv)
+    want = expected[list(_SOURCES).index(source)]
+    if want == _EXIT_2:
+        assert rc == 2 and capsys.readouterr().err.count("\n") == 1
+    else:
+        assert rc == 0
+        assert _plain(seen[recorded]) == want

@@ -332,6 +332,15 @@ def test_volterra_domain_errors():
         volterra_kernel(0.5, -1.0, 3.0, 2.0)  # s > t
 
 
+@pytest.mark.parametrize("s, t", [(math.nan, 1.0), (0.5, math.nan), (0.5, math.inf), (math.inf, 1.0),
+                                  (np.array([0.5, math.nan]), np.array([1.0, 2.0]))],
+                         ids=["s_nan", "t_nan", "t_inf", "s_inf", "array_nan"])
+def test_volterra_refuses_non_finite_times(s, t):
+    # every check is written so that nan fails it
+    with pytest.raises(ParameterError):
+        volterra_kernel(0.5, -1.0, s, t)
+
+
 def test_isometry_brownian_exact():
     assert isometry_residual(0.5, -1.0, 2.0, 3.0) <= 1e-12
 
@@ -536,6 +545,26 @@ def test_spec_string_round_trip():
     for spec in specs:
         text = format_spec_string(spec)
         assert parse_spec_string(text) == spec
+
+
+@pytest.mark.parametrize("text, key", [
+    ("fbm:H=0.3,c=5", "'c'"),
+    ("white-noise:H=0.6,beta=1", "'beta'"),
+    ("canonical:H=0.7,c=-0.9,htilde=0.5", "'htilde'"),
+    ("bfbm:htilde=0.5,ktilde=0.5,g=const:1.0", "'g'"),
+    ("volterra-g:H=0.25,beta=1.0,g=const:1.0,k=2", "'k'"),
+    ("rl:H=0.25,h=0.3", "'h'"),
+])
+def test_spec_string_refuses_keys_the_family_does_not_take(text, key):
+    with pytest.raises(ParameterError, match=f"unknown parameter {key} for family"):
+        parse_spec_string(text)
+
+
+def test_spec_string_bfbm_given_H_is_checked():
+    # H is what the spec writes for bfbm, so it may be given, but it must be htilde * ktilde
+    assert parse_spec_string("bfbm:H=0.25,htilde=0.5,ktilde=0.5") == ProcessSpec.bi_fbm(0.5, 0.5)
+    with pytest.raises(ParameterError, match="H = htilde"):
+        parse_spec_string("bfbm:H=0.9,htilde=0.5,ktilde=0.5")
 
 
 def test_spec_string_minus_inf_spelling():

@@ -6,10 +6,13 @@ and zero on the axes.  Riemann-Liouville switches formulas at z = m/M = 1/2
 for H < 1/2, and the two must meet there.  Spec strings and config files
 parse back to what was formatted.  The p-variation trichotomy reads every
 dyadic level off one ensemble on the finest grid, so two level lists with the
-same finest n agree exactly on the levels they share.  Examples are
+same finest n agree exactly on the levels they share.  A command line with
+one corrupted token exits 2 or 3 with one stderr line.  Examples are
 derandomized, so a run is reproducible.
 """
 
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ssgm import (Family, GFunction, ProcessSpec, eval_rl,  # noqa: E402
                   format_spec_string, make_kernel, parse_spec_string,
                   pvariation_trichotomy)
+from ssgm.cli import main  # noqa: E402
 from ssgm.config import (GridConfig, MCConfig, RunConfig,  # noqa: E402
                          ToleranceConfig, parse_config, serialize_config)
 
@@ -183,3 +187,48 @@ def test_config_round_trip(cfg):
     text = serialize_config(cfg)
     assert parse_config(text) == cfg
     assert serialize_config(parse_config(text)) == text
+
+
+# one small valid command per subcommand, each exiting 0
+_BASE_ARGV = [
+    ["kernel-eval", "--kernel", "fbm:H=0.3", "--s", "1", "--t", "2"],
+    ["posdef", "--kernel", "fbm:H=0.3", "--grid", "1,2", "--psd-tol", "1e-10"],
+    ["markov-test", "--kernel", "canonical:H=0.5,c=-1", "--grid", "1,2,3"],
+    ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "2", "--seed", "1", "--scheme", "cholesky"],
+    ["variation", "--spec", "fbm:H=0.75", "--p", "2", "--n", "2^3..2^4", "--paths", "2", "--seed", "1"],
+    ["asym", "--spec", "rl:H=0.25", "--points", "12"],
+]
+_BAD_NUMBERS = ["x", "nan", "1e", "1..2", "0x10", "1,,2"]
+
+
+@st.composite
+def _malformed_argv(draw):
+    """A base command with one token corrupted: a malformed number, a bad choice,
+    a missing value, an unknown flag or a spec key the family does not take."""
+    argv = list(draw(st.sampled_from(_BASE_ARGV)))
+    values = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")]
+    kind = draw(st.sampled_from(["number", "choice", "missing", "flag", "spec_key"]))
+    if kind == "number":
+        argv[draw(st.sampled_from(values))] = draw(st.sampled_from(_BAD_NUMBERS))
+    elif kind == "choice":  # the subcommand, or sample's --scheme
+        at = draw(st.sampled_from([0] + [i + 1 for i, a in enumerate(argv) if a == "--scheme"]))
+        argv[at] = draw(st.sampled_from(["foo", "Cholesky", "circ", "kernel_eval"]))
+    elif kind == "missing":
+        del argv[draw(st.sampled_from(values))]
+    elif kind == "flag":  # none of these abbreviates a real flag
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "--zzz=1", "--threadz"])))
+    else:  # every base spec follows the subcommand's spec flag; none takes any of these keys
+        argv[2] += f",{draw(st.sampled_from(['zz', 'beta', 'htilde', 'ktilde', 'g', 'h']))}=1"
+    return argv
+
+
+@_SETTINGS
+@given(_malformed_argv())
+def test_malformed_argv_exits_with_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)  # a SystemExit or any other exception fails the property
+    assert rc in (2, 3)
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("ssgm: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()

@@ -549,6 +549,35 @@ def test_load_rejects_size_mismatch(tmp_path, extra):
         load_ensemble(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda side: side.update(dtype="float32"),
+    lambda side: side.update(order="C"),
+    lambda side: side.pop("seed"),
+    lambda side: side.pop("dtype"),
+], ids=["float32", "C_order", "no_seed", "no_dtype"])
+def test_load_rejects_inconsistent_sidecar(tmp_path, edit):
+    ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
+    path = tmp_path / "ens.bin"
+    save_ensemble(ens, path)
+    side = tmp_path / "ens.bin.json"
+    sidecar = json.loads(side.read_text())
+    edit(sidecar)
+    side.write_text(json.dumps(sidecar))
+    with pytest.raises(ParameterError, match="ens.bin.json"):
+        load_ensemble(path)
+
+
+@pytest.mark.parametrize("text", ["", '{"spec": "fbm:H=0.3", "grid": [1', "[1, 2]"],
+                         ids=["empty", "truncated", "not_an_object"])
+def test_load_rejects_malformed_sidecar(tmp_path, text):
+    ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
+    path = tmp_path / "ens.bin"
+    save_ensemble(ens, path)
+    (tmp_path / "ens.bin.json").write_text(text)
+    with pytest.raises(ParameterError, match="ens.bin.json"):
+        load_ensemble(path)
+
+
 # ---------------------------------------------------------------------------
 # block layout, seed range, empirical_cov reference
 # ---------------------------------------------------------------------------
