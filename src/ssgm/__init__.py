@@ -14,11 +14,9 @@ from .markov import (AsymReport, CanonicalFit, FactorizationResult,
                      fit_canonical, gf_factorize, markov_test,
                      multiplicative_check, sqrt_diag_profile)
 from .quadrature import QuadResult, integrate_power_upper
-from .samplers import (EmpiricalCov, PathEnsemble, SelfSimReport,
+from .samplers import (SCHEMES, EmpiricalCov, PathEnsemble, SelfSimReport,
                        empirical_cov, ensemble_to_csv, load_ensemble,
-                       sample_cholesky, sample_circulant, sample_spec,
-                       sample_timechange, sample_volterra_poly,
-                       sample_volterra_zg, sample_whitenoise, save_ensemble,
+                       sample_spec, sample_timechange, save_ensemble,
                        selfsim_check, set_max_workers)
 from .variation import (ErgodicAverage, IncrementVariance, VariationReport,
                         ergodic_average, gaussian_abs_moment,

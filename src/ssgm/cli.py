@@ -27,7 +27,7 @@ from .gram import (GramMatrix, MinorQuery, TimeGrid, build_gram, gram_to_csv,
 from .kernels import Family, make_kernel, parse_spec_string
 from .markov import asym_coeff_estimate, markov_test, sqrt_diag_profile
 from .quadrature import DEFAULT_BUDGET
-from .samplers import (empirical_cov, ensemble_to_csv, sample_spec,
+from .samplers import (SCHEMES, empirical_cov, ensemble_to_csv, sample_spec,
                        save_ensemble, set_max_workers)
 from .variation import pvariation_trichotomy, variation_to_csv
 
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--scheme",
-                   choices=["timechange", "cholesky", "circulant", "whitenoise", "volterra", "poly"],
+                   choices=SCHEMES,
                    help="sampling scheme (default: the family's own; fbm takes circulant on a "
                         "uniform grid t_k = k*h, with or without a leading 0, and cholesky otherwise; "
                         "volterra-g takes the exact poly scheme for g=const and an integer beta >= 0, "

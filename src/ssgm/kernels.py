@@ -298,8 +298,11 @@ def parse_spec_string(text: str) -> ProcessSpec:
             key, eq, value = item.partition("=")
             if not eq:
                 raise ParameterError(f"cannot parse spec fragment {item!r}")
+            key = key.strip()
+            if key in params:
+                raise ParameterError(f"spec key {key!r} given twice in {text!r}")
             # g labels contain a colon which partition already preserved
-            params[key.strip()] = value.strip()
+            params[key] = value.strip()
     return spec_from_params(params)
 
 

@@ -1,5 +1,11 @@
 """Path generation for every process family, with reproducible substreams.
 
+``sample_spec`` is the one entry point: it checks the path count and seed,
+picks a scheme (the family's default unless one of ``SCHEMES`` is asked
+for) and runs that scheme's builder on the positive grid times, so a
+leading t = 0 is a zero column in every scheme.  A builder refuses a spec
+or grid it does not fit; otherwise its ``_Plan`` says how to draw.
+
 Randomness discipline: paths are drawn in blocks of ``_BLOCK`` = 1024.
 Block ``b`` (paths ``b * 1024`` onward) draws ``n_draws`` standard normals
 per path, one row per path in grid order, from the counter-based Philox
@@ -24,25 +30,21 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .gram import TimeGrid, build_gram
-from .kernels import CovKernel, Family, GFunction, ProcessSpec, make_kernel, parse_spec_string
+from .kernels import Family, GFunction, ProcessSpec, make_kernel, parse_spec_string
 
 __all__ = [
     "PathEnsemble",
     "EmpiricalCov",
     "SelfSimReport",
-    "sample_timechange",
-    "sample_whitenoise",
-    "sample_cholesky",
-    "sample_circulant",
-    "sample_volterra_zg",
-    "sample_volterra_poly",
+    "SCHEMES",
     "sample_spec",
+    "sample_timechange",
     "empirical_cov",
     "selfsim_check",
     "set_max_workers",
@@ -126,9 +128,7 @@ class PathEnsemble:
     grid: TimeGrid
     values: np.ndarray  # n_paths x d
     seed: int
-    # "timechange" | "cholesky" | "circulant" | "poly" | "whitenoise", or "volterra",
-    # the midpoint scheme of volterra-g
-    scheme: str
+    scheme: str  # one of SCHEMES; "volterra" is the midpoint scheme of volterra-g
     inner_steps: Optional[int] = None
     jitter: float = 0.0
 
@@ -153,6 +153,8 @@ class EmpiricalCov:
 
 
 def _check_sampling_args(n_paths: int, seed: int) -> None:
+    if not isinstance(n_paths, (int, np.integer)):
+        raise ParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths!r}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
@@ -165,24 +167,34 @@ def _positive_times(grid: TimeGrid) -> np.ndarray:
     return times[1:] if times[0] == 0.0 else times
 
 
-def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
-    """Exact sampler X_t = t^(2H+c) W(t^(-2H-2c)) for finite c <= -H.
+class _Plan(NamedTuple):
+    """A builder's answer: the ``_sample_blocks`` arguments, and what the ensemble records."""
+
+    spec: ProcessSpec
+    n_draws: int
+    transform: Callable[[np.ndarray], np.ndarray]
+    min_rows: int = _TILE
+    inner_steps: Optional[int] = None
+    jitter: float = 0.0
+
+
+def _timechange(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Plan:
+    """Exact X_t = t^(2H+c) W(t^(-2H-2c)) for the canonical family with finite c <= -H.
 
     The time change tau(t) = t^(-2H-2c) is nondecreasing, so W is built from
     independent Gaussian increments in grid order.  At c = -H all tau
     coincide and every path is the rank-one t^H W(1).
     """
-    spec = ProcessSpec.canonical(H, c)
-    if math.isinf(c):
-        raise ParameterError("time-change sampler requires finite c; use sample_whitenoise")
-    _check_sampling_args(n_paths, seed)
-    pos = _positive_times(grid)
-    tau = pos ** (-2.0 * H - 2.0 * c)
+    if spec.family != Family.CANONICAL:
+        raise ParameterError("timechange scheme applies to the canonical family")
+    if math.isinf(spec.c):
+        raise ParameterError("time-change sampler requires finite c; use the whitenoise scheme")
+    tau = pos ** (-2.0 * spec.H - 2.0 * spec.c)
     dtau = np.diff(np.concatenate([[0.0], tau]))
     if np.any(dtau < 0):  # theoretically impossible for c <= -H
         raise NumericalError("time change is not monotone")
     sqrt_dtau = np.sqrt(dtau)
-    scale = pos ** (2.0 * H + c)
+    scale = pos ** (2.0 * spec.H + spec.c)
 
     def transform(z):
         # in place on the block's normals: scale * cumsum(sqrt_dtau * z), no full-size temporaries
@@ -190,18 +202,15 @@ def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: in
         np.cumsum(z, axis=1, out=z)
         return np.multiply(z, scale, out=z)
 
-    values = _sample_blocks(seed, n_paths, pos.size, len(grid), transform)
-    return PathEnsemble(spec, grid, values, seed, "timechange")
+    return _Plan(spec, pos.size, transform)
 
 
-def sample_whitenoise(H: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
-    """Independent N(0, t^(2H)) draws per grid point per path."""
-    spec = ProcessSpec.white_noise(H)
-    _check_sampling_args(n_paths, seed)
-    times = grid.times
-    sd = times**H  # zero at t = 0
-    values = _sample_blocks(seed, n_paths, times.size, times.size, lambda z: sd * z)
-    return PathEnsemble(spec, grid, values, seed, "whitenoise")
+def _whitenoise(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Plan:
+    """Independent N(0, t^(2H)) draws per positive grid time; also the canonical c = -inf limit."""
+    if spec.family != Family.WHITE_NOISE and not (spec.family == Family.CANONICAL and math.isinf(spec.c)):
+        raise ParameterError("whitenoise scheme applies to the white-noise family")
+    sd = pos**spec.H
+    return _Plan(ProcessSpec.white_noise(spec.H), pos.size, lambda z: sd * z)
 
 
 _JITTER_START = 1e-12
@@ -228,18 +237,15 @@ def _cholesky_with_jitter(G: np.ndarray):
                 )
 
 
-def sample_cholesky(kernel: CovKernel, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
-    """Generic Gaussian sampler from a factorized Gram matrix.
+def _cholesky(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Plan:
+    """Any family, from the factorized ``make_kernel`` Gram matrix at the positive times.
 
     Paths have exactly the Gram covariance up to the recorded factorization
-    jitter.  A leading t = 0 grid point maps to an identically zero column.
+    jitter.
     """
-    _check_sampling_args(n_paths, seed)
-    pos = _positive_times(grid)
-    G = build_gram(kernel, TimeGrid(pos)).entries if pos.size else np.zeros((0, 0))
+    G = build_gram(make_kernel(spec), TimeGrid(pos)).entries if pos.size else np.zeros((0, 0))
     L, jitter = _cholesky_with_jitter(G)
-    values = _sample_blocks(seed, n_paths, pos.size, len(grid), lambda z: _tiled(z, L.T))
-    return PathEnsemble(kernel.spec, grid, values, seed, "cholesky", jitter=jitter)
+    return _Plan(spec, pos.size, lambda z: _tiled(z, L.T), jitter=jitter)
 
 
 def _uniform_step(pos: np.ndarray) -> Optional[float]:
@@ -287,22 +293,18 @@ def _circulant_transform(H: float, n: int, h: float) -> Callable[[np.ndarray], n
     return transform
 
 
-def sample_circulant(H: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
-    """Exact fBm sampler on a uniform grid by circulant embedding, O(n log n) per path.
+def _circulant(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Plan:
+    """Exact fBm on a uniform grid h, 2h, ..., nh by circulant embedding, O(n log n) per path.
 
-    The grid must be h, 2h, ..., nh, optionally with a leading t = 0 (a zero
-    column).  Each path draws 2n normals; its covariance is exactly the fBm
-    covariance on the grid, up to rounding.  A negative circulant eigenvalue
-    raises :class:`NumericalError`; there is no fallback.
+    Each path draws 2n normals.  A negative circulant eigenvalue raises
+    :class:`NumericalError`; there is no fallback.
     """
-    spec = ProcessSpec.fbm(H)
-    _check_sampling_args(n_paths, seed)
-    pos = _positive_times(grid)
+    if spec.family != Family.FBM:
+        raise ParameterError("circulant scheme applies to the fbm family")
     h = _uniform_step(pos)
     if h is None:
         raise ParameterError("circulant scheme needs a uniform grid t_k = k*h (optionally with a leading 0)")
-    values = _sample_blocks(seed, n_paths, 2 * pos.size, len(grid), _circulant_transform(H, pos.size, h))
-    return PathEnsemble(spec, grid, values, seed, "circulant")
+    return _Plan(spec, 2 * pos.size, _circulant_transform(spec.H, pos.size, h))
 
 
 def _zg_discrete_var(spec: ProcessSpec, inner_steps: int) -> float:
@@ -337,16 +339,8 @@ def _volterra_transform(spec: ProcessSpec, pos: np.ndarray, inner_steps: int) ->
     return sqrt_w.size, transform
 
 
-def sample_volterra_zg(
-    H: float,
-    beta: float,
-    g: GFunction,
-    grid: TimeGrid,
-    inner_steps: Optional[int] = None,
-    n_paths: int = 1,
-    seed: int = 0,
-) -> PathEnsemble:
-    """Discretized Z_t = t^(H-1/2) integral_0^t (1-s/t)^beta g(s/t) dB_s.
+def _volterra(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Plan:
+    """Discretized Z_t = t^(H-1/2) integral_0^t (1-s/t)^beta g(s/t) dB_s for volterra-g.
 
     The midpoint scheme of ``_volterra_transform``, on cells no wider than
     1/inner_steps that never straddle a grid time.  When ``inner_steps`` is
@@ -356,13 +350,12 @@ def sample_volterra_zg(
     ``beta <= 0`` is permitted but flagged: the asymptotic-stationarity
     theory behind downstream diagnostics is only proved for beta > 0.
     """
-    spec = ProcessSpec.volterra_g(H, beta, g)
-    _check_sampling_args(n_paths, seed)
+    if spec.family != Family.VOLTERRA_G:
+        raise ParameterError("volterra scheme applies to volterra-g specs")
     if inner_steps is not None and inner_steps < 64:
         raise ParameterError("inner_steps must be >= 64")
-    pos = _positive_times(grid)
     if not pos.size:  # the grid {0}: one zero column
-        return PathEnsemble(spec, grid, np.zeros((n_paths, 1)), seed, "volterra", inner_steps=inner_steps)
+        return _Plan(spec, 0, lambda z: z, inner_steps=inner_steps)
     if inner_steps is None:
         inner_steps = 256
         v1 = _zg_discrete_var(spec, inner_steps)
@@ -372,8 +365,7 @@ def sample_volterra_zg(
                 break
             inner_steps, v1 = 2 * inner_steps, v2
     n_cells, transform = _volterra_transform(spec, pos, inner_steps)
-    values = _sample_blocks(seed, n_paths, n_cells, len(grid), transform, _LOOP_ROWS)
-    return PathEnsemble(spec, grid, values, seed, "volterra", inner_steps=inner_steps)
+    return _Plan(spec, n_cells, transform, _LOOP_ROWS, inner_steps)
 
 
 def _poly_degree(beta: float, g: GFunction) -> Optional[int]:
@@ -439,28 +431,39 @@ def _poly_transform(H: float, beta: int, a: float, times: np.ndarray) -> Callabl
     return transform
 
 
-def sample_volterra_poly(
-    H: float, beta: float, a: float, grid: TimeGrid, n_paths: int, seed: int
-) -> PathEnsemble:
-    """Exact sampler for constant-g volterra-g, g = a, with integer beta >= 0.
+def _poly(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Plan:
+    """Exact volterra-g with constant g = a and integer beta >= 0.
 
     (t-u)^beta is a polynomial in u, so Z_t is a linear function of the
     (beta+1)-dimensional Gaussian Markov state described in
     ``_poly_transform``.  Each path draws (beta+1) normals per positive grid
     point and costs O(d (beta+1)^2); there is no Gram matrix, factorization
-    or ``inner_steps``.  Any positive grid works, with or without a leading
-    t = 0 (a zero column), and the covariance equals ``make_kernel``'s up to
-    rounding.
+    or ``inner_steps``.  Any positive grid works, and the covariance equals
+    ``make_kernel``'s up to rounding.
     """
-    spec = ProcessSpec.volterra_g(H, beta, GFunction.const(a))
+    if spec.family != Family.VOLTERRA_G or spec.g.kind != "const":
+        raise ParameterError("poly scheme applies to volterra-g specs with constant g")
     degree = _poly_degree(spec.beta, spec.g)
     if degree is None:
-        raise ParameterError(f"poly scheme needs an integer beta >= 0, got beta={beta!r}")
-    _check_sampling_args(n_paths, seed)
-    pos = _positive_times(grid)
-    values = _sample_blocks(seed, n_paths, (degree + 1) * pos.size, len(grid),
-                            _poly_transform(spec.H, degree, spec.g.a, pos), _LOOP_ROWS)
-    return PathEnsemble(spec, grid, values, seed, "poly")
+        raise ParameterError(f"poly scheme needs an integer beta >= 0, got beta={spec.beta!r}")
+    return _Plan(spec, (degree + 1) * pos.size, _poly_transform(spec.H, degree, spec.g.a, pos), _LOOP_ROWS)
+
+
+# scheme name -> builder (spec, positive times, inner_steps) -> _Plan; the order is the CLI's
+_SCHEMES = {"timechange": _timechange, "cholesky": _cholesky, "circulant": _circulant,
+            "whitenoise": _whitenoise, "volterra": _volterra, "poly": _poly}
+SCHEMES = tuple(_SCHEMES)
+
+
+def _default_scheme(spec: ProcessSpec, pos: np.ndarray) -> str:
+    fam = spec.family
+    if fam == Family.CANONICAL and not math.isinf(spec.c):
+        return "timechange"
+    if fam in (Family.CANONICAL, Family.WHITE_NOISE):
+        return "whitenoise"
+    if fam == Family.VOLTERRA_G:
+        return "volterra" if _poly_degree(spec.beta, spec.g) is None else "poly"
+    return "circulant" if fam == Family.FBM and _uniform_step(pos) is not None else "cholesky"
 
 
 def sample_spec(
@@ -471,51 +474,30 @@ def sample_spec(
     scheme: Optional[str] = None,
     inner_steps: Optional[int] = None,
 ) -> PathEnsemble:
-    """Sample a spec with its family-appropriate (or requested) scheme.
+    """Sample a spec with its family's default scheme, or the requested one of ``SCHEMES``.
 
-    The canonical family goes through the exact ``timechange`` scheme.  fBm
-    goes through ``circulant`` on a uniform grid and ``cholesky`` on any
-    other grid.  Volterra-g goes through the exact ``poly`` scheme when g is
+    The canonical family goes through the exact ``timechange`` scheme, its
+    c = -inf limit through ``whitenoise``.  fBm goes through ``circulant`` on
+    a uniform grid and ``cholesky``, which fits every family, on any other
+    grid.  Volterra-g goes through the exact ``poly`` scheme when g is
     constant and beta an integer >= 0, and through the midpoint ``volterra``
-    scheme otherwise.  ``volterra`` applies to volterra-g only, and
-    ``inner_steps`` reaches only that scheme.
+    scheme otherwise; ``inner_steps`` reaches only that scheme.  A scheme
+    that does not fit the spec or the grid raises :class:`ParameterError`.
     """
-    fam = spec.family
+    _check_sampling_args(n_paths, seed)
+    pos = _positive_times(grid)
     if scheme is None:
-        scheme = {
-            Family.CANONICAL: "timechange",
-            Family.WHITE_NOISE: "whitenoise",
-            Family.VOLTERRA_G: "volterra",
-        }.get(fam, "cholesky")
-        if fam == Family.CANONICAL and math.isinf(spec.c):
-            scheme = "whitenoise"
-        if fam == Family.FBM and _uniform_step(_positive_times(grid)) is not None:
-            scheme = "circulant"
-        if fam == Family.VOLTERRA_G and _poly_degree(spec.beta, spec.g) is not None:
-            scheme = "poly"
-    if scheme == "timechange":
-        if fam != Family.CANONICAL:
-            raise ParameterError("timechange scheme applies to the canonical family")
-        return sample_timechange(spec.H, spec.c, grid, n_paths, seed)
-    if scheme == "whitenoise":
-        if fam != Family.WHITE_NOISE and not (fam == Family.CANONICAL and math.isinf(spec.c)):
-            raise ParameterError("whitenoise scheme applies to the white-noise family")
-        return sample_whitenoise(spec.H, grid, n_paths, seed)
-    if scheme == "volterra":
-        if fam != Family.VOLTERRA_G:
-            raise ParameterError("volterra scheme applies to volterra-g specs")
-        return sample_volterra_zg(spec.H, spec.beta, spec.g, grid, inner_steps, n_paths, seed)
-    if scheme == "poly":
-        if fam != Family.VOLTERRA_G or spec.g.kind != "const":
-            raise ParameterError("poly scheme applies to volterra-g specs with constant g")
-        return sample_volterra_poly(spec.H, spec.beta, spec.g.a, grid, n_paths, seed)
-    if scheme == "circulant":
-        if fam != Family.FBM:
-            raise ParameterError("circulant scheme applies to the fbm family")
-        return sample_circulant(spec.H, grid, n_paths, seed)
-    if scheme == "cholesky":
-        return sample_cholesky(make_kernel(spec), grid, n_paths, seed)
-    raise ParameterError(f"unknown sampling scheme {scheme!r}")
+        scheme = _default_scheme(spec, pos)
+    if scheme not in _SCHEMES:
+        raise ParameterError(f"unknown sampling scheme {scheme!r}")
+    plan = _SCHEMES[scheme](spec, pos, inner_steps)
+    values = _sample_blocks(seed, n_paths, plan.n_draws, len(grid), plan.transform, plan.min_rows)
+    return PathEnsemble(plan.spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
+
+
+def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
+    """``sample_spec`` of the canonical spec (H, c) with the exact ``timechange`` scheme."""
+    return sample_spec(ProcessSpec.canonical(H, c), grid, n_paths, seed, scheme="timechange")
 
 
 def empirical_cov(ensemble: PathEnsemble) -> EmpiricalCov:
@@ -612,12 +594,17 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> PathEnsemble:
-    """Read what :func:`save_ensemble` wrote; a sidecar that does not describe
-    a float64 column-major file, or lacks a key, is refused naming it."""
+    """Read what :func:`save_ensemble` wrote; a missing file, or a sidecar that
+    does not describe a float64 column-major file or lacks a key, is refused
+    naming it."""
     path = Path(path)
     side = path.with_suffix(path.suffix + ".json")
     try:
-        sidecar = json.loads(side.read_text())
+        text, data = side.read_bytes(), path.read_bytes()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ParameterError(f"cannot read {exc.filename}: {exc.strerror}") from exc
+    try:
+        sidecar = json.loads(text)
     except ValueError as exc:  # truncated or not JSON
         raise ParameterError(f"{side}: malformed sidecar: {exc}") from exc
     missing = _SIDECAR_KEYS - sidecar.keys() if isinstance(sidecar, dict) else _SIDECAR_KEYS
@@ -627,7 +614,6 @@ def load_ensemble(path) -> PathEnsemble:
         raise ParameterError(f"{side}: sidecar says dtype {sidecar['dtype']!r}, order {sidecar['order']!r}; "
                              "ensemble files are float64 in column-major (F) order")
     shape = tuple(sidecar["shape"])
-    data = path.read_bytes()
     if len(data) != 8 * math.prod(shape):
         raise ParameterError(
             f"{path}: {len(data)} bytes, but the sidecar shape {list(shape)} needs "

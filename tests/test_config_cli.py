@@ -530,6 +530,19 @@ def test_cli_malformed_argument_table_exit_2(row, capsys):
     assert captured.err.startswith("ssgm: invalid parameters:") and captured.err.count("\n") == 1
 
 
+def test_cli_repeated_spec_key_exit_2(capsys):
+    assert main(["kernel-eval", "--kernel", "fbm:H=0.3,H=0.9", "--s", "1", "--t", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ssgm: invalid parameters: spec key 'H' given twice")
+
+
+def test_cli_accepts_every_sampler_scheme():
+    parser = ssgm.cli.build_parser()
+    for scheme in ssgm.SCHEMES:
+        assert parser.parse_args(["sample", "--scheme", scheme]).scheme == scheme
+
+
 def test_cli_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--help"])

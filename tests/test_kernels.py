@@ -560,6 +560,16 @@ def test_spec_string_refuses_keys_the_family_does_not_take(text, key):
         parse_spec_string(text)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("fbm:H=0.3,H=0.9", "'H'"),
+    ("volterra-g:H=0.25,beta=1.0,g=const:1.0,beta=2.0", "'beta'"),
+    ("fbm:family=sfbm,H=0.3", "'family'"),
+])
+def test_spec_string_refuses_repeated_keys(text, key):
+    with pytest.raises(ParameterError, match=f"spec key {key} given twice"):
+        parse_spec_string(text)
+
+
 def test_spec_string_bfbm_given_H_is_checked():
     # H is what the spec writes for bfbm, so it may be given, but it must be htilde * ktilde
     assert parse_spec_string("bfbm:H=0.25,htilde=0.5,ktilde=0.5") == ProcessSpec.bi_fbm(0.5, 0.5)

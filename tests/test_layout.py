@@ -55,6 +55,17 @@ def test_no_foreign_private_names(path):
     assert _foreign_private_uses(path) == []
 
 
+def test_sample_blocks_has_one_caller():
+    # every scheme is a builder that sample_spec runs; only sample_spec draws
+    callers = []
+    for path in _MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [f"{path.name}:{fn.name}" for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Name) and node.func.id == "_sample_blocks"]
+    assert callers == ["samplers.py:sample_spec"]
+
+
 def _package_imports() -> dict:
     """{module file name: names} that ``ssgm/__init__.py`` imports from each sibling module."""
     tree = ast.parse((_SRC / "__init__.py").read_text())

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,10 +12,8 @@ import pytest
 import ssgm
 from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   ensemble_to_csv, eval_fbm, increment_variance,
-                  load_ensemble, make_kernel, parse_spec_string, sample_cholesky,
-                  sample_circulant, sample_spec, sample_timechange,
-                  sample_volterra_poly, sample_volterra_zg,
-                  sample_whitenoise, save_ensemble, selfsim_check,
+                  load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_spec,
+                  sample_timechange, save_ensemble, selfsim_check,
                   set_max_workers)
 from ssgm.errors import NumericalError, ParameterError
 from ssgm.samplers import (_circulant_transform, _hilbert_cholesky, _poly_transform, _uniform_step,
@@ -108,7 +107,7 @@ def test_timechange_rejects_infinite_c():
 
 def test_whitenoise_moments():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0, 2.0]))
-    ens = sample_whitenoise(0.6, grid, 30000, 15)
+    ens = sample_spec(ProcessSpec.white_noise(0.6), grid, 30000, 15, scheme="whitenoise")
     emp = empirical_cov(ens)
     target = np.diag(grid.times**1.2)
     assert np.all(ens.values[:, 0] == 0.0)
@@ -126,38 +125,33 @@ def test_whitenoise_moments():
 
 def test_cholesky_cross_checks_timechange():
     grid = TimeGrid(np.array([0.25, 0.5, 1.0, 2.0]))
-    k = make_kernel(ProcessSpec.canonical(0.5, -1.0))
-    e1 = empirical_cov(sample_cholesky(k, grid, 30000, 16))
+    e1 = empirical_cov(sample_spec(ProcessSpec.canonical(0.5, -1.0), grid, 30000, 16, scheme="cholesky"))
     e2 = empirical_cov(sample_timechange(0.5, -1.0, grid, 30000, 17))
     combined = np.sqrt(e1.se**2 + e2.se**2)
     assert np.max(np.abs(e1.cov - e2.cov) / combined) < 4.0
 
 
 def test_cholesky_matches_kernel_nonbrownian():
-    k = make_kernel(SPEC)
-    ens = sample_cholesky(k, GRID, 30000, 33)
+    ens = sample_spec(SPEC, GRID, 30000, 33, scheme="cholesky")
     assert _max_z(SPEC, ens) < 4.0
 
 
 def test_cholesky_sfbm_r11():
     grid = TimeGrid(np.array([0.5, 1.0]))
-    k = make_kernel(ProcessSpec.sub_fbm(0.25))
-    emp = empirical_cov(sample_cholesky(k, grid, 40000, 18))
+    emp = empirical_cov(sample_spec(ProcessSpec.sub_fbm(0.25), grid, 40000, 18, scheme="cholesky"))
     target = 2.0 - 2.0 ** (-0.5)
     assert abs(emp.cov[1, 1] - target) < 4.0 * emp.se[1, 1]
 
 
 def test_cholesky_degenerate_needs_jitter():
-    k = make_kernel(ProcessSpec.canonical(0.7, -0.7))
-    ens = sample_cholesky(k, GRID, 100, 19)
+    ens = sample_spec(ProcessSpec.canonical(0.7, -0.7), GRID, 100, 19, scheme="cholesky")
     assert ens.jitter > 0.0
     assert ens.jitter <= 1e-6
 
 
 def test_cholesky_zero_column():
     grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
-    k = make_kernel(ProcessSpec.fbm(0.3))
-    ens = sample_cholesky(k, grid, 64, 20)
+    ens = sample_spec(ProcessSpec.fbm(0.3), grid, 64, 20, scheme="cholesky")
     assert np.all(ens.values[:, 0] == 0.0)
 
 
@@ -179,6 +173,17 @@ def test_default_scheme_on_zero_only_grid_gives_zero_column(label, scheme):
     np.testing.assert_array_equal(ens.values, np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("label", [
+    "canonical:H=0.7,c=-1.5", "canonical:H=0.4,c=-inf", "white-noise:H=0.6", "fbm:H=0.3", "sfbm:H=0.3",
+    "volterra-g:H=0.25,beta=1,g=const:1.0", "volterra-g:H=0.25,beta=0.5,g=const:1.0",
+])
+def test_default_scheme_t0_column_is_positive_zero(label):
+    # every scheme draws only for positive times, so t = 0 is +0.0 and the CSV never shows -0.0
+    ens = sample_spec(parse_spec_string(label), TimeGrid(np.array([0.0, 0.5, 1.0])), 8, 1)
+    assert not np.any(np.signbit(ens.values[:, 0]))
+    assert "-0.0" not in ensemble_to_csv(ens)
+
+
 # ---------------------------------------------------------------------------
 # circulant (Davies-Harte) sampler
 # ---------------------------------------------------------------------------
@@ -198,7 +203,7 @@ def test_circulant_exact_covariance(H, lead0):
 
 def test_circulant_zero_column():
     grid = TimeGrid(np.arange(0, 65) / 64.0)
-    ens = sample_circulant(0.3, grid, 64, 20)
+    ens = sample_spec(ProcessSpec.fbm(0.3), grid, 64, 20, scheme="circulant")
     assert ens.scheme == "circulant"
     assert np.all(ens.values[:, 0] == 0.0)
     assert ens.spec == ProcessSpec.fbm(0.3)
@@ -207,7 +212,7 @@ def test_circulant_zero_column():
 @pytest.mark.parametrize("times", [[0.1, 0.2, 0.4], [0.0, 0.5, 1.5], [0.0]])
 def test_circulant_rejects_nonuniform_grid(times):
     with pytest.raises(ParameterError, match="uniform grid"):
-        sample_circulant(0.3, TimeGrid(np.array(times)), 4, 1)
+        sample_spec(ProcessSpec.fbm(0.3), TimeGrid(np.array(times)), 4, 1, scheme="circulant")
 
 
 def test_circulant_negative_eigenvalue_raises(monkeypatch):
@@ -224,7 +229,8 @@ def test_circulant_negative_eigenvalue_raises(monkeypatch):
 
 def test_volterra_zg_brownian():
     grid = TimeGrid(np.array([0.25, 0.5, 1.0]))
-    ens = sample_volterra_zg(0.5, 0.0, GFunction.const(1.0), grid, 256, 20000, 22)
+    bm_spec = ProcessSpec.volterra_g(0.5, 0.0, GFunction.const(1.0))
+    ens = sample_spec(bm_spec, grid, 20000, 22, scheme="volterra", inner_steps=256)
     emp = empirical_cov(ens)
     bm = np.minimum.outer(grid.times, grid.times)
     assert np.max(np.abs(emp.cov - bm) / emp.se) < 4.0
@@ -233,15 +239,15 @@ def test_volterra_zg_brownian():
 def test_volterra_zg_variance_refines():
     # Var(Z_1) -> 1/3 as inner_steps grows (beta=1, g=1)
     grid = TimeGrid(np.array([1.0]))
+    spec = ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0))
     gaps = []
     for steps in (64, 256, 1024):
-        ens = sample_volterra_zg(0.25, 1.0, GFunction.const(1.0), grid, steps, 30000, 23)
+        ens = sample_spec(spec, grid, 30000, 23, scheme="volterra", inner_steps=steps)
         gaps.append(abs(np.var(ens.values[:, 0], ddof=1) - 1.0 / 3.0))
     assert gaps[-1] < 0.01
     # discretized variance itself converges: compare deterministic weights
     from ssgm.samplers import _zg_discrete_var
 
-    spec = ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0))
     dv = [abs(_zg_discrete_var(spec, s) - 1.0 / 3.0) for s in (64, 256, 1024)]
     assert dv[0] > dv[1] > dv[2]
 
@@ -252,14 +258,15 @@ def test_volterra_zg_log_weight_variance():
     from ssgm import volterra_g_variance
 
     assert volterra_g_variance(spec) == pytest.approx(0.25, abs=1e-9)
-    ens = sample_volterra_zg(0.25, 0.5, GFunction.log_pow(1), TimeGrid(np.array([1.0])), 1024, 30000, 24)
+    ens = sample_spec(spec, TimeGrid(np.array([1.0])), 30000, 24, scheme="volterra", inner_steps=1024)
     v = float(np.var(ens.values[:, 0], ddof=1))
     se = 0.25 * np.sqrt(2.0 / 30000)
     assert abs(v - 0.25) < 4.0 * se + 0.01  # MC + discretization tolerance
 
 
 def test_volterra_zg_auto_steps():
-    ens = sample_volterra_zg(0.25, 1.0, GFunction.const(1.0), TimeGrid(np.array([1.0])), None, 5, 25)
+    spec = ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0))
+    ens = sample_spec(spec, TimeGrid(np.array([1.0])), 5, 25, scheme="volterra")
     assert ens.inner_steps >= 256
 
 
@@ -269,7 +276,8 @@ def test_volterra_zg_zero_only_grid_gives_zero_column(inner_steps, monkeypatch):
     # policy does not run, and without inner_steps none is recorded, as for poly
     calls = []
     monkeypatch.setattr(ssgm.samplers, "_zg_discrete_var", lambda *a: calls.append(a) or 1.0)
-    ens = sample_volterra_zg(0.25, 0.5, GFunction.const(1.0), TimeGrid(np.array([0.0])), inner_steps, 3, 1)
+    spec = ProcessSpec.volterra_g(0.25, 0.5, GFunction.const(1.0))
+    ens = sample_spec(spec, TimeGrid(np.array([0.0])), 3, 1, scheme="volterra", inner_steps=inner_steps)
     np.testing.assert_array_equal(ens.values, np.zeros((3, 1)))
     assert calls == [] and ens.inner_steps == inner_steps
 
@@ -279,7 +287,8 @@ def test_volterra_zg_zero_only_grid_gives_zero_column(inner_steps, monkeypatch):
 def test_volterra_zg_grid_time_just_below_lattice_point(g, inner_steps):
     # 0.7 - 0.2 is one ulp below the lattice point 1/2: the cell ending at 1/2 lies past t
     grid = TimeGrid(np.array([0.7 - 0.2, 1.0]))
-    ens = sample_volterra_zg(0.25, 0.5, g, grid, inner_steps, 3, 1)
+    spec = ProcessSpec.volterra_g(0.25, 0.5, g)
+    ens = sample_spec(spec, grid, 3, 1, scheme="volterra", inner_steps=inner_steps)
     assert np.all(np.isfinite(ens.values))
 
 
@@ -319,7 +328,8 @@ def test_volterra_midpoint_exact_covariance(g, beta, times):
 
 
 def test_volterra_zg_unproven_regime_allowed():
-    ens = sample_volterra_zg(0.25, -0.25, GFunction.const(1.0), TimeGrid(np.array([0.5, 1.0])), 128, 5, 26)
+    spec = ProcessSpec.volterra_g(0.25, -0.25, GFunction.const(1.0))
+    ens = sample_spec(spec, TimeGrid(np.array([0.5, 1.0])), 5, 26, scheme="volterra", inner_steps=128)
     assert not ens.spec.proven_regime
 
 
@@ -364,7 +374,7 @@ def test_poly_increment_variance_matches_ito_exact(beta, H, t):
 
 def test_poly_zero_column_and_metadata():
     grid = TimeGrid(np.array([0.0, 0.5, 1.5, 4.0]))
-    ens = sample_volterra_poly(0.25, 2, 0.7, grid, 16, 9)
+    ens = sample_spec(ProcessSpec.volterra_g(0.25, 2, GFunction.const(0.7)), grid, 16, 9, scheme="poly")
     assert ens.scheme == "poly"
     assert ens.inner_steps is None
     assert ens.spec == ProcessSpec.volterra_g(0.25, 2.0, GFunction.const(0.7))
@@ -375,7 +385,7 @@ def test_poly_zero_column_and_metadata():
 @pytest.mark.parametrize("beta", [0.5, 1.0 + 1e-12])
 def test_poly_rejects_non_integer_beta(beta):
     with pytest.raises(ParameterError, match="integer beta"):
-        sample_volterra_poly(0.25, beta, 1.0, GRID, 4, 1)
+        sample_spec(ProcessSpec.volterra_g(0.25, beta, GFunction.const(1.0)), GRID, 4, 1, scheme="poly")
 
 
 def _poly_stepwise(H, beta, a, times, z):
@@ -417,7 +427,7 @@ def test_poly_transform_matches_stepwise_reference(beta):
 # ---------------------------------------------------------------------------
 
 def test_empirical_cov_basic():
-    ens = sample_whitenoise(0.5, TimeGrid(np.array([1.0, 2.0])), 5000, 27)
+    ens = sample_spec(ProcessSpec.white_noise(0.5), TimeGrid(np.array([1.0, 2.0])), 5000, 27)
     emp = empirical_cov(ens)
     assert emp.cov.shape == (2, 2)
     assert np.all(emp.se >= 0.0)
@@ -426,7 +436,7 @@ def test_empirical_cov_basic():
 
 
 def test_empirical_cov_needs_two_paths():
-    ens = sample_whitenoise(0.5, TimeGrid(np.array([1.0])), 1, 28)
+    ens = sample_spec(ProcessSpec.white_noise(0.5), TimeGrid(np.array([1.0])), 1, 28)
     with pytest.raises(ParameterError):
         empirical_cov(ens)
 
@@ -567,6 +577,14 @@ def test_load_rejects_inconsistent_sidecar(tmp_path, edit):
         load_ensemble(path)
 
 
+@pytest.mark.parametrize("missing", ["ens.bin", "ens.bin.json"], ids=["no_matrix", "no_sidecar"])
+def test_load_names_missing_file(tmp_path, missing):
+    save_ensemble(sample_timechange(0.7, -1.5, GRID, 7, 77), tmp_path / "ens.bin")
+    (tmp_path / missing).unlink()
+    with pytest.raises(ParameterError, match=re.escape(f"cannot read {tmp_path / missing}:")):
+        load_ensemble(tmp_path / "ens.bin")
+
+
 @pytest.mark.parametrize("text", ["", '{"spec": "fbm:H=0.3", "grid": [1', "[1, 2]"],
                          ids=["empty", "truncated", "not_an_object"])
 def test_load_rejects_malformed_sidecar(tmp_path, text):
@@ -582,21 +600,27 @@ def test_load_rejects_malformed_sidecar(tmp_path, text):
 # block layout, seed range, empirical_cov reference
 # ---------------------------------------------------------------------------
 
+# one (spec, grid, scheme, inner_steps) case per scheme; the midpoint scheme's id is volterra_zg
 _LEAF_SAMPLERS = {
-    "timechange": lambda n: sample_timechange(0.7, -1.5, GRID, n, 5),
-    "whitenoise": lambda n: sample_whitenoise(0.6, GRID, n, 5),
-    "cholesky": lambda n: sample_cholesky(make_kernel(ProcessSpec.fbm(0.3)), GRID, n, 5),
-    "circulant": lambda n: sample_circulant(0.3, UNIFORM, n, 5),
-    "volterra_zg": lambda n: sample_volterra_zg(0.25, 1.0, GFunction.const(1.0), GRID, 64, n, 5),
-    "poly": lambda n: sample_volterra_poly(0.25, 3, 0.7, GRID, n, 5),
+    "timechange": (SPEC, GRID, "timechange", None),
+    "whitenoise": (ProcessSpec.white_noise(0.6), GRID, "whitenoise", None),
+    "cholesky": (ProcessSpec.fbm(0.3), GRID, "cholesky", None),
+    "circulant": (ProcessSpec.fbm(0.3), UNIFORM, "circulant", None),
+    "volterra_zg": (ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0)), GRID, "volterra", 64),
+    "poly": (ProcessSpec.volterra_g(0.25, 3.0, GFunction.const(0.7)), GRID, "poly", None),
 }
+
+
+def _leaf(name, n_paths):
+    spec, grid, scheme, inner_steps = _LEAF_SAMPLERS[name]
+    return sample_spec(spec, grid, n_paths, 5, scheme=scheme, inner_steps=inner_steps)
 
 
 @pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
 def test_paths_depend_only_on_seed_and_index(name):
     # 1025 paths end one row into the second block; 1500 fill more of it
-    short = _LEAF_SAMPLERS[name](1025).values
-    long = _LEAF_SAMPLERS[name](1500).values
+    short = _leaf(name, 1025).values
+    long = _leaf(name, 1500).values
     assert np.array_equal(long[:1025], short)
 
 
@@ -605,10 +629,10 @@ def test_paths_depend_only_on_seed_and_index(name):
 @pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
 def test_row_chunks_keep_bytes(monkeypatch, name, chunk, loop_rows):
     # 8-row chunks end the second block on a partial tile; 40-row chunks do not divide a block
-    default = _LEAF_SAMPLERS[name](1500).values
+    default = _leaf(name, 1500).values
     monkeypatch.setattr(ssgm.samplers, "_CHUNK", chunk)
     monkeypatch.setattr(ssgm.samplers, "_LOOP_ROWS", loop_rows)
-    assert _LEAF_SAMPLERS[name](1500).values.tobytes() == default.tobytes()
+    assert _leaf(name, 1500).values.tobytes() == default.tobytes()
 
 
 def test_midpoint_doubling_evaluates_each_resolution_once(monkeypatch):
@@ -630,11 +654,20 @@ def test_midpoint_doubling_evaluates_each_resolution_once(monkeypatch):
                     break
                 expected *= 2
             calls.clear()
-            ens = sample_volterra_zg(0.3, beta, g, grid, None, 5, 8)
+            ens = sample_spec(spec, grid, 5, 8, scheme="volterra")
             assert ens.inner_steps == expected
             assert len(calls) == len(set(calls)), calls
-            pinned = sample_volterra_zg(0.3, beta, g, grid, expected, 5, 8)
+            pinned = sample_spec(spec, grid, 5, 8, scheme="volterra", inner_steps=expected)
             assert ens.values.tobytes() == pinned.values.tobytes()
+
+
+@pytest.mark.parametrize("n_paths", [2.5, 3.0, "3"])
+def test_non_integer_n_paths_rejected(n_paths):
+    # refused like a bad seed, before anything is drawn
+    with pytest.raises(ParameterError, match="n_paths must be an integer"):
+        sample_spec(SPEC, GRID, n_paths, 1)
+    with pytest.raises(ParameterError, match="n_paths must be an integer"):
+        pvariation_trichotomy(ProcessSpec.fbm(0.3), 2.0, [4, 8], n_paths, 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
@@ -648,7 +681,7 @@ def test_largest_seed_accepted():
 
 
 def test_empirical_cov_matches_two_loop_reference():
-    ens = sample_cholesky(make_kernel(ProcessSpec.fbm(0.3)), GRID, 300, 34)
+    ens = sample_spec(ProcessSpec.fbm(0.3), GRID, 300, 34, scheme="cholesky")
     X = ens.values
     n, d = X.shape
     mean = [sum(X[:, i]) / n for i in range(d)]
@@ -664,8 +697,8 @@ def test_empirical_cov_matches_two_loop_reference():
 _COV_BYTES = """
 import hashlib
 import numpy as np
-from ssgm import TimeGrid, empirical_cov, sample_whitenoise
-ens = sample_whitenoise(0.3, TimeGrid(np.arange(1, 514) / 512.0), 64, 3)
+from ssgm import ProcessSpec, TimeGrid, empirical_cov, sample_spec
+ens = sample_spec(ProcessSpec.white_noise(0.3), TimeGrid(np.arange(1, 514) / 512.0), 64, 3)
 print(hashlib.sha256(empirical_cov(ens).cov.tobytes()).hexdigest())
 """
 
