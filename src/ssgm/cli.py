@@ -27,7 +27,7 @@ from .gram import (GramMatrix, MinorQuery, TimeGrid, build_gram, gram_to_csv,
 from .kernels import Family, make_kernel, parse_spec_string
 from .markov import asym_coeff_estimate, markov_test, sqrt_diag_profile
 from .quadrature import DEFAULT_BUDGET
-from .samplers import (SCHEMES, empirical_cov, ensemble_to_csv, sample_spec,
+from .samplers import (SCHEMES, empirical_cov, ensemble_csv_lines, sample_spec,
                        save_ensemble, set_max_workers)
 from .variation import pvariation_trichotomy, variation_to_csv
 
@@ -68,8 +68,14 @@ def _check_writable(*paths) -> None:
 
 
 def _write_text(path, text: str) -> None:
-    with _writing(path):
-        Path(path).write_bytes(text.encode())
+    _write_lines(path, [text])
+
+
+def _write_lines(path, lines) -> None:
+    """Write an iterable of strings one at a time, so only one is held."""
+    with _writing(path), open(path, "wb") as fh:
+        for line in lines:
+            fh.write(line.encode())
 
 
 def _write_json(path, payload: dict) -> None:
@@ -273,7 +279,7 @@ def _cmd_sample(args) -> int:
         with _writing(args.out):
             save_ensemble(ens, args.out)
     if args.csv:
-        _write_text(args.csv, ensemble_to_csv(ens))
+        _write_lines(args.csv, ensemble_csv_lines(ens))
     if args.json:
         payload = {
             "spec": spec.label(),

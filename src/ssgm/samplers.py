@@ -1,10 +1,14 @@
 """Path generation for every process family, with reproducible substreams.
 
-``sample_spec`` is the one entry point: it checks the path count and seed,
-picks a scheme (the family's default unless one of ``SCHEMES`` is asked
-for) and runs that scheme's builder on the positive grid times, so a
-leading t = 0 is a zero column in every scheme.  A builder refuses a spec
-or grid it does not fit; otherwise its ``_Plan`` says how to draw.
+``sample_chunks`` is the one draw: it checks the path count and seed, picks
+a scheme (the family's default unless one of ``SCHEMES`` is asked for) and
+runs that scheme's builder on the positive grid times, so a leading t = 0
+is a zero column in every scheme.  A builder refuses a spec or grid it does
+not fit; otherwise its ``_Plan`` says how to draw.  The iterator it returns
+yields the paths in consecutive ``(start, rows)`` chunks of whole grid
+rows, so a reducer (the p-variation trichotomy, the ergodic average) never
+holds the ensemble; ``sample_spec`` writes the same chunks straight into
+one ``PathEnsemble``.
 
 Randomness discipline: paths are drawn in blocks of ``_BLOCK`` = 1024.
 Block ``b`` (paths ``b * 1024`` onward) draws ``n_draws`` standard normals
@@ -30,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,6 +47,7 @@ __all__ = [
     "EmpiricalCov",
     "SelfSimReport",
     "SCHEMES",
+    "sample_chunks",
     "sample_spec",
     "sample_timechange",
     "empirical_cov",
@@ -50,6 +55,7 @@ __all__ = [
     "set_max_workers",
     "get_max_workers",
     "ensemble_to_csv",
+    "ensemble_csv_lines",
     "save_ensemble",
     "load_ensemble",
 ]
@@ -78,36 +84,6 @@ def get_max_workers() -> int:
         except ValueError:
             return 1
     return 1
-
-
-def _sample_blocks(
-    seed: int, n_paths: int, n_draws: int, d: int, transform: Callable[[np.ndarray], np.ndarray],
-    min_rows: int = _TILE,
-) -> np.ndarray:
-    """Fill an (n_paths, d) array one block of ``_BLOCK`` paths at a time.
-
-    Block ``b`` draws its rows of ``n_draws`` normals from Philox keyed
-    ``(seed, b)`` in consecutive chunks of ``step`` rows (fewer at the
-    block's end): whole ``_TILE``-row tiles holding about ``_CHUNK``
-    normals, but at least ``min_rows`` rows, a multiple of ``_TILE``, for
-    transforms whose cost per call does not shrink with the row count.
-    Each chunk is padded with zero rows to whole tiles, and the first rows
-    of ``transform`` of it are stored.  A transform that returns ``d - 1``
-    columns leaves the leading t = 0 column zero.
-    """
-    values = np.zeros((n_paths, d))
-    step = min(_BLOCK, max(min_rows, _TILE * (_CHUNK // (_TILE * max(1, n_draws)))))
-    z = np.empty((min(step, -(-n_paths // _TILE) * _TILE), n_draws))  # reused by every chunk
-    for b, lo in enumerate(range(0, n_paths, _BLOCK)):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-        for start in range(lo, min(lo + _BLOCK, n_paths), step):
-            rows = min(step, lo + _BLOCK - start, n_paths - start)
-            padded = -(-rows // _TILE) * _TILE
-            rng.standard_normal(out=z[:rows])  # continues the block's stream
-            z[rows:padded] = 0.0
-            x = transform(z[:padded])[:rows]
-            values[start:start + rows, d - x.shape[1]:] = x
-    return values
 
 
 def _tiled(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -168,7 +144,7 @@ def _positive_times(grid: TimeGrid) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """A builder's answer: the ``_sample_blocks`` arguments, and what the ensemble records."""
+    """A builder's answer: how ``_chunks`` draws, and what the ensemble records."""
 
     spec: ProcessSpec
     n_draws: int
@@ -287,7 +263,10 @@ def _circulant_transform(H: float, n: int, h: float) -> Callable[[np.ndarray], n
     scale[[0, n]] *= math.sqrt(2.0)  # ... except the real ones at 0 and n
 
     def transform(z):
-        w = scale * (z[:, :n + 1] + 1j * np.pad(z[:, n + 1:], ((0, 0), (1, 1))))
+        w = np.zeros((len(z), n + 1), dtype=complex)  # the coefficients, built in place
+        w.real = z[:, :n + 1]
+        w.imag[:, 1:n] = z[:, n + 1:]
+        w *= scale
         return np.cumsum(np.fft.irfft(w, 2 * n, axis=1, norm="ortho")[:, :n], axis=1)
 
     return transform
@@ -466,6 +445,72 @@ def _default_scheme(spec: ProcessSpec, pos: np.ndarray) -> str:
     return "circulant" if fam == Family.FBM and _uniform_step(pos) is not None else "cholesky"
 
 
+def _plan(spec: ProcessSpec, grid: TimeGrid, n_paths: int, seed: int, scheme: Optional[str],
+          inner_steps: Optional[int]) -> tuple[str, _Plan]:
+    """Check the path count and seed, pick the scheme and run its builder: (scheme, plan)."""
+    _check_sampling_args(n_paths, seed)
+    pos = _positive_times(grid)
+    if scheme is None:
+        scheme = _default_scheme(spec, pos)
+    if scheme not in _SCHEMES:
+        raise ParameterError(f"unknown sampling scheme {scheme!r}")
+    return scheme, _SCHEMES[scheme](spec, pos, inner_steps)
+
+
+def _chunks(plan: _Plan, seed: int, n_paths: int, d: int,
+            out: Optional[np.ndarray] = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, rows)``: paths ``start, start + 1, ...`` as whole grid rows.
+
+    Block ``b`` draws its rows of ``n_draws`` normals from Philox keyed
+    ``(seed, b)`` in consecutive chunks of ``step`` rows (fewer at the
+    block's end): whole ``_TILE``-row tiles holding about ``_CHUNK``
+    normals, but at least ``min_rows`` rows, a multiple of ``_TILE``, for
+    transforms whose cost per call does not shrink with the row count.
+    Each chunk is padded with zero rows to whole tiles, and the first rows
+    of ``transform`` of it are kept.  A transform that returns ``d - 1``
+    columns leaves the leading t = 0 column zero.  The rows are written
+    into ``out[start:start + len(rows)]`` when an (n_paths, d) zero array
+    is given, else into one reused chunk buffer that the next chunk
+    overwrites.
+    """
+    step = min(_BLOCK, max(plan.min_rows, _TILE * (_CHUNK // (_TILE * max(1, plan.n_draws)))))
+    z = np.empty((min(step, -(-n_paths // _TILE) * _TILE), plan.n_draws))  # reused by every chunk
+    buf = np.zeros((min(step, n_paths), d)) if out is None else None
+    for b, lo in enumerate(range(0, n_paths, _BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        for start in range(lo, min(lo + _BLOCK, n_paths), step):
+            rows = min(step, lo + _BLOCK - start, n_paths - start)
+            padded = -(-rows // _TILE) * _TILE
+            rng.standard_normal(out=z[:rows])  # continues the block's stream
+            z[rows:padded] = 0.0
+            x = plan.transform(z[:padded])[:rows]
+            dest = buf[:rows] if out is None else out[start:start + rows]
+            dest[:, d - x.shape[1]:] = x
+            yield start, dest
+
+
+def sample_chunks(
+    spec: ProcessSpec,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    scheme: Optional[str] = None,
+    inner_steps: Optional[int] = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The paths ``sample_spec`` would return, as consecutive ``(start, rows)`` chunks.
+
+    ``rows`` holds paths ``start`` onward as whole rows of ``len(grid)``
+    values, a leading t = 0 column included, with the bytes of the same rows
+    of ``sample_spec(...).values``; it is a view of one buffer that the next
+    chunk overwrites, so a consumer reduces or copies it before moving on.
+    The arguments are checked and the scheme's plan is built (a Gram matrix
+    factorized, say) when this is called, not when the first chunk is
+    taken.  Beside the plan, the iterator holds about two chunks: the
+    normals and the rows.
+    """
+    return _chunks(_plan(spec, grid, n_paths, seed, scheme, inner_steps)[1], seed, n_paths, len(grid))
+
+
 def sample_spec(
     spec: ProcessSpec,
     grid: TimeGrid,
@@ -483,15 +528,12 @@ def sample_spec(
     constant and beta an integer >= 0, and through the midpoint ``volterra``
     scheme otherwise; ``inner_steps`` reaches only that scheme.  A scheme
     that does not fit the spec or the grid raises :class:`ParameterError`.
+    The chunks of ``sample_chunks`` are written straight into the ensemble.
     """
-    _check_sampling_args(n_paths, seed)
-    pos = _positive_times(grid)
-    if scheme is None:
-        scheme = _default_scheme(spec, pos)
-    if scheme not in _SCHEMES:
-        raise ParameterError(f"unknown sampling scheme {scheme!r}")
-    plan = _SCHEMES[scheme](spec, pos, inner_steps)
-    values = _sample_blocks(seed, n_paths, plan.n_draws, len(grid), plan.transform, plan.min_rows)
+    scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
+    values = np.zeros((n_paths, len(grid)))
+    for _ in _chunks(plan, seed, n_paths, len(grid), out=values):
+        pass
     return PathEnsemble(plan.spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
 
 
@@ -561,12 +603,16 @@ def selfsim_check(
 # ensemble export
 # ---------------------------------------------------------------------------
 
+def ensemble_csv_lines(ensemble: PathEnsemble) -> Iterator[str]:
+    """The lines of ``ensemble_to_csv``, each with its newline, formatted one at a time."""
+    yield ",".join(f"{x:.16e}" for x in ensemble.grid.times) + "\n"
+    for row in ensemble.values:
+        yield ",".join(f"{x:.16e}" for x in row) + "\n"
+
+
 def ensemble_to_csv(ensemble: PathEnsemble) -> str:
     """CSV text: header = grid times, one row per path; 17 significant digits."""
-    lines = [",".join(f"{x:.16e}" for x in ensemble.grid.times)]
-    for row in ensemble.values:
-        lines.append(",".join(f"{x:.16e}" for x in row))
-    return "\n".join(lines) + "\n"
+    return "".join(ensemble_csv_lines(ensemble))
 
 
 # every sidecar carries these; "rng", "inner_steps" and "jitter" are optional

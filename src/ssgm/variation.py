@@ -7,7 +7,8 @@ p = 1/H, and diverge for p < 1/H.  The trichotomy estimator below fits the
 log-log slope of mean S_n and classifies accordingly.  As in Levy's
 quadratic variation of Brownian motion, S_n follows the same paths along
 refining partitions: one ensemble is drawn on the finest dyadic grid (with
-``seed`` itself) and every coarser level reads its sub-grid columns.
+``seed`` itself) and every coarser level reads its sub-grid columns, chunk
+by chunk as the rows are drawn.
 
 The quadrature side evaluates, for F(x) = (1-x)^beta g(x),
 
@@ -37,7 +38,7 @@ from .errors import ParameterError
 from .gram import TimeGrid
 from .kernels import Family, GFunction, ProcessSpec, volterra_g_variance
 from .quadrature import DEFAULT_BUDGET, integrate_power_upper
-from .samplers import sample_spec
+from .samplers import sample_chunks
 
 __all__ = [
     "VariationReport",
@@ -170,15 +171,16 @@ def pvariation_trichotomy(
     """Estimate the scaling of mean S_n across dyadic resolutions.
 
     Draws one ensemble of ``n_paths`` paths on the finest grid
-    k / max(n_list) with ``sample_spec``'s default scheme and substream
+    k / max(n_list) with ``sample_chunks``' default scheme and substream
     family ``seed`` itself, not ``seed`` + level index (time change for
     canonical, circulant embedding for fBm, whose dyadic grids are uniform,
     the exact polynomial-kernel state recursion for volterra-g with constant
     g and integer beta >= 0, discretized Volterra for other volterra-g,
-    Cholesky otherwise).  Level n reads the columns
-    ``values[:, ::max(n_list) // n]``: the sub-grid k / n of the same paths,
-    so the levels' means are correlated.  For the exact schemes, the
-    restriction of an exact sample to a sub-grid is an exact sample there,
+    Cholesky otherwise), and reduces each chunk of rows to its per-level
+    sums as it is drawn, so the ensemble is never held whole.  Level n reads
+    the columns ``rows[:, ::max(n_list) // n]``: the sub-grid k / n of the
+    same paths, so the levels' means are correlated.  For the exact schemes,
+    the restriction of an exact sample to a sub-grid is an exact sample there,
     so each level's mean and SE keep their meaning; for the midpoint
     ``volterra`` scheme a coarse level comes from cells at least as fine as
     a run on its own grid would use.  ``p`` must be finite and >= 1.
@@ -195,15 +197,14 @@ def pvariation_trichotomy(
         raise ParameterError("n_list must be increasing")
     _check_p(p)
     n_max = n_list[-1]
-    paths = sample_spec(spec, _dyadic_grid(n_max), n_paths, seed).values
-    means = []
-    ses = []
-    for n in n_list:
-        sums = _pvariation_sums(paths[:, ::n_max // n], p)
-        means.append(float(np.mean(sums)))
-        ses.append(float(np.std(sums, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0)
-    means_arr = np.array(means)
-    ses_arr = np.array(ses)
+    chunks = sample_chunks(spec, _dyadic_grid(n_max), n_paths, seed)
+    sums = np.empty((len(n_list), n_paths))  # level j's sum for each path
+    for start, rows in chunks:
+        for j, n in enumerate(n_list):
+            sums[j, start:start + len(rows)] = _pvariation_sums(rows[:, ::n_max // n], p)
+    means_arr = np.array([float(np.mean(level)) for level in sums])
+    ses_arr = np.array([float(np.std(level, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+                        for level in sums])
     half = min(len(n_list) // 2, len(n_list) - 2)
     xs = np.log(np.array(n_list[half:], dtype=float))
     ys = np.log(means_arr[half:])
@@ -246,9 +247,10 @@ def ergodic_average(
     """Running average (1/n) sum f(Z_{k+1} - Z_k) along integer-time paths.
 
     ``f`` is "square" or "abs-pow" (with exponent ``p``).  The paths are
-    ``sample_spec`` on the integer grid 0, 1, ..., n: exact ``poly`` paths for
-    constant g with integer beta >= 0, otherwise the midpoint ``volterra``
-    scheme with 64 cells per unit time.  The target is E[f(J)] for
+    ``sample_chunks`` on the integer grid 0, 1, ..., n, each chunk reduced to
+    its per-path sums as it is drawn: exact ``poly`` paths for constant g
+    with integer beta >= 0, otherwise the midpoint ``volterra`` scheme with
+    64 cells per unit time.  The target is E[f(J)] for
     J ~ N(0, int_0^1 F^2), evaluated in closed form.
     """
     if spec.family != Family.VOLTERRA_G:
@@ -258,10 +260,12 @@ def ergodic_average(
     if f not in ("square", "abs-pow"):
         raise ParameterError(f"f must be 'square' or 'abs-pow', got {f!r}")
     grid = TimeGrid(np.arange(n + 1, dtype=float))
-    z = sample_spec(spec, grid, n_paths, seed, inner_steps=_ERGODIC_INNER_STEPS).values
-    incr = np.diff(z, axis=1)
-    vals = incr**2 if f == "square" else np.abs(incr) ** p
-    average = float(np.mean(np.sum(vals, axis=1) / n))
+    chunks = sample_chunks(spec, grid, n_paths, seed, inner_steps=_ERGODIC_INNER_STEPS)
+    power = 2.0 if f == "square" else p  # |x|^2 is x^2 bytewise
+    sums = np.empty(n_paths)  # sum_k f(Z_{k+1} - Z_k) for each path
+    for start, rows in chunks:
+        sums[start:start + len(rows)] = _pvariation_sums(rows, power)
+    average = float(np.mean(sums / n))
 
     sigma_sq = volterra_g_variance(spec)
     target = sigma_sq if f == "square" else gaussian_abs_moment(sigma_sq, p)

@@ -55,15 +55,22 @@ def test_no_foreign_private_names(path):
     assert _foreign_private_uses(path) == []
 
 
-def test_sample_blocks_has_one_caller():
-    # every scheme is a builder that sample_spec runs; only sample_spec draws
+def _calls_of(name: str) -> list:
+    """``module:function`` for every call of ``name`` inside a function, one entry per call."""
     callers = []
     for path in _MODULES:
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, ast.FunctionDef):
                 callers += [f"{path.name}:{fn.name}" for node in ast.walk(fn) if isinstance(node, ast.Call)
-                            and isinstance(node.func, ast.Name) and node.func.id == "_sample_blocks"]
-    assert callers == ["samplers.py:sample_spec"]
+                            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+    return callers
+
+
+def test_one_chunk_generator_draws():
+    # one generator draws every path: sample_chunks hands its chunks to reducers,
+    # sample_spec writes them into an ensemble; nothing else keys a Philox stream
+    assert _calls_of("Philox") == ["samplers.py:_chunks"]
+    assert sorted(_calls_of("_chunks")) == ["samplers.py:sample_chunks", "samplers.py:sample_spec"]
 
 
 def _package_imports() -> dict:

@@ -12,8 +12,8 @@ import pytest
 import ssgm
 from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   ensemble_to_csv, eval_fbm, increment_variance,
-                  load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_spec,
-                  sample_timechange, save_ensemble, selfsim_check,
+                  load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_chunks,
+                  sample_spec, sample_timechange, save_ensemble, selfsim_check,
                   set_max_workers)
 from ssgm.errors import NumericalError, ParameterError
 from ssgm.samplers import (_circulant_transform, _hilbert_cholesky, _poly_transform, _uniform_step,
@@ -633,6 +633,60 @@ def test_row_chunks_keep_bytes(monkeypatch, name, chunk, loop_rows):
     monkeypatch.setattr(ssgm.samplers, "_CHUNK", chunk)
     monkeypatch.setattr(ssgm.samplers, "_LOOP_ROWS", loop_rows)
     assert _leaf(name, 1500).values.tobytes() == default.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
+def test_chunks_are_the_ensemble_rows(monkeypatch, name):
+    # 1500 paths in 40-row chunks: several chunks per block, and a partial one ending each block
+    spec, grid, scheme, inner_steps = _LEAF_SAMPLERS[name]
+    grid = TimeGrid(np.concatenate([[0.0], grid.times]))  # chunks carry the t = 0 column too
+    monkeypatch.setattr(ssgm.samplers, "_CHUNK", 2**10)
+    monkeypatch.setattr(ssgm.samplers, "_LOOP_ROWS", 40)
+    ens = sample_spec(spec, grid, 1500, 5, scheme=scheme, inner_steps=inner_steps)
+    starts, parts = [], []
+    for start, rows in sample_chunks(spec, grid, 1500, 5, scheme=scheme, inner_steps=inner_steps):
+        starts.append(start)
+        parts.append(rows.copy())  # the next chunk reuses the buffer
+    assert starts == list(np.cumsum([0] + [len(p) for p in parts[:-1]]))
+    assert all(start // 1024 == (start + len(p) - 1) // 1024 for start, p in zip(starts, parts))
+    assert len(parts) > 2 and len({len(p) for p in parts}) > 1  # a partial chunk ends each block
+    assert np.concatenate(parts).tobytes() == ens.values.tobytes()
+
+
+@pytest.mark.parametrize("args, match", [
+    ((SPEC, GRID, 2.5, 1), "n_paths must be an integer"),
+    ((SPEC, GRID, 0, 1), "n_paths must be >= 1"),
+    ((SPEC, GRID, 3, -1), "seed"),
+    ((SPEC, GRID, 3, 1, "gibbs"), "unknown sampling scheme"),
+    ((SPEC, GRID, 3, 1, "circulant"), "circulant scheme applies"),
+], ids=["non_integer_n_paths", "no_paths", "bad_seed", "unknown_scheme", "unfitting_scheme"])
+def test_sample_chunks_checks_when_called(args, match):
+    # the iterator is not started: every fault shows at the call, before any chunk is taken
+    with pytest.raises(ParameterError, match=match):
+        sample_chunks(*args)
+
+
+def test_cli_csv_streams_rows(tmp_path):
+    # --csv holds about one row's text at a time, and writes the bytes of ensemble_to_csv
+    import tracemalloc
+
+    from ssgm.cli import main
+
+    d = 2**14 + 1
+    argv = ["sample", "--spec", "canonical:H=0.5,c=-1", "--grid", ",".join(repr(k / (d - 1)) for k in range(d)),
+            "--paths", "16", "--seed", "3"]
+    peaks = []
+    for extra in ([], ["--csv", str(tmp_path / "e.csv")]):
+        tracemalloc.start()
+        try:
+            assert main(argv + extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    text = ensemble_to_csv(sample_spec(ProcessSpec.canonical(0.5, -1.0), TimeGrid(np.arange(d) / (d - 1)), 16, 3))
+    assert (tmp_path / "e.csv").read_bytes() == text.encode()
+    row_text = len(text) / 17
+    assert peaks[1] - peaks[0] <= 6 * row_text, (peaks, row_text)
 
 
 def test_midpoint_doubling_evaluates_each_resolution_once(monkeypatch):

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 import ssgm.variation
 from ssgm import (GFunction, ProcessSpec, TimeGrid, ergodic_average,
                   gaussian_abs_moment, increment_variance, int_limit_residual,
-                  pvariation_sum, pvariation_trichotomy, sample_spec, variation_to_csv)
+                  pvariation_sum, pvariation_trichotomy, sample_chunks, sample_spec,
+                  variation_to_csv)
 from ssgm.errors import ParameterError
 
 G1 = GFunction.const(1.0)
@@ -117,7 +118,7 @@ def test_trichotomy_rejects_nonfinite_p_before_sampling(monkeypatch, p):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking p")
 
-    monkeypatch.setattr(ssgm.variation, "sample_spec", no_sampling)
+    monkeypatch.setattr(ssgm.variation, "sample_chunks", no_sampling)
     with pytest.raises(ParameterError, match="p must be finite"):
         pvariation_trichotomy(ProcessSpec.fbm(0.75), p, [2**7, 2**8], 4, 1)
 
@@ -145,9 +146,9 @@ def test_trichotomy_samples_once(monkeypatch):
 
     def counting(spec, grid, *args, **kwargs):
         calls.append(len(grid))
-        return sample_spec(spec, grid, *args, **kwargs)
+        return sample_chunks(spec, grid, *args, **kwargs)
 
-    monkeypatch.setattr(ssgm.variation, "sample_spec", counting)
+    monkeypatch.setattr(ssgm.variation, "sample_chunks", counting)
     pvariation_trichotomy(ProcessSpec.fbm(0.75), 2.0, [2**6, 2**7, 2**8, 2**9], 4, 5)
     assert calls == [2**9 + 1]
 
@@ -164,7 +165,8 @@ def test_chunked_sums_match_unchunked(shape, stride):
 
 
 def test_trichotomy_memory_bounded_by_ensemble():
-    # the Brownian trichotomy of criterion 7 holds its 64 x 65537 ensemble and little else
+    # the Brownian trichotomy of criterion 7 reduces its 64 x 65537 ensemble as it is drawn and peaks
+    # far below it; this loose bound stays, and test_trichotomy_memory_fixed_in_path_count is the tight one
     tracemalloc.start()
     try:
         pvariation_trichotomy(ProcessSpec.canonical(0.5, -1.0), 2.0, [2**13, 2**14, 2**15, 2**16], 64, 11)
@@ -172,6 +174,61 @@ def test_trichotomy_memory_bounded_by_ensemble():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 64 * 65537 * 8, peak / (64 * 65537 * 8)
+
+
+def test_trichotomy_memory_fixed_in_path_count():
+    # reduced as drawn: 64 and 1024 Brownian paths on 2^14 + 1 points (8 and 128 MiB ensembles) peak
+    # within one fixed amount, about three chunks of 2^18 normals, plus the 4 per-level sums of a path
+    fixed = 3 * 2**18 * 8
+    for n_paths in (64, 1024):
+        tracemalloc.start()
+        try:
+            pvariation_trichotomy(ProcessSpec.canonical(0.5, -1.0), 2.0, [2**11, 2**12, 2**13, 2**14], n_paths, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fixed + 4 * 8 * n_paths, (n_paths, peak / fixed)
+
+
+def _trichotomy_of_ensemble(values, p, n_list):
+    # the reference: every level's sums and statistics from the whole ensemble held at once
+    n_max, n_paths = n_list[-1], len(values)
+    sums = [np.sum(np.abs(np.diff(values[:, ::n_max // n], axis=1)) ** p, axis=1) for n in n_list]
+    return (np.array([float(np.mean(s)) for s in sums]),
+            np.array([float(np.std(s, ddof=1) / np.sqrt(n_paths)) for s in sums]))
+
+
+@pytest.mark.parametrize("spec, scheme", [
+    (ProcessSpec.canonical(0.5, -1.0), "timechange"),
+    (ProcessSpec.white_noise(0.3), "whitenoise"),
+    (ProcessSpec.fbm(0.3), "circulant"),
+    (ProcessSpec.sub_fbm(0.3), "cholesky"),
+    (ProcessSpec.volterra_g(0.3, 0.5, G1), "volterra"),
+    (ProcessSpec.volterra_g(0.25, 1.0, G1), "poly"),
+], ids=lambda x: getattr(x, "label", lambda: x)())
+def test_streamed_trichotomy_matches_ensemble(spec, scheme):
+    # 1030 paths: a full first block in one or more chunks, then a partial chunk of 6 rows
+    n_list, n_paths, seed = [2**6, 2**7, 2**8], 1030, 23
+    grid = TimeGrid(np.arange(2**8 + 1, dtype=float) / 2**8)
+    ens = sample_spec(spec, grid, n_paths, seed)
+    assert ens.scheme == scheme
+    for p in (1.0, 2.0, 2.5):
+        rep = pvariation_trichotomy(spec, p, n_list, n_paths, seed)
+        means, ses = _trichotomy_of_ensemble(ens.values, p, n_list)
+        assert rep.mean_sums.tobytes() == means.tobytes(), p
+        assert rep.se_sums.tobytes() == ses.tobytes(), p
+
+
+@pytest.mark.parametrize("spec", [ProcessSpec.volterra_g(0.25, 1.0, G1), ProcessSpec.volterra_g(0.3, 0.5, G1)],
+                         ids=["poly", "volterra"])
+@pytest.mark.parametrize("f, p", [("square", 1.0), ("abs-pow", 1.0), ("abs-pow", 2.5)])
+def test_streamed_ergodic_matches_ensemble(spec, f, p):
+    n, n_paths, seed = 40, 1030, 29
+    z = sample_spec(spec, TimeGrid(np.arange(n + 1, dtype=float)), n_paths, seed, inner_steps=64).values
+    incr = np.diff(z, axis=1)
+    vals = incr**2 if f == "square" else np.abs(incr) ** p
+    res = ergodic_average(spec, f, n, n_paths, seed, p=p)
+    assert res.average == float(np.mean(np.sum(vals, axis=1) / n))
 
 
 def test_variation_csv():
