@@ -4,11 +4,10 @@ from .errors import NumericalError, ParameterError
 from .gram import (GramMatrix, MinorQuery, PosDefReport, TimeGrid, build_gram,
                    chain_det, gram_to_csv, lindstrom_minor, minor_residual,
                    psd_check, standard_grid)
-from .kernels import (CovKernel, Family, GFunction, ProcessSpec, eval_bifbm,
-                      eval_canonical, eval_fbm, eval_l, eval_rl, eval_subfbm,
-                      format_spec_string, isometry_residual, make_kernel,
-                      parse_spec_string, rl_r11, volterra_g_variance,
-                      volterra_kernel)
+from .kernels import (L_FORM_FAMILIES, CovKernel, Family, GFunction,
+                      ProcessSpec, eval_l, format_spec_string,
+                      isometry_residual, make_kernel, parse_spec_string,
+                      rl_r11, volterra_g_variance, volterra_kernel)
 from .markov import (AsymReport, CanonicalFit, FactorizationResult,
                      MarkovReport, asym_coeff_estimate, doob_residual,
                      fit_canonical, gf_factorize, markov_test,

@@ -24,7 +24,7 @@ from .config import MCConfig, ToleranceConfig, load_config
 from .errors import NumericalError, ParameterError
 from .gram import (GramMatrix, MinorQuery, TimeGrid, build_gram, gram_to_csv,
                    lindstrom_minor, psd_check, standard_grid)
-from .kernels import Family, make_kernel, parse_spec_string
+from .kernels import L_FORM_FAMILIES, make_kernel, parse_spec_string
 from .markov import asym_coeff_estimate, markov_test, sqrt_diag_profile
 from .quadrature import DEFAULT_BUDGET
 from .samplers import (SCHEMES, empirical_cov, ensemble_csv_lines, sample_spec,
@@ -242,7 +242,7 @@ def _cmd_markov_test(args) -> int:
         "note": report.note,
         "seed": "n/a",
     }
-    if spec.family in (Family.FBM, Family.SUBFBM, Family.BIFBM, Family.RIEMANN_LIOUVILLE):
+    if spec.family in L_FORM_FAMILIES:
         asym = asym_coeff_estimate(spec, np.geomspace(1e3, 1e6, 49), tol=args.tol)
         payload["asym"] = {
             "constant_term": asym.constant_term,
@@ -447,7 +447,8 @@ def main(argv=None) -> int:
             except ValueError:
                 print(f"ssgm: invalid thread count {threads!r}", file=sys.stderr)
                 return 2
-        _check_writable(*(getattr(args, name, None) for name in ("out", "csv", "json")))
+        out = getattr(args, "out", None)
+        _check_writable(out, out and f"{out}.json", getattr(args, "csv", None), getattr(args, "json", None))
         _settle(args)
         return args.fn(args)
     except ParameterError as exc:

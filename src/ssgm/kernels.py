@@ -14,17 +14,17 @@ increment-ratio profile ``l(u)`` with ``l(0) = 1``, and the Volterra kernel
 canonical family as a stochastic integral.
 
 Every kernel is closed form except off-diagonal log-pow volterra-g pairs, which
-(like the isometry check) go through ``integrate_power_upper``: all such pairs
-of one evaluator call share one adaptive pass, each with its own mesh,
-tolerance share and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g
+(like the isometry check) go through ``integrate_power_upper``: the pairs of
+one evaluator call are refined together, up to 1024 at a time, each with its
+own mesh, tolerance share and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g
 (a rescaled RL) go through the Gauss hypergeometric function.
 
-Every covariance, public ``eval_*`` or ``make_kernel``, goes through one front
-end, ``_on_quadrant``: it refuses negative or non-finite times, hands the
+Every covariance is evaluated through ``make_kernel(spec)(s, t)``: the one
+front end, ``_on_quadrant``, refuses negative or non-finite times, hands the
 family's formula the pairs (s ^ t, s v t) off the axes and sets R = 0 on them.
-Parameter domains are checked in one place, ``ProcessSpec``, which every
-public evaluator builds.  All evaluators accept scalars or numpy arrays and
-are pure and stateless, so they are safe for concurrent use.
+Parameter domains are checked in one place, ``ProcessSpec``.  All evaluators
+accept scalars or numpy arrays and are pure and stateless, so they are safe
+for concurrent use.
 """
 
 from __future__ import annotations
@@ -47,11 +47,7 @@ __all__ = [
     "ProcessSpec",
     "CovKernel",
     "make_kernel",
-    "eval_canonical",
-    "eval_fbm",
-    "eval_subfbm",
-    "eval_bifbm",
-    "eval_rl",
+    "L_FORM_FAMILIES",
     "eval_l",
     "volterra_kernel",
     "isometry_residual",
@@ -341,7 +337,14 @@ def _on_quadrant(formula: Callable, s, t):
 
 
 def _rl(H: float, lo, hi):
-    """Riemann-Liouville R(lo, hi) for 0 < lo <= hi (see :func:`eval_rl`)."""
+    """Riemann-Liouville covariance R(lo, hi) for 0 < lo <= hi, in closed form:
+
+    R(s, t) = Gamma(H+1/2)^-2 * integral_0^m ((s-r)(t-r))^(H-1/2) dr
+            = m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; m/M) / ((H+1/2) Gamma(H+1/2)^2)
+
+    with m = s ^ t and M = s v t.  For H < 1/2 and m/M > 1/2, where scipy's 2F1 is up to
+    ~100% off a few ulps from the diagonal, it goes through z -> 1 - z in eps = (M - m)/M.
+    """
     z = lo / hi
     f = hyp2f1(0.5 - H, 1.0, H + 1.5, z)
     if H < 0.5:
@@ -350,6 +353,11 @@ def _rl(H: float, lo, hi):
                      + eps ** (2.0 * H) * gamma_fn(H + 1.5) * gamma_fn(-2.0 * H) / gamma_fn(0.5 - H)
                      * z ** (-H - 0.5), f)
     return lo ** (H + 0.5) * hi ** (H - 0.5) * f / ((H + 0.5) * gamma_fn(H + 0.5) ** 2)
+
+
+def rl_r11(H: float) -> float:
+    """R(1,1) of the Riemann-Liouville process: Gamma(H+1/2)^-2 / (2H)."""
+    return 1.0 / (2.0 * H * gamma_fn(H + 0.5) ** 2)
 
 
 def _formula(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET) -> Callable:
@@ -394,55 +402,19 @@ def _formula(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
     return log_pow
 
 
-def eval_canonical(H: float, c: float, s, t):
-    """Canonical covariance (s v t)^(2H+c) (s ^ t)^(-c); 0 on the axes.
-
-    ``c = -inf`` selects the white-noise limit t^(2H) * 1{s = t}.
-    """
-    return _on_quadrant(_formula(ProcessSpec.canonical(H, c)), s, t)
-
-
-def eval_fbm(H: float, s, t):
-    """Fractional Brownian motion covariance (s^2H + t^2H - |s-t|^2H) / 2."""
-    return _on_quadrant(_formula(ProcessSpec.fbm(H)), s, t)
-
-
-def eval_subfbm(H: float, s, t):
-    """Sub-fractional Brownian motion covariance s^2H + t^2H - ((s+t)^2H + |s-t|^2H) / 2."""
-    return _on_quadrant(_formula(ProcessSpec.sub_fbm(H)), s, t)
-
-
-def eval_bifbm(htilde: float, ktilde: float, s, t):
-    """Bi-fractional Brownian motion covariance with H = htilde * ktilde."""
-    return _on_quadrant(_formula(ProcessSpec.bi_fbm(htilde, ktilde)), s, t)
-
-
-def rl_r11(H: float) -> float:
-    """R(1,1) of the Riemann-Liouville process: Gamma(H+1/2)^-2 / (2H)."""
-    return 1.0 / (2.0 * H * gamma_fn(H + 0.5) ** 2)
-
-
-def eval_rl(H: float, s, t):
-    """Riemann-Liouville covariance in closed form; 0 on the axes.
-
-    R(s, t) = Gamma(H+1/2)^-2 * integral_0^m ((s-r)(t-r))^(H-1/2) dr
-            = m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; m/M) / ((H+1/2) Gamma(H+1/2)^2)
-
-    with m = s ^ t and M = s v t.  For H < 1/2 and m/M > 1/2, where scipy's 2F1 is up to
-    ~100% off a few ulps from the diagonal, it goes through z -> 1 - z in eps = (M - m)/M.
-    """
-    return _on_quadrant(_formula(ProcessSpec.riemann_liouville(H)), s, t)
-
-
 # ---------------------------------------------------------------------------
 # the l profile: R(s, s(1+u)) = R(1,1) s^(2H) l(u), l(0) = 1
 # ---------------------------------------------------------------------------
 
+L_FORM_FAMILIES = frozenset({Family.FBM, Family.SUBFBM, Family.BIFBM, Family.RIEMANN_LIOUVILLE})
+"""The families whose off-diagonal profile :func:`eval_l` evaluates."""
+
+
 def eval_l(spec: ProcessSpec, u):
     """Normalized off-diagonal profile l(u) with l(0) = 1, in closed form.
 
-    Supported families: fbm, sfbm, bfbm and rl; the rl profile is
-    R(1, 1+u) / R(1, 1) from :func:`eval_rl`, so l(0) = 1 exactly.
+    Supported families: ``L_FORM_FAMILIES``; the rl profile is
+    R(1, 1+u) / R(1, 1) from the family's covariance, so l(0) = 1 exactly.
     Consistency contract: R(s, s(1+u)) = R(1,1) * s^(2H) * l(u).
     """
     u_arr = np.asarray(u, dtype=float)
@@ -450,21 +422,21 @@ def eval_l(spec: ProcessSpec, u):
         raise ParameterError("u must be nonnegative and finite")
     H = spec.H
     fam = spec.family
+    if fam not in L_FORM_FAMILIES:
+        raise ParameterError(f"eval_l does not support family {fam.value!r}")
+    kernel = make_kernel(spec)
     if fam == Family.FBM:
         out = 0.5 * (1.0 + (1.0 + u_arr) ** (2 * H) - u_arr ** (2 * H))
     elif fam == Family.SUBFBM:
-        r11 = 2.0 - 2.0 ** (2 * H - 1.0)
         out = (
             1.0 + (1.0 + u_arr) ** (2 * H)
             - 0.5 * ((2.0 + u_arr) ** (2 * H) + u_arr ** (2 * H))
-        ) / r11
+        ) / kernel.r11
     elif fam == Family.BIFBM:
         ht, kt = spec.htilde, spec.ktilde
         out = 2.0 ** (-kt) * ((1.0 + (1.0 + u_arr) ** (2 * ht)) ** kt - u_arr ** (2 * ht * kt))
-    elif fam == Family.RIEMANN_LIOUVILLE:
-        out = eval_rl(H, 1.0, 1.0 + u_arr) / eval_rl(H, 1.0, 1.0)
-    else:
-        raise ParameterError(f"eval_l does not support family {fam.value!r}")
+    else:  # rl
+        out = kernel(1.0, 1.0 + u_arr) / kernel(1.0, 1.0)
     out = np.asarray(out, dtype=float)
     return float(out) if u_arr.ndim == 0 else out
 
@@ -515,7 +487,7 @@ def isometry_residual(
     q = -2.0 * (c + H)
     quad = integrate_power_upper(lambda x, u, _: volterra_kernel(H, c, u, s) * volterra_kernel(H, c, u, t),
                                  0.0, min(s, t), q - 1.0, tol, budget)
-    return abs(quad.value - eval_canonical(H, c, s, t))
+    return abs(quad.value - make_kernel(ProcessSpec.canonical(H, c))(s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +512,7 @@ class CovKernel:
 
 def _volterra_g_pairs(spec: ProcessSpec, m: np.ndarray, big: np.ndarray, tol: float, budget: int):
     """(m M)^(H-1/2) integral_0^m F(u/m) F(u/M) du for 0 < m < M, F(x) = (1-x)^beta g(x),
-    all pairs in one batched adaptive pass; each factor is evaluated from its gap
+    all pairs refined together in blocks; each factor is evaluated from its gap
     1 - u/m = dist/m or 1 - u/M = (M - m + dist)/M."""
     F = spec.weight_at_gap
 

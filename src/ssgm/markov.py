@@ -30,7 +30,7 @@ import scipy.optimize
 
 from .errors import NumericalError, ParameterError
 from .gram import TimeGrid, build_gram, standard_grid
-from .kernels import CovKernel, Family, ProcessSpec, eval_l
+from .kernels import L_FORM_FAMILIES, CovKernel, Family, ProcessSpec, eval_l, make_kernel
 
 __all__ = [
     "MarkovReport",
@@ -310,8 +310,7 @@ def _predicted_pair(spec: ProcessSpec) -> tuple[Optional[float], Optional[float]
     if spec.family == Family.RIEMANN_LIOUVILLE:
         return 4.0 * H / (2.0 * H + 1.0), H - 0.5
     if spec.family == Family.SUBFBM:
-        r11 = 2.0 - 2.0 ** (2 * H - 1.0)
-        return H * (1.0 - 2.0 * H) / r11, 2.0 * H - 2.0
+        return H * (1.0 - 2.0 * H) / make_kernel(spec).r11, 2.0 * H - 2.0
     if spec.family == Family.BIFBM:
         ht, kt = spec.htilde, spec.ktilde
         if ht < 0.5:
@@ -342,7 +341,7 @@ def asym_coeff_estimate(spec: ProcessSpec, u_values, tol: float = 1e-10) -> Asym
     is below numerical noise only the constant is reported; that noise
     floor is at least ``10 * tol``.
     """
-    if spec.family not in (Family.RIEMANN_LIOUVILLE, Family.SUBFBM, Family.BIFBM, Family.FBM):
+    if spec.family not in L_FORM_FAMILIES:
         raise ParameterError(f"asymptotics supported for l-form families, not {spec.family.value!r}")
     if not (tol >= 0 and math.isfinite(tol)):
         raise ParameterError(f"noise-floor tolerance must be nonnegative and finite, got {tol!r}")

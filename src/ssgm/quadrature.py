@@ -4,10 +4,11 @@ Every integral in this package has an endpoint ``b`` where its integrand
 behaves like ``(b - s)^power``, and goes through :func:`integrate_power_upper`:
 the off-diagonal log-pow volterra-g pairs, the criterion-8 brackets and the
 Volterra isometry check.  It substitutes ``w^q`` at that endpoint and hands
-all its integrals to one refinement loop, which processes whole batches of
-numpy-vectorized subintervals per pass instead of recursing one interval at a
-time: each live subinterval carries the index of the integral it belongs to,
-and every integral keeps its own mesh, acceptance test, budget and result.
+its integrals, up to 1024 at a time, to one refinement loop, which processes
+whole batches of numpy-vectorized subintervals per pass instead of recursing
+one interval at a time: each live subinterval carries the index of the
+integral it belongs to, and every integral keeps its own mesh, acceptance
+test, budget and result.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ __all__ = ["DEFAULT_BUDGET", "QuadResult", "integrate_power_upper"]
 
 DEFAULT_BUDGET = 1 << 20
 _MIN_WIDTH_FACTOR = 1e-13
+# integrals per refinement loop: bounds the live subintervals of a large batch
+# (a log-pow Gram's pairs) while keeping the numpy calls per pass few
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -137,18 +141,23 @@ def integrate_power_upper(
     (possibly times slowly varying log factors) near ``b``.
 
     ``a`` and ``b`` are scalars or arrays, broadcast to one integral per entry
-    and all refined in one pass; each keeps its own mesh, tolerance share and
-    ``budget``, so an entry is what its integral gives alone.
+    and refined together in blocks of up to 1024; each keeps its own mesh,
+    tolerance share and ``budget``, so an entry is what its integral gives
+    alone.
     ``f2(s, dist, owner)`` evaluates integral ``owner[j]``'s integrand at
     ``s[j]``, with ``dist[j] = b - s[j]`` computed without cancellation.
     Scalar ``a`` and ``b`` give Python scalars in the result, arrays give
     arrays; an empty interval gives 0 with 0 evaluations.  Raises
     :class:`NumericalError` for ``power <= -1`` or when any integral exhausts
-    ``budget``, and :class:`ParameterError`, before any evaluation, for a
-    ``tol`` that is not positive and finite.
+    ``budget`` (the first failing block's error), and :class:`ParameterError`,
+    before any evaluation, for a ``tol`` that is not positive and finite.
     """
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     a, b = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
     g = _upper_substitution(f2, a, b, power)
-    out = _simpson(g, np.zeros(a.size), (a != b).astype(float), tol, budget)
+    blocks = []
+    for start in range(0, max(a.size, 1), _BLOCK):  # an empty batch still makes one call, which checks tol
+        ends = (a[start:start + _BLOCK] != b[start:start + _BLOCK]).astype(float)
+        blocks.append(_simpson(lambda w, owner: g(w, owner + start), np.zeros(ends.size), ends, tol, budget))
+    out = (np.concatenate(field) for field in zip(*blocks))
     return QuadResult(*(x.item() if shape == () else x.reshape(shape) for x in out))

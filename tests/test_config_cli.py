@@ -396,6 +396,18 @@ def test_cli_unwritable_output_exit_2(tmp_path, argv, capsys):
     assert captured.out == ""  # refused before any work, so no summary line
 
 
+def test_cli_sample_unwritable_sidecar_exit_2(tmp_path, capsys):
+    # --out also writes <out>.json: a sidecar path that cannot be written is refused before sampling
+    out = tmp_path / "e.bin"
+    (tmp_path / "e.bin.json").mkdir()
+    argv = ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "3", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ssgm: invalid parameters: cannot write {out}.json: Is a directory\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--spec", "fbm:H=0.3", "--grid", "geometric:0.1,2,5", "--paths", "3",
      "--seed", "1", "--scheme", "circulant"],

@@ -1,12 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
-from ssgm import (Family, GFunction, ProcessSpec, build_gram, eval_bifbm,
-                  eval_canonical, eval_fbm, eval_l, eval_rl, eval_subfbm,
+from ssgm import (Family, GFunction, ProcessSpec, TimeGrid, build_gram, eval_l,
                   format_spec_string, isometry_residual, make_kernel,
                   parse_spec_string, rl_r11, standard_grid, volterra_g_variance,
                   volterra_kernel)
@@ -22,29 +22,30 @@ NEG_INF = float("-inf")
 
 def test_canonical_brownian():
     # H=1/2, c=-1 reduces to s ^ t
-    assert eval_canonical(0.5, -1.0, 2.0, 3.0) == pytest.approx(2.0, abs=1e-15)
+    assert make_kernel(ProcessSpec.canonical(0.5, -1.0))(2.0, 3.0) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_canonical_axis_zero():
-    assert eval_canonical(0.8, -2.0, 0.0, 5.0) == 0.0
+    assert make_kernel(ProcessSpec.canonical(0.8, -2.0))(0.0, 5.0) == 0.0
 
 
 def test_canonical_direct_substitution():
-    assert eval_canonical(1.0, -2.0, 2.0, 3.0) == pytest.approx(4.0, abs=1e-14)
+    assert make_kernel(ProcessSpec.canonical(1.0, -2.0))(2.0, 3.0) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_canonical_white_noise_branch():
-    assert eval_canonical(0.6, NEG_INF, 2.0, 2.0) == pytest.approx(2.0**1.2, rel=1e-15)
-    assert eval_canonical(0.6, NEG_INF, 1.0, 2.0) == 0.0
+    k = make_kernel(ProcessSpec.canonical(0.6, NEG_INF))
+    assert k(2.0, 2.0) == pytest.approx(2.0**1.2, rel=1e-15)
+    assert k(1.0, 2.0) == 0.0
 
 
 def test_canonical_domain_errors():
     with pytest.raises(ParameterError):
-        eval_canonical(0.5, -0.2, 1.0, 2.0)  # c > -H
+        make_kernel(ProcessSpec.canonical(0.5, -0.2))(1.0, 2.0)  # c > -H
     with pytest.raises(ParameterError):
-        eval_canonical(-0.5, -1.0, 1.0, 2.0)
+        make_kernel(ProcessSpec.canonical(-0.5, -1.0))(1.0, 2.0)
     with pytest.raises(ParameterError):
-        eval_canonical(0.5, -1.0, -1.0, 2.0)
+        make_kernel(ProcessSpec.canonical(0.5, -1.0))(-1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -52,31 +53,32 @@ def test_canonical_domain_errors():
 # ---------------------------------------------------------------------------
 
 def test_fbm_brownian_case():
-    assert eval_fbm(0.5, 2.0, 3.0) == pytest.approx(2.0, abs=1e-15)
+    assert make_kernel(ProcessSpec.fbm(0.5))(2.0, 3.0) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_sfbm_r11():
     for H in (0.25, 0.5, 0.75):
-        assert eval_subfbm(H, 1.0, 1.0) == pytest.approx(2.0 - 2.0 ** (2 * H - 1), rel=1e-15)
+        k = make_kernel(ProcessSpec.sub_fbm(H))
+        assert k(1.0, 1.0) == pytest.approx(2.0 - 2.0 ** (2 * H - 1), rel=1e-15)
 
 
 def test_bfbm_r11():
     for ht, kt in [(0.25, 0.5), (0.5, 1.0), (0.75, 0.3)]:
-        assert eval_bifbm(ht, kt, 1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+        assert make_kernel(ProcessSpec.bi_fbm(ht, kt))(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_bfbm_reduces_to_brownian():
     rng = np.random.default_rng(1)
     for _ in range(20):
         s, t = rng.uniform(0.1, 5.0, size=2)
-        assert eval_bifbm(0.5, 1.0, s, t) == pytest.approx(min(s, t), rel=1e-14)
+        assert make_kernel(ProcessSpec.bi_fbm(0.5, 1.0))(s, t) == pytest.approx(min(s, t), rel=1e-14)
 
 
 def test_parameter_domains():
     with pytest.raises(ParameterError):
-        eval_fbm(1.2, 1.0, 2.0)
+        make_kernel(ProcessSpec.fbm(1.2))(1.0, 2.0)
     with pytest.raises(ParameterError):
-        eval_bifbm(0.5, 1.5, 1.0, 2.0)
+        make_kernel(ProcessSpec.bi_fbm(0.5, 1.5))(1.0, 2.0)
     with pytest.raises(ParameterError):
         ProcessSpec.volterra_g(0.25, -0.6, GFunction.const(1.0))
 
@@ -86,17 +88,18 @@ def test_parameter_domains():
 # ---------------------------------------------------------------------------
 
 def test_rl_brownian_case():
-    assert eval_rl(0.5, 2.0, 3.0) == pytest.approx(2.0, abs=1e-10)
+    assert make_kernel(ProcessSpec.riemann_liouville(0.5))(2.0, 3.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_rl_zero_time():
-    assert eval_rl(0.25, 0.0, 3.0) == 0.0
+    assert make_kernel(ProcessSpec.riemann_liouville(0.25))(0.0, 3.0) == 0.0
 
 
 def test_rl_r11_closed_form():
     for H in (0.25, 0.4, 0.75):
         expected = 1.0 / (2.0 * H * gamma(H + 0.5) ** 2)
-        assert eval_rl(H, 1.0, 1.0) == pytest.approx(expected, rel=1e-10)
+        k = make_kernel(ProcessSpec.riemann_liouville(H))
+        assert k(1.0, 1.0) == pytest.approx(expected, rel=1e-10)
         assert rl_r11(H) == pytest.approx(expected, rel=1e-15)
 
 
@@ -122,8 +125,9 @@ def test_rl_closed_form_matches_quadrature_oracle():
     # so small that an absolute-tolerance quadrature gets it 7e-4 off relatively
     pairs = [(t[0], t[1])] + [(t[i], t[j]) for i in range(0, 20, 3) for j in range(i, 20, 4)]
     for H in (0.1, 0.25, 0.5, 0.75, 1.3, 2.5):
+        k = make_kernel(ProcessSpec.riemann_liouville(H))
         for s, u in pairs:
-            assert eval_rl(H, s, u) == pytest.approx(_rl_oracle(H, s, u), rel=1e-9)
+            assert k(s, u) == pytest.approx(_rl_oracle(H, s, u), rel=1e-9)
 
 
 def test_rl_near_diagonal_matches_mpmath():
@@ -134,11 +138,12 @@ def test_rl_near_diagonal_matches_mpmath():
     tops = [1.0 + 10.0**-k for k in range(4, 16)] + [np.nextafter(1.0, 2.0), 1.0]
     for H in (0.01, 0.1, 0.25, 0.45, 0.75, 1.3):
         h = mp.mpf(H)
+        k = make_kernel(ProcessSpec.riemann_liouville(H))
         for top in tops:
             z = mp.mpf(1.0) / mp.mpf(top)
             exact = (mp.mpf(top) ** (h - 0.5) * mp.hyp2f1(0.5 - h, 1, h + 1.5, z)
                      / ((h + 0.5) * mp.gamma(h + 0.5) ** 2))
-            assert eval_rl(H, 1.0, top) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+            assert k(1.0, top) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +233,32 @@ def test_volterra_g_log_pow_batch_matches_pairs_alone(beta, k):
     assert list(batch.evals) == [n for _, n in alone]
 
 
+def test_volterra_g_log_pow_entries_across_block_boundary():
+    # k/64 has 2016 off-diagonal pairs, refined in blocks of 1024: the entries on both
+    # sides of the boundary, and the first and last, are each pair's own scalar evaluation
+    kernel = make_kernel(ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1)))
+    t = np.arange(1, 65) / 64.0
+    G = build_gram(kernel, TimeGrid(t)).entries
+    iu, ju = np.triu_indices(t.size, 1)
+    for n in (0, 1021, 1022, 1023, 1024, 1025, 1026, iu.size - 1):
+        i, j = iu[n], ju[n]
+        assert G[i, j].tobytes() == np.float64(kernel(float(t[i]), float(t[j]))).tobytes(), n
+
+
+def test_volterra_g_log_pow_gram_memory_bounded():
+    # the 8128 pairs of k/128 are refined in blocks of 1024, not all at once
+    # (about 12 KB of live meshes per pair, 98 MiB for this Gram)
+    kernel = make_kernel(ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1)))
+    grid = TimeGrid(np.arange(1, 129) / 128.0)
+    tracemalloc.start()
+    try:
+        build_gram(kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak / 2**20
+
+
 def test_volterra_g_log_pow_axes_and_diagonal():
     # a leading 0 and a repeated time: exact zeros on the axes, s^(2H) int F^2 on the diagonal
     spec = ProcessSpec.volterra_g(0.3, 0.5, GFunction.log_pow(2))
@@ -263,7 +294,7 @@ def test_sfbm_l_is_one_at_half():
 
 
 def test_rl_l_consistency_contract():
-    # R(s, s(1+u)) = r11 * s^(2H) * l(u), cross-checked against eval_rl
+    # R(s, s(1+u)) = r11 * s^(2H) * l(u), cross-checked against the rl kernel
     spec = ProcessSpec.riemann_liouville(0.25)
     k = make_kernel(spec)
     # quadrature oracle for l(100) = 2H integral_0^1 ((v+u) v)^(H-1/2) dv
@@ -352,7 +383,7 @@ def test_isometry_closed_form_oracle():
     q = -2.0 * (c + H)
     m = min(s, t)
     closed = (-2.0 * (c + H)) * (s * t) ** (c + 2 * H) * m**q / q
-    assert closed == pytest.approx(eval_canonical(H, c, s, t), rel=1e-14)
+    assert closed == pytest.approx(make_kernel(ProcessSpec.canonical(H, c))(s, t), rel=1e-14)
     assert isometry_residual(H, c, s, t) <= 1e-10
 
 
@@ -420,30 +451,17 @@ def test_make_kernel_rejects_bad_tolerance(spec):
             make_kernel(spec, tol=tol)
 
 
-def _public_eval(spec):
-    """The public eval_* of a spec's family as a function of (s, t); None for volterra-g."""
-    return {
-        Family.CANONICAL: lambda s, t: eval_canonical(spec.H, spec.c, s, t),
-        Family.WHITE_NOISE: lambda s, t: eval_canonical(spec.H, NEG_INF, s, t),
-        Family.FBM: lambda s, t: eval_fbm(spec.H, s, t),
-        Family.SUBFBM: lambda s, t: eval_subfbm(spec.H, s, t),
-        Family.BIFBM: lambda s, t: eval_bifbm(spec.htilde, spec.ktilde, s, t),
-        Family.RIEMANN_LIOUVILLE: lambda s, t: eval_rl(spec.H, s, t),
-    }.get(spec.family)
-
-
 @pytest.mark.parametrize("spec", ALL_SPECS + [ProcessSpec.canonical(0.6, NEG_INF),
                                               ProcessSpec.riemann_liouville(0.25),
                                               ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))],
                          ids=lambda s: s.label())
 def test_every_evaluator_rejects_negative_and_nonfinite_times(spec):
     # one front end: every family refuses the same times, as a scalar or inside an array
-    evaluators = [make_kernel(spec), _public_eval(spec)]
-    for ev in filter(None, evaluators):
-        for bad in (-1.0, math.nan, math.inf):
-            for s, t in ((bad, 2.0), (2.0, bad), (np.array([1.0, bad]), np.array([2.0, 2.0]))):
-                with pytest.raises(ParameterError, match="times must be nonnegative and finite"):
-                    ev(s, t)
+    k = make_kernel(spec)
+    for bad in (-1.0, math.nan, math.inf):
+        for s, t in ((bad, 2.0), (2.0, bad), (np.array([1.0, bad]), np.array([2.0, 2.0]))):
+            with pytest.raises(ParameterError, match="times must be nonnegative and finite"):
+                k(s, t)
 
 
 @pytest.mark.parametrize("build", [
@@ -455,10 +473,8 @@ def test_every_evaluator_rejects_negative_and_nonfinite_times(spec):
     lambda: ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(math.inf)),
     lambda: GFunction.const(math.nan),
     lambda: GFunction("log-pow", k=math.inf),
-    lambda: eval_canonical(0.5, math.nan, 1.0, 2.0),
-    lambda: eval_rl(math.inf, 1.0, 2.0),
 ], ids=["canonical_c_nan", "canonical_H_inf", "white_noise_H_inf", "rl_H_inf", "volterra_g_beta_inf",
-        "const_g_inf", "const_g_nan", "log_pow_k_inf", "eval_canonical_c_nan", "eval_rl_H_inf"])
+        "const_g_inf", "const_g_nan", "log_pow_k_inf"])
 def test_nonfinite_parameters_rejected(build):
     # only the canonical c may be infinite, and only -inf
     with pytest.raises(ParameterError):

@@ -99,3 +99,21 @@ def test_package_exports_are_declared_in_all(module):
     declared = _declared_all(_SRC / module)
     assert declared is not None, f"{module} declares no __all__"
     assert [n for n in _package_imports()[module] if n not in declared] == []
+
+
+def _references_of(name: str) -> list:
+    """``module:definition`` for every read of ``name``, attributed to the top-level statement holding it."""
+    refs = []
+    for path in _MODULES:
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", "<module>")
+            refs += [f"{path.name}:{owner}" for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)]
+    return refs
+
+
+def test_one_covariance_entry_point():
+    # every covariance is evaluated through make_kernel(spec)(s, t): no other
+    # function reaches the time front end or a family's formula
+    assert _references_of("_on_quadrant") == ["kernels.py:make_kernel"]
+    assert _references_of("_formula") == ["kernels.py:make_kernel"]

@@ -21,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ssgm import (Family, GFunction, ProcessSpec, eval_rl,  # noqa: E402
+from ssgm import (Family, GFunction, ProcessSpec,  # noqa: E402
                   format_spec_string, make_kernel, parse_spec_string,
                   pvariation_trichotomy)
 from ssgm.cli import main  # noqa: E402
@@ -110,9 +110,10 @@ def test_zero_on_axes(family):
 def test_rl_continuous_across_branch_switch(H, big):
     # z = m/M = 1/2 exactly takes the direct 2F1; one ulp above it takes z -> 1 - z
     m = 0.5 * big
-    at = float(eval_rl(H, m, big))
-    above = float(eval_rl(H, math.nextafter(m, math.inf), big))
-    below = float(eval_rl(H, math.nextafter(m, 0.0), big))
+    k = make_kernel(ProcessSpec.riemann_liouville(H))
+    at = float(k(m, big))
+    above = float(k(math.nextafter(m, math.inf), big))
+    below = float(k(math.nextafter(m, 0.0), big))
     assert abs(above - at) <= 1e-13 * at
     assert abs(below - at) <= 1e-13 * at
 

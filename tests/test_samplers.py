@@ -11,7 +11,7 @@ import pytest
 
 import ssgm
 from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
-                  ensemble_to_csv, eval_fbm, increment_variance,
+                  ensemble_to_csv, increment_variance,
                   load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_chunks,
                   sample_spec, sample_timechange, save_ensemble, selfsim_check,
                   set_max_workers)
@@ -197,7 +197,7 @@ def test_circulant_exact_covariance(H, lead0):
     assert h == pytest.approx(0.3, rel=1e-15)
     A = np.zeros((32, times.size))
     A[:, int(lead0):] = _circulant_transform(H, 16, h)(np.eye(32))
-    exact = eval_fbm(H, times[:, None], times[None, :])
+    exact = make_kernel(ProcessSpec.fbm(H))(times[:, None], times[None, :])
     assert np.max(np.abs(A.T @ A - exact)) <= 1e-12 * np.max(exact)
 
 
