@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import MCConfig, ToleranceConfig, load_config
 from .errors import NumericalError, ParameterError
-from .gram import (GramMatrix, MinorQuery, TimeGrid, build_gram, gram_to_csv,
-                   lindstrom_minor, psd_check, standard_grid)
+from .gram import (MinorQuery, TimeGrid, build_gram, gram_to_csv, lindstrom_minor,
+                   power_gram, psd_check, standard_grid)
 from .kernels import L_FORM_FAMILIES, make_kernel, parse_spec_string
 from .markov import asym_coeff_estimate, markov_test, sqrt_diag_profile
 from .quadrature import DEFAULT_BUDGET
@@ -48,13 +48,18 @@ def _writing(path):
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _check_writable(*paths) -> None:
-    """Refuse an output path that cannot be written, before any work is done.
+def _check_writable(outputs: dict) -> None:
+    """Refuse an output path that cannot be written, or that two outputs share, before any work is done.
 
-    Creates and truncates nothing; ``_writing`` still reports a write that
-    fails later.
+    ``outputs`` maps each output's name to its path or None.  Paths that
+    resolve to the same file (symlinks followed) are refused naming both
+    outputs.  Creates and truncates nothing; ``_writing`` still reports a
+    write that fails later.
     """
-    for path in filter(None, paths):
+    owners = {}
+    for name, path in outputs.items():
+        if not path:
+            continue
         target = Path(path)
         if target.is_dir():
             code = errno.EISDIR
@@ -63,7 +68,10 @@ def _check_writable(*paths) -> None:
         elif not os.access(target if target.exists() else target.parent, os.W_OK):
             code = errno.EACCES
         else:
-            continue
+            owner = owners.setdefault(os.path.realpath(path), name)
+            if owner == name:
+                continue
+            raise ParameterError(f"{owner} and {name} both write {path}")
         raise ParameterError(f"cannot write {path}: {os.strerror(code)}")
 
 
@@ -194,9 +202,7 @@ def _cmd_posdef(args) -> int:
         if args.alpha is None or args.beta is None:
             raise ParameterError("--alpha and --beta go together")
         q = MinorQuery(args.alpha, args.beta, grid)
-        t = grid.times
-        entries = np.maximum.outer(t, t) ** args.alpha / np.minimum.outer(t, t) ** args.beta
-        gram = GramMatrix(grid, entries)
+        gram = power_gram(q)
         label = f"power-family:alpha={args.alpha!r},beta={args.beta!r}"
         minor = lindstrom_minor(q)
     else:
@@ -448,7 +454,8 @@ def main(argv=None) -> int:
                 print(f"ssgm: invalid thread count {threads!r}", file=sys.stderr)
                 return 2
         out = getattr(args, "out", None)
-        _check_writable(out, out and f"{out}.json", getattr(args, "csv", None), getattr(args, "json", None))
+        _check_writable({"--out": out, "the --out sidecar": out and f"{out}.json",
+                         "--csv": getattr(args, "csv", None), "--json": getattr(args, "json", None)})
         _settle(args)
         return args.fn(args)
     except ParameterError as exc:

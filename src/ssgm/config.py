@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -89,6 +89,12 @@ def _number(kind, block: str, key: str, text: str):
         raise ParameterError(f"[{block}] {key} = {text!r} is not a valid {kind.__name__}") from exc
 
 
+def _parse_block(cp, block: str, cls, kind):
+    """``cls`` from the keys ``[block]`` holds; a key it lacks keeps the dataclass default."""
+    keys = cp[block] if block in cp else {}
+    return cls(**{f.name: _number(kind, block, f.name, keys[f.name]) for f in fields(cls) if f.name in keys})
+
+
 def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep H / htilde capitalization
@@ -116,23 +122,8 @@ def parse_config(text: str) -> RunConfig:
     else:
         raise ParameterError("grid block needs 'times' or 'geometric'")
 
-    mc = MCConfig()
-    if "mc" in cp:
-        m = cp["mc"]
-        mc = MCConfig(
-            n_paths=_number(int, "mc", "n_paths", m.get("n_paths", "1000")),
-            seed=_number(int, "mc", "seed", m["seed"]) if "seed" in m else None,
-            inner_steps=(_number(int, "mc", "inner_steps", m["inner_steps"])
-                         if "inner_steps" in m else None),
-        )
-    tols = ToleranceConfig()
-    if "tolerances" in cp:
-        tb = cp["tolerances"]
-        tols = ToleranceConfig(
-            quad_tol=_number(float, "tolerances", "quad_tol", tb.get("quad_tol", "1e-10")),
-            psd_tol=_number(float, "tolerances", "psd_tol", tb.get("psd_tol", "1e-10")),
-        )
-    return RunConfig(spec, grid, mc, tols)
+    return RunConfig(spec, grid, _parse_block(cp, "mc", MCConfig, int),
+                     _parse_block(cp, "tolerances", ToleranceConfig, float))
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -144,13 +135,7 @@ def serialize_config(cfg: RunConfig) -> str:
     else:
         start, stop, points = cfg.grid.geometric
         cp["grid"] = {"geometric": f"{float(start)!r} {float(stop)!r} {int(points)}"}
-    mc = {}
-    if cfg.mc.n_paths != 1000:
-        mc["n_paths"] = str(cfg.mc.n_paths)
-    if cfg.mc.seed is not None:
-        mc["seed"] = str(cfg.mc.seed)
-    if cfg.mc.inner_steps is not None:
-        mc["inner_steps"] = str(cfg.mc.inner_steps)
+    mc = {f.name: str(getattr(cfg.mc, f.name)) for f in fields(MCConfig) if getattr(cfg.mc, f.name) != f.default}
     if mc:
         cp["mc"] = mc
     cp["tolerances"] = {

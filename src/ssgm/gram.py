@@ -29,6 +29,7 @@ __all__ = [
     "standard_grid",
     "build_gram",
     "psd_check",
+    "power_gram",
     "lindstrom_minor",
     "chain_det",
     "minor_residual",
@@ -170,6 +171,12 @@ def psd_check(gram: GramMatrix, tol: float = 1e-10) -> PosDefReport:
     return PosDefReport("NotPSD", min_eig, tol, witness=witness, quadratic_form=qform)
 
 
+def power_gram(q: MinorQuery) -> GramMatrix:
+    """The power-family Gram matrix ((t_i v t_j)^alpha / (t_i ^ t_j)^beta)."""
+    t = q.grid.times
+    return GramMatrix(q.grid, np.maximum.outer(t, t) ** q.alpha / np.minimum.outer(t, t) ** q.beta)
+
+
 def lindstrom_minor(q: MinorQuery) -> float:
     """Closed-form determinant of the (alpha, beta) Gram matrix.
 
@@ -210,13 +217,9 @@ def minor_residual(q: MinorQuery) -> float:
     by the product of matrix row norms (Hadamard bound), since the minors
     themselves underflow quickly as d grows.
     """
-    t = q.grid.times
-    d = t.size
-    if d > 12:
+    if len(q.grid) > 12:
         raise ParameterError("direct determinants are limited to d <= 12")
-    lo = np.minimum.outer(t, t)
-    hi = np.maximum.outer(t, t)
-    G = hi**q.alpha / lo**q.beta
+    G = power_gram(q).entries
     direct = float(np.linalg.det(G))
     closed = lindstrom_minor(q)
     scale = float(np.prod(np.linalg.norm(G, axis=1)))

@@ -21,7 +21,9 @@ own mesh, tolerance share and ``budget``.  RL, its ``l(u)`` and constant-g volte
 
 Every covariance is evaluated through ``make_kernel(spec)(s, t)``: the one
 front end, ``_on_quadrant``, refuses negative or non-finite times, hands the
-family's formula the pairs (s ^ t, s v t) off the axes and sets R = 0 on them.
+family's formula the pairs (s ^ t, s v t) off the axes with their gap, and
+sets R = 0 on them.  Each family's covariance is stated once, in ``_formula``;
+``eval_l`` reads the same formula at (1, 1 + u) with the gap u passed exactly.
 Parameter domains are checked in one place, ``ProcessSpec``.  All evaluators
 accept scalars or numpy arrays and are pure and stateless, so they are safe
 for concurrent use.
@@ -314,7 +316,7 @@ def format_spec_string(spec: ProcessSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _on_quadrant(formula: Callable, s, t):
-    """R(s, t) = formula(s ^ t, s v t) off the axes, and exactly 0 on them.
+    """R(s, t) = formula(s ^ t, s v t, s v t - s ^ t) off the axes, and exactly 0 on them.
 
     The one front end of every covariance evaluator.  Times must be
     nonnegative and finite.  An axis pair hands the formula 1.0 for both
@@ -329,15 +331,16 @@ def _on_quadrant(formula: Callable, s, t):
     if not (first >= 0 and hi.max(initial=0.0) < math.inf):  # nan fails both
         raise ParameterError("times must be nonnegative and finite")
     if first > 0:  # no pair on an axis
-        out = formula(lo, hi)
+        out = formula(lo, hi, hi - lo)
     else:
         axis = lo == 0
-        out = np.where(axis, 0.0, formula(np.where(axis, 1.0, lo), np.where(axis, 1.0, hi)))
+        lo, hi = np.where(axis, 1.0, lo), np.where(axis, 1.0, hi)
+        out = np.where(axis, 0.0, formula(lo, hi, hi - lo))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _rl(H: float, lo, hi):
-    """Riemann-Liouville covariance R(lo, hi) for 0 < lo <= hi, in closed form:
+def _rl(H: float, lo, hi, gap):
+    """Riemann-Liouville covariance R(lo, hi) for 0 < lo <= hi, gap = hi - lo, in closed form:
 
     R(s, t) = Gamma(H+1/2)^-2 * integral_0^m ((s-r)(t-r))^(H-1/2) dr
             = m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; m/M) / ((H+1/2) Gamma(H+1/2)^2)
@@ -348,7 +351,7 @@ def _rl(H: float, lo, hi):
     z = lo / hi
     f = hyp2f1(0.5 - H, 1.0, H + 1.5, z)
     if H < 0.5:
-        eps = (hi - lo) / hi
+        eps = gap / hi
         f = np.where(z > 0.5, (H + 0.5) / (2.0 * H) * hyp2f1(0.5 - H, 1.0, 1.0 - 2.0 * H, eps)
                      + eps ** (2.0 * H) * gamma_fn(H + 1.5) * gamma_fn(-2.0 * H) / gamma_fn(0.5 - H)
                      * z ** (-H - 0.5), f)
@@ -361,42 +364,42 @@ def rl_r11(H: float) -> float:
 
 
 def _formula(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET) -> Callable:
-    """The covariance of ``spec`` as a function of (lo, hi) with 0 < lo <= hi."""
+    """The covariance of ``spec`` as a function of (lo, hi, gap) with 0 < lo <= hi, gap = hi - lo."""
     H, fam = spec.H, spec.family
     if fam == Family.WHITE_NOISE or (fam == Family.CANONICAL and math.isinf(spec.c)):
-        return lambda lo, hi: np.where(lo == hi, hi ** (2.0 * H), 0.0)
+        return lambda lo, hi, gap: np.where(lo == hi, hi ** (2.0 * H), 0.0)
     if fam == Family.CANONICAL:
         c = spec.c
-        return lambda lo, hi: hi ** (2.0 * H + c) * lo ** (-c)
+        return lambda lo, hi, gap: hi ** (2.0 * H + c) * lo ** (-c)
     if fam == Family.FBM:
-        return lambda lo, hi: 0.5 * (lo ** (2 * H) + hi ** (2 * H) - (hi - lo) ** (2 * H))
+        return lambda lo, hi, gap: 0.5 * (lo ** (2 * H) + hi ** (2 * H) - gap ** (2 * H))
     if fam == Family.SUBFBM:
-        return lambda lo, hi: (lo ** (2 * H) + hi ** (2 * H)
-                               - 0.5 * ((lo + hi) ** (2 * H) + (hi - lo) ** (2 * H)))
+        return lambda lo, hi, gap: (lo ** (2 * H) + hi ** (2 * H)
+                                    - 0.5 * ((lo + hi) ** (2 * H) + gap ** (2 * H)))
     if fam == Family.BIFBM:
         ht, kt = spec.htilde, spec.ktilde
-        return lambda lo, hi: 2.0 ** (-kt) * ((lo ** (2 * ht) + hi ** (2 * ht)) ** kt
-                                              - (hi - lo) ** (2 * ht * kt))
+        return lambda lo, hi, gap: 2.0 ** (-kt) * ((lo ** (2 * ht) + hi ** (2 * ht)) ** kt
+                                                   - gap ** (2 * ht * kt))
     if fam == Family.RIEMANN_LIOUVILLE:
-        return lambda lo, hi: _rl(H, lo, hi)
+        return partial(_rl, H)
     beta, g = spec.beta, spec.g  # volterra-g
     if g.kind == "const":
         # a^2 integral_0^m ((s-u)(t-u))^beta du = a^2 Gamma(beta+1)^2 R_RL(beta+1/2; s, t)
         coef = (g.a * gamma_fn(beta + 1.0)) ** 2
 
-        def const(lo, hi):
-            rl = _rl(beta + 0.5, lo, hi)
+        def const(lo, hi, gap):
+            rl = _rl(beta + 0.5, lo, hi, gap)
             # the base stays an array (numpy's scalar ** rounds differently) and is 1 where R_RL underflows
             return coef * np.where(rl > 0, lo * hi, 1.0) ** (H - 0.5 - beta) * rl
 
         return const
     r11 = volterra_g_variance(spec)
 
-    def log_pow(lo, hi):
+    def log_pow(lo, hi, gap):
         out = np.where(lo == hi, r11 * hi ** (2.0 * H), 0.0)  # R(s, s) = s^(2H) int F^2
         off = lo != hi
         if np.any(off):
-            out[off] = _volterra_g_pairs(spec, lo[off], hi[off], tol, budget)
+            out[off] = _volterra_g_pairs(spec, lo[off], hi[off], np.asarray(gap)[off], tol, budget)
         return out
 
     return log_pow
@@ -410,34 +413,26 @@ L_FORM_FAMILIES = frozenset({Family.FBM, Family.SUBFBM, Family.BIFBM, Family.RIE
 """The families whose off-diagonal profile :func:`eval_l` evaluates."""
 
 
-def eval_l(spec: ProcessSpec, u):
-    """Normalized off-diagonal profile l(u) with l(0) = 1, in closed form.
+def _l_profile(formula: Callable, u):
+    """l(u) = formula(1, 1+u, u) / formula(1, 1, 0), the gap u passed exactly, not as fl(1+u) - 1;
+    the denominator is the numerator's own computation at u = 0, so l(0) = 1."""
+    one, zero = np.ones_like(u), np.zeros_like(u)
+    return formula(one, one + u, u) / formula(one, one + zero, zero)
 
-    Supported families: ``L_FORM_FAMILIES``; the rl profile is
-    R(1, 1+u) / R(1, 1) from the family's covariance, so l(0) = 1 exactly.
+
+def eval_l(spec: ProcessSpec, u):
+    """Normalized off-diagonal profile l(u) = R(1, 1+u) / R(1, 1), with l(0) = 1 exactly.
+
+    Supported families: ``L_FORM_FAMILIES``.  The profile is the family's
+    covariance formula itself, read by ``make_kernel``'s kernel.
     Consistency contract: R(s, s(1+u)) = R(1,1) * s^(2H) * l(u).
     """
     u_arr = np.asarray(u, dtype=float)
     if not np.all((u_arr >= 0) & (u_arr < math.inf)):  # nan fails both
         raise ParameterError("u must be nonnegative and finite")
-    H = spec.H
-    fam = spec.family
-    if fam not in L_FORM_FAMILIES:
-        raise ParameterError(f"eval_l does not support family {fam.value!r}")
-    kernel = make_kernel(spec)
-    if fam == Family.FBM:
-        out = 0.5 * (1.0 + (1.0 + u_arr) ** (2 * H) - u_arr ** (2 * H))
-    elif fam == Family.SUBFBM:
-        out = (
-            1.0 + (1.0 + u_arr) ** (2 * H)
-            - 0.5 * ((2.0 + u_arr) ** (2 * H) + u_arr ** (2 * H))
-        ) / kernel.r11
-    elif fam == Family.BIFBM:
-        ht, kt = spec.htilde, spec.ktilde
-        out = 2.0 ** (-kt) * ((1.0 + (1.0 + u_arr) ** (2 * ht)) ** kt - u_arr ** (2 * ht * kt))
-    else:  # rl
-        out = kernel(1.0, 1.0 + u_arr) / kernel(1.0, 1.0)
-    out = np.asarray(out, dtype=float)
+    if spec.family not in L_FORM_FAMILIES:
+        raise ParameterError(f"eval_l does not support family {spec.family.value!r}")
+    out = make_kernel(spec).l_profile(u_arr)
     return float(out) if u_arr.ndim == 0 else out
 
 
@@ -496,12 +491,14 @@ def isometry_residual(
 
 @dataclass(frozen=True)
 class CovKernel:
-    """An evaluatable covariance with self-similarity exponent H and R(1,1)."""
+    """An evaluatable covariance with self-similarity exponent H, R(1,1) and, when
+    ``make_kernel`` built it, the profile ``l_profile(u)`` = R(1, 1+u) / R(1, 1)."""
 
     spec: ProcessSpec
     H: float
     r11: float
     evaluator: Callable = field(repr=False)
+    l_profile: Optional[Callable] = field(default=None, repr=False)
 
     def __call__(self, s, t):
         return self.evaluator(s, t)
@@ -510,15 +507,14 @@ class CovKernel:
         return self.spec.label()
 
 
-def _volterra_g_pairs(spec: ProcessSpec, m: np.ndarray, big: np.ndarray, tol: float, budget: int):
-    """(m M)^(H-1/2) integral_0^m F(u/m) F(u/M) du for 0 < m < M, F(x) = (1-x)^beta g(x),
-    all pairs refined together in blocks; each factor is evaluated from its gap
-    1 - u/m = dist/m or 1 - u/M = (M - m + dist)/M."""
+def _volterra_g_pairs(spec: ProcessSpec, m: np.ndarray, big: np.ndarray, gap: np.ndarray, tol: float, budget: int):
+    """(m M)^(H-1/2) integral_0^m F(u/m) F(u/M) du for 0 < m < M, gap = M - m,
+    F(x) = (1-x)^beta g(x), all pairs refined together in blocks; each factor is
+    evaluated from its own gap 1 - u/m = dist/m or 1 - u/M = (gap + dist)/M."""
     F = spec.weight_at_gap
 
     def f2(u, dist, i):
-        mi, bi = m[i], big[i]
-        return F(dist / mi) * F((bi - mi + dist) / bi)
+        return F(dist / m[i]) * F((gap[i] + dist) / big[i])
 
     quad = integrate_power_upper(f2, 0.0, m, spec.beta, tol, budget)
     return (m * big) ** (spec.H - 0.5) * quad.value
@@ -551,4 +547,5 @@ def make_kernel(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUD
         r11 = volterra_g_variance(spec)
     else:
         r11 = 1.0
-    return CovKernel(spec, spec.H, r11, partial(_on_quadrant, _formula(spec, tol, budget)))
+    formula = _formula(spec, tol, budget)
+    return CovKernel(spec, spec.H, r11, partial(_on_quadrant, formula), partial(_l_profile, formula))

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import ssgm.cli
-from ssgm import GFunction, GramMatrix, ProcessSpec, TimeGrid, empirical_cov, standard_grid
+from ssgm import GFunction, GramMatrix, ProcessSpec, TimeGrid, empirical_cov, load_ensemble, standard_grid
 from ssgm.cli import main, report_schema_version
 from ssgm.config import (GridConfig, MCConfig, RunConfig, ToleranceConfig,
                          parse_config, serialize_config)
@@ -406,6 +406,44 @@ def test_cli_sample_unwritable_sidecar_exit_2(tmp_path, capsys):
     assert captured.err == f"ssgm: invalid parameters: cannot write {out}.json: Is a directory\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--out", "e.bin", "--json", "e.bin.json"], "the --out sidecar and --json both write e.bin.json"),
+    (["--csv", "f.bin", "--out", "f.bin"], "--out and --csv both write f.bin"),
+    (["--out", "e.bin", "--csv", "./e.bin.json"], "the --out sidecar and --csv both write ./e.bin.json"),
+    (["--csv", "r.txt", "--json", "sub/../r.txt"], "--csv and --json both write sub/../r.txt"),
+    (["--csv", "link.txt", "--json", "r.txt"], "--csv and --json both write r.txt"),
+], ids=["sidecar_json", "csv_out", "sidecar_csv", "dotdot", "symlink"])
+def test_cli_sample_coinciding_outputs_exit_2(tmp_path, monkeypatch, capsys, flags, message):
+    # two outputs that resolve to one file are refused before sampling: the second
+    # write would silently replace the first (a sidecar replaced by the JSON report)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to(tmp_path / "r.txt")
+    argv = ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "3", "--seed", "1"] + flags
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ssgm: invalid parameters: {message}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "sub"]
+
+
+def test_cli_kernel_eval_coinciding_outputs_exit_2(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["kernel-eval", "--kernel", "fbm:H=0.3", "--csv", str(out), "--json", str(out)]) == 2
+    assert capsys.readouterr().err == f"ssgm: invalid parameters: --csv and --json both write {out}\n"
+    assert not out.exists()
+
+
+def test_cli_sample_distinct_outputs_all_written(tmp_path):
+    out = tmp_path / "e.bin"
+    argv = ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "3", "--seed", "1",
+            "--out", str(out), "--csv", str(tmp_path / "e.csv"), "--json", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    ens = load_ensemble(str(out))
+    assert ens.n_paths == 3
+    assert json.loads((tmp_path / "r.json").read_text())["n_paths"] == 3
 
 
 @pytest.mark.parametrize("argv", [

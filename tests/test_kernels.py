@@ -281,9 +281,32 @@ def test_volterra_g_log_pow_axes_and_diagonal():
 # ---------------------------------------------------------------------------
 
 def test_l_at_zero_is_one():
-    for spec in [ProcessSpec.fbm(0.7), ProcessSpec.sub_fbm(0.3),
-                 ProcessSpec.bi_fbm(0.5, 0.5), ProcessSpec.riemann_liouville(0.25)]:
-        assert eval_l(spec, 0.0) == pytest.approx(1.0, abs=1e-14)
+    # l(0) = R(1, 1) / R(1, 1) exactly, also where R(1, 1) is not 1.0: bfbm (0.01, 0.05)
+    # and sfbm 0.022 read 1 + 1 ulp when the profile is a restated closed form
+    specs = ([ProcessSpec.fbm(0.7), ProcessSpec.riemann_liouville(0.1), ProcessSpec.riemann_liouville(0.25),
+              ProcessSpec.bi_fbm(0.01, 0.05), ProcessSpec.sub_fbm(0.022)]
+             + [ProcessSpec.sub_fbm(H) for H in np.arange(1, 1000, 3) / 1000]
+             + [ProcessSpec.bi_fbm(h, k) for h in np.arange(1, 100, 7) / 100 for k in np.arange(1, 21) / 20])
+    u = np.array([0.0, 0.5, 0.0, 1e-12, 3.0, 0.0])
+    for spec in specs:
+        assert eval_l(spec, 0.0) == 1.0, spec.label()
+        assert np.all(eval_l(spec, u)[u == 0] == 1.0), spec.label()
+
+
+@pytest.mark.parametrize("H", [0.1, 0.25])
+def test_rl_l_matches_mpmath(H):
+    # l(u) = 2H/(H+1/2) t^(H-1/2) 2F1(1/2-H, 1; H+3/2; 1/t) at t = 1 + u; the gap u
+    # reaches the formula exactly, not as fl(1 + u) - 1 (5.5e-8 off at H = 0.1, u = 1e-12)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    h = mp.mpf(H)
+    us = [10.0**-k for k in range(12, 0, -1)] + [1.0, 10.0, 1e3, 1e6]
+    got = eval_l(ProcessSpec.riemann_liouville(H), np.array(us))
+    for u, value in zip(us, got):
+        t = 1 + mp.mpf(u)
+        exact = float(2 * h / (h + 0.5) * t ** (h - 0.5) * mp.hyp2f1(0.5 - h, 1, h + 1.5, 1 / t))
+        assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert eval_l(ProcessSpec.riemann_liouville(H), u) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_sfbm_l_is_one_at_half():

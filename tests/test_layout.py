@@ -117,3 +117,11 @@ def test_one_covariance_entry_point():
     # function reaches the time front end or a family's formula
     assert _references_of("_on_quadrant") == ["kernels.py:make_kernel"]
     assert _references_of("_formula") == ["kernels.py:make_kernel"]
+
+
+def test_eval_l_restates_no_covariance():
+    # eval_l reads the family formula through make_kernel: every power comes from
+    # _formula, so eval_l itself holds no ** node
+    tree = ast.parse((_SRC / "kernels.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "eval_l"]
+    assert [ast.unparse(n) for n in ast.walk(fn) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)] == []
