@@ -7,7 +7,7 @@ from .gram import (GramMatrix, MinorQuery, PosDefReport, TimeGrid, build_gram,
 from .kernels import (L_FORM_FAMILIES, CovKernel, Family, GFunction,
                       ProcessSpec, eval_l, format_spec_string,
                       isometry_residual, make_kernel, parse_spec_string,
-                      rl_r11, volterra_g_variance, volterra_kernel)
+                      volterra_g_variance, volterra_kernel)
 from .markov import (AsymReport, CanonicalFit, FactorizationResult,
                      MarkovReport, asym_coeff_estimate, doob_residual,
                      fit_canonical, gf_factorize, markov_test,

@@ -107,22 +107,17 @@ def parse_config(text: str) -> RunConfig:
         raise ParameterError("config must contain [process] and [grid] blocks")
     spec = spec_from_params(dict(cp["process"]))
 
-    gblock = cp["grid"]
-    if "times" in gblock and "geometric" in gblock:
-        raise ParameterError("grid block must not contain both 'times' and 'geometric'")
+    gblock, recipe = cp["grid"], {}
     if "times" in gblock:
-        times = tuple(_number(float, "grid", "times", x) for x in gblock["times"].split())
-        grid = GridConfig(times=times)
-    elif "geometric" in gblock:
+        recipe["times"] = tuple(_number(float, "grid", "times", x) for x in gblock["times"].split())
+    if "geometric" in gblock:
         parts = gblock["geometric"].split()
         if len(parts) != 3:
             raise ParameterError("geometric grid needs 'start stop points'")
-        recipe = tuple(_number(k, "grid", "geometric", x) for k, x in zip((float, float, int), parts))
-        grid = GridConfig(geometric=recipe)
-    else:
-        raise ParameterError("grid block needs 'times' or 'geometric'")
+        recipe["geometric"] = tuple(_number(kind, "grid", "geometric", x)
+                                    for kind, x in zip((float, float, int), parts))
 
-    return RunConfig(spec, grid, _parse_block(cp, "mc", MCConfig, int),
+    return RunConfig(spec, GridConfig(**recipe), _parse_block(cp, "mc", MCConfig, int),
                      _parse_block(cp, "tolerances", ToleranceConfig, float))
 
 
@@ -138,10 +133,7 @@ def serialize_config(cfg: RunConfig) -> str:
     mc = {f.name: str(getattr(cfg.mc, f.name)) for f in fields(MCConfig) if getattr(cfg.mc, f.name) != f.default}
     if mc:
         cp["mc"] = mc
-    cp["tolerances"] = {
-        "quad_tol": repr(cfg.tolerances.quad_tol),
-        "psd_tol": repr(cfg.tolerances.psd_tol),
-    }
+    cp["tolerances"] = {f.name: repr(getattr(cfg.tolerances, f.name)) for f in fields(ToleranceConfig)}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -22,8 +22,9 @@ own mesh, tolerance share and ``budget``.  RL, its ``l(u)`` and constant-g volte
 Every covariance is evaluated through ``make_kernel(spec)(s, t)``: the one
 front end, ``_on_quadrant``, refuses negative or non-finite times, hands the
 family's formula the pairs (s ^ t, s v t) off the axes with their gap, and
-sets R = 0 on them.  Each family's covariance is stated once, in ``_formula``;
-``eval_l`` reads the same formula at (1, 1 + u) with the gap u passed exactly.
+sets R = 0 on them.  Each family's covariance is stated once, in ``_formula``.
+A ``CovKernel`` holds only the spec and that formula: R(1, 1) is the kernel at
+(1, 1), and ``eval_l`` reads the formula at (1, 1 + u) with the gap u passed exactly.
 Parameter domains are checked in one place, ``ProcessSpec``.  All evaluators
 accept scalars or numpy arrays and are pure and stateless, so they are safe
 for concurrent use.
@@ -41,7 +42,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, hyp2f1
 
 from .errors import ParameterError
-from .quadrature import DEFAULT_BUDGET, integrate_power_upper
+from .quadrature import DEFAULT_BUDGET, check_quadrature_args, integrate_power_upper
 
 __all__ = [
     "Family",
@@ -54,7 +55,6 @@ __all__ = [
     "volterra_kernel",
     "isometry_residual",
     "volterra_g_variance",
-    "rl_r11",
     "parse_spec_string",
     "format_spec_string",
     "spec_from_params",
@@ -358,11 +358,6 @@ def _rl(H: float, lo, hi, gap):
     return lo ** (H + 0.5) * hi ** (H - 0.5) * f / ((H + 0.5) * gamma_fn(H + 0.5) ** 2)
 
 
-def rl_r11(H: float) -> float:
-    """R(1,1) of the Riemann-Liouville process: Gamma(H+1/2)^-2 / (2H)."""
-    return 1.0 / (2.0 * H * gamma_fn(H + 0.5) ** 2)
-
-
 def _formula(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET) -> Callable:
     """The covariance of ``spec`` as a function of (lo, hi, gap) with 0 < lo <= hi, gap = hi - lo."""
     H, fam = spec.H, spec.family
@@ -411,13 +406,6 @@ def _formula(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET
 
 L_FORM_FAMILIES = frozenset({Family.FBM, Family.SUBFBM, Family.BIFBM, Family.RIEMANN_LIOUVILLE})
 """The families whose off-diagonal profile :func:`eval_l` evaluates."""
-
-
-def _l_profile(formula: Callable, u):
-    """l(u) = formula(1, 1+u, u) / formula(1, 1, 0), the gap u passed exactly, not as fl(1+u) - 1;
-    the denominator is the numerator's own computation at u = 0, so l(0) = 1."""
-    one, zero = np.ones_like(u), np.zeros_like(u)
-    return formula(one, one + u, u) / formula(one, one + zero, zero)
 
 
 def eval_l(spec: ProcessSpec, u):
@@ -486,22 +474,34 @@ def isometry_residual(
 
 
 # ---------------------------------------------------------------------------
-# CovKernel: a spec bundled with its vectorized evaluator and R(1,1)
+# CovKernel: a spec and its covariance formula
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CovKernel:
-    """An evaluatable covariance with self-similarity exponent H, R(1,1) and, when
-    ``make_kernel`` built it, the profile ``l_profile(u)`` = R(1, 1+u) / R(1, 1)."""
+    """A process spec and its covariance ``formula(lo, hi, gap)``, 0 < lo <= hi, gap = hi - lo; R(s, t),
+    H, the label, R(1, 1) and the profile ``l_profile(u)`` = R(1, 1+u) / R(1, 1) are read from these two."""
 
     spec: ProcessSpec
-    H: float
-    r11: float
-    evaluator: Callable = field(repr=False)
-    l_profile: Optional[Callable] = field(default=None, repr=False)
+    formula: Callable = field(repr=False)
 
     def __call__(self, s, t):
-        return self.evaluator(s, t)
+        return _on_quadrant(self.formula, s, t)
+
+    @property
+    def H(self) -> float:
+        return self.spec.H
+
+    @property
+    def r11(self) -> float:
+        """R(1, 1): the kernel at (1, 1), the constant factor of the canonical family."""
+        return self(1.0, 1.0)
+
+    def l_profile(self, u):
+        """l(u) = formula(1, 1+u, u) / formula(1, 1, 0), the gap u passed exactly, not as fl(1+u) - 1;
+        the denominator is the numerator's own computation at u = 0, so l(0) = 1."""
+        one, zero = np.ones_like(u), np.zeros_like(u)
+        return self.formula(one, one + u, u) / self.formula(one, one + zero, zero)
 
     def label(self) -> str:
         return self.spec.label()
@@ -534,18 +534,8 @@ def make_kernel(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUD
     """Build the evaluatable covariance kernel for a process spec.
 
     ``tol`` and ``budget`` reach only the adaptive quadrature of off-diagonal
-    log-pow volterra-g pairs, but ``tol`` is checked for every family: it
-    must be positive and finite.
+    log-pow volterra-g pairs, but both are checked for every family: ``tol``
+    must be positive and finite, ``budget`` an integer >= 1.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ParameterError(f"quadrature tolerance must be positive and finite, got {tol!r}")
-    if spec.family == Family.SUBFBM:
-        r11 = 2.0 - 2.0 ** (2 * spec.H - 1.0)
-    elif spec.family == Family.RIEMANN_LIOUVILLE:
-        r11 = rl_r11(spec.H)
-    elif spec.family == Family.VOLTERRA_G:
-        r11 = volterra_g_variance(spec)
-    else:
-        r11 = 1.0
-    formula = _formula(spec, tol, budget)
-    return CovKernel(spec, spec.H, r11, partial(_on_quadrant, formula), partial(_l_profile, formula))
+    check_quadrature_args(tol, budget)
+    return CovKernel(spec, _formula(spec, tol, budget))

@@ -149,7 +149,7 @@ def fit_canonical(kernel: CovKernel, t_grid: Optional[TimeGrid] = None) -> Canon
     if len(t_grid) < 10:
         raise ParameterError("fit grid needs at least 10 points")
     r = np.asarray(kernel(t, np.ones_like(t)), dtype=float)
-    r11 = float(kernel(1.0, 1.0))
+    r11 = kernel.r11
     if np.any(r < -1e-12 * max(abs(r11), 1.0)):
         raise ParameterError("R(., 1) takes negative values; not a self-similar Markov covariance")
     interior = t < 1.0
@@ -167,7 +167,7 @@ def multiplicative_check(
     y_grid: Optional[np.ndarray] = None,
 ) -> float:
     """Max residual of g(x+y) - g(x) g(y) with g(x) = R(e^-x, 1)/R(1,1)."""
-    r11 = float(kernel(1.0, 1.0))
+    r11 = kernel.r11
     if not r11 > 0:
         raise ParameterError(f"multiplicative check requires R(1,1) > 0, got {r11!r}")
     if x_grid is None:

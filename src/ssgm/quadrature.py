@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 
-__all__ = ["DEFAULT_BUDGET", "QuadResult", "integrate_power_upper"]
+__all__ = ["DEFAULT_BUDGET", "QuadResult", "check_quadrature_args", "integrate_power_upper"]
 
 DEFAULT_BUDGET = 1 << 20
 _MIN_WIDTH_FACTOR = 1e-13
@@ -41,6 +41,14 @@ class QuadResult:
     evals: int | np.ndarray
 
 
+def check_quadrature_args(tol: float, budget: int) -> None:
+    """Refuse a ``tol`` that is not positive and finite or a ``budget`` that is not an integer >= 1."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ParameterError(f"quadrature tolerance must be positive and finite, got {tol!r}")
+    if not (isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1):
+        raise ParameterError(f"quadrature budget must be an integer >= 1, got {budget!r}")
+
+
 def _simpson(f, a: np.ndarray, b: np.ndarray, tol: float, budget: int):
     """Integrate over every ``[a[i], b[i]]`` at once; returns (values, errors, evals).
 
@@ -50,8 +58,7 @@ def _simpson(f, a: np.ndarray, b: np.ndarray, tol: float, budget: int):
     ``tol * width / span``, and the budget counts each integral's own
     evaluations, so every integral refines exactly as it would alone.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ParameterError(f"quadrature tolerance must be positive and finite, got {tol!r}")
+    check_quadrature_args(tol, budget)
     n = a.size
     span = np.abs(b - a)
     owner = np.flatnonzero(span)
@@ -150,7 +157,8 @@ def integrate_power_upper(
     arrays; an empty interval gives 0 with 0 evaluations.  Raises
     :class:`NumericalError` for ``power <= -1`` or when any integral exhausts
     ``budget`` (the first failing block's error), and :class:`ParameterError`,
-    before any evaluation, for a ``tol`` that is not positive and finite.
+    before any evaluation, for a ``tol`` that is not positive and finite or a
+    ``budget`` that is not an integer >= 1.
     """
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     a, b = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))

@@ -641,8 +641,9 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
 
 def load_ensemble(path) -> PathEnsemble:
     """Read what :func:`save_ensemble` wrote; a missing file, or a sidecar that
-    does not describe a float64 column-major file or lacks a key, is refused
-    naming it."""
+    lacks a key, holds a malformed value or does not describe a float64
+    column-major file, is refused naming it.  Unknown scheme names and a
+    missing "rng" key load, as older files carry them."""
     path = Path(path)
     side = path.with_suffix(path.suffix + ".json")
     try:
@@ -659,19 +660,27 @@ def load_ensemble(path) -> PathEnsemble:
     if (sidecar["dtype"], sidecar["order"]) != ("float64", "F"):
         raise ParameterError(f"{side}: sidecar says dtype {sidecar['dtype']!r}, order {sidecar['order']!r}; "
                              "ensemble files are float64 in column-major (F) order")
-    shape = tuple(sidecar["shape"])
+    shape, seed, inner, jitter = (sidecar["shape"], sidecar["seed"], sidecar.get("inner_steps"),
+                                  sidecar.get("jitter", 0.0))
+    try:  # TypeError, ValueError: grid entries that are not numbers
+        grid = TimeGrid(np.asarray(sidecar["grid"], dtype=float))
+        if not (isinstance(shape, list) and len(shape) == 2 and shape[1] == len(grid)):
+            raise ParameterError(f"shape {shape!r} is not [n_paths, {len(grid)}] for its grid")
+        _check_sampling_args(shape[0], seed)
+        if not (inner is None or type(inner) is int and inner >= 1):
+            raise ParameterError(f"inner_steps {inner!r} is not null or an integer >= 1")
+        if not (type(jitter) in (int, float) and 0 <= jitter < math.inf):
+            raise ParameterError(f"jitter {jitter!r} is not a finite number >= 0")
+        if not (isinstance(sidecar["spec"], str) and isinstance(sidecar["scheme"], str)):
+            raise ParameterError(f"spec {sidecar['spec']!r} or scheme {sidecar['scheme']!r} is not a string")
+        spec = parse_spec_string(sidecar["spec"])
+    except (ParameterError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{side}: malformed sidecar: {exc}") from exc
+    shape = [shape[0], len(grid)]  # the grid's own int length: a float 12.0 passes == 12 but cannot reshape
     if len(data) != 8 * math.prod(shape):
         raise ParameterError(
-            f"{path}: {len(data)} bytes, but the sidecar shape {list(shape)} needs "
+            f"{path}: {len(data)} bytes, but the sidecar shape {shape} needs "
             f"{8 * math.prod(shape)} float64 bytes"
         )
     values = np.frombuffer(data, dtype=np.float64).reshape(shape, order="F")
-    return PathEnsemble(
-        parse_spec_string(sidecar["spec"]),
-        TimeGrid(np.asarray(sidecar["grid"], dtype=float)),
-        values,
-        int(sidecar["seed"]),
-        sidecar["scheme"],
-        inner_steps=sidecar.get("inner_steps"),
-        jitter=float(sidecar.get("jitter", 0.0)),
-    )
+    return PathEnsemble(spec, grid, values, seed, sidecar["scheme"], inner_steps=inner, jitter=float(jitter))

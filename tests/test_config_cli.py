@@ -120,6 +120,8 @@ _GOOD_HEAD = "[process]\nfamily = fbm\nH = 0.3\n[grid]\n"
     "family = fbm\nH = 0.3\n",  # no section header
     None,  # the file does not exist
     "[process]\nfamily = fbm\nH = 0.3\nc = -1\n[grid]\ntimes = 1 2\n",  # a key fbm does not take
+    _GOOD_HEAD + "times = 1 2\ngeometric = 0.1 2 8\n",  # both grid recipes
+    _GOOD_HEAD + "points = 8\n",  # neither grid recipe
 ])
 def test_cli_malformed_config_exit_2(tmp_path, capsys, text):
     path = tmp_path / "run.cfg"
@@ -168,6 +170,22 @@ def test_cli_bad_tolerance_exit_2(capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("ssgm: invalid parameters:") and "tolerance" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-eval", "--kernel", _LOG_POW, "--s", "1", "--t", "2", "--budget", "0"],
+    ["kernel-eval", "--kernel", _LOG_POW, "--s", "1", "--t", "2", "--budget", "-5"],
+    ["kernel-eval", "--kernel", _LOG_POW, "--budget", "0"],
+    # closed-form families check --budget as they check --tol
+    ["kernel-eval", "--kernel", "fbm:H=0.3", "--budget", "-5"],
+    ["kernel-eval", "--kernel", "fbm:H=0.3", "--s", "1", "--t", "2", "--budget", "0"],
+])
+def test_cli_bad_budget_exit_2(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("ssgm: invalid parameters: quadrature budget")
     assert err.count("\n") == 1
 
 

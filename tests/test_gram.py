@@ -105,7 +105,7 @@ def test_build_gram_passes_parameter_errors_through():
     with pytest.raises(ParameterError, match="tolerance"):
         make_kernel(spec, tol=0.0)
     quad = integrate_power_upper
-    kernel = CovKernel(spec, spec.H, 1.0, lambda s, t: quad(lambda x, d, _: np.cos(x), 0.0, 1.0, 0.0, 0.0).value)
+    kernel = CovKernel(spec, lambda lo, hi, gap: quad(lambda x, d, _: np.cos(x), 0.0, 1.0, 0.0, 0.0).value)
     with pytest.raises(ParameterError, match="tolerance"):
         build_gram(kernel, standard_grid())
 

@@ -8,7 +8,7 @@ from scipy.special import gamma
 
 from ssgm import (Family, GFunction, ProcessSpec, TimeGrid, build_gram, eval_l,
                   format_spec_string, isometry_residual, make_kernel,
-                  parse_spec_string, rl_r11, standard_grid, volterra_g_variance,
+                  parse_spec_string, standard_grid, volterra_g_variance,
                   volterra_kernel)
 from ssgm.errors import ParameterError
 from ssgm.quadrature import integrate_power_upper
@@ -100,7 +100,7 @@ def test_rl_r11_closed_form():
         expected = 1.0 / (2.0 * H * gamma(H + 0.5) ** 2)
         k = make_kernel(ProcessSpec.riemann_liouville(H))
         assert k(1.0, 1.0) == pytest.approx(expected, rel=1e-10)
-        assert rl_r11(H) == pytest.approx(expected, rel=1e-15)
+        assert k.r11 == pytest.approx(expected, rel=1e-15)
 
 
 def _alg_quad(f, a, b, wvar):
@@ -474,6 +474,16 @@ def test_make_kernel_rejects_bad_tolerance(spec):
             make_kernel(spec, tol=tol)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS + [ProcessSpec.riemann_liouville(0.25),
+                                              ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))],
+                         ids=lambda s: s.label())
+def test_make_kernel_rejects_bad_budget(spec):
+    # the budget is checked where the tolerance is, for every family
+    for budget in (0, -5, 2.5, 20.0, float("nan"), float("inf"), True, "20"):
+        with pytest.raises(ParameterError, match="quadrature budget"):
+            make_kernel(spec, budget=budget)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS + [ProcessSpec.canonical(0.6, NEG_INF),
                                               ProcessSpec.riemann_liouville(0.25),
                                               ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))],
@@ -521,10 +531,17 @@ def test_axes_vanish():
 
 
 def test_r11_matches_evaluator():
-    for spec in ALL_SPECS + [ProcessSpec.riemann_liouville(0.4),
-                             ProcessSpec.volterra_g(0.3, 0.5, GFunction.log_pow(2))]:
-        k = make_kernel(spec)
-        assert k(1.0, 1.0) == pytest.approx(k.r11, rel=1e-9)
+    # R(1, 1) is the kernel at (1, 1) to the last bit: a closed form such as 2 - 2^(2H-1)
+    # (sfbm), Gamma(H+1/2)^-2 / (2H) (rl) or int F^2 (volterra-g) is not, on this sweep
+    specs = (ALL_SPECS + [ProcessSpec.sub_fbm(k / 1000) for k in range(1, 1000)]
+             + [ProcessSpec.riemann_liouville(k / 100) for k in range(1, 300)]
+             + [ProcessSpec.bi_fbm(h / 20, k / 20) for h in range(1, 20) for k in range(1, 21)]
+             + [ProcessSpec.volterra_g(H / 10, beta, g) for H in range(1, 10)
+                for beta in (-0.4, -0.2, 0.0, 0.3, 0.5, 1.0, 2.0)
+                for g in (GFunction.const(1.0), GFunction.const(0.3), GFunction.log_pow(1), GFunction.log_pow(2))]
+             + [ProcessSpec.fbm(k / 100) for k in range(1, 100)])
+    misses = [spec.label() for spec in specs if make_kernel(spec).r11 != make_kernel(spec)(1.0, 1.0)]
+    assert misses == []
 
 
 def test_cauchy_schwarz_fails_above_boundary():

@@ -1,9 +1,12 @@
 """Module boundaries: no ssgm module reaches into another module's private names."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
+
+from ssgm import CovKernel
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ssgm"
 _MODULES = sorted(_SRC.glob("*.py"))
@@ -113,10 +116,12 @@ def _references_of(name: str) -> list:
 
 
 def test_one_covariance_entry_point():
-    # every covariance is evaluated through make_kernel(spec)(s, t): no other
-    # function reaches the time front end or a family's formula
-    assert _references_of("_on_quadrant") == ["kernels.py:make_kernel"]
+    # every covariance is evaluated through make_kernel(spec)(s, t): only the kernel
+    # reaches the time front end, only make_kernel a family's formula, and the kernel
+    # stores nothing it can derive from its spec and formula
+    assert _references_of("_on_quadrant") == ["kernels.py:CovKernel"]
     assert _references_of("_formula") == ["kernels.py:make_kernel"]
+    assert tuple(f.name for f in dataclasses.fields(CovKernel)) == ("spec", "formula")
 
 
 def test_eval_l_restates_no_covariance():

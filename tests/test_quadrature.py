@@ -87,6 +87,23 @@ def test_bad_tolerance_rejected_before_any_evaluation(tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("budget", [0, -5, 2.5, 20.0, float("nan"), float("inf"), True, "20"])
+def test_bad_budget_rejected_before_any_evaluation(budget):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.exp(x)
+
+    with pytest.raises(ParameterError, match="quadrature budget"):
+        _plain(f, 0.0, 1.0, budget=budget)
+    with pytest.raises(ParameterError, match="quadrature budget"):
+        _plain(f, 1.0, 1.0, budget=budget)
+    with pytest.raises(ParameterError, match="quadrature budget"):
+        integrate_power_upper(lambda s, d, i: f(d), 0.0, [1.0, 2.0], 0.0, budget=budget)
+    assert calls == []
+
+
 def test_evals_count_integrand_points():
     seen = [0]
 

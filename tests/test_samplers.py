@@ -548,6 +548,21 @@ def test_sidecar_rng_marker(tmp_path, keep_rng):
     assert np.array_equal(load_ensemble(path).values, ens.values)
 
 
+def test_load_accepts_older_sidecar(tmp_path):
+    # older files name schemes since retired and carry no "rng", "inner_steps" or "jitter"
+    ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
+    path = tmp_path / "ens.bin"
+    save_ensemble(ens, path)
+    side = tmp_path / "ens.bin.json"
+    sidecar = json.loads(side.read_text())
+    for key in ("rng", "inner_steps", "jitter"):
+        del sidecar[key]
+    side.write_text(json.dumps({**sidecar, "scheme": "volterra-canonical"}))
+    loaded = load_ensemble(path)
+    assert np.array_equal(loaded.values, ens.values)
+    assert (loaded.scheme, loaded.inner_steps, loaded.jitter) == ("volterra-canonical", None, 0.0)
+
+
 @pytest.mark.parametrize("extra", [-8, 8], ids=["truncated", "over_long"])
 def test_load_rejects_size_mismatch(tmp_path, extra):
     ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
@@ -564,7 +579,29 @@ def test_load_rejects_size_mismatch(tmp_path, extra):
     lambda side: side.update(order="C"),
     lambda side: side.pop("seed"),
     lambda side: side.pop("dtype"),
-], ids=["float32", "C_order", "no_seed", "no_dtype"])
+    lambda side: side.update(shape=[1.5, 4]),
+    lambda side: side.update(shape="32"),
+    lambda side: side.update(shape=[-3, -2]),
+    lambda side: side.update(shape=[3, 1, 2]),
+    lambda side: side.update(shape=[84, 1]),
+    lambda side: side.update(seed="abc"),
+    lambda side: side.update(seed=-1),
+    lambda side: side.update(seed=2**64),
+    lambda side: side.update(grid=["a", "b"]),
+    lambda side: side.update(grid=[1.0]),
+    lambda side: side.update(grid=[2.0, 1.0]),
+    lambda side: side.update(grid="1,2"),
+    lambda side: side.update(jitter="x"),
+    lambda side: side.update(jitter=float("nan")),
+    lambda side: side.update(inner_steps="abc"),
+    lambda side: side.update(inner_steps=0),
+    lambda side: side.update(spec=5),
+    lambda side: side.update(spec="fbm:H=nope"),
+    lambda side: side.update(scheme=None),
+], ids=["float32", "C_order", "no_seed", "no_dtype", "shape_float", "shape_string", "shape_negative",
+        "shape_three_axes", "shape_not_grid", "seed_string", "seed_negative", "seed_2_64",
+        "grid_strings", "grid_short", "grid_decreasing", "grid_string", "jitter_string", "jitter_nan",
+        "inner_steps_string", "inner_steps_zero", "spec_number", "spec_unparsable", "scheme_null"])
 def test_load_rejects_inconsistent_sidecar(tmp_path, edit):
     ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
     path = tmp_path / "ens.bin"
