@@ -129,11 +129,12 @@ class EmpiricalCov:
 
 
 def _check_sampling_args(n_paths: int, seed: int) -> None:
-    if not isinstance(n_paths, (int, np.integer)):
+    # bool is an int subclass, but True is neither a path count nor a seed
+    if not isinstance(n_paths, (int, np.integer)) or isinstance(n_paths, bool):
         raise ParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths!r}")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 

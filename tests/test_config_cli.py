@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 import ssgm.cli
@@ -347,6 +348,19 @@ def test_cli_asym(capsys):
     rc = main(["asym", "--spec", "rl:H=0.25", "--points", "25"])
     assert rc == 0
     assert "asym" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["asym", "--spec", "rl:H=0.25"], ["markov-test", "--kernel", "fbm:H=0.3"]],
+                         ids=["asym", "markov-test"])
+def test_cli_failed_power_fit_exits_3(monkeypatch, capsys, argv):
+    # the fitter's linear solves fail as NumericalError: exit 3 and one line, no traceback
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", fail)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "ssgm: numerical failure: power fit failed: SVD did not converge\n"
 
 
 def test_cli_reproducible_csv_across_threads(tmp_path):

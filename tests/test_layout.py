@@ -2,7 +2,10 @@
 
 import ast
 import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -130,3 +133,12 @@ def test_eval_l_restates_no_covariance():
     tree = ast.parse((_SRC / "kernels.py").read_text())
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "eval_l"]
     assert [ast.unparse(n) for n in ast.walk(fn) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)] == []
+
+
+def test_import_loads_no_optimizer():
+    # the power-law fits are numpy variable projection: importing the package
+    # and its CLI leaves scipy.optimize unloaded
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(_SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ssgm, ssgm.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

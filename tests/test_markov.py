@@ -7,7 +7,7 @@ from ssgm import (ProcessSpec, TimeGrid, asym_coeff_estimate, build_gram,
                   doob_residual, fit_canonical, gf_factorize, make_kernel,
                   markov_test, multiplicative_check, sqrt_diag_profile,
                   standard_grid)
-from ssgm.errors import ParameterError
+from ssgm.errors import NumericalError, ParameterError
 
 # brute-force oracle: 0.5*(s^2H + t^2H - |s-t|^2H) at the four pairs of the
 # triple (1, 2, 3) with H = 3/4, evaluated once and frozen
@@ -256,6 +256,45 @@ def test_asym_fbm_brownian_below_noise():
     rep = asym_coeff_estimate(ProcessSpec.fbm(0.5), U_DEFAULT)
     assert rep.remainder_below_noise
     assert rep.constant_term == pytest.approx(1.0, abs=1e-9)
+
+
+_BROWNIAN = {ProcessSpec.riemann_liouville(0.5), ProcessSpec.sub_fbm(0.5), ProcessSpec.fbm(0.5),
+             ProcessSpec.bi_fbm(0.5, 1.0)}
+_ORACLE_SPECS = ([ProcessSpec.riemann_liouville(H) for H in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 1.0, 1.5)]
+                 + [ProcessSpec.sub_fbm(H) for H in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]
+                 + [ProcessSpec.fbm(H) for H in (0.1, 0.25, 0.5, 0.75, 0.9)]
+                 + [ProcessSpec.bi_fbm(h, k) for h in (0.25, 0.5, 0.75, 0.8) for k in (0.3, 0.5, 0.6, 1.0)])
+
+
+@pytest.mark.parametrize("spec", _ORACLE_SPECS, ids=lambda s: s.label())
+def test_asym_matches_predicted_pair(spec):
+    # the fit to all of l(u) on the default range recovers the leading power of
+    # l(u) - lim l(u) far inside criterion 6's 1 % and 0.02; at a Brownian point
+    # l is constant and only the constant is reported
+    rep = asym_coeff_estimate(spec, U_DEFAULT)
+    if spec in _BROWNIAN:
+        assert rep.remainder_below_noise and rep.coefficient is None
+        return
+    assert abs(rep.coefficient - rep.predicted_coefficient) <= 1e-3 * abs(rep.predicted_coefficient)
+    assert abs(rep.exponent - rep.predicted_exponent) <= 1e-4
+
+
+@pytest.mark.parametrize("H", [0.25, 0.75])
+def test_bfbm_at_ktilde_one_predicts_as_fbm(H):
+    # bfbm with ktilde = 1 is fBm: l(u) = 1/2 + H u^(2H-1) + ...
+    assert asym_coeff_estimate(ProcessSpec.bi_fbm(H, 1.0), U_DEFAULT).predicted_coefficient == H
+    rep = asym_coeff_estimate(ProcessSpec.fbm(H), U_DEFAULT)
+    assert (rep.predicted_coefficient, rep.predicted_exponent) == (H, 2 * H - 1)
+
+
+def test_asym_failed_fit_raises_numerical_error(monkeypatch):
+    # a failed linear solve surfaces as NumericalError, never as a LinAlgError
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", fail)
+    with pytest.raises(NumericalError, match="power fit failed"):
+        asym_coeff_estimate(ProcessSpec.riemann_liouville(0.25), U_DEFAULT)
 
 
 @pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf")])

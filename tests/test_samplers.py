@@ -587,6 +587,7 @@ def test_load_rejects_size_mismatch(tmp_path, extra):
     lambda side: side.update(seed="abc"),
     lambda side: side.update(seed=-1),
     lambda side: side.update(seed=2**64),
+    lambda side: side.update(seed=True),
     lambda side: side.update(grid=["a", "b"]),
     lambda side: side.update(grid=[1.0]),
     lambda side: side.update(grid=[2.0, 1.0]),
@@ -599,7 +600,7 @@ def test_load_rejects_size_mismatch(tmp_path, extra):
     lambda side: side.update(spec="fbm:H=nope"),
     lambda side: side.update(scheme=None),
 ], ids=["float32", "C_order", "no_seed", "no_dtype", "shape_float", "shape_string", "shape_negative",
-        "shape_three_axes", "shape_not_grid", "seed_string", "seed_negative", "seed_2_64",
+        "shape_three_axes", "shape_not_grid", "seed_string", "seed_negative", "seed_2_64", "seed_bool",
         "grid_strings", "grid_short", "grid_decreasing", "grid_string", "jitter_string", "jitter_nan",
         "inner_steps_string", "inner_steps_zero", "spec_number", "spec_unparsable", "scheme_null"])
 def test_load_rejects_inconsistent_sidecar(tmp_path, edit):
@@ -692,11 +693,14 @@ def test_chunks_are_the_ensemble_rows(monkeypatch, name):
 
 @pytest.mark.parametrize("args, match", [
     ((SPEC, GRID, 2.5, 1), "n_paths must be an integer"),
+    ((SPEC, GRID, True, 1), "n_paths must be an integer"),
     ((SPEC, GRID, 0, 1), "n_paths must be >= 1"),
     ((SPEC, GRID, 3, -1), "seed"),
+    ((SPEC, GRID, 3, True), "seed"),
     ((SPEC, GRID, 3, 1, "gibbs"), "unknown sampling scheme"),
     ((SPEC, GRID, 3, 1, "circulant"), "circulant scheme applies"),
-], ids=["non_integer_n_paths", "no_paths", "bad_seed", "unknown_scheme", "unfitting_scheme"])
+], ids=["non_integer_n_paths", "bool_n_paths", "no_paths", "bad_seed", "bool_seed", "unknown_scheme",
+        "unfitting_scheme"])
 def test_sample_chunks_checks_when_called(args, match):
     # the iterator is not started: every fault shows at the call, before any chunk is taken
     with pytest.raises(ParameterError, match=match):
@@ -752,7 +756,7 @@ def test_midpoint_doubling_evaluates_each_resolution_once(monkeypatch):
             assert ens.values.tobytes() == pinned.values.tobytes()
 
 
-@pytest.mark.parametrize("n_paths", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("n_paths", [2.5, 3.0, "3", True])
 def test_non_integer_n_paths_rejected(n_paths):
     # refused like a bad seed, before anything is drawn
     with pytest.raises(ParameterError, match="n_paths must be an integer"):
@@ -761,10 +765,12 @@ def test_non_integer_n_paths_rejected(n_paths):
         pvariation_trichotomy(ProcessSpec.fbm(0.3), 2.0, [4, 8], n_paths, 1)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_seed_out_of_range_rejected(seed):
     with pytest.raises(ParameterError, match="seed"):
         sample_timechange(0.7, -1.5, GRID, 3, seed)
+    with pytest.raises(ParameterError, match="seed"):
+        sample_spec(SPEC, GRID, 3, seed)
 
 
 def test_largest_seed_accepted():
