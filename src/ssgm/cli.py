@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import json
 import math
 import os
@@ -378,7 +379,9 @@ def _add_common(p, spec_flag="--kernel"):
                         "output is identical for any value")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and changes nothing in it."""
     ap = _Parser(prog="ssgm", description="self-similar Gaussian Markov process toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 

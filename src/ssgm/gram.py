@@ -150,23 +150,23 @@ def build_gram(kernel: CovKernel, grid: TimeGrid) -> GramMatrix:
 
 
 def psd_check(gram: GramMatrix, tol: float = 1e-10) -> PosDefReport:
-    """Decide positive semidefiniteness from one symmetric eigendecomposition.
+    """Decide positive semidefiniteness from the symmetric eigenvalues alone.
 
-    The matrix passes when its smallest eigenvalue is at least
-    ``-tol * max(diagonal)``.  On failure the report carries that
-    eigenvalue's unit eigenvector as a witness ``a`` with
-    ``sum_kl a_k a_l R(t_k, t_l) < 0``.
+    The matrix passes when its smallest eigenvalue (``eigvalsh``, no
+    eigenvectors) is at least ``-tol * max(diagonal)``; that eigenvalue is
+    the reported bound.  Only on failure is the full decomposition taken,
+    for the witness: the unit eigenvector ``a`` of the smallest eigenvalue,
+    with ``sum_kl a_k a_l R(t_k, t_l) < 0``.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ParameterError(f"PSD tolerance must be nonnegative and finite, got {tol!r}")
     G = gram.entries
     max_diag = float(np.max(np.abs(np.diag(G))))
     threshold = -tol * max(max_diag, 1.0e-300)
-    eigvals, eigvecs = np.linalg.eigh(G)
-    min_eig = float(eigvals[0])
+    min_eig = float(np.linalg.eigvalsh(G)[0])
     if min_eig >= threshold:
         return PosDefReport("PSD", min_eig, tol)
-    witness = eigvecs[:, 0]
+    witness = np.linalg.eigh(G)[1][:, 0]
     qform = float(witness @ G @ witness)
     return PosDefReport("NotPSD", min_eig, tol, witness=witness, quadratic_form=qform)
 

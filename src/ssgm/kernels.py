@@ -346,15 +346,29 @@ def _rl(H: float, lo, hi, gap):
             = m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; m/M) / ((H+1/2) Gamma(H+1/2)^2)
 
     with m = s ^ t and M = s v t.  For H < 1/2 and m/M > 1/2, where scipy's 2F1 is up to
-    ~100% off a few ulps from the diagonal, it goes through z -> 1 - z in eps = (M - m)/M.
+    ~100% off a few ulps from the diagonal, it goes through z -> 1 - z in eps = (M - m)/M
+    (DLMF 15.8.4).  Each form is evaluated only on the pairs that take it: the connection
+    form costs tens of microseconds a point far from the diagonal, where it is not used.
     """
     z = lo / hi
-    f = hyp2f1(0.5 - H, 1.0, H + 1.5, z)
-    if H < 0.5:
-        eps = gap / hi
-        f = np.where(z > 0.5, (H + 0.5) / (2.0 * H) * hyp2f1(0.5 - H, 1.0, 1.0 - 2.0 * H, eps)
-                     + eps ** (2.0 * H) * gamma_fn(H + 1.5) * gamma_fn(-2.0 * H) / gamma_fn(0.5 - H)
-                     * z ** (-H - 0.5), f)
+
+    def direct(z):
+        return hyp2f1(0.5 - H, 1.0, H + 1.5, z)
+
+    def reflected(z, eps):
+        return ((H + 0.5) / (2.0 * H) * hyp2f1(0.5 - H, 1.0, 1.0 - 2.0 * H, eps)
+                + eps ** (2.0 * H) * gamma_fn(H + 1.5) * gamma_fn(-2.0 * H) / gamma_fn(0.5 - H)
+                * z ** (-H - 0.5))
+
+    if H >= 0.5:
+        f = direct(z)
+    elif np.ndim(z) == 0:  # stays on numpy's scalar math, which rounds ** unlike a 1-element array
+        f = reflected(z, gap / hi) if z > 0.5 else direct(z)
+    else:
+        near = z > 0.5
+        f = np.empty_like(z)
+        f[~near] = direct(z[~near])
+        f[near] = reflected(z[near], gap[near] / hi[near])
     return lo ** (H + 0.5) * hi ** (H - 0.5) * f / ((H + 0.5) * gamma_fn(H + 0.5) ** 2)
 
 

@@ -121,11 +121,19 @@ def doob_residual(kernel: CovKernel, grid: TimeGrid) -> tuple[float, float]:
     Residuals are |R(s,u)R(t,t) - R(s,t)R(t,u)| normalized by the larger
     product magnitude (with a tiny floor so all-zero products count as 0).
     """
+    _check_doob_grid(grid)
+    return _doob_from_gram(build_gram(kernel, grid).entries)
+
+
+def _check_doob_grid(grid: TimeGrid) -> None:
     if len(grid) < 3:
         raise ParameterError("doob residual requires a grid with d >= 3")
     if np.any(grid.times <= 0):
         raise ParameterError("doob residual requires positive grid times")
-    G = build_gram(kernel, grid).entries
+
+
+def _doob_from_gram(G: np.ndarray) -> tuple[float, float]:
+    """``doob_residual`` of the Gram matrix G itself."""
     d = G.shape[0]
     rel_max, rel_sum, count = 0.0, 0.0, 0
     for j in range(d):
@@ -206,10 +214,13 @@ def gf_factorize(kernel: CovKernel, grid: TimeGrid) -> FactorizationResult:
     """
     if len(grid) < 2:
         raise ParameterError("factorization requires d >= 2")
-    times = grid.times
-    if np.any(times <= 0):
+    if np.any(grid.times <= 0):
         raise ParameterError("factorization requires positive grid times")
-    G_mat = build_gram(kernel, grid).entries
+    return _gf_from_gram(grid, build_gram(kernel, grid).entries)
+
+
+def _gf_from_gram(grid: TimeGrid, G_mat: np.ndarray) -> FactorizationResult:
+    """``gf_factorize`` of the Gram matrix G_mat over ``grid``."""
     if np.any(G_mat <= 0):
         raise ParameterError("factorization requires R > 0 on the grid")
     F = G_mat[0, :].copy()
@@ -399,11 +410,13 @@ def markov_test(kernel: CovKernel, grid: Optional[TimeGrid] = None) -> MarkovRep
     """Run the full Markovianity battery on a kernel and classify it."""
     if grid is None:
         grid = standard_grid()
-    dmax, dmean = doob_residual(kernel, grid)
+    _check_doob_grid(grid)  # also every grid gf_factorize needs
+    gram = build_gram(kernel, grid).entries  # one Gram for the Doob residual and the G*F split
+    dmax, dmean = _doob_from_gram(gram)
     fit = fit_canonical(kernel)
     mult = multiplicative_check(kernel)
     try:
-        fact_resid = gf_factorize(kernel, grid).max_residual
+        fact_resid = _gf_from_gram(grid, gram).max_residual
     except ParameterError:
         fact_resid = None  # kernels with zeros (white noise) have no G*F split
 

@@ -730,3 +730,47 @@ def test_cli_settles_flag_over_config_over_default(tmp_path, monkeypatch, capsys
     else:
         assert rc == 0
         assert _plain(seen[recorded]) == want
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_cli_parser_built_once():
+    assert ssgm.cli.build_parser() is ssgm.cli.build_parser()
+
+
+def test_cli_reused_parser_keeps_no_flag_value(tmp_path):
+    out = tmp_path / "posdef.json"
+    base = ["posdef", "--kernel", "fbm:H=0.3", "--grid", "1,2", "--json", str(out)]
+    assert main(base + ["--psd-tol", "1e-3"]) == 0
+    assert json.loads(out.read_text())["tol"] == 1e-3
+    assert main(base) == 0
+    assert json.loads(out.read_text())["tol"] == 1e-10
+
+
+def test_cli_malformed_line_then_valid_call(capsys):
+    assert main(["posdef", "--kernel", "fbm:H=0.3", "--psd-tol"]) == 2
+    assert main(["kernel-eval", "--kernel", "fbm:H=0.3", "--s", "1", "--t", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.out.startswith("kernel-eval fbm:H=0.3")
+
+
+_EVERY_SUBCOMMAND = {
+    "kernel-eval": ["kernel-eval", "--kernel", "rl:H=0.25", "--grid", "0.5,1,3"],
+    "posdef": ["posdef", "--alpha", "0.3", "--beta", "0.2", "--grid", "1,2,4"],
+    "markov-test": ["markov-test", "--kernel", "rl:H=0.25"],
+    "sample": ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2"] + _PATHS,
+    "variation": ["variation", "--spec", "fbm:H=0.75", "--p", "2", "--n", "2^3..2^4"] + _PATHS,
+    "asym": ["asym", "--spec", "rl:H=0.25", "--points", "12"],
+}
+
+
+@pytest.mark.parametrize("command", list(_EVERY_SUBCOMMAND))
+def test_cli_subcommand_twice_in_process_writes_same_json(command, tmp_path):
+    written = []
+    for run in range(2):
+        out = tmp_path / f"{run}.json"
+        assert main(_EVERY_SUBCOMMAND[command] + ["--json", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

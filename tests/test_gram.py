@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ssgm import (GFunction, MinorQuery, ProcessSpec, TimeGrid, build_gram,
+from ssgm import (GFunction, GramMatrix, MinorQuery, ProcessSpec, TimeGrid, build_gram,
                   chain_det, gram_to_csv, lindstrom_minor, make_kernel,
                   minor_residual, psd_check, standard_grid)
 from ssgm.errors import NumericalError, ParameterError
@@ -139,6 +139,51 @@ def test_psd_rank_one_degenerate():
     k = make_kernel(ProcessSpec.canonical(0.7, -0.7))
     rep = psd_check(build_gram(k, TimeGrid(np.array([0.5, 1.0, 2.0]))))
     assert rep.is_psd
+
+
+def _counting_eigh(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [ProcessSpec.fbm(0.25), ProcessSpec.canonical(0.5, -1.0),
+                                  ProcessSpec.riemann_liouville(0.75)], ids=lambda s: s.label())
+def test_psd_verdict_reads_eigenvalues_only(spec, monkeypatch):
+    calls = _counting_eigh(monkeypatch)
+    gram = build_gram(make_kernel(spec), TimeGrid(np.geomspace(0.05, 5.0, 60)))
+    rep = psd_check(gram)
+    assert rep.is_psd and calls == []
+    assert rep.min_eigenvalue_bound == float(np.linalg.eigvalsh(gram.entries)[0])
+
+
+@pytest.mark.parametrize("least, verdict", [(-1e-10, "PSD"), (np.nextafter(-1e-10, -1.0), "NotPSD")])
+def test_psd_verdict_decided_from_reported_eigenvalue(least, verdict, monkeypatch):
+    # the threshold is -tol * max(diagonal) = -1e-10 exactly; eigvalsh's smallest
+    # eigenvalue is both the bound reported and the number the verdict reads
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([least, 1.0]))
+    gram = GramMatrix(TimeGrid(np.array([1.0, 2.0])), np.eye(2))
+    rep = psd_check(gram, tol=1e-10)
+    assert rep.verdict == verdict
+    assert rep.min_eigenvalue_bound == least
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.3, 0.2), (0.5, 0.5), (1.0, -0.5), (2.0, 0.1)])
+def test_not_psd_witness_from_one_decomposition(alpha, beta, monkeypatch):
+    calls = _counting_eigh(monkeypatch)
+    times = np.geomspace(0.5, 4.0, 7)
+    gram = GramMatrix(TimeGrid(times), _power_gram(alpha, beta, times))
+    rep = psd_check(gram)
+    assert not rep.is_psd and len(calls) == 1
+    assert rep.min_eigenvalue_bound == float(np.linalg.eigvalsh(gram.entries)[0])
+    assert np.linalg.norm(rep.witness) == pytest.approx(1.0, abs=1e-12)
+    assert rep.quadratic_form == float(rep.witness @ gram.entries @ rep.witness) < 0.0
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, -1.0), (-1.0, 0.3), (-0.5, 0.5), (-2.0, 1.0)])

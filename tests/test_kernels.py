@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
 
+import ssgm.kernels
 from ssgm import (Family, GFunction, ProcessSpec, TimeGrid, build_gram, eval_l,
                   format_spec_string, isometry_residual, make_kernel,
                   parse_spec_string, standard_grid, volterra_g_variance,
@@ -144,6 +145,78 @@ def test_rl_near_diagonal_matches_mpmath():
             exact = (mp.mpf(top) ** (h - 0.5) * mp.hyp2f1(0.5 - h, 1, h + 1.5, z)
                      / ((h + 0.5) * mp.gamma(h + 0.5) ** 2))
             assert k(1.0, top) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+# RL and constant-g volterra-g (RL at H = beta + 1/2) through both 2F1 forms: the
+# direct form 2F1(1/2-h, 1; h+3/2; z) for z = m/M <= 1/2, the z -> 1 - z connection
+# 2F1(1/2-h, 1; 1-2h; eps), eps = (M-m)/M, for z > 1/2
+_RL_SPLIT_SPECS = [ProcessSpec.riemann_liouville(0.1), ProcessSpec.riemann_liouville(0.25),
+                   ProcessSpec.riemann_liouville(0.49),
+                   ProcessSpec.volterra_g(0.3, -0.25, GFunction.const(1.0))]
+
+
+def _rl_h(spec):
+    return spec.H if spec.family == Family.RIEMANN_LIOUVILLE else spec.beta + 0.5
+
+
+def _mixed_pairs():
+    """s <= t = s(1+u) near the diagonal and far from it (u up to 1e12), z = 1/2 exactly at u = 1."""
+    u = np.concatenate([np.geomspace(1e-12, 1e12, 49), [0.0, 0.25, 0.5, 1.0, 2.0]])
+    s = np.resize([0.7, 1.0, 3.0], u.size)
+    return s, s * (1.0 + u)
+
+
+@pytest.mark.parametrize("spec", _RL_SPLIT_SPECS, ids=lambda s: s.label())
+def test_rl_evaluates_each_2f1_form_only_where_kept(spec, monkeypatch):
+    calls = []
+    real = ssgm.kernels.hyp2f1
+
+    def recording(a, b, c, z):
+        calls.append((c, np.array(z, dtype=float).ravel()))
+        return real(a, b, c, z)
+
+    monkeypatch.setattr(ssgm.kernels, "hyp2f1", recording)
+    s, t = _mixed_pairs()
+    z = s / t
+    make_kernel(spec)(s, t)
+    h = _rl_h(spec)
+    direct = np.concatenate([arg for c, arg in calls if c == h + 1.5])
+    reflected = np.concatenate([arg for c, arg in calls if c == 1.0 - 2.0 * h])
+    assert direct.size + reflected.size == sum(arg.size for _, arg in calls) == s.size
+    assert np.array_equal(np.sort(direct), np.sort(z[z <= 0.5]))
+    assert np.array_equal(np.sort(reflected), np.sort(((t - s) / t)[z > 0.5]))
+
+
+@pytest.mark.parametrize("spec", _RL_SPLIT_SPECS, ids=lambda s: s.label())
+def test_rl_vectorised_values_equal_pointwise(spec):
+    k = make_kernel(spec)
+    s, t = _mixed_pairs()
+    vec = k(s, t)
+    alone = np.concatenate([k(s[i:i + 1], t[i:i + 1]) for i in range(s.size)])
+    assert vec.tobytes() == alone.tobytes()
+    near = s / t > 0.5
+    for part in (near, ~near):  # all near or all far: the other form's subset is empty
+        assert k(s[part], t[part]).tobytes() == vec[part].tobytes()
+    assert k(np.empty(0), np.empty(0)).shape == (0,)
+    if spec.family == Family.RIEMANN_LIOUVILLE:
+        u = t / s - 1.0
+        lvec = eval_l(spec, u)
+        assert lvec.tobytes() == np.concatenate([eval_l(spec, u[i:i + 1]) for i in range(u.size)]).tobytes()
+
+
+@pytest.mark.parametrize("spec", _RL_SPLIT_SPECS, ids=lambda s: s.label())
+def test_rl_scalar_and_0d_times_give_float(spec):
+    k = make_kernel(spec)
+    for s, t in ((1.0, 1.5), (1.0, 1.0 + 1e-12), (1.0, 2.0), (2.0, 1.0 + 1e-12), (0.3, 3e11)):
+        vec = float(k(np.array([s]), np.array([t]))[0])
+        for args in ((s, t), (np.array(s), np.array(t))):
+            value = k(*args)
+            assert type(value) is float
+            assert value == pytest.approx(vec, rel=1e-14, abs=0.0)
+    if spec.family == Family.RIEMANN_LIOUVILLE:
+        for u in (1e-12, 0.5, 1.0, 1e12):
+            assert type(eval_l(spec, u)) is float
+            assert eval_l(spec, np.array(u)) == pytest.approx(eval_l(spec, np.array([u]))[0], rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

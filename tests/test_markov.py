@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ssgm import (ProcessSpec, TimeGrid, asym_coeff_estimate, build_gram,
+import ssgm.markov
+from ssgm import (GFunction, MarkovReport, ProcessSpec, TimeGrid, asym_coeff_estimate, build_gram,
                   doob_residual, fit_canonical, gf_factorize, make_kernel,
                   markov_test, multiplicative_check, sqrt_diag_profile,
                   standard_grid)
@@ -341,3 +342,29 @@ def test_report_carries_thresholds():
     assert rep.thresholds["doob_markov_max"] == 1e-8
     assert rep.thresholds["doob_not_markov_min"] == 1e-4
     assert "threshold" in rep.note
+
+
+@pytest.mark.parametrize("spec", [ProcessSpec.canonical(0.7, -0.9), ProcessSpec.white_noise(0.6),
+                                  ProcessSpec.riemann_liouville(0.25),
+                                  ProcessSpec.volterra_g(0.25, 0.5, GFunction.log_pow(1))],
+                         ids=lambda s: s.label())
+def test_markov_test_builds_one_gram(spec, monkeypatch):
+    # the Doob residual and the G*F split read the same Gram; the report is the
+    # one the public checks give, each building its own
+    kernel, grid = make_kernel(spec), standard_grid()
+    dmax, dmean = doob_residual(kernel, grid)
+    try:
+        fact = gf_factorize(kernel, grid).max_residual
+    except ParameterError:
+        fact = None
+    expected = MarkovReport(kernel.label(), markov_test(kernel, grid).verdict, dmax, dmean,
+                            fit_canonical(kernel), multiplicative_check(kernel), fact)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return build_gram(*args)
+
+    monkeypatch.setattr(ssgm.markov, "build_gram", counting)
+    assert markov_test(kernel, grid) == expected
+    assert len(built) == 1
