@@ -8,11 +8,22 @@ strictly increasing positive grid factorizes as
 a chain specialization of the determinant identity for matrices of the form
 f_i(x_i ^ x_j).  Every factor is nonnegative exactly when alpha + beta <= 0,
 which is also the positive-definiteness boundary of that kernel family.
+
+Dense linear algebra in the package (eigenvalues here, Cholesky factors
+and path matrix products in ``samplers``, the least-squares fits in
+``markov``) runs inside ``one_blas_thread``: OpenBLAS picks its summation
+order from its thread count, and its idle workers busy-wait after every
+threaded call, so one thread gives bytes that do not depend on
+``OPENBLAS_NUM_THREADS`` and spends no CPU beside the call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +45,79 @@ __all__ = [
     "chain_det",
     "minor_residual",
     "gram_to_csv",
+    "one_blas_thread",
 ]
+
+# (get, set) thread-count symbols: numpy and scipy wheels bundle OpenBLAS with a
+# prefix (64- and 32-bit integer builds); a system OpenBLAS has none
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS the process has loaded.
+
+    Read once, on first use, from the shared objects mapped in
+    ``/proc/self/maps``; empty where there is none (another BLAS, or no
+    ``/proc``).  numpy's own OpenBLAS is loaded with numpy, so it is always
+    among them when it exists.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+# The thread count is process-wide, so one depth count serves every caller: the
+# outermost entry saves the counts and sets 1, the last exit restores them, and
+# overlapping entries from several Python threads cannot leave the count at 1.
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: tuple = ()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread; restore the counts on exit.
+
+    Nested and overlapping entries are fine.  Where no OpenBLAS is found the
+    body runs unchanged, at whatever thread count the BLAS has.
+    """
+    global _blas_depth, _blas_saved
+    controls = _openblas_thread_controls()
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = tuple(get() for get, _ in controls)
+            for _, set_ in controls:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, set_), n in zip(controls, _blas_saved):
+                    set_(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,13 +206,29 @@ class PosDefReport:
         return self.verdict == "PSD"
 
 
+def _finite_gram(grid: TimeGrid, entries: np.ndarray) -> GramMatrix:
+    """The Gram matrix of ``entries``, or NumericalError naming its first non-finite entry."""
+    finite = np.isfinite(entries)
+    if not finite.all():
+        i, j = (int(k) for k in np.argwhere(~finite)[0])  # row-major first, so i <= j in a symmetric matrix
+        t = grid.times
+        raise NumericalError(f"Gram entry ({i},{j}) at times ({float(t[i])!r}, {float(t[j])!r}) "
+                             f"is {float(entries[i, j])!r}, not finite")
+    return GramMatrix(grid, entries)
+
+
 def build_gram(kernel: CovKernel, grid: TimeGrid) -> GramMatrix:
-    """Evaluate the kernel on the upper triangle i <= j and mirror it."""
+    """Evaluate the kernel on the upper triangle i <= j and mirror it.
+
+    An entry that overflows or is otherwise not finite raises
+    :class:`NumericalError` naming it.
+    """
     times = grid.times
     d = times.size
     iu, ju = np.triu_indices(d)
     try:
-        vals = np.asarray(kernel(times[iu], times[ju]), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is refused below
+            vals = np.asarray(kernel(times[iu], times[ju]), dtype=float)
     except ParameterError:
         raise
     except Exception as exc:
@@ -146,35 +245,40 @@ def build_gram(kernel: CovKernel, grid: TimeGrid) -> GramMatrix:
     entries = np.zeros((d, d), dtype=float)
     entries[iu, ju] = vals
     entries[ju, iu] = vals
-    return GramMatrix(grid, entries)
+    return _finite_gram(grid, entries)
 
 
 def psd_check(gram: GramMatrix, tol: float = 1e-10) -> PosDefReport:
     """Decide positive semidefiniteness from the symmetric eigenvalues alone.
 
     The matrix passes when its smallest eigenvalue (``eigvalsh``, no
-    eigenvectors) is at least ``-tol * max(diagonal)``; that eigenvalue is
-    the reported bound.  Only on failure is the full decomposition taken,
-    for the witness: the unit eigenvector ``a`` of the smallest eigenvalue,
-    with ``sum_kl a_k a_l R(t_k, t_l) < 0``.
+    eigenvectors, one BLAS thread) is at least ``-tol * max(diagonal)``.
+    That computed eigenvalue is what ``min_eigenvalue_bound`` reports: it
+    is accurate to about ``d * eps * max|lambda|``, and it is not a bound
+    (near zero it may carry either sign).  Only on failure is the full
+    decomposition taken, for the witness: the unit eigenvector ``a`` of
+    the smallest eigenvalue, with ``sum_kl a_k a_l R(t_k, t_l) < 0``.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ParameterError(f"PSD tolerance must be nonnegative and finite, got {tol!r}")
     G = gram.entries
     max_diag = float(np.max(np.abs(np.diag(G))))
     threshold = -tol * max(max_diag, 1.0e-300)
-    min_eig = float(np.linalg.eigvalsh(G)[0])
-    if min_eig >= threshold:
-        return PosDefReport("PSD", min_eig, tol)
-    witness = np.linalg.eigh(G)[1][:, 0]
-    qform = float(witness @ G @ witness)
+    with one_blas_thread():
+        min_eig = float(np.linalg.eigvalsh(G)[0])
+        if min_eig >= threshold:
+            return PosDefReport("PSD", min_eig, tol)
+        witness = np.linalg.eigh(G)[1][:, 0]
+        qform = float(witness @ G @ witness)
     return PosDefReport("NotPSD", min_eig, tol, witness=witness, quadratic_form=qform)
 
 
 def power_gram(q: MinorQuery) -> GramMatrix:
     """The power-family Gram matrix ((t_i v t_j)^alpha / (t_i ^ t_j)^beta)."""
     t = q.grid.times
-    return GramMatrix(q.grid, np.maximum.outer(t, t) ** q.alpha / np.minimum.outer(t, t) ** q.beta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite entry is refused
+        entries = np.maximum.outer(t, t) ** q.alpha / np.minimum.outer(t, t) ** q.beta
+    return _finite_gram(q.grid, entries)
 
 
 def lindstrom_minor(q: MinorQuery) -> float:
@@ -220,9 +324,10 @@ def minor_residual(q: MinorQuery) -> float:
     if len(q.grid) > 12:
         raise ParameterError("direct determinants are limited to d <= 12")
     G = power_gram(q).entries
-    direct = float(np.linalg.det(G))
+    with one_blas_thread():
+        direct = float(np.linalg.det(G))
+        scale = float(np.prod(np.linalg.norm(G, axis=1)))
     closed = lindstrom_minor(q)
-    scale = float(np.prod(np.linalg.norm(G, axis=1)))
     return abs(closed - direct) / max(scale, 1e-300)
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .gram import TimeGrid, build_gram, standard_grid
+from .gram import TimeGrid, build_gram, one_blas_thread, standard_grid
 from .kernels import L_FORM_FAMILIES, CovKernel, Family, ProcessSpec, eval_l, make_kernel
 
 __all__ = [
@@ -277,26 +277,27 @@ def _power_fit(x: np.ndarray, y: np.ndarray, exponents, constant: bool
         return float(r @ r), (basis, pinv, coef, r, scale)
 
     e = np.asarray(exponents, dtype=float)
-    try:
-        ss, fit = project(e)
-        if fit is None:
-            raise NumericalError("power fit has no finite starting point")
-        for _ in range(100):
-            basis, pinv, coef, r, _ = fit
-            deriv = basis[:, k:] * logx[:, None] * coef[k:]
-            step = np.linalg.lstsq(deriv - basis @ (pinv @ deriv), -r, rcond=None)[0]
-            trial_ss, trial = project(e + step)
-            while not trial_ss < ss and np.max(np.abs(step)) > 1e-10:
-                step = step / 2.0
+    with one_blas_thread():
+        try:
+            ss, fit = project(e)
+            if fit is None:
+                raise NumericalError("power fit has no finite starting point")
+            for _ in range(100):
+                basis, pinv, coef, r, _ = fit
+                deriv = basis[:, k:] * logx[:, None] * coef[k:]
+                step = np.linalg.lstsq(deriv - basis @ (pinv @ deriv), -r, rcond=None)[0]
                 trial_ss, trial = project(e + step)
-            if not trial_ss < ss:
-                break
-            done = np.max(np.abs(step)) <= 1e-10 or trial_ss >= ss * (1.0 - 1e-8)
-            e, ss, fit = e + step, trial_ss, trial
-            if done:
-                break
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"power fit failed: {exc}") from exc
+                while not trial_ss < ss and np.max(np.abs(step)) > 1e-10:
+                    step = step / 2.0
+                    trial_ss, trial = project(e + step)
+                if not trial_ss < ss:
+                    break
+                done = np.max(np.abs(step)) <= 1e-10 or trial_ss >= ss * (1.0 - 1e-8)
+                e, ss, fit = e + step, trial_ss, trial
+                if done:
+                    break
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"power fit failed: {exc}") from exc
     _, _, coef, r, scale = fit
     return coef / scale, e, float(np.max(np.abs(r)))
 

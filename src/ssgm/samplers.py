@@ -24,7 +24,11 @@ the whole block would give, while the memory beside the output stays one
 chunk.  Matrix products go to BLAS in slices of exactly ``_TILE`` rows, so
 a path's values depend only on ``(seed, path index)``: a longer run
 extends a shorter one.  Sampling runs in the calling thread, so a run is
-reproducible for any ``--threads`` setting.
+reproducible for any ``--threads`` setting.  The Cholesky factor and each
+chunk's transform run inside ``gram.one_blas_thread``, so where numpy's
+BLAS is an OpenBLAS it can find, the paths are also the same bytes for any
+``OPENBLAS_NUM_THREADS``; with another BLAS its thread count may change
+their last bits.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .gram import TimeGrid, build_gram
+from .gram import TimeGrid, build_gram, one_blas_thread
 from .kernels import Family, GFunction, ProcessSpec, make_kernel, parse_spec_string
 
 __all__ = [
@@ -199,19 +203,20 @@ def _cholesky_with_jitter(G: np.ndarray):
     d = G.shape[0]
     base = float(np.trace(G)) / d if d else 0.0
     delta = 0.0
-    while True:
-        try:
-            L = np.linalg.cholesky(G + delta * base * np.eye(d)) if delta else np.linalg.cholesky(G)
-            return L, delta
-        except np.linalg.LinAlgError:
-            delta = _JITTER_START if delta == 0.0 else delta * 10.0
-            if delta > _JITTER_MAX:
-                eigs = np.linalg.eigvalsh(G)
-                raise NumericalError(
-                    "covariance factorization failed after maximal jitter "
-                    f"{_JITTER_MAX:g}; min eigenvalue {eigs[0]:.3e}, "
-                    f"max diagonal {np.max(np.diag(G)):.3e}, d={d}"
-                )
+    with one_blas_thread():
+        while True:
+            try:
+                L = np.linalg.cholesky(G + delta * base * np.eye(d)) if delta else np.linalg.cholesky(G)
+                return L, delta
+            except np.linalg.LinAlgError:
+                delta = _JITTER_START if delta == 0.0 else delta * 10.0
+                if delta > _JITTER_MAX:
+                    eigs = np.linalg.eigvalsh(G)
+                    raise NumericalError(
+                        "covariance factorization failed after maximal jitter "
+                        f"{_JITTER_MAX:g}; min eigenvalue {eigs[0]:.3e}, "
+                        f"max diagonal {np.max(np.diag(G)):.3e}, d={d}"
+                    )
 
 
 def _cholesky(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Plan:
@@ -484,7 +489,8 @@ def _chunks(plan: _Plan, seed: int, n_paths: int, d: int,
             padded = -(-rows // _TILE) * _TILE
             rng.standard_normal(out=z[:rows])  # continues the block's stream
             z[rows:padded] = 0.0
-            x = plan.transform(z[:padded])[:rows]
+            with one_blas_thread():
+                x = plan.transform(z[:padded])[:rows]
             dest = buf[:rows] if out is None else out[start:start + rows]
             dest[:, d - x.shape[1]:] = x
             yield start, dest

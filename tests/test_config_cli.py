@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ssgm
 import ssgm.cli
 from ssgm import GFunction, GramMatrix, ProcessSpec, TimeGrid, empirical_cov, load_ensemble, standard_grid
 from ssgm.cli import main, report_schema_version
@@ -361,6 +366,28 @@ def test_cli_failed_power_fit_exits_3(monkeypatch, capsys, argv):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err == "ssgm: numerical failure: power fit failed: SVD did not converge\n"
+
+
+_HUGE_FBM = ["fbm:H=0.9", "--grid", "geometric:1e170,1e180,5"]  # t^(2H) overflows at t ~ 1e172
+_NON_FINITE_GRAMS = {
+    "posdef_power": ["posdef", "--alpha", "400", "--beta", "-400", "--grid", "geometric:0.05,5,20"],
+    "posdef_kernel": ["posdef", "--kernel", *_HUGE_FBM],
+    "sample": ["sample", "--spec", *_HUGE_FBM, "--paths", "2", "--seed", "1"],
+    "markov_test": ["markov-test", "--kernel", *_HUGE_FBM],
+}
+
+
+@pytest.mark.parametrize("argv", list(_NON_FINITE_GRAMS.values()), ids=list(_NON_FINITE_GRAMS))
+def test_cli_non_finite_gram_exits_3(argv, tmp_path):
+    # a Gram entry that overflows is a numerical failure naming it: not a LinAlgError
+    # traceback, NaN paths, or a Markov verdict read off NaN residuals
+    src = str(pathlib.Path(ssgm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "ssgm.cli", *argv], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert re.fullmatch(r"ssgm: numerical failure: Gram entry \(\d+,\d+\) at times \(.*\) is (inf|nan), "
+                        r"not finite\n", out.stderr)
 
 
 def test_cli_reproducible_csv_across_threads(tmp_path):

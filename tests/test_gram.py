@@ -1,10 +1,20 @@
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
+import ssgm
+from ssgm import gram as gram_module
 from ssgm import (GFunction, GramMatrix, MinorQuery, ProcessSpec, TimeGrid, build_gram,
                   chain_det, gram_to_csv, lindstrom_minor, make_kernel,
                   minor_residual, psd_check, standard_grid)
 from ssgm.errors import NumericalError, ParameterError
+from ssgm.gram import one_blas_thread, power_gram
 from ssgm.kernels import CovKernel
 from ssgm.quadrature import integrate_power_upper
 
@@ -117,6 +127,25 @@ def test_build_gram_locates_failing_pair():
     msg = str(info.value)
     assert "grid indices (0,1), times (0.05, 0.0637" in msg
     assert "np." not in msg and "budget of 20" in msg
+
+
+def test_build_gram_refuses_non_finite_entry():
+    # fBm H = 0.9 at t ~ 1e172: s^(2H) + t^(2H) overflows and the covariance is inf - inf
+    grid = TimeGrid.geometric(1e170, 1e180, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is the error below, not a RuntimeWarning
+        with pytest.raises(NumericalError) as info:
+            build_gram(make_kernel(ProcessSpec.fbm(0.9)), grid)
+    assert str(info.value) == ("Gram entry (0,1) at times (1e+170, 3.162277660168379e+172) "
+                               "is nan, not finite")
+
+
+def test_power_gram_refuses_non_finite_entry():
+    q = MinorQuery(400.0, -400.0, TimeGrid.geometric(0.05, 5.0, 20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^Gram entry \(14,19\) at times \(1\.48817.*, 5\.0\) is inf"):
+            power_gram(q)
 
 
 def test_not_psd_above_boundary_with_witness():
@@ -328,3 +357,112 @@ def test_gram_csv_format():
     assert lines[0] == "1.0000000000000000e+00,2.0000000000000000e+00"
     assert len(lines) == 4 and lines[-1] == ""
     assert "\r" not in text
+
+
+# ---------------------------------------------------------------------------
+# one_blas_thread
+# ---------------------------------------------------------------------------
+
+class _FakeBlas:
+    """A thread count behind (get, set), as the OpenBLAS lookup returns them."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def controls(self):
+        return self.get, self.set
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.threads = n
+
+
+def test_one_blas_thread_restores_counts_and_nests(monkeypatch):
+    libs = [_FakeBlas(2), _FakeBlas(4)]
+    monkeypatch.setattr(gram_module, "_openblas_thread_controls", lambda: tuple(b.controls() for b in libs))
+    with one_blas_thread():
+        assert [b.threads for b in libs] == [1, 1]
+        with one_blas_thread():
+            assert [b.threads for b in libs] == [1, 1]
+        assert [b.threads for b in libs] == [1, 1]  # the inner exit leaves the outer body at one thread
+    assert [b.threads for b in libs] == [2, 4]
+    with pytest.raises(KeyError):
+        with one_blas_thread():
+            raise KeyError("body failed")
+    assert [b.threads for b in libs] == [2, 4]
+
+
+def test_one_blas_thread_overlapping_threads_restore_once(monkeypatch):
+    # thread A enters, B enters, A leaves while B is inside, B leaves: B's body keeps one
+    # thread and the count ends where it began (a save/restore per entry would leave 1)
+    lib = _FakeBlas(2)
+    monkeypatch.setattr(gram_module, "_openblas_thread_controls", lambda: (lib.controls(),))
+    a_inside, b_inside, a_left = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with one_blas_thread():
+            a_inside.set()
+            b_inside.wait(5)
+        a_left.set()
+
+    def b():
+        a_inside.wait(5)
+        with one_blas_thread():
+            b_inside.set()
+            a_left.wait(5)
+            seen.append(lib.threads)
+
+    workers = [threading.Thread(target=a), threading.Thread(target=b)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(10)
+    assert not any(w.is_alive() for w in workers)
+    assert a_left.is_set() and seen == [1]
+    assert lib.threads == 2
+
+
+def test_one_blas_thread_without_openblas_is_a_no_op(monkeypatch):
+    real = gram_module._openblas_thread_controls()
+    before = [get() for get, _ in real]
+    monkeypatch.setattr(gram_module, "_openblas_thread_controls", lambda: ())
+    with one_blas_thread():
+        assert [get() for get, _ in real] == before
+    assert [get() for get, _ in real] == before
+
+
+def test_one_blas_thread_sets_loaded_openblas():
+    controls = gram_module._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS with a known thread-count symbol is loaded in this process")
+    before = [get() for get, _ in controls]
+    with one_blas_thread():
+        assert [get() for get, _ in controls] == [1] * len(controls)
+    assert [get() for get, _ in controls] == before
+
+
+# psd_check on the 400-point Gram, then the CPU time over a 0.3 s sleep; threaded,
+# OpenBLAS's idle workers busy-wait through about 130 ms of it
+_IDLE_CPU = """
+import time
+from ssgm import ProcessSpec, TimeGrid, build_gram, make_kernel, psd_check
+from ssgm.gram import _openblas_thread_controls
+psd_check(build_gram(make_kernel(ProcessSpec.fbm(0.25)), TimeGrid.geometric(0.05, 5, 400)))
+t0 = time.process_time()
+time.sleep(0.3)
+print(len(_openblas_thread_controls()), time.process_time() - t0)
+"""
+
+
+def test_psd_check_leaves_no_blas_thread_spinning():
+    src = str(pathlib.Path(ssgm.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}  # OpenBLAS's default count
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", _IDLE_CPU], env=env, capture_output=True, text=True, check=True)
+    libraries, idle_cpu = out.stdout.split()
+    if libraries == "0":
+        pytest.skip("no OpenBLAS with a known thread-count symbol is loaded, so none is set to one thread")
+    assert float(idle_cpu) < 0.030

@@ -142,3 +142,56 @@ def test_import_loads_no_optimizer():
     code = "import sys, ssgm, ssgm.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _enters_one_blas_thread(fn: ast.AST) -> bool:
+    return any(isinstance(node, ast.With) and any(ast.unparse(item.context_expr) == "one_blas_thread()"
+                                                  for item in node.items)
+               for node in ast.walk(fn))
+
+
+def _unguarded_linalg_calls(path: pathlib.Path) -> list:
+    """``module:function`` for each ``np.linalg`` call whose outermost function enters no ``one_blas_thread``."""
+    found = []
+    for stmt in ast.parse(path.read_text()).body:
+        owners = [s for s in stmt.body if isinstance(s, ast.FunctionDef)] if isinstance(stmt, ast.ClassDef) else [stmt]
+        for fn in owners:
+            calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     and ast.unparse(node.func).startswith("np.linalg.")]
+            if calls and not (isinstance(fn, ast.FunctionDef) and _enters_one_blas_thread(fn)):
+                found += [f"{path.name}:{getattr(fn, 'name', '<module>')}"] * len(calls)
+    return found
+
+
+def test_linalg_checker_flags_unguarded_calls(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def guarded(G):\n    def inner():\n        return np.linalg.eigvalsh(G)\n"
+                   "    with one_blas_thread():\n        return inner()\n"
+                   "def bare(G):\n    return np.linalg.det(G)\n"
+                   "class A:\n    def m(self, G):\n        return np.linalg.cholesky(G)\n"
+                   "E = np.linalg.inv(np.eye(2))\n")
+    assert _unguarded_linalg_calls(mod) == ["mod.py:bare", "mod.py:m", "mod.py:<module>"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_linalg_runs_on_one_blas_thread(path):
+    # every LAPACK call runs single-threaded: its bytes do not depend on OPENBLAS_NUM_THREADS,
+    # and no idle OpenBLAS worker spins after it
+    assert _unguarded_linalg_calls(path) == []
+
+
+def test_one_blas_thread_defined_in_gram_only():
+    defined = [f"{p.name}:{node.name}" for p in _MODULES for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "one_blas_thread"]
+    assert defined == ["gram.py:one_blas_thread"]
+    assert sorted(_calls_of("one_blas_thread")) == [
+        "gram.py:minor_residual", "gram.py:psd_check", "markov.py:_power_fit",
+        "samplers.py:_cholesky_with_jitter", "samplers.py:_chunks"]
+
+
+def test_import_looks_up_no_blas():
+    # the OpenBLAS thread controls are found on the first one_blas_thread, not by importing
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(_SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    code = "import ssgm, ssgm.cli; print(ssgm.gram._openblas_thread_controls.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

@@ -800,13 +800,47 @@ print(hashlib.sha256(empirical_cov(ens).cov.tobytes()).hexdigest())
 """
 
 
-def test_empirical_cov_bytes_independent_of_blas_threads():
+# the Cholesky factor of this d = 200 Gram differs in its last bits between one and two
+# OpenBLAS threads, and so do the paths it maps normals to
+_CHOLESKY_BYTES = """
+import hashlib
+from ssgm import ProcessSpec, TimeGrid, sample_spec
+ens = sample_spec(ProcessSpec.sub_fbm(0.3), TimeGrid.geometric(0.05, 5, 200), 64, 1)
+print(ens.scheme, hashlib.sha256(ens.values.tobytes()).hexdigest())
+"""
+
+# threaded, the tridiagonal reduction gives 0.009441285417944178, one thread ...51806
+_PSD_BYTES = """
+from ssgm import ProcessSpec, TimeGrid, build_gram, make_kernel, psd_check
+gram = build_gram(make_kernel(ProcessSpec.fbm(0.25)), TimeGrid.geometric(0.05, 5, 400))
+print(repr(psd_check(gram).min_eigenvalue_bound))
+"""
+
+
+def _outputs_across_blas_threads(snippet: str) -> list:
+    """The stdout of ``snippet`` run in a fresh interpreter under OPENBLAS_NUM_THREADS=1 and =2."""
     src = str(pathlib.Path(ssgm.__file__).resolve().parents[1])
-    digests = []
+    outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", _COV_BYTES], env=env,
+        out = subprocess.run([sys.executable, "-c", snippet], env=env,
                              capture_output=True, text=True, check=True)
-        digests.append(out.stdout.strip())
+        outputs.append(out.stdout.strip())
+    return outputs
+
+
+def test_empirical_cov_bytes_independent_of_blas_threads():
+    digests = _outputs_across_blas_threads(_COV_BYTES)
     assert digests[0] == digests[1]
+
+
+def test_cholesky_paths_bytes_independent_of_blas_threads():
+    digests = _outputs_across_blas_threads(_CHOLESKY_BYTES)
+    assert digests[0].startswith("cholesky ")
+    assert digests[0] == digests[1]
+
+
+def test_psd_eigenvalue_bytes_independent_of_blas_threads():
+    values = _outputs_across_blas_threads(_PSD_BYTES)
+    assert values[0] == values[1]
