@@ -375,8 +375,9 @@ def _add_common(p, spec_flag="--kernel"):
                         "asym's noise floor is 10*tol, where 0 is allowed")
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; sampling is single-threaded and "
-                        "output is identical for any value")
+                   help="accepted for compatibility and ignored; an ensemble of more than 1024 "
+                        "paths draws its blocks on up to one thread per CPU, and output is "
+                        "identical for any value and any CPU count")
 
 
 @functools.cache

@@ -9,9 +9,9 @@ a chain specialization of the determinant identity for matrices of the form
 f_i(x_i ^ x_j).  Every factor is nonnegative exactly when alpha + beta <= 0,
 which is also the positive-definiteness boundary of that kernel family.
 
-Dense linear algebra in the package (eigenvalues here, Cholesky factors
-and path matrix products in ``samplers``, the least-squares fits in
-``markov``) runs inside ``one_blas_thread``: OpenBLAS picks its summation
+Dense linear algebra in the package (eigenvalues here, Cholesky factors,
+path matrix products and the empirical covariance in ``samplers``, the
+least-squares fits in ``markov``) runs inside ``one_blas_thread``: OpenBLAS picks its summation
 order from its thread count, and its idle workers busy-wait after every
 threaded call, so one thread gives bytes that do not depend on
 ``OPENBLAS_NUM_THREADS`` and spends no CPU beside the call.

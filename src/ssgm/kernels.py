@@ -322,11 +322,15 @@ def _on_quadrant(formula: Callable, s, t):
     nonnegative and finite.  An axis pair hands the formula 1.0 for both
     times, so no formula divides by zero or integrates there; the axes are
     then set to 0 (differences of powers would cancel only to the last bit).
-    The formula sees arrays, 0-d for scalar times (numpy's scalar ``**``
-    rounds differently), and scalar times give a float.
+    Scalar times go to the formula as 1-element arrays and give a float:
+    numpy's scalar ``**`` rounds unlike its array loops, so only this way
+    is R(s, t) the bytes of the (s, t) entry of a Gram matrix.
     """
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    lo, hi = np.asarray(np.minimum(s, t)), np.asarray(np.maximum(s, t))
+    scalar = s.ndim == t.ndim == 0
+    if scalar:
+        s, t = s.reshape(1), t.reshape(1)
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
     first = lo.min(initial=math.inf)
     if not (first >= 0 and hi.max(initial=0.0) < math.inf):  # nan fails both
         raise ParameterError("times must be nonnegative and finite")
@@ -336,7 +340,7 @@ def _on_quadrant(formula: Callable, s, t):
         axis = lo == 0
         lo, hi = np.where(axis, 1.0, lo), np.where(axis, 1.0, hi)
         out = np.where(axis, 0.0, formula(lo, hi, hi - lo))
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out[0]) if scalar else out
 
 
 def _rl(H: float, lo, hi, gap):
@@ -362,8 +366,6 @@ def _rl(H: float, lo, hi, gap):
 
     if H >= 0.5:
         f = direct(z)
-    elif np.ndim(z) == 0:  # stays on numpy's scalar math, which rounds ** unlike a 1-element array
-        f = reflected(z, gap / hi) if z > 0.5 else direct(z)
     else:
         near = z > 0.5
         f = np.empty_like(z)
@@ -434,8 +436,8 @@ def eval_l(spec: ProcessSpec, u):
         raise ParameterError("u must be nonnegative and finite")
     if spec.family not in L_FORM_FAMILIES:
         raise ParameterError(f"eval_l does not support family {spec.family.value!r}")
-    out = make_kernel(spec).l_profile(u_arr)
-    return float(out) if u_arr.ndim == 0 else out
+    out = make_kernel(spec).l_profile(np.atleast_1d(u_arr))  # a scalar u as a 1-element array, as the kernel
+    return float(out[0]) if u_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,18 @@ about ``_CHUNK`` normals each (at least ``_LOOP_ROWS`` rows for the
 through one reused buffer.  Consecutive draws from one generator continue
 the same stream, so the normals, and the paths, are the bytes one draw of
 the whole block would give, while the memory beside the output stays one
-chunk.  Matrix products go to BLAS in slices of exactly ``_TILE`` rows, so
-a path's values depend only on ``(seed, path index)``: a longer run
-extends a shorter one.  Sampling runs in the calling thread, so a run is
-reproducible for any ``--threads`` setting.  The Cholesky factor and each
-chunk's transform run inside ``gram.one_blas_thread``, so where numpy's
-BLAS is an OpenBLAS it can find, the paths are also the same bytes for any
-``OPENBLAS_NUM_THREADS``; with another BLAS its thread count may change
-their last bits.
+chunk per drawing thread.  Matrix products go to BLAS in slices of exactly
+``_TILE`` rows, so a path's values depend only on ``(seed, path index)``: a
+longer run extends a shorter one.  Blocks are independent streams that
+write disjoint rows, so ``sample_spec`` draws an ensemble of more than one
+block on up to one thread per CPU in the process's affinity mask, and the
+bytes are the same for any CPU count (``--threads`` and ``SSGM_THREADS``
+are accepted and change nothing).  ``sample_chunks`` yields its chunks in
+order from the calling thread.  The Cholesky factor, each chunk's transform
+and the empirical covariance run inside ``gram.one_blas_thread``, so where
+numpy's BLAS is an OpenBLAS it can find, the paths are also the same bytes
+for any ``OPENBLAS_NUM_THREADS``; with another BLAS its thread count may
+change their last bits.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -73,12 +79,17 @@ _max_workers = 1
 
 
 def set_max_workers(n: Optional[int]) -> None:
-    """Record a worker cap (None or <=1 means 1); sampling output never depends on it."""
+    """Record a worker cap (None or <=1 means 1) for ``get_max_workers``.
+
+    Sampling does not read it: ``sample_spec`` picks its thread count from
+    the CPUs it may run on, and its output never depends on either.
+    """
     global _max_workers
     _max_workers = max(1, int(n)) if n else 1
 
 
 def get_max_workers() -> int:
+    """The recorded worker cap, else ``SSGM_THREADS``, else 1; sampling does not read it."""
     env = os.environ.get("SSGM_THREADS")
     if _max_workers > 1:
         return _max_workers
@@ -88,6 +99,11 @@ def get_max_workers() -> int:
         except ValueError:
             return 1
     return 1
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _tiled(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -463,26 +479,29 @@ def _plan(spec: ProcessSpec, grid: TimeGrid, n_paths: int, seed: int, scheme: Op
     return scheme, _SCHEMES[scheme](spec, pos, inner_steps)
 
 
-def _chunks(plan: _Plan, seed: int, n_paths: int, d: int,
-            out: Optional[np.ndarray] = None) -> Iterator[tuple[int, np.ndarray]]:
+def _chunks(plan: _Plan, seed: int, n_paths: int, d: int, out: Optional[np.ndarray] = None,
+            blocks: Optional[range] = None) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, rows)``: paths ``start, start + 1, ...`` as whole grid rows.
 
-    Block ``b`` draws its rows of ``n_draws`` normals from Philox keyed
-    ``(seed, b)`` in consecutive chunks of ``step`` rows (fewer at the
-    block's end): whole ``_TILE``-row tiles holding about ``_CHUNK``
-    normals, but at least ``min_rows`` rows, a multiple of ``_TILE``, for
-    transforms whose cost per call does not shrink with the row count.
-    Each chunk is padded with zero rows to whole tiles, and the first rows
-    of ``transform`` of it are kept.  A transform that returns ``d - 1``
-    columns leaves the leading t = 0 column zero.  The rows are written
-    into ``out[start:start + len(rows)]`` when an (n_paths, d) zero array
-    is given, else into one reused chunk buffer that the next chunk
-    overwrites.
+    Block ``b`` of ``blocks`` (every block of ``n_paths`` when None) draws
+    its rows of ``n_draws`` normals from Philox keyed ``(seed, b)`` in
+    consecutive chunks of ``step`` rows (fewer at the block's end): whole
+    ``_TILE``-row tiles holding about ``_CHUNK`` normals, but at least
+    ``min_rows`` rows, a multiple of ``_TILE``, for transforms whose cost
+    per call does not shrink with the row count.  Each chunk is padded with
+    zero rows to whole tiles, and the first rows of ``transform`` of it are
+    kept.  A transform that returns ``d - 1`` columns leaves the leading
+    t = 0 column zero.  The rows are written into
+    ``out[start:start + len(rows)]`` when an (n_paths, d) zero array is
+    given, else into one reused chunk buffer that the next chunk overwrites.
     """
+    if blocks is None:
+        blocks = range(-(-n_paths // _BLOCK))
     step = min(_BLOCK, max(plan.min_rows, _TILE * (_CHUNK // (_TILE * max(1, plan.n_draws)))))
     z = np.empty((min(step, -(-n_paths // _TILE) * _TILE), plan.n_draws))  # reused by every chunk
     buf = np.zeros((min(step, n_paths), d)) if out is None else None
-    for b, lo in enumerate(range(0, n_paths, _BLOCK)):
+    for b in blocks:
+        lo = b * _BLOCK
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
         for start in range(lo, min(lo + _BLOCK, n_paths), step):
             rows = min(step, lo + _BLOCK - start, n_paths - start)
@@ -535,12 +554,23 @@ def sample_spec(
     constant and beta an integer >= 0, and through the midpoint ``volterra``
     scheme otherwise; ``inner_steps`` reaches only that scheme.  A scheme
     that does not fit the spec or the grid raises :class:`ParameterError`.
-    The chunks of ``sample_chunks`` are written straight into the ensemble.
+    The chunks of ``sample_chunks`` are written straight into the ensemble:
+    in the calling thread for one block of ``_BLOCK`` paths or one CPU,
+    else one block per task on up to one thread per CPU, with the same bytes.
     """
     scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
-    values = np.zeros((n_paths, len(grid)))
-    for _ in _chunks(plan, seed, n_paths, len(grid), out=values):
-        pass
+    d = len(grid)
+    values = np.zeros((n_paths, d))
+    blocks = range(-(-n_paths // _BLOCK))
+    draw = lambda part: deque(_chunks(plan, seed, n_paths, d, values, part), maxlen=0)  # noqa: E731
+    workers = min(len(blocks), _cpu_count())
+    if workers == 1:
+        draw(blocks)
+    else:
+        # block b keys its own stream and writes only its own rows; map re-raises the first
+        # failed block's error in the caller, and leaving the pool joins its threads
+        with ThreadPoolExecutor(workers) as pool:
+            deque(pool.map(draw, (blocks[b:b + 1] for b in blocks)), maxlen=0)
     return PathEnsemble(plan.spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
 
 
@@ -554,8 +584,9 @@ def empirical_cov(ensemble: PathEnsemble) -> EmpiricalCov:
 
     The standard error of cov[i, j] uses the Gaussian fourth-moment formula
     (c_ii c_jj + c_ij^2) / n with the estimated covariance plugged in.
-    The covariance is one centred einsum contraction, which sums in a fixed
-    order and so gives the same bytes for any BLAS thread count.
+    The covariance is one BLAS product ``C.T @ C`` of the centred values,
+    exactly symmetric, taken inside ``gram.one_blas_thread`` so that its
+    bytes do not depend on ``OPENBLAS_NUM_THREADS``.
     """
     n = ensemble.n_paths
     if n < 2:
@@ -563,7 +594,8 @@ def empirical_cov(ensemble: PathEnsemble) -> EmpiricalCov:
     X = ensemble.values
     mean = X.mean(axis=0)
     C = X - mean
-    cov = np.einsum("ni,nj->ij", C, C) / (n - 1)
+    with one_blas_thread():
+        cov = C.T @ C / (n - 1)
     var = np.diag(cov)
     se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
     return EmpiricalCov(ensemble.grid, mean, cov, se, n)
@@ -629,8 +661,15 @@ _SIDECAR_KEYS = frozenset({"spec", "grid", "seed", "scheme", "shape", "dtype", "
 def save_ensemble(ensemble: PathEnsemble, path) -> None:
     """Write a column-major float64 matrix file plus a JSON sidecar."""
     path = Path(path)
+    values = ensemble.values
+    cols = values.T  # its row-major bytes are the file's column-major ones
+    if not cols.flags.c_contiguous:  # a loaded ensemble is already column-major
+        # a block of rows at a time stays in cache: about 3x faster than one strided copy
+        cols = np.empty_like(cols, order="C")
+        for lo in range(0, len(values), _BLOCK):
+            cols[:, lo:lo + _BLOCK] = values[lo:lo + _BLOCK].T
     with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(ensemble.values.T))  # column-major bytes, one copy at most
+        fh.write(cols)
     sidecar = {
         "spec": ensemble.spec.label(),
         "grid": [float(t) for t in ensemble.grid.times],

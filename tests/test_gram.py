@@ -394,6 +394,38 @@ def test_one_blas_thread_restores_counts_and_nests(monkeypatch):
     assert [b.threads for b in libs] == [2, 4]
 
 
+def test_one_blas_thread_overlapping_threads_restore_counts(monkeypatch):
+    # A enters, B enters, A exits while B is inside, B exits: as block draws on two threads do
+    libs = [_FakeBlas(2), _FakeBlas(4)]
+    monkeypatch.setattr(gram_module, "_openblas_thread_controls", lambda: tuple(b.controls() for b in libs))
+    barrier = threading.Barrier(2, timeout=10)
+    seen = []
+
+    def first():
+        with one_blas_thread():
+            barrier.wait()  # 1: A inside
+            barrier.wait()  # 2: B inside
+        barrier.wait()  # 3: A out
+        barrier.wait()  # 4: B has looked
+
+    def second():
+        barrier.wait()
+        with one_blas_thread():
+            barrier.wait()
+            barrier.wait()
+            seen.append([b.threads for b in libs])
+        barrier.wait()
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [[1, 1]]  # A's exit left B's body at one thread
+    assert [b.threads for b in libs] == [2, 4]
+
+
 def test_one_blas_thread_overlapping_threads_restore_once(monkeypatch):
     # thread A enters, B enters, A leaves while B is inside, B leaves: B's body keeps one
     # thread and the count ends where it began (a save/restore per entry would leave 1)

@@ -617,6 +617,37 @@ def test_r11_matches_evaluator():
     assert misses == []
 
 
+_POINT_SPECS = ALL_SPECS + [ProcessSpec.canonical(0.6, NEG_INF), ProcessSpec.riemann_liouville(0.25),
+                            ProcessSpec.riemann_liouville(0.4999), ProcessSpec.riemann_liouville(0.75),
+                            ProcessSpec.bi_fbm(0.3, 0.5), ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))]
+
+
+@pytest.mark.parametrize("spec", _POINT_SPECS, ids=lambda s: s.label())
+def test_point_is_its_gram_entry(spec):
+    # scalar times reach the formula as 1-element arrays, so a point has the bytes of its
+    # Gram entry: kernel-eval --s --t prints what kernel-eval --grid holds at (s, t)
+    k = make_kernel(spec)
+    grid = standard_grid()
+    iu, ju = np.triu_indices(len(grid))
+    points = np.array([k(float(grid.times[i]), float(grid.times[j])) for i, j in zip(iu, ju)])
+    assert points.tobytes() == build_gram(k, grid).entries[iu, ju].tobytes()
+    assert k.r11 == k(1.0, 1.0) == build_gram(k, TimeGrid(np.array([1.0]))).entries[0, 0]
+
+
+def test_rl_point_near_half_is_its_gram_entry():
+    # numpy's scalar ** gave ...886 here, one ulp from every Gram's (1, 1.5) entry
+    k = make_kernel(ProcessSpec.riemann_liouville(0.4999))
+    assert k(1.0, 1.5) == build_gram(k, TimeGrid(np.array([1.0, 1.5]))).entries[0, 1] == 0.9999890716420888
+
+
+@pytest.mark.parametrize("spec", [ProcessSpec.fbm(0.1), ProcessSpec.sub_fbm(0.3), ProcessSpec.bi_fbm(0.7, 0.9),
+                                  ProcessSpec.riemann_liouville(0.3), ProcessSpec.riemann_liouville(0.4999)],
+                         ids=lambda s: s.label())
+def test_eval_l_scalar_is_its_array_entry(spec):
+    u = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 60)])
+    assert np.array([eval_l(spec, float(x)) for x in u]).tobytes() == eval_l(spec, u).tobytes()
+
+
 def test_cauchy_schwarz_fails_above_boundary():
     # for c > -H the formula is not a covariance: search a geometric grid
     H = 0.5

@@ -79,6 +79,12 @@ def test_one_chunk_generator_draws():
     assert sorted(_calls_of("_chunks")) == ["samplers.py:sample_chunks", "samplers.py:sample_spec"]
 
 
+def test_threads_start_in_sample_spec_only():
+    # the one place the package starts threads: sample_spec's per-call pool of block draws
+    assert _calls_of("ThreadPoolExecutor") == ["samplers.py:sample_spec"]
+    assert _calls_of("Thread") == []
+
+
 def _package_imports() -> dict:
     """{module file name: names} that ``ssgm/__init__.py`` imports from each sibling module."""
     tree = ast.parse((_SRC / "__init__.py").read_text())
@@ -186,7 +192,7 @@ def test_one_blas_thread_defined_in_gram_only():
     assert defined == ["gram.py:one_blas_thread"]
     assert sorted(_calls_of("one_blas_thread")) == [
         "gram.py:minor_residual", "gram.py:psd_check", "markov.py:_power_fit",
-        "samplers.py:_cholesky_with_jitter", "samplers.py:_chunks"]
+        "samplers.py:_cholesky_with_jitter", "samplers.py:_chunks", "samplers.py:empirical_cov"]
 
 
 def test_import_looks_up_no_blas():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,12 +6,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import ssgm
-from ssgm import (GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
+from ssgm import (SCHEMES, GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   ensemble_to_csv, increment_variance,
                   load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_chunks,
                   sample_spec, sample_timechange, save_ensemble, selfsim_check,
@@ -54,6 +56,91 @@ def test_worker_count_independence():
         set_max_workers(1)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.values, c.values)
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("lead0", [False, True], ids=["positive", "with_t0"])
+@pytest.mark.parametrize("n_paths", [1025, 2500])
+def test_block_threads_keep_bytes(monkeypatch, n_paths, lead0):
+    # one, two or three threads draw the blocks of every scheme into the same bytes, and those
+    # are the rows sample_chunks yields in order from the calling thread
+    assert {scheme for _, _, scheme, _ in _LEAF_SAMPLERS.values()} == set(SCHEMES)
+    for spec, grid, scheme, inner_steps in _LEAF_SAMPLERS.values():
+        if lead0:
+            grid = TimeGrid(np.concatenate([[0.0], grid.times]))
+        rows = np.concatenate([r.copy() for _, r in sample_chunks(spec, grid, n_paths, 5, scheme, inner_steps)])
+        digests = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda workers=workers: workers)
+            digests.add(_sha(sample_spec(spec, grid, n_paths, 5, scheme, inner_steps).values))
+        assert digests == {_sha(rows)}, scheme
+
+
+def test_block_threads_stress(monkeypatch):
+    # eight threads switching every microsecond, each chunk entering the shared
+    # one_blas_thread count: the bytes hold and the OpenBLAS thread counts come back
+    spec, grid, scheme, _ = _LEAF_SAMPLERS["cholesky"]
+    monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: 1)
+    serial = sample_spec(spec, grid, 8200, 5, scheme).values
+    counts = [get() for get, _ in ssgm.gram._openblas_thread_controls()]
+    monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sample_spec(spec, grid, 8200, 5, scheme).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.tobytes() == serial.tobytes()
+    assert [get() for get, _ in ssgm.gram._openblas_thread_controls()] == counts
+
+
+def test_block_threads_end_with_the_call(monkeypatch):
+    monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: 3)
+    before = threading.active_count()
+    sample_spec(SPEC, GRID, 2500, 5)
+    assert threading.active_count() == before
+
+
+def _fail_in_block_1(monkeypatch, seed):
+    """Make the timechange scheme's transform raise on the chunk that starts block 1 of ``seed``."""
+    first = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64))).standard_normal()
+    real = ssgm.samplers._SCHEMES["timechange"]
+
+    def builder(spec, pos, inner_steps):
+        plan = real(spec, pos, inner_steps)
+
+        def transform(z):
+            if z[0, 0] == first:
+                raise NumericalError("transform failed in block 1")
+            return plan.transform(z)
+
+        return plan._replace(transform=transform)
+
+    monkeypatch.setitem(ssgm.samplers._SCHEMES, "timechange", builder)
+    monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: 2)
+
+
+def test_block_error_reaches_the_caller(monkeypatch):
+    _fail_in_block_1(monkeypatch, 5)
+    before = threading.active_count()
+    with pytest.raises(NumericalError, match=r"^transform failed in block 1$"):
+        sample_spec(SPEC, GRID, 2500, 5)
+    assert threading.active_count() == before
+    sample_spec(SPEC, GRID, 1024, 5)  # block 0 alone draws
+
+
+def test_block_error_exits_3(monkeypatch, capsys):
+    from ssgm.cli import main
+
+    _fail_in_block_1(monkeypatch, 5)
+    assert main(["sample", "--spec", SPEC.label(), "--grid", "geometric:0.1,2,12", "--paths", "2500",
+                 "--seed", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ssgm: numerical failure: transform failed in block 1\n"
 
 
 def test_different_seeds_differ():
@@ -435,6 +522,17 @@ def test_empirical_cov_basic():
     assert emp.n_paths == 5000
 
 
+def test_empirical_cov_matches_einsum():
+    # one BLAS product, exactly symmetric, within a few ulps of the centred einsum contraction
+    ens = sample_spec(SPEC, TimeGrid.geometric(0.1, 2.0, 16), 5000, 31)
+    emp = empirical_cov(ens)
+    C = ens.values - ens.values.mean(axis=0)
+    ref = np.einsum("ni,nj->ij", C, C) / (ens.n_paths - 1)
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.all(np.abs(emp.cov - ref) <= 1e-13 * scale)
+    assert np.array_equal(emp.cov, emp.cov.T)
+
+
 def test_empirical_cov_needs_two_paths():
     ens = sample_spec(ProcessSpec.white_noise(0.5), TimeGrid(np.array([1.0])), 1, 28)
     with pytest.raises(ParameterError):
@@ -531,6 +629,17 @@ def test_saved_bytes_are_column_major_values(tmp_path):
     expected = np.asfortranarray(ens.values).tobytes(order="F")
     assert first.read_bytes() == expected
     assert second.read_bytes() == expected
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [1, 16])
+@pytest.mark.parametrize("n_paths", [1, 1023, 1025, 3000])
+def test_saved_bytes_for_any_shape_and_order(tmp_path, n_paths, d, order):
+    # row blocks of the transpose end inside the last block, or fill it, or are the whole ensemble
+    values = np.asarray(np.random.default_rng(n_paths + d).standard_normal((n_paths, d)), order=order)
+    ens = ssgm.PathEnsemble(SPEC, TimeGrid(np.arange(1.0, d + 1.0)), values, 1, "timechange")
+    save_ensemble(ens, tmp_path / "e.bin")
+    assert (tmp_path / "e.bin").read_bytes() == np.asfortranarray(values).tobytes(order="F")
 
 
 @pytest.mark.parametrize("keep_rng", [True, False], ids=["new_sidecar", "old_sidecar"])
