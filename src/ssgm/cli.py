@@ -23,13 +23,12 @@ import numpy as np
 
 from .config import MCConfig, ToleranceConfig, load_config
 from .errors import NumericalError, ParameterError
-from .gram import (MinorQuery, TimeGrid, build_gram, gram_to_csv, lindstrom_minor,
-                   power_gram, psd_check, standard_grid)
+from .gram import (MinorQuery, TimeGrid, build_gram, check_array_size, gram_to_csv,
+                   lindstrom_minor, power_gram, psd_check, standard_grid)
 from .kernels import L_FORM_FAMILIES, make_kernel, parse_spec_string
 from .markov import asym_coeff_estimate, markov_test, sqrt_diag_profile
 from .quadrature import DEFAULT_BUDGET
-from .samplers import (SCHEMES, empirical_cov, ensemble_csv_lines, sample_spec,
-                       save_ensemble, set_max_workers)
+from .samplers import SCHEMES, empirical_cov, ensemble_csv_lines, sample_spec, save_ensemble
 from .variation import pvariation_trichotomy, variation_to_csv
 
 SCHEMA_VERSION = "1"
@@ -338,6 +337,7 @@ def _cmd_asym(args) -> int:
     if not (0 < args.u_min < args.u_max < math.inf and args.points >= 1):
         raise ParameterError(f"asym needs 0 < --u-min < --u-max < inf and --points >= 1, "
                              f"got {args.u_min!r}, {args.u_max!r}, {args.points!r}")
+    check_array_size(args.points, "the --points grid")
     u = np.geomspace(args.u_min, args.u_max, args.points)
     report = asym_coeff_estimate(spec, u, tol=args.tol)
     coeff = "n/a" if report.coefficient is None else f"{report.coefficient:.6g}"
@@ -375,9 +375,9 @@ def _add_common(p, spec_flag="--kernel"):
                         "asym's noise floor is 10*tol, where 0 is allowed")
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility and ignored; an ensemble of more than 1024 "
-                        "paths draws its blocks on up to one thread per CPU, and output is "
-                        "identical for any value and any CPU count")
+                   help="accepted for compatibility and ignored (no environment variable is read "
+                        "either); an ensemble of more than 1024 paths draws its blocks on up to one "
+                        "thread per CPU, and output is identical for any value and any CPU count")
 
 
 @functools.cache
@@ -450,13 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        threads = args.threads if args.threads is not None else os.environ.get("SSGM_THREADS")
-        if threads is not None:
-            try:
-                set_max_workers(int(threads))
-            except ValueError:
-                print(f"ssgm: invalid thread count {threads!r}", file=sys.stderr)
-                return 2
         out = getattr(args, "out", None)
         _check_writable({"--out": out, "the --out sidecar": out and f"{out}.json",
                          "--csv": getattr(args, "csv", None), "--json": getattr(args, "json", None)})
@@ -465,11 +458,12 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"ssgm: invalid parameters: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's says which array it could not allocate
+        print(f"ssgm: invalid parameters: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"ssgm: numerical failure: {exc}", file=sys.stderr)
         return 3
-    finally:
-        set_max_workers(1)
 
 
 if __name__ == "__main__":

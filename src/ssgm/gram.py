@@ -144,6 +144,7 @@ class TimeGrid:
             raise ParameterError(
                 f"geometric grid requires 0 < start < stop and points >= 1, got {start!r}, {stop!r}, {points!r}"
             )
+        check_array_size(points, "a geometric grid")
         return cls(np.geomspace(start, stop, points))
 
     def __len__(self) -> int:
@@ -153,6 +154,13 @@ class TimeGrid:
         if not a > 0:
             raise ParameterError("scale factor must be positive")
         return TimeGrid(self.times * a)
+
+
+def check_array_size(n_values: int, what: str) -> None:
+    """Refuse ``what``, ``n_values`` float64 values, before numpy is asked for an array it cannot represent."""
+    limit = np.iinfo(np.intp).max // 8  # numpy refuses an array of more bytes (np.arange wraps)
+    if n_values > limit:
+        raise ParameterError(f"{what} needs {n_values} float64 values; an array holds at most {limit}")
 
 
 def standard_grid() -> TimeGrid:

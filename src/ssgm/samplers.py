@@ -25,14 +25,14 @@ chunk per drawing thread.  Matrix products go to BLAS in slices of exactly
 ``_TILE`` rows, so a path's values depend only on ``(seed, path index)``: a
 longer run extends a shorter one.  Blocks are independent streams that
 write disjoint rows, so ``sample_spec`` draws an ensemble of more than one
-block on up to one thread per CPU in the process's affinity mask, and the
-bytes are the same for any CPU count (``--threads`` and ``SSGM_THREADS``
-are accepted and change nothing).  ``sample_chunks`` yields its chunks in
-order from the calling thread.  The Cholesky factor, each chunk's transform
-and the empirical covariance run inside ``gram.one_blas_thread``, so where
-numpy's BLAS is an OpenBLAS it can find, the paths are also the same bytes
-for any ``OPENBLAS_NUM_THREADS``; with another BLAS its thread count may
-change their last bits.
+block on up to one thread per CPU in the process's affinity mask (no
+option sets that count), and the bytes are the same for any CPU count.
+``sample_chunks`` yields its chunks in order from the calling thread.  The
+Cholesky factor, each chunk's transform and the empirical covariance run
+inside ``gram.one_blas_thread``, so where numpy's BLAS is an OpenBLAS it
+can find, the paths are also the same bytes for any
+``OPENBLAS_NUM_THREADS``; with another BLAS its thread count may change
+their last bits.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .gram import TimeGrid, build_gram, one_blas_thread
+from .gram import TimeGrid, build_gram, check_array_size, one_blas_thread
 from .kernels import Family, GFunction, ProcessSpec, make_kernel, parse_spec_string
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "sample_timechange",
     "empirical_cov",
     "selfsim_check",
-    "set_max_workers",
     "get_max_workers",
     "ensemble_to_csv",
     "ensemble_csv_lines",
@@ -75,29 +74,11 @@ _TILE = 8  # rows per BLAS call; divides _BLOCK
 _CHUNK = 2**18  # normals per transform call, rounded to whole tiles (at least one)
 _LOOP_ROWS = 64  # least rows per call of a transform that loops over grid times in Python
 _RNG_LAYOUT = "philox-block-v1"  # recorded in ensemble sidecars
-_max_workers = 1
 
 
-def set_max_workers(n: Optional[int]) -> None:
-    """Record a worker cap (None or <=1 means 1) for ``get_max_workers``.
-
-    Sampling does not read it: ``sample_spec`` picks its thread count from
-    the CPUs it may run on, and its output never depends on either.
-    """
-    global _max_workers
-    _max_workers = max(1, int(n)) if n else 1
-
-
+# perfbench/spans.py looks this name up in Tracer.install(): deleting it makes every traced run raise KeyError
 def get_max_workers() -> int:
-    """The recorded worker cap, else ``SSGM_THREADS``, else 1; sampling does not read it."""
-    env = os.environ.get("SSGM_THREADS")
-    if _max_workers > 1:
-        return _max_workers
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
+    """1: no worker count is settable; ``sample_spec`` counts the CPUs itself."""
     return 1
 
 
@@ -148,12 +129,13 @@ class EmpiricalCov:
     n_paths: int
 
 
-def _check_sampling_args(n_paths: int, seed: int) -> None:
+def _check_sampling_args(n_paths: int, seed: int, d: int) -> None:
     # bool is an int subclass, but True is neither a path count nor a seed
     if not isinstance(n_paths, (int, np.integer)) or isinstance(n_paths, bool):
         raise ParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     if n_paths < 1:
         raise ParameterError(f"n_paths must be >= 1, got {n_paths!r}")
+    check_array_size(int(n_paths) * d, f"an ensemble of {n_paths} paths x {d} grid points")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
@@ -324,7 +306,9 @@ def _volterra_transform(spec: ProcessSpec, pos: np.ndarray, inner_steps: int) ->
     dB_k over the cells inside [0, t_j], the first searchsorted(bounds, t_j).
     """
     t_max = float(pos.max(initial=0.0))
-    lattice = np.arange(int(np.ceil(t_max * inner_steps)) + 1, dtype=float) / inner_steps
+    n_lattice = int(np.ceil(t_max * inner_steps)) + 1
+    check_array_size(n_lattice, f"the midpoint lattice at inner_steps = {inner_steps}")
+    lattice = np.arange(n_lattice, dtype=float) / inner_steps
     bounds = np.union1d(lattice[lattice <= t_max], pos)
     sqrt_w = np.sqrt(np.diff(bounds))
     mids = 0.5 * (bounds[:-1] + bounds[1:])
@@ -470,7 +454,7 @@ def _default_scheme(spec: ProcessSpec, pos: np.ndarray) -> str:
 def _plan(spec: ProcessSpec, grid: TimeGrid, n_paths: int, seed: int, scheme: Optional[str],
           inner_steps: Optional[int]) -> tuple[str, _Plan]:
     """Check the path count and seed, pick the scheme and run its builder: (scheme, plan)."""
-    _check_sampling_args(n_paths, seed)
+    _check_sampling_args(n_paths, seed, len(grid))
     pos = _positive_times(grid)
     if scheme is None:
         scheme = _default_scheme(spec, pos)
@@ -612,24 +596,17 @@ class SelfSimReport:
     n_exceed: int
 
 
-def selfsim_check(
-    spec: ProcessSpec,
-    a: float,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    scheme: Optional[str] = None,
-) -> SelfSimReport:
+def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, seed: int) -> SelfSimReport:
     """Compare sampled covariance on a*grid against a^(2H) times grid's.
 
-    The two ensembles use independent substream families (seed and seed+1).
-    Reported ratios are |difference| / (4 * combined SE); values <= 1 are
-    within the design tolerance.
+    Both are drawn with the family's default scheme, from independent
+    substream families (seed and seed+1).  Reported ratios are |difference|
+    / (4 * combined SE); values <= 1 are within the design tolerance.
     """
     if not a > 0:
         raise ParameterError("a must be positive")
-    base = empirical_cov(sample_spec(spec, grid, n_paths, seed, scheme=scheme))
-    scaled = empirical_cov(sample_spec(spec, grid.scaled(a), n_paths, seed + 1, scheme=scheme))
+    base = empirical_cov(sample_spec(spec, grid, n_paths, seed))
+    scaled = empirical_cov(sample_spec(spec, grid.scaled(a), n_paths, seed + 1))
     factor = a ** (2.0 * spec.H)
     diff = np.abs(scaled.cov - factor * base.cov)
     combined = np.sqrt(scaled.se**2 + (factor * base.se) ** 2)
@@ -712,7 +689,7 @@ def load_ensemble(path) -> PathEnsemble:
         grid = TimeGrid(np.asarray(sidecar["grid"], dtype=float))
         if not (isinstance(shape, list) and len(shape) == 2 and shape[1] == len(grid)):
             raise ParameterError(f"shape {shape!r} is not [n_paths, {len(grid)}] for its grid")
-        _check_sampling_args(shape[0], seed)
+        _check_sampling_args(shape[0], seed, len(grid))
         if not (inner is None or type(inner) is int and inner >= 1):
             raise ParameterError(f"inner_steps {inner!r} is not null or an integer >= 1")
         if not (type(jitter) in (int, float) and 0 <= jitter < math.inf):

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import ParameterError
-from .gram import TimeGrid
+from .gram import TimeGrid, check_array_size
 from .kernels import Family, GFunction, ProcessSpec, volterra_g_variance
 from .quadrature import DEFAULT_BUDGET, integrate_power_upper
 from .samplers import sample_chunks
@@ -145,6 +145,7 @@ def pvariation_sum(values, p: float) -> float:
 
 
 def _dyadic_grid(n: int) -> TimeGrid:
+    check_array_size(n + 1, f"the dyadic grid of n = {n}")
     return TimeGrid(np.arange(n + 1, dtype=float) / n)
 
 

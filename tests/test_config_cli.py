@@ -390,7 +390,8 @@ def test_cli_non_finite_gram_exits_3(argv, tmp_path):
                         r"not finite\n", out.stderr)
 
 
-def test_cli_reproducible_csv_across_threads(tmp_path):
+def test_cli_reproducible_csv_across_threads(tmp_path, monkeypatch):
+    # 2500 paths are three blocks, so the block pool runs; --threads and SSGM_THREADS change nothing
     cfg_text = """
 [process]
 family = canonical
@@ -401,19 +402,21 @@ c = -1.5
 geometric = 0.1 2.0 6
 
 [mc]
-n_paths = 64
+n_paths = 2500
 seed = 9
 """
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(cfg_text)
-    blobs = []
-    for workers in ("1", "4", "8"):
-        csv_path = tmp_path / f"paths_{workers}.csv"
-        rc = main(["sample", "--config", str(cfg_file), "--csv", str(csv_path),
-                   "--threads", workers])
-        assert rc == 0
-        blobs.append(csv_path.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    blobs = set()
+    for run, threads in enumerate(["1", "4", "8", "0", "-3", None]):
+        if threads is None:
+            monkeypatch.setenv("SSGM_THREADS", "abc")
+        csv_path, out_path = tmp_path / f"paths_{run}.csv", tmp_path / f"paths_{run}.bin"
+        argv = ["sample", "--config", str(cfg_file), "--csv", str(csv_path), "--out", str(out_path)]
+        assert main(argv + (["--threads", threads] if threads else [])) == 0
+        sidecar = pathlib.Path(f"{out_path}.json").read_bytes()
+        blobs.add((csv_path.read_bytes(), out_path.read_bytes(), sidecar))
+    assert len(blobs) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -615,6 +618,10 @@ _MALFORMED_ROWS = {
     "u_min_zero": ["asym", "--spec", "rl:H=0.25", "--u-min", "0"],
     "u_max_inf": ["asym", "--spec", "rl:H=0.25", "--u-max", "inf"],
     "negative_points": ["asym", "--spec", "rl:H=0.25", "--points", "-1"],
+    "points_oversize": ["asym", "--spec", "rl:H=0.25", "--points", "10" + "0" * 20],
+    "grid_oversize": ["sample", "--spec", "fbm:H=0.3", "--grid", "geometric:1,2,1" + "0" * 20] + _PATHS,
+    "inner_steps_oversize": ["sample", "--spec", "volterra-g:H=0.3,beta=0.5,g=const:1", "--grid", "1,2",
+                             "--inner-steps", "1" + "0" * 18] + _PATHS,
     "alpha_nan": ["posdef", "--alpha", "nan", "--beta", "0.1", "--grid", "1,2"],
     "beta_inf": ["posdef", "--alpha", "0.3", "--beta", "inf", "--grid", "1,2"],
     "s_without_t": ["kernel-eval", "--kernel", "fbm:H=0.3", "--s", "1"],
@@ -629,6 +636,41 @@ _MALFORMED_ROWS = {
     "unknown_flag": ["asym", "--spec", "rl:H=0.25", "--bogus"],
     "no_subcommand": [],
 }
+
+
+# inputs whose arrays numpy cannot represent: refused before any work, naming the size
+_OVERSIZE = {
+    "sample_paths": ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "1000000000000000000",
+                     "--seed", "1"],
+    "variation_paths": ["variation", "--spec", "fbm:H=0.3", "--p", "2", "--n", "2^2,2^3",
+                        "--paths", "1000000000000000000", "--seed", "1"],
+    "variation_n_2^71": ["variation", "--spec", "fbm:H=0.3", "--p", "2", "--n", "2^70,2^71"] + _PATHS,
+    "variation_n_2^63": ["variation", "--spec", "fbm:H=0.3", "--p", "2", "--n", "2^62,2^63"] + _PATHS,
+}
+
+
+@pytest.mark.parametrize("argv", list(_OVERSIZE.values()), ids=list(_OVERSIZE))
+def test_cli_oversize_input_exit_2(argv, tmp_path):
+    src = str(pathlib.Path(ssgm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "ssgm.cli", *argv], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert re.fullmatch(r"ssgm: invalid parameters: .* needs \d+ float64 values; "
+                        r"an array holds at most \d+\n", out.stderr)
+
+
+@pytest.mark.parametrize("error", [np._core._exceptions._ArrayMemoryError((10**12,), np.dtype(float)),
+                                   MemoryError()], ids=["numpy", "bare"])
+def test_cli_memory_error_exit_2(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(ssgm.cli, "sample_spec", fail)
+    assert main(["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ssgm: invalid parameters: {str(error) or 'out of memory'}\n"
 
 
 @pytest.mark.parametrize("row", list(_MALFORMED_ROWS))

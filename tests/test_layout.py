@@ -85,6 +85,23 @@ def test_threads_start_in_sample_spec_only():
     assert _calls_of("Thread") == []
 
 
+def _environment_reads(path: pathlib.Path) -> list:
+    """``module:line`` for every ``environ`` or ``getenv`` the module names."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+            if getattr(node, "attr", getattr(node, "id", None)) in ("environ", "getenv")]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_reads_no_environment(path):
+    # every input is a flag, a config block or an argument: no environment variable changes a run
+    assert _environment_reads(path) == []
+
+
+def test_nothing_reads_a_worker_count():
+    # sample_spec counts the CPUs itself; get_max_workers is only a name the benchmark harness looks up
+    assert _calls_of("get_max_workers") == []
+
+
 def _package_imports() -> dict:
     """{module file name: names} that ``ssgm/__init__.py`` imports from each sibling module."""
     tree = ast.parse((_SRC / "__init__.py").read_text())

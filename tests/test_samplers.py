@@ -15,8 +15,7 @@ import ssgm
 from ssgm import (SCHEMES, GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   ensemble_to_csv, increment_variance,
                   load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_chunks,
-                  sample_spec, sample_timechange, save_ensemble, selfsim_check,
-                  set_max_workers)
+                  sample_spec, sample_timechange, save_ensemble, selfsim_check)
 from ssgm.errors import NumericalError, ParameterError
 from ssgm.samplers import (_circulant_transform, _hilbert_cholesky, _poly_transform, _uniform_step,
                            _volterra_transform, _zg_discrete_var)
@@ -43,19 +42,6 @@ def test_bitwise_determinism():
     a = sample_timechange(0.7, -1.5, GRID, 300, 42)
     b = sample_timechange(0.7, -1.5, GRID, 300, 42)
     assert np.array_equal(a.values, b.values)
-
-
-def test_worker_count_independence():
-    a = sample_timechange(0.7, -1.5, GRID, 500, 42)
-    try:
-        set_max_workers(4)
-        b = sample_timechange(0.7, -1.5, GRID, 500, 42)
-        set_max_workers(8)
-        c = sample_timechange(0.7, -1.5, GRID, 500, 42)
-    finally:
-        set_max_workers(1)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.values, c.values)
 
 
 def _sha(a) -> str:
