@@ -24,13 +24,17 @@ the whole block would give, while the memory beside the output stays one
 chunk per drawing thread.  Matrix products go to BLAS in slices of exactly
 ``_TILE`` rows, so a path's values depend only on ``(seed, path index)``: a
 longer run extends a shorter one.  Blocks are independent streams that
-write disjoint rows, so ``sample_spec`` draws an ensemble of more than one
-block on up to one thread per CPU in the process's affinity mask (no
-option sets that count), and the bytes are the same for any CPU count.
+write disjoint rows, so ``_run_blocks``, the one place that starts
+threads, runs the blocks of ``sample_spec``, ``empirical_cov`` and
+``selfsim_check`` on the calling thread plus up to one pool thread per
+further CPU in the process's affinity mask (no option sets that count),
+and the bytes are the same for any CPU count.  ``empirical_cov`` and
+``selfsim_check`` reduce each block to its moments where it runs and merge
+them in block order, so ``selfsim_check`` holds no ensemble.
 ``sample_chunks`` yields its chunks in order from the calling thread.  The
-Cholesky factor, each chunk's transform and the empirical covariance run
+Cholesky factor, each chunk's transform and each block's moments run
 inside ``gram.one_blas_thread``, so where numpy's BLAS is an OpenBLAS it
-can find, the paths are also the same bytes for any
+can find, paths and covariances are also the same bytes for any
 ``OPENBLAS_NUM_THREADS``; with another BLAS its thread count may change
 their last bits.
 """
@@ -40,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -475,15 +480,17 @@ def _chunks(plan: _Plan, seed: int, n_paths: int, d: int, out: Optional[np.ndarr
     per call does not shrink with the row count.  Each chunk is padded with
     zero rows to whole tiles, and the first rows of ``transform`` of it are
     kept.  A transform that returns ``d - 1`` columns leaves the leading
-    t = 0 column zero.  The rows are written into
-    ``out[start:start + len(rows)]`` when an (n_paths, d) zero array is
-    given, else into one reused chunk buffer that the next chunk overwrites.
+    t = 0 column zero.  The rows are written into ``out`` when a zero array
+    with one row per path of ``blocks`` is given (path ``start`` in row
+    ``start - blocks[0] * _BLOCK``), else into one reused chunk buffer that
+    the next chunk overwrites.
     """
     if blocks is None:
         blocks = range(-(-n_paths // _BLOCK))
     step = min(_BLOCK, max(plan.min_rows, _TILE * (_CHUNK // (_TILE * max(1, plan.n_draws)))))
     z = np.empty((min(step, -(-n_paths // _TILE) * _TILE), plan.n_draws))  # reused by every chunk
     buf = np.zeros((min(step, n_paths), d)) if out is None else None
+    first = blocks[0] * _BLOCK  # the path in out's first row
     for b in blocks:
         lo = b * _BLOCK
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
@@ -494,7 +501,7 @@ def _chunks(plan: _Plan, seed: int, n_paths: int, d: int, out: Optional[np.ndarr
             z[rows:padded] = 0.0
             with one_blas_thread():
                 x = plan.transform(z[:padded])[:rows]
-            dest = buf[:rows] if out is None else out[start:start + rows]
+            dest = buf[:rows] if out is None else out[start - first:start - first + rows]
             dest[:, d - x.shape[1]:] = x
             yield start, dest
 
@@ -521,6 +528,77 @@ def sample_chunks(
     return _chunks(_plan(spec, grid, n_paths, seed, scheme, inner_steps)[1], seed, n_paths, len(grid))
 
 
+class _Blocks(NamedTuple):
+    """The ``_BLOCK``-path blocks of one ensemble of ``n_paths`` x ``d``, for ``_run_blocks``.
+
+    Block ``b``'s rows are rows ``b * _BLOCK`` onward of ``values``, taken
+    C-contiguous (a view where they already are), or a zero buffer of their
+    own when ``values`` is None.  With a ``plan``, block ``b`` is first drawn
+    into them from Philox keyed ``(seed, b)``.
+    """
+
+    n_paths: int
+    d: int
+    values: Optional[np.ndarray] = None
+    plan: Optional[_Plan] = None
+    seed: int = 0
+
+
+def _run_blocks(parts: list[_Blocks], reduce: Optional[Callable[[np.ndarray], object]] = None) -> list:
+    """``reduce(rows)`` (None without ``reduce``) of every block of ``parts``, in order.
+
+    The blocks are numbered part by part and handed out in that order from
+    one shared iterator to ``min(blocks, CPUs) - 1`` pool threads and the
+    calling thread, which takes blocks too.  After a block fails no block is
+    handed out; every thread is joined, and the error of the lowest-numbered
+    failed block is raised.  Every block below it was handed out before it,
+    so that is the error a serial run raises.
+    """
+    jobs = [(part, b) for part in parts for b in range(-(-part.n_paths // _BLOCK))]
+    results: list = [None] * len(jobs)
+    failed: dict[int, BaseException] = {}
+    order = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                k = None if failed else next(order, None)
+            if k is None:
+                return
+            part, b = jobs[k]
+            lo = b * _BLOCK
+            try:
+                if part.values is None:
+                    rows = np.zeros((min(_BLOCK, part.n_paths - lo), part.d))
+                else:
+                    rows = np.ascontiguousarray(part.values[lo:lo + _BLOCK])
+                if part.plan is not None:
+                    deque(_chunks(part.plan, part.seed, part.n_paths, part.d, rows, range(b, b + 1)), maxlen=0)
+                if reduce is not None:
+                    results[k] = reduce(rows)
+            except BaseException as exc:  # raised in the caller once every thread is joined
+                with lock:
+                    failed[k] = exc
+                return
+
+    helpers = min(len(jobs), _cpu_count()) - 1
+    # held for the whole run, so that each chunk's entry nests instead of setting OpenBLAS's
+    # thread count anew; the block moments run inside it
+    with one_blas_thread():
+        if helpers > 0:
+            with ThreadPoolExecutor(helpers) as pool:  # leaving joins its threads
+                futures = [pool.submit(take) for _ in range(helpers)]
+                take()
+            for future in futures:
+                future.result()
+        else:
+            take()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def sample_spec(
     spec: ProcessSpec,
     grid: TimeGrid,
@@ -538,23 +616,12 @@ def sample_spec(
     constant and beta an integer >= 0, and through the midpoint ``volterra``
     scheme otherwise; ``inner_steps`` reaches only that scheme.  A scheme
     that does not fit the spec or the grid raises :class:`ParameterError`.
-    The chunks of ``sample_chunks`` are written straight into the ensemble:
-    in the calling thread for one block of ``_BLOCK`` paths or one CPU,
-    else one block per task on up to one thread per CPU, with the same bytes.
+    The chunks of ``sample_chunks`` are written straight into the ensemble,
+    block by block on ``_run_blocks``, with the same bytes for any CPU count.
     """
     scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
-    d = len(grid)
-    values = np.zeros((n_paths, d))
-    blocks = range(-(-n_paths // _BLOCK))
-    draw = lambda part: deque(_chunks(plan, seed, n_paths, d, values, part), maxlen=0)  # noqa: E731
-    workers = min(len(blocks), _cpu_count())
-    if workers == 1:
-        draw(blocks)
-    else:
-        # block b keys its own stream and writes only its own rows; map re-raises the first
-        # failed block's error in the caller, and leaving the pool joins its threads
-        with ThreadPoolExecutor(workers) as pool:
-            deque(pool.map(draw, (blocks[b:b + 1] for b in blocks)), maxlen=0)
+    values = np.zeros((n_paths, len(grid)))
+    _run_blocks([_Blocks(n_paths, len(grid), values, plan, seed)])
     return PathEnsemble(plan.spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
 
 
@@ -563,26 +630,50 @@ def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: in
     return sample_spec(ProcessSpec.canonical(H, c), grid, n_paths, seed, scheme="timechange")
 
 
+def _moments(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(n_b, mean_b, C_b^T C_b)`` of a C-contiguous block, ``C_b`` its rows less ``mean_b``.
+
+    Both are BLAS products, on one thread inside ``_run_blocks``: the mean
+    ``ones @ rows / n_b`` and the exactly symmetric ``C_b.T @ C_b``.
+    """
+    n_b = len(rows)
+    mean = np.ones(n_b) @ rows / n_b
+    centred = rows - mean
+    return n_b, mean, centred.T @ centred
+
+
+def _merged_cov(grid: TimeGrid, moments: list) -> EmpiricalCov:
+    """The ``EmpiricalCov`` of per-block ``_moments``, merged in block order.
+
+    ``mean = sum n_b mean_b / n`` and ``M2 = sum_b [C_b^T C_b + n_b d_b d_b^T]``
+    with ``d_b = mean_b - mean`` (Chan, Golub & LeVeque 1983), so the bytes
+    depend only on the blocks' bytes.
+    """
+    n = sum(n_b for n_b, _, _ in moments)
+    if n < 2:
+        raise ParameterError("empirical covariance requires n_paths >= 2")
+    mean = sum(n_b * mean_b for n_b, mean_b, _ in moments) / n
+    m2 = sum(ctc + n_b * np.outer(mean_b - mean, mean_b - mean) for n_b, mean_b, ctc in moments)
+    cov = m2 / (n - 1)
+    var = np.diag(cov)
+    se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
+    return EmpiricalCov(grid, mean, cov, se, n)
+
+
 def empirical_cov(ensemble: PathEnsemble) -> EmpiricalCov:
     """Unbiased sample covariance with delta-method standard errors.
 
     The standard error of cov[i, j] uses the Gaussian fourth-moment formula
     (c_ii c_jj + c_ij^2) / n with the estimated covariance plugged in.
-    The covariance is one BLAS product ``C.T @ C`` of the centred values,
-    exactly symmetric, taken inside ``gram.one_blas_thread`` so that its
-    bytes do not depend on ``OPENBLAS_NUM_THREADS``.
+    Each ``_BLOCK``-path block of rows, taken C-contiguous, is reduced to
+    its count, mean and centred cross-product on ``_run_blocks``, and the
+    blocks are merged in order.  The covariance is exactly symmetric, and
+    its bytes are the same for a fresh or a loaded (column-major) ensemble,
+    any CPU count and, where numpy's BLAS is an OpenBLAS, any
+    ``OPENBLAS_NUM_THREADS``.
     """
-    n = ensemble.n_paths
-    if n < 2:
-        raise ParameterError("empirical covariance requires n_paths >= 2")
-    X = ensemble.values
-    mean = X.mean(axis=0)
-    C = X - mean
-    with one_blas_thread():
-        cov = C.T @ C / (n - 1)
-    var = np.diag(cov)
-    se = np.sqrt(np.maximum(np.outer(var, var) + cov**2, 0.0) / n)
-    return EmpiricalCov(ensemble.grid, mean, cov, se, n)
+    blocks = _Blocks(ensemble.n_paths, len(ensemble.grid), ensemble.values)
+    return _merged_cov(ensemble.grid, _run_blocks([blocks], _moments))
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,12 +692,19 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
 
     Both are drawn with the family's default scheme, from independent
     substream families (seed and seed+1).  Reported ratios are |difference|
-    / (4 * combined SE); values <= 1 are within the design tolerance.
+    / (4 * combined SE); values <= 1 are within the design tolerance.  The
+    blocks of both ensembles run in one ``_run_blocks`` pass, each reduced
+    to its moments as it is drawn, so no ensemble is held; the two
+    covariances have the bytes of ``empirical_cov(sample_spec(...))``.
     """
     if not a > 0:
         raise ParameterError("a must be positive")
-    base = empirical_cov(sample_spec(spec, grid, n_paths, seed))
-    scaled = empirical_cov(sample_spec(spec, grid.scaled(a), n_paths, seed + 1))
+    grids, seeds = (grid, grid.scaled(a)), (seed, seed + 1)
+    parts = [_Blocks(n_paths, len(grid), plan=_plan(spec, g, n_paths, s, None, None)[1], seed=s)
+             for g, s in zip(grids, seeds)]
+    moments = _run_blocks(parts, _moments)
+    half = len(moments) // 2
+    base, scaled = _merged_cov(grids[0], moments[:half]), _merged_cov(grids[1], moments[half:])
     factor = a ** (2.0 * spec.H)
     diff = np.abs(scaled.cov - factor * base.cov)
     combined = np.sqrt(scaled.se**2 + (factor * base.se) ** 2)

@@ -260,6 +260,7 @@ def ergodic_average(
         raise ParameterError("n must be >= 2")
     if f not in ("square", "abs-pow"):
         raise ParameterError(f"f must be 'square' or 'abs-pow', got {f!r}")
+    check_array_size(n + 1, f"the integer grid 0..{n}")
     grid = TimeGrid(np.arange(n + 1, dtype=float))
     chunks = sample_chunks(spec, grid, n_paths, seed, inner_steps=_ERGODIC_INNER_STEPS)
     power = 2.0 if f == "square" else p  # |x|^2 is x^2 bytewise

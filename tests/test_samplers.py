@@ -52,34 +52,44 @@ def _sha(a) -> str:
 @pytest.mark.parametrize("n_paths", [1025, 2500])
 def test_block_threads_keep_bytes(monkeypatch, n_paths, lead0):
     # one, two or three threads draw the blocks of every scheme into the same bytes, and those
-    # are the rows sample_chunks yields in order from the calling thread
+    # are the rows sample_chunks yields in order from the calling thread; the block moments
+    # of empirical_cov and selfsim_check merge into the same bytes too
     assert {scheme for _, _, scheme, _ in _LEAF_SAMPLERS.values()} == set(SCHEMES)
     for spec, grid, scheme, inner_steps in _LEAF_SAMPLERS.values():
         if lead0:
             grid = TimeGrid(np.concatenate([[0.0], grid.times]))
         rows = np.concatenate([r.copy() for _, r in sample_chunks(spec, grid, n_paths, 5, scheme, inner_steps)])
-        digests = set()
+        digests, covs, ratios = set(), set(), set()
         for workers in (1, 2, 3):
             monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda workers=workers: workers)
-            digests.add(_sha(sample_spec(spec, grid, n_paths, 5, scheme, inner_steps).values))
+            ens = sample_spec(spec, grid, n_paths, 5, scheme, inner_steps)
+            digests.add(_sha(ens.values))
+            emp = empirical_cov(ens)
+            covs.add((_sha(emp.mean), _sha(emp.cov), _sha(emp.se)))
+            ratios.add(_sha(selfsim_check(spec, 2.0, grid, n_paths, 5).ratios))
         assert digests == {_sha(rows)}, scheme
+        assert len(covs) == 1 and len(ratios) == 1, scheme
 
 
 def test_block_threads_stress(monkeypatch):
-    # eight threads switching every microsecond, each chunk entering the shared
-    # one_blas_thread count: the bytes hold and the OpenBLAS thread counts come back
+    # eight threads switching every microsecond, each chunk entering the shared one_blas_thread
+    # count inside the one the block runner holds: the paths and the merged moments keep their
+    # bytes, and the OpenBLAS thread counts come back
     spec, grid, scheme, _ = _LEAF_SAMPLERS["cholesky"]
     monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: 1)
-    serial = sample_spec(spec, grid, 8200, 5, scheme).values
+    serial = sample_spec(spec, grid, 8200, 5, scheme)
+    serial_cov = empirical_cov(serial).cov
     counts = [get() for get, _ in ssgm.gram._openblas_thread_controls()]
     monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = sample_spec(spec, grid, 8200, 5, scheme).values
+        threaded = sample_spec(spec, grid, 8200, 5, scheme)
+        threaded_cov = empirical_cov(threaded).cov
     finally:
         sys.setswitchinterval(interval)
-    assert threaded.tobytes() == serial.tobytes()
+    assert threaded.values.tobytes() == serial.values.tobytes()
+    assert threaded_cov.tobytes() == serial_cov.tobytes()
     assert [get() for get, _ in ssgm.gram._openblas_thread_controls()] == counts
 
 
@@ -114,6 +124,10 @@ def test_block_error_reaches_the_caller(monkeypatch):
     before = threading.active_count()
     with pytest.raises(NumericalError, match=r"^transform failed in block 1$"):
         sample_spec(SPEC, GRID, 2500, 5)
+    assert threading.active_count() == before
+    # selfsim_check draws the blocks of seed 5 and then those of seed 6 in one pass
+    with pytest.raises(NumericalError, match=r"^transform failed in block 1$"):
+        selfsim_check(SPEC, 2.0, GRID, 2500, 5)
     assert threading.active_count() == before
     sample_spec(SPEC, GRID, 1024, 5)  # block 0 alone draws
 
@@ -509,7 +523,7 @@ def test_empirical_cov_basic():
 
 
 def test_empirical_cov_matches_einsum():
-    # one BLAS product, exactly symmetric, within a few ulps of the centred einsum contraction
+    # merged block moments, exactly symmetric, within a few ulps of the centred einsum contraction
     ens = sample_spec(SPEC, TimeGrid.geometric(0.1, 2.0, 16), 5000, 31)
     emp = empirical_cov(ens)
     C = ens.values - ens.values.mean(axis=0)
@@ -523,6 +537,44 @@ def test_empirical_cov_needs_two_paths():
     ens = sample_spec(ProcessSpec.white_noise(0.5), TimeGrid(np.array([1.0])), 1, 28)
     with pytest.raises(ParameterError):
         empirical_cov(ens)
+
+
+def test_empirical_cov_same_bytes_for_a_loaded_ensemble(tmp_path):
+    # load_ensemble returns column-major values; the blocks are taken C-contiguous, so the
+    # mean and the products reduce in the order a fresh ensemble's do
+    ens = sample_spec(SPEC, TimeGrid.geometric(0.1, 2.0, 16), 50000, 35)
+    save_ensemble(ens, tmp_path / "e.bin")
+    loaded = load_ensemble(tmp_path / "e.bin")
+    assert not loaded.values.flags.c_contiguous
+    fresh, again = empirical_cov(ens), empirical_cov(loaded)
+    for field in ("mean", "cov", "se"):
+        assert getattr(again, field).tobytes() == getattr(fresh, field).tobytes(), field
+
+
+def test_selfsim_ratios_are_those_of_its_ensembles():
+    # the two covariances are empirical_cov(sample_spec(...)) of the same arguments, bytewise
+    spec, a, grid, n_paths, seed = ProcessSpec.fbm(0.3), 3.0, TimeGrid.geometric(0.2, 1.5, 8), 2500, 36
+    base = empirical_cov(sample_spec(spec, grid, n_paths, seed))
+    scaled = empirical_cov(sample_spec(spec, grid.scaled(a), n_paths, seed + 1))
+    factor = a ** (2.0 * spec.H)
+    combined = np.sqrt(scaled.se**2 + (factor * base.se) ** 2)
+    ratios = np.abs(scaled.cov - factor * base.cov) / (4.0 * np.where(combined > 0, combined, np.inf))
+    assert selfsim_check(spec, a, grid, n_paths, seed).ratios.tobytes() == ratios.tobytes()
+
+
+def test_selfsim_holds_no_ensemble(monkeypatch):
+    # two drawing threads, as on a 2-CPU host: each holds one block's rows, normals and
+    # centred copy (about 0.4 MiB here), where the two 50,000 x 16 ensembles took 12.3 MiB
+    import tracemalloc
+
+    monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: 2)
+    tracemalloc.start()
+    try:
+        selfsim_check(SPEC, 2.0, TimeGrid.geometric(0.1, 2.0, 16), 50000, 37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_selfsim_identity_scale():
@@ -872,8 +924,9 @@ def test_largest_seed_accepted():
     assert sample_timechange(0.7, -1.5, GRID, 3, 2**64 - 1).seed == 2**64 - 1
 
 
-def test_empirical_cov_matches_two_loop_reference():
-    ens = sample_spec(ProcessSpec.fbm(0.3), GRID, 300, 34, scheme="cholesky")
+@pytest.mark.parametrize("n_paths", [2, 300, 1025, 3000])  # 1025: a one-row last block
+def test_empirical_cov_matches_two_loop_reference(n_paths):
+    ens = sample_spec(ProcessSpec.fbm(0.3), GRID, n_paths, 34, scheme="cholesky")
     X = ens.values
     n, d = X.shape
     mean = [sum(X[:, i]) / n for i in range(d)]

@@ -284,6 +284,12 @@ def test_ergodic_validation():
         ergodic_average(ProcessSpec.volterra_g(0.25, 1.0, G1), "cube", 100, 5, 1)
 
 
+def test_ergodic_refuses_a_grid_no_array_holds():
+    # refused naming the size before numpy is asked for the integer grid
+    with pytest.raises(ParameterError, match=rf"^the integer grid 0\.\.{2**70} needs {2**70 + 1} float64 values"):
+        ergodic_average(ProcessSpec.volterra_g(0.25, 1.0, G1), "square", 2**70, 2, 1)
+
+
 def test_gaussian_abs_moment_identities():
     assert gaussian_abs_moment(4.0, 2.0) == pytest.approx(4.0, rel=1e-14)
     assert gaussian_abs_moment(1.0, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
