@@ -25,12 +25,13 @@ chunk per drawing thread.  Matrix products go to BLAS in slices of exactly
 ``_TILE`` rows, so a path's values depend only on ``(seed, path index)``: a
 longer run extends a shorter one.  Blocks are independent streams that
 write disjoint rows, so ``_run_blocks``, the one place that starts
-threads, runs the blocks of ``sample_spec``, ``empirical_cov`` and
-``selfsim_check`` on the calling thread plus up to one pool thread per
-further CPU in the process's affinity mask (no option sets that count),
-and the bytes are the same for any CPU count.  ``empirical_cov`` and
-``selfsim_check`` reduce each block to its moments where it runs and merge
-them in block order, so ``selfsim_check`` holds no ensemble.
+threads, runs the blocks of ``sample_spec`` and ``selfsim_check`` on the
+calling thread plus up to one pool thread per further CPU in the
+process's affinity mask (no option sets that count), and the bytes are
+the same for any CPU count.  ``empirical_cov`` and ``selfsim_check``
+reduce each block to its moments (``selfsim_check`` where the block is
+drawn) and merge them in block order, so ``selfsim_check`` holds no
+ensemble.
 ``sample_chunks`` yields its chunks in order from the calling thread.  The
 Cholesky factor, each chunk's transform and each block's moments run
 inside ``gram.one_blas_thread``, so where numpy's BLAS is an OpenBLAS it
@@ -528,36 +529,29 @@ def sample_chunks(
     return _chunks(_plan(spec, grid, n_paths, seed, scheme, inner_steps)[1], seed, n_paths, len(grid))
 
 
-class _Blocks(NamedTuple):
-    """The ``_BLOCK``-path blocks of one ensemble of ``n_paths`` x ``d``, for ``_run_blocks``.
+def _draw_block(plan: _Plan, seed: int, n_paths: int, b: int, rows: np.ndarray) -> np.ndarray:
+    """Block ``b`` of the ``n_paths`` paths, drawn into ``rows``, which it returns.
 
-    Block ``b``'s rows are rows ``b * _BLOCK`` onward of ``values``, taken
-    C-contiguous (a view where they already are), or a zero buffer of their
-    own when ``values`` is None.  With a ``plan``, block ``b`` is first drawn
-    into them from Philox keyed ``(seed, b)``.
+    ``rows`` is a C-contiguous zero array of the block's rows, paths
+    ``b * _BLOCK`` onward; a row slice of a C-contiguous ensemble is one.
     """
-
-    n_paths: int
-    d: int
-    values: Optional[np.ndarray] = None
-    plan: Optional[_Plan] = None
-    seed: int = 0
+    deque(_chunks(plan, seed, n_paths, rows.shape[1], rows, range(b, b + 1)), maxlen=0)
+    return rows
 
 
-def _run_blocks(parts: list[_Blocks], reduce: Optional[Callable[[np.ndarray], object]] = None) -> list:
-    """``reduce(rows)`` (None without ``reduce``) of every block of ``parts``, in order.
+def _run_blocks(n_jobs: int, job: Callable[[int], object]) -> list:
+    """``[job(k) for k in range(n_jobs)]``, on the calling thread and up to one pool thread per further CPU.
 
-    The blocks are numbered part by part and handed out in that order from
-    one shared iterator to ``min(blocks, CPUs) - 1`` pool threads and the
-    calling thread, which takes blocks too.  After a block fails no block is
-    handed out; every thread is joined, and the error of the lowest-numbered
-    failed block is raised.  Every block below it was handed out before it,
-    so that is the error a serial run raises.
+    The jobs are handed out in order from one shared iterator to
+    ``min(n_jobs, CPUs) - 1`` pool threads and the calling thread, which
+    takes jobs too, all inside one ``gram.one_blas_thread``.  After a job
+    fails no job is handed out; every thread is joined, and the error of
+    the lowest-numbered failed job is raised.  Every job below it was
+    handed out before it, so that is the error a serial run raises.
     """
-    jobs = [(part, b) for part in parts for b in range(-(-part.n_paths // _BLOCK))]
-    results: list = [None] * len(jobs)
+    results: list = [None] * n_jobs
     failed: dict[int, BaseException] = {}
-    order = iter(range(len(jobs)))
+    order = iter(range(n_jobs))
     lock = threading.Lock()
 
     def take():
@@ -566,25 +560,16 @@ def _run_blocks(parts: list[_Blocks], reduce: Optional[Callable[[np.ndarray], ob
                 k = None if failed else next(order, None)
             if k is None:
                 return
-            part, b = jobs[k]
-            lo = b * _BLOCK
             try:
-                if part.values is None:
-                    rows = np.zeros((min(_BLOCK, part.n_paths - lo), part.d))
-                else:
-                    rows = np.ascontiguousarray(part.values[lo:lo + _BLOCK])
-                if part.plan is not None:
-                    deque(_chunks(part.plan, part.seed, part.n_paths, part.d, rows, range(b, b + 1)), maxlen=0)
-                if reduce is not None:
-                    results[k] = reduce(rows)
+                results[k] = job(k)
             except BaseException as exc:  # raised in the caller once every thread is joined
                 with lock:
                     failed[k] = exc
                 return
 
-    helpers = min(len(jobs), _cpu_count()) - 1
+    helpers = min(n_jobs, _cpu_count()) - 1
     # held for the whole run, so that each chunk's entry nests instead of setting OpenBLAS's
-    # thread count anew; the block moments run inside it
+    # thread count anew; the jobs' own BLAS calls (selfsim_check's block moments) run inside it
     with one_blas_thread():
         if helpers > 0:
             with ThreadPoolExecutor(helpers) as pool:  # leaving joins its threads
@@ -621,7 +606,8 @@ def sample_spec(
     """
     scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
     values = np.zeros((n_paths, len(grid)))
-    _run_blocks([_Blocks(n_paths, len(grid), values, plan, seed)])
+    _run_blocks(-(-n_paths // _BLOCK),
+                lambda b: _draw_block(plan, seed, n_paths, b, values[b * _BLOCK:(b + 1) * _BLOCK]))
     return PathEnsemble(plan.spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
 
 
@@ -633,8 +619,8 @@ def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: in
 def _moments(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """``(n_b, mean_b, C_b^T C_b)`` of a C-contiguous block, ``C_b`` its rows less ``mean_b``.
 
-    Both are BLAS products, on one thread inside ``_run_blocks``: the mean
-    ``ones @ rows / n_b`` and the exactly symmetric ``C_b.T @ C_b``.
+    Both are BLAS products, run by the callers inside ``one_blas_thread``:
+    the mean ``ones @ rows / n_b`` and the exactly symmetric ``C_b.T @ C_b``.
     """
     n_b = len(rows)
     mean = np.ones(n_b) @ rows / n_b
@@ -665,15 +651,18 @@ def empirical_cov(ensemble: PathEnsemble) -> EmpiricalCov:
 
     The standard error of cov[i, j] uses the Gaussian fourth-moment formula
     (c_ii c_jj + c_ij^2) / n with the estimated covariance plugged in.
-    Each ``_BLOCK``-path block of rows, taken C-contiguous, is reduced to
-    its count, mean and centred cross-product on ``_run_blocks``, and the
-    blocks are merged in order.  The covariance is exactly symmetric, and
-    its bytes are the same for a fresh or a loaded (column-major) ensemble,
-    any CPU count and, where numpy's BLAS is an OpenBLAS, any
-    ``OPENBLAS_NUM_THREADS``.
+    Each ``_BLOCK``-path block of rows, taken C-contiguous, is reduced in
+    turn on the calling thread to its count, mean and centred
+    cross-product, and the blocks are merged in order.  (A 1024 x 16
+    block's moments take about 50 us, too short for a second thread to
+    gain.)  The covariance is exactly symmetric, and its bytes are the same
+    for a fresh or a loaded (column-major) ensemble and, where numpy's BLAS
+    is an OpenBLAS, any ``OPENBLAS_NUM_THREADS``.
     """
-    blocks = _Blocks(ensemble.n_paths, len(ensemble.grid), ensemble.values)
-    return _merged_cov(ensemble.grid, _run_blocks([blocks], _moments))
+    values = ensemble.values
+    with one_blas_thread():
+        moments = [_moments(np.ascontiguousarray(values[lo:lo + _BLOCK])) for lo in range(0, len(values), _BLOCK)]
+    return _merged_cov(ensemble.grid, moments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -700,11 +689,16 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
     if not a > 0:
         raise ParameterError("a must be positive")
     grids, seeds = (grid, grid.scaled(a)), (seed, seed + 1)
-    parts = [_Blocks(n_paths, len(grid), plan=_plan(spec, g, n_paths, s, None, None)[1], seed=s)
-             for g, s in zip(grids, seeds)]
-    moments = _run_blocks(parts, _moments)
-    half = len(moments) // 2
-    base, scaled = _merged_cov(grids[0], moments[:half]), _merged_cov(grids[1], moments[half:])
+    plans = [_plan(spec, g, n_paths, s, None, None)[1] for g, s in zip(grids, seeds)]
+    blocks = -(-n_paths // _BLOCK)
+
+    def block_moments(k):  # job k: block k % blocks of ensemble k // blocks
+        e, b = divmod(k, blocks)
+        rows = np.zeros((min(_BLOCK, n_paths - b * _BLOCK), len(grid)))
+        return _moments(_draw_block(plans[e], seeds[e], n_paths, b, rows))
+
+    moments = _run_blocks(2 * blocks, block_moments)
+    base, scaled = _merged_cov(grids[0], moments[:blocks]), _merged_cov(grids[1], moments[blocks:])
     factor = a ** (2.0 * spec.H)
     diff = np.abs(scaled.cov - factor * base.cov)
     combined = np.sqrt(scaled.se**2 + (factor * base.se) ** 2)

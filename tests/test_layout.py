@@ -61,36 +61,28 @@ def test_no_foreign_private_names(path):
     assert _foreign_private_uses(path) == []
 
 
-def _outer_functions(tree: ast.Module) -> list:
-    """The functions no other function encloses: module-level functions and methods."""
-    return [fn for stmt in tree.body for fn in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
-            if isinstance(fn, ast.FunctionDef)]
-
-
 def _calls_of(name: str) -> list:
-    """``module:function`` for every call of ``name`` inside a function, one entry per call.
-
-    A call in a nested function counts once, for the outer function that holds it.
-    """
+    """``module:function`` for every call of ``name`` inside a function, one entry per call."""
     callers = []
     for path in _MODULES:
-        for fn in _outer_functions(ast.parse(path.read_text())):
-            callers += [f"{path.name}:{fn.name}" for node in ast.walk(fn) if isinstance(node, ast.Call)
-                        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [f"{path.name}:{fn.name}" for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
     return callers
 
 
 def test_one_chunk_generator_draws():
-    # one generator draws every path: sample_chunks hands its chunks to reducers, and the
-    # block runner draws each block into its rows (sample_spec's ensemble, selfsim_check's
-    # per-block buffers); nothing else keys a Philox stream
+    # one generator draws every path: sample_chunks hands its chunks to reducers, and
+    # _draw_block, the block runner's job, draws one block into its rows (sample_spec's
+    # ensemble, selfsim_check's per-block buffers); nothing else keys a Philox stream
     assert _calls_of("Philox") == ["samplers.py:_chunks"]
-    assert sorted(_calls_of("_chunks")) == ["samplers.py:_run_blocks", "samplers.py:sample_chunks"]
+    assert sorted(_calls_of("_chunks")) == ["samplers.py:_draw_block", "samplers.py:sample_chunks"]
 
 
 def test_threads_start_in_the_block_runner_only():
     # the one place the package starts threads: the block runner's per-call pool, which
-    # sample_spec, empirical_cov and selfsim_check run their blocks on
+    # sample_spec and selfsim_check run their blocks on
     assert _calls_of("ThreadPoolExecutor") == ["samplers.py:_run_blocks"]
     assert _calls_of("Thread") == []
 
@@ -219,7 +211,8 @@ def test_one_blas_thread_defined_in_gram_only():
     assert defined == ["gram.py:one_blas_thread"]
     assert sorted(_calls_of("one_blas_thread")) == [
         "gram.py:minor_residual", "gram.py:psd_check", "markov.py:_power_fit",
-        "samplers.py:_cholesky_with_jitter", "samplers.py:_chunks", "samplers.py:_run_blocks"]
+        "samplers.py:_cholesky_with_jitter", "samplers.py:_chunks", "samplers.py:_run_blocks",
+        "samplers.py:empirical_cov"]
 
 
 def test_import_looks_up_no_blas():
