@@ -1,41 +1,37 @@
 """Path generation for every process family, with reproducible substreams.
 
-``sample_chunks`` is the one draw: it checks the path count and seed, picks
-a scheme (the family's default unless one of ``SCHEMES`` is asked for) and
-runs that scheme's builder on the positive grid times, so a leading t = 0
-is a zero column in every scheme.  A builder refuses a spec or grid it does
-not fit; otherwise its ``_Plan`` says how to draw.  The iterator it returns
-yields the paths in consecutive ``(start, rows)`` chunks of whole grid
-rows, so a reducer (the p-variation trichotomy, the ergodic average) never
-holds the ensemble; ``sample_spec`` writes the same chunks straight into
-one ``PathEnsemble``.
+Every draw checks the path count and seed, picks a scheme (the family's
+default unless one of ``SCHEMES`` is asked for) and runs that scheme's
+builder on the positive grid times, so a leading t = 0 is a zero column in
+every scheme.  A builder refuses a spec or grid it does not fit; otherwise
+its ``_Plan`` says how to draw.  ``sample_spec`` draws the paths into one
+``PathEnsemble``; ``reduce_blocks`` draws the same paths and reduces each
+block where it is drawn, so a reducer (the p-variation trichotomy, the
+ergodic average) never holds the ensemble; ``sample_chunks`` yields the same
+blocks in order from the calling thread.
 
-Randomness discipline: paths are drawn in blocks of ``_BLOCK`` = 1024.
-Block ``b`` (paths ``b * 1024`` onward) draws ``n_draws`` standard normals
-per path, one row per path in grid order, from the counter-based Philox
-generator keyed by ``(seed, b)``, and each sampler maps rows of normals to
-paths with a vectorised, row-independent transform.  A block's rows are
-drawn and transformed in consecutive chunks of whole ``_TILE``-row tiles,
-about ``_CHUNK`` normals each (at least ``_LOOP_ROWS`` rows for the
-``poly`` and midpoint transforms, which loop over grid times in Python),
-through one reused buffer.  Consecutive draws from one generator continue
-the same stream, so the normals, and the paths, are the bytes one draw of
-the whole block would give, while the memory beside the output stays one
-chunk per drawing thread.  Matrix products go to BLAS in slices of exactly
-``_TILE`` rows, so a path's values depend only on ``(seed, path index)``: a
-longer run extends a shorter one.  Blocks are independent streams that
-write disjoint rows, so ``_run_blocks``, the one place that starts
-threads, runs the blocks of ``sample_spec`` and ``selfsim_check`` on the
-calling thread plus up to one pool thread per further CPU in the
-process's affinity mask (no option sets that count), and the bytes are
-the same for any CPU count.  ``empirical_cov`` and ``selfsim_check``
-reduce each block to its moments (``selfsim_check`` where the block is
-drawn) and merge them in block order, so ``selfsim_check`` holds no
-ensemble.
-``sample_chunks`` yields its chunks in order from the calling thread.  The
-Cholesky factor, each chunk's transform and each block's moments run
-inside ``gram.one_blas_thread``, so where numpy's BLAS is an OpenBLAS it
-can find, paths and covariances are also the same bytes for any
+Randomness discipline: a plan's paths are drawn in blocks of
+P = min(1024, max(min_rows, 2^17 // n_draws)) paths, about 2^17 normals
+(at least ``min_rows`` rows for the ``poly`` and midpoint transforms, which
+loop over grid times in Python).  Block ``b`` (paths ``b * P`` onward)
+draws ``n_draws`` standard normals per path, one row per path in grid
+order, in one call of the counter-based Philox generator keyed by
+``(seed, b)``, and one call of the sampler's vectorised, row-independent
+transform maps the rows of normals to paths.  Matrix products go to BLAS in
+slices of exactly ``_TILE`` rows (``_tiled``), so a path's values depend
+only on ``(seed, path index)``: a longer run extends a shorter one.  P
+depends only on the plan, so this holds for any CPU count.  Blocks are
+independent streams that write disjoint rows, so ``_run_blocks``, the one
+place that starts threads, runs them on the calling thread plus up to one
+pool thread per further CPU in the process's affinity mask (no option sets
+that count); each thread draws the blocks it takes through one normals
+buffer and one rows buffer, and the bytes are the same for any CPU count.
+``empirical_cov`` and ``selfsim_check`` reduce each block to its moments
+(``selfsim_check`` where the block is drawn) and merge them in block
+order, so ``selfsim_check`` holds no ensemble.  The Cholesky factor, each
+block's transform and each block's moments run inside
+``gram.one_blas_thread``, so where numpy's BLAS is an OpenBLAS it can find,
+paths and covariances are also the same bytes for any
 ``OPENBLAS_NUM_THREADS``; with another BLAS its thread count may change
 their last bits.
 """
@@ -46,11 +42,10 @@ import json
 import math
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -75,11 +70,11 @@ __all__ = [
     "load_ensemble",
 ]
 
-_BLOCK = 1024  # paths per Philox stream
-_TILE = 8  # rows per BLAS call; divides _BLOCK
-_CHUNK = 2**18  # normals per transform call, rounded to whole tiles (at least one)
+_BLOCK = 1024  # most paths per Philox stream
+_BLOCK_NORMALS = 2**17  # normals per Philox stream, rounded down to whole rows (at least min_rows)
+_TILE = 8  # rows per BLAS call
 _LOOP_ROWS = 64  # least rows per call of a transform that loops over grid times in Python
-_RNG_LAYOUT = "philox-block-v1"  # recorded in ensemble sidecars
+_RNG_LAYOUT = "philox-block-v2"  # recorded in ensemble sidecars
 
 
 # perfbench/spans.py looks this name up in Tracer.install(): deleting it makes every traced run raise KeyError
@@ -94,13 +89,20 @@ def _cpu_count() -> int:
 
 
 def _tiled(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``z @ w`` in calls of exactly ``_TILE`` rows of ``z``.
+    """``z @ w`` in calls of exactly ``_TILE`` rows of ``z``; a last partial tile is padded with zero rows.
 
     BLAS picks its kernel, and with it the summation order, from the operand
     shapes, so fixed-shape calls keep each row's result independent of how
     many rows a run has.
     """
-    return np.concatenate([z[i:i + _TILE] @ w for i in range(0, len(z), _TILE)])
+    full = len(z) - len(z) % _TILE
+    # one stacked matmul, which makes one BLAS call per tile, over the whole tiles
+    parts = [np.matmul(z[:full].reshape(full // _TILE, _TILE, z.shape[1]), w).reshape((full,) + w.shape[1:])]
+    if full < len(z):
+        last = np.zeros((_TILE, z.shape[1]))
+        last[:len(z) - full] = z[full:]
+        parts.append((last @ w)[:len(z) - full])
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +160,7 @@ class _Plan(NamedTuple):
     spec: ProcessSpec
     n_draws: int
     transform: Callable[[np.ndarray], np.ndarray]
-    min_rows: int = _TILE
+    min_rows: int = 1
     inner_steps: Optional[int] = None
     jitter: float = 0.0
 
@@ -469,42 +471,41 @@ def _plan(spec: ProcessSpec, grid: TimeGrid, n_paths: int, seed: int, scheme: Op
     return scheme, _SCHEMES[scheme](spec, pos, inner_steps)
 
 
-def _chunks(plan: _Plan, seed: int, n_paths: int, d: int, out: Optional[np.ndarray] = None,
-            blocks: Optional[range] = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, rows)``: paths ``start, start + 1, ...`` as whole grid rows.
+def _block_rows(plan: _Plan) -> int:
+    """P, the paths of each Philox block of ``plan``: about ``_BLOCK_NORMALS`` normals, at least ``min_rows``."""
+    return min(_BLOCK, max(plan.min_rows, _BLOCK_NORMALS // max(1, plan.n_draws)))
 
-    Block ``b`` of ``blocks`` (every block of ``n_paths`` when None) draws
-    its rows of ``n_draws`` normals from Philox keyed ``(seed, b)`` in
-    consecutive chunks of ``step`` rows (fewer at the block's end): whole
-    ``_TILE``-row tiles holding about ``_CHUNK`` normals, but at least
-    ``min_rows`` rows, a multiple of ``_TILE``, for transforms whose cost
-    per call does not shrink with the row count.  Each chunk is padded with
-    zero rows to whole tiles, and the first rows of ``transform`` of it are
-    kept.  A transform that returns ``d - 1`` columns leaves the leading
-    t = 0 column zero.  The rows are written into ``out`` when a zero array
-    with one row per path of ``blocks`` is given (path ``start`` in row
-    ``start - blocks[0] * _BLOCK``), else into one reused chunk buffer that
-    the next chunk overwrites.
+
+def _chunks(plan: _Plan, seed: int, n_paths: int, d: int, blocks: Iterable[int],
+            out: Optional[np.ndarray] = None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(b, rows, scratch)`` for each block ``b`` taken from ``blocks``: its paths as whole grid rows.
+
+    Block ``b`` holds paths ``b * P`` onward, P = ``_block_rows(plan)`` (fewer
+    in the last block).  It draws its rows of ``n_draws`` normals in one call
+    of Philox keyed ``(seed, b)`` and maps them with one ``transform`` call;
+    a transform that returns ``d - 1`` columns leaves the leading t = 0
+    column zero.  The rows are written into ``out`` when a zero array of
+    all ``n_paths`` rows is given (path ``i`` in row ``i``), else into one
+    rows buffer that the next block overwrites; the normals buffer is
+    reused the same way, so one generator holds about two blocks.
+    ``scratch`` is the normals buffer, flat, which the consumer may
+    overwrite before it takes the next block: at least
+    ``len(rows) * (d - 1)`` values, since every plan draws at least one
+    normal per positive grid time.
     """
-    if blocks is None:
-        blocks = range(-(-n_paths // _BLOCK))
-    step = min(_BLOCK, max(plan.min_rows, _TILE * (_CHUNK // (_TILE * max(1, plan.n_draws)))))
-    z = np.empty((min(step, -(-n_paths // _TILE) * _TILE), plan.n_draws))  # reused by every chunk
-    buf = np.zeros((min(step, n_paths), d)) if out is None else None
-    first = blocks[0] * _BLOCK  # the path in out's first row
+    P = _block_rows(plan)
+    z = np.empty((min(P, n_paths), plan.n_draws))
+    buf = np.zeros((min(P, n_paths), d)) if out is None else None
     for b in blocks:
-        lo = b * _BLOCK
+        lo = b * P
+        rows = min(P, n_paths - lo)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-        for start in range(lo, min(lo + _BLOCK, n_paths), step):
-            rows = min(step, lo + _BLOCK - start, n_paths - start)
-            padded = -(-rows // _TILE) * _TILE
-            rng.standard_normal(out=z[:rows])  # continues the block's stream
-            z[rows:padded] = 0.0
-            with one_blas_thread():
-                x = plan.transform(z[:padded])[:rows]
-            dest = buf[:rows] if out is None else out[start - first:start - first + rows]
-            dest[:, d - x.shape[1]:] = x
-            yield start, dest
+        rng.standard_normal(out=z[:rows])
+        with one_blas_thread():
+            x = plan.transform(z[:rows])
+        dest = buf[:rows] if out is None else out[lo:lo + rows]
+        dest[:, d - x.shape[1]:] = x
+        yield b, dest, z.reshape(-1)
 
 
 def sample_chunks(
@@ -515,39 +516,35 @@ def sample_chunks(
     scheme: Optional[str] = None,
     inner_steps: Optional[int] = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The paths ``sample_spec`` would return, as consecutive ``(start, rows)`` chunks.
+    """The paths ``sample_spec`` would return, one Philox block per ``(start, rows)`` item.
 
     ``rows`` holds paths ``start`` onward as whole rows of ``len(grid)``
     values, a leading t = 0 column included, with the bytes of the same rows
-    of ``sample_spec(...).values``; it is a view of one buffer that the next
-    chunk overwrites, so a consumer reduces or copies it before moving on.
-    The arguments are checked and the scheme's plan is built (a Gram matrix
-    factorized, say) when this is called, not when the first chunk is
-    taken.  Beside the plan, the iterator holds about two chunks: the
-    normals and the rows.
+    of ``sample_spec(...).values``; ``start`` runs over the multiples of the
+    plan's block size P.  ``rows`` is a view of one buffer that the next
+    block overwrites, so a consumer reduces or copies it before moving on.
+    The blocks are drawn in order on the calling thread.  The arguments are
+    checked and the scheme's plan is built (a Gram matrix factorized, say)
+    when this is called, not when the first block is taken.  Beside the
+    plan, the iterator holds about two blocks: the normals and the rows.
     """
-    return _chunks(_plan(spec, grid, n_paths, seed, scheme, inner_steps)[1], seed, n_paths, len(grid))
+    plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)[1]
+    P = _block_rows(plan)
+    return ((b * P, rows) for b, rows, _ in _chunks(plan, seed, n_paths, len(grid), range(-(-n_paths // P))))
 
 
-def _draw_block(plan: _Plan, seed: int, n_paths: int, b: int, rows: np.ndarray) -> np.ndarray:
-    """Block ``b`` of the ``n_paths`` paths, drawn into ``rows``, which it returns.
+def _run_blocks(n_jobs: int, work: Callable[[Iterator[int]], Iterator[tuple[int, object]]]) -> list:
+    """``results[k]`` for every ``(k, result)`` that ``work`` yields, for each job ``k`` in ``range(n_jobs)``.
 
-    ``rows`` is a C-contiguous zero array of the block's rows, paths
-    ``b * _BLOCK`` onward; a row slice of a C-contiguous ensemble is one.
-    """
-    deque(_chunks(plan, seed, n_paths, rows.shape[1], rows, range(b, b + 1)), maxlen=0)
-    return rows
-
-
-def _run_blocks(n_jobs: int, job: Callable[[int], object]) -> list:
-    """``[job(k) for k in range(n_jobs)]``, on the calling thread and up to one pool thread per further CPU.
-
-    The jobs are handed out in order from one shared iterator to
+    The job numbers are handed out in order from one shared iterator to
     ``min(n_jobs, CPUs) - 1`` pool threads and the calling thread, which
-    takes jobs too, all inside one ``gram.one_blas_thread``.  After a job
-    fails no job is handed out; every thread is joined, and the error of
-    the lowest-numbered failed job is raised.  Every job below it was
-    handed out before it, so that is the error a serial run raises.
+    takes jobs too, all inside one ``gram.one_blas_thread``.  Each thread
+    runs one ``work`` generator over the jobs it is handed, so the buffers
+    a generator holds are reused across them; it must yield each job's
+    result before it takes the next job.  After a job fails no job is
+    handed out; every thread is joined, and the error of the
+    lowest-numbered failed job is raised.  Every job below it was handed out
+    before it, so that is the error a serial run raises.
     """
     results: list = [None] * n_jobs
     failed: dict[int, BaseException] = {}
@@ -555,20 +552,27 @@ def _run_blocks(n_jobs: int, job: Callable[[int], object]) -> list:
     lock = threading.Lock()
 
     def take():
-        while True:
-            with lock:
-                k = None if failed else next(order, None)
-            if k is None:
-                return
-            try:
-                results[k] = job(k)
-            except BaseException as exc:  # raised in the caller once every thread is joined
+        taken = -1  # the job this thread holds; -1 before the first
+
+        def jobs():
+            nonlocal taken
+            while True:
                 with lock:
-                    failed[k] = exc
-                return
+                    k = None if failed else next(order, None)
+                if k is None:
+                    return
+                taken = k
+                yield k
+
+        try:
+            for k, result in work(jobs()):
+                results[k] = result
+        except BaseException as exc:  # raised in the caller once every thread is joined
+            with lock:
+                failed[taken] = exc
 
     helpers = min(n_jobs, _cpu_count()) - 1
-    # held for the whole run, so that each chunk's entry nests instead of setting OpenBLAS's
+    # held for the whole run, so that each block's entry nests instead of setting OpenBLAS's
     # thread count anew; the jobs' own BLAS calls (selfsim_check's block moments) run inside it
     with one_blas_thread():
         if helpers > 0:
@@ -582,6 +586,42 @@ def _run_blocks(n_jobs: int, job: Callable[[int], object]) -> list:
     if failed:
         raise failed[min(failed)]
     return results
+
+
+def _reduce_blocks(plan: _Plan, seed: int, n_paths: int, d: int,
+                   reduce: Callable[[np.ndarray, np.ndarray], object], out: Optional[np.ndarray] = None) -> list:
+    """``[reduce(rows, scratch) for each block]`` in block order, every block reduced on ``_run_blocks`` as it is drawn.
+
+    Each thread draws the blocks it takes through one ``_chunks`` generator,
+    into ``out`` when it is given; ``rows`` and ``scratch`` are as in ``_chunks``.
+    """
+    return _run_blocks(-(-n_paths // _block_rows(plan)), lambda jobs: (
+        (b, reduce(rows, scratch)) for b, rows, scratch in _chunks(plan, seed, n_paths, d, jobs, out)))
+
+
+def reduce_blocks(
+    spec: ProcessSpec,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    reduce: Callable[[np.ndarray, np.ndarray], object],
+    inner_steps: Optional[int] = None,
+) -> list:
+    """``reduce(rows, scratch)`` for each ``rows`` of ``sample_chunks(...)``, in order, on up to one thread per CPU.
+
+    The blocks are drawn as ``sample_spec`` draws them with the family's
+    default scheme (``inner_steps`` reaches only the midpoint one), and each
+    is reduced by the thread that drew it, so the results are the same bytes
+    for any CPU count when ``reduce`` is a function of its rows alone.
+    ``rows`` is a C-contiguous view of a buffer that its thread's next block
+    overwrites.  ``scratch`` is a flat float64 buffer of at least
+    ``len(rows) * (len(grid) - 1)`` values (the block's spent normals) that
+    ``reduce`` may overwrite.  Beside the plan, each drawing thread holds
+    about two blocks.  The reducers of ``variation`` draw through it; it is
+    not in ``__all__`` and ``ssgm`` does not export it.
+    """
+    plan = _plan(spec, grid, n_paths, seed, None, inner_steps)[1]
+    return _reduce_blocks(plan, seed, n_paths, len(grid), reduce)
 
 
 def sample_spec(
@@ -601,13 +641,12 @@ def sample_spec(
     constant and beta an integer >= 0, and through the midpoint ``volterra``
     scheme otherwise; ``inner_steps`` reaches only that scheme.  A scheme
     that does not fit the spec or the grid raises :class:`ParameterError`.
-    The chunks of ``sample_chunks`` are written straight into the ensemble,
-    block by block on ``_run_blocks``, with the same bytes for any CPU count.
+    The blocks of ``sample_chunks`` are drawn straight into the ensemble on
+    ``_run_blocks``, with the same bytes for any CPU count.
     """
     scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
     values = np.zeros((n_paths, len(grid)))
-    _run_blocks(-(-n_paths // _BLOCK),
-                lambda b: _draw_block(plan, seed, n_paths, b, values[b * _BLOCK:(b + 1) * _BLOCK]))
+    _reduce_blocks(plan, seed, n_paths, len(grid), lambda rows, scratch: None, values)
     return PathEnsemble(plan.spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
 
 
@@ -681,24 +720,20 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
 
     Both are drawn with the family's default scheme, from independent
     substream families (seed and seed+1).  Reported ratios are |difference|
-    / (4 * combined SE); values <= 1 are within the design tolerance.  The
-    blocks of both ensembles run in one ``_run_blocks`` pass, each reduced
-    to its moments as it is drawn, so no ensemble is held; the two
-    covariances have the bytes of ``empirical_cov(sample_spec(...))``.
+    / (4 * combined SE); values <= 1 are within the design tolerance.  Each
+    ensemble's blocks run on ``_run_blocks``, each reduced to its moments as
+    it is drawn, so no ensemble is held.  Where a block holds ``_BLOCK``
+    paths (rows of at most 128 normals), the two covariances have the bytes
+    of ``empirical_cov(sample_spec(...))``, which merges ``_BLOCK``-row
+    blocks; with longer rows they are the same numbers merged from smaller
+    blocks.
     """
     if not a > 0:
         raise ParameterError("a must be positive")
     grids, seeds = (grid, grid.scaled(a)), (seed, seed + 1)
     plans = [_plan(spec, g, n_paths, s, None, None)[1] for g, s in zip(grids, seeds)]
-    blocks = -(-n_paths // _BLOCK)
-
-    def block_moments(k):  # job k: block k % blocks of ensemble k // blocks
-        e, b = divmod(k, blocks)
-        rows = np.zeros((min(_BLOCK, n_paths - b * _BLOCK), len(grid)))
-        return _moments(_draw_block(plans[e], seeds[e], n_paths, b, rows))
-
-    moments = _run_blocks(2 * blocks, block_moments)
-    base, scaled = _merged_cov(grids[0], moments[:blocks]), _merged_cov(grids[1], moments[blocks:])
+    base, scaled = (_merged_cov(g, _reduce_blocks(plan, s, n_paths, len(g), lambda rows, scratch: _moments(rows)))
+                    for g, s, plan in zip(grids, seeds, plans))
     factor = a ** (2.0 * spec.H)
     diff = np.abs(scaled.cov - factor * base.cov)
     combined = np.sqrt(scaled.se**2 + (factor * base.se) ** 2)

@@ -7,8 +7,8 @@ p = 1/H, and diverge for p < 1/H.  The trichotomy estimator below fits the
 log-log slope of mean S_n and classifies accordingly.  As in Levy's
 quadratic variation of Brownian motion, S_n follows the same paths along
 refining partitions: one ensemble is drawn on the finest dyadic grid (with
-``seed`` itself) and every coarser level reads its sub-grid columns, chunk
-by chunk as the rows are drawn.
+``seed`` itself) and every coarser level reads its sub-grid columns, block
+by block where the rows are drawn.
 
 The quadrature side evaluates, for F(x) = (1-x)^beta g(x),
 
@@ -38,7 +38,7 @@ from .errors import ParameterError
 from .gram import TimeGrid, check_array_size
 from .kernels import Family, GFunction, ProcessSpec, volterra_g_variance
 from .quadrature import DEFAULT_BUDGET, integrate_power_upper
-from .samplers import sample_chunks
+from .samplers import reduce_blocks
 
 __all__ = [
     "VariationReport",
@@ -104,25 +104,30 @@ def _check_p(p: float) -> None:
         raise ParameterError(f"p must be finite and >= 1, got {p!r}")
 
 
-def _pvariation_sums(values: np.ndarray, p: float) -> np.ndarray:
+def _pvariation_sums(values: np.ndarray, p: float, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """sum_k |Z_{k+1} - Z_k|^p along each row of a 2-D array of paths.
 
-    Rows are reduced in chunks of about ``_SUM_CHUNK`` increments through
-    one reused buffer, so no array of the input's size is allocated.  Each
-    chunk's increments are ``np.diff``'s bytes, the power is taken in place
-    with the same fast paths as ``incr ** p``, and every row is summed on
+    Rows are reduced in chunks of about ``_SUM_CHUNK`` increments (at least
+    one row) through one reused buffer, so no array of the input's size is
+    allocated; when ``scratch`` is given, a flat float64 array of at least
+    ``len(values) * (values.shape[1] - 1)`` values, the buffer is its front.
+    Each chunk's increments are ``np.diff``'s bytes, the power is taken in
+    place with the same fast paths as ``incr ** p`` (at p = 2 on the signed
+    increments, since x**2 is |x|**2 bytewise), and every row is summed on
     its own, so the sums are bytewise those of the unchunked
     ``np.sum(np.abs(np.diff(values, axis=1)) ** p, axis=1)``.
     """
     n_rows, n_incr = values.shape[0], values.shape[1] - 1
     step = max(1, _SUM_CHUNK // max(1, n_incr))
-    buf = np.empty((min(step, n_rows), n_incr))
+    shape = (min(step, n_rows), n_incr)
+    buf = np.empty(shape) if scratch is None else scratch[:shape[0] * n_incr].reshape(shape)
     sums = np.empty(n_rows)
     for lo in range(0, n_rows, step):
         v = values[lo:lo + step]
         incr = buf[:len(v)]
         np.subtract(v[:, 1:], v[:, :-1], out=incr)
-        np.abs(incr, out=incr)
+        if p != 2.0:
+            np.abs(incr, out=incr)
         incr **= p
         np.sum(incr, axis=1, out=sums[lo:lo + len(v)])
     return sums
@@ -172,15 +177,17 @@ def pvariation_trichotomy(
     """Estimate the scaling of mean S_n across dyadic resolutions.
 
     Draws one ensemble of ``n_paths`` paths on the finest grid
-    k / max(n_list) with ``sample_chunks``' default scheme and substream
+    k / max(n_list) with ``sample_spec``'s default scheme and substream
     family ``seed`` itself, not ``seed`` + level index (time change for
     canonical, circulant embedding for fBm, whose dyadic grids are uniform,
     the exact polynomial-kernel state recursion for volterra-g with constant
     g and integer beta >= 0, discretized Volterra for other volterra-g,
-    Cholesky otherwise), and reduces each chunk of rows to its per-level
-    sums as it is drawn, so the ensemble is never held whole.  Level n reads
-    the columns ``rows[:, ::max(n_list) // n]``: the sub-grid k / n of the
-    same paths, so the levels' means are correlated.  For the exact schemes,
+    Cholesky otherwise).  ``reduce_blocks`` draws its Philox blocks on up to
+    one thread per CPU and reduces each to its per-level sums where it is
+    drawn, so the ensemble is never held whole, and the report has the same
+    bytes for any CPU count.  Level n reads the columns
+    ``rows[:, ::max(n_list) // n]``: the sub-grid k / n of the same paths,
+    so the levels' means are correlated.  For the exact schemes,
     the restriction of an exact sample to a sub-grid is an exact sample there,
     so each level's mean and SE keep their meaning; for the midpoint
     ``volterra`` scheme a coarse level comes from cells at least as fine as
@@ -198,11 +205,11 @@ def pvariation_trichotomy(
         raise ParameterError("n_list must be increasing")
     _check_p(p)
     n_max = n_list[-1]
-    chunks = sample_chunks(spec, _dyadic_grid(n_max), n_paths, seed)
-    sums = np.empty((len(n_list), n_paths))  # level j's sum for each path
-    for start, rows in chunks:
-        for j, n in enumerate(n_list):
-            sums[j, start:start + len(rows)] = _pvariation_sums(rows[:, ::n_max // n], p)
+
+    def level_sums(rows, scratch):  # one block's sums, one row per level
+        return np.array([_pvariation_sums(rows[:, ::n_max // n], p, scratch) for n in n_list])
+
+    sums = np.concatenate(reduce_blocks(spec, _dyadic_grid(n_max), n_paths, seed, level_sums), axis=1)
     means_arr = np.array([float(np.mean(level)) for level in sums])
     ses_arr = np.array([float(np.std(level, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
                         for level in sums])
@@ -247,27 +254,30 @@ def ergodic_average(
 ) -> ErgodicAverage:
     """Running average (1/n) sum f(Z_{k+1} - Z_k) along integer-time paths.
 
-    ``f`` is "square" or "abs-pow" (with exponent ``p``).  The paths are
-    ``sample_chunks`` on the integer grid 0, 1, ..., n, each chunk reduced to
-    its per-path sums as it is drawn: exact ``poly`` paths for constant g
-    with integer beta >= 0, otherwise the midpoint ``volterra`` scheme with
-    64 cells per unit time.  The target is E[f(J)] for
-    J ~ N(0, int_0^1 F^2), evaluated in closed form.
+    ``f`` is "square" or "abs-pow" (with exponent ``p``, finite and > 0);
+    ``n`` is an integer >= 2.  The paths are those of ``sample_spec`` on the
+    integer grid 0, 1, ..., n: exact ``poly`` paths for constant g with
+    integer beta >= 0, otherwise the midpoint ``volterra`` scheme with 64
+    cells per unit time.  ``reduce_blocks`` draws their Philox blocks on up
+    to one thread per CPU and reduces each to its per-path sums where it is
+    drawn, so the average has the same bytes for any CPU count.  The target
+    is E[f(J)] for J ~ N(0, int_0^1 F^2), evaluated in closed form.
     """
     if spec.family != Family.VOLTERRA_G:
         raise ParameterError("ergodic averages run on the volterra-g family")
-    if n < 2:
-        raise ParameterError("n must be >= 2")
+    # bool is an int subclass, but True is not a grid size
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
+        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
     if f not in ("square", "abs-pow"):
         raise ParameterError(f"f must be 'square' or 'abs-pow', got {f!r}")
+    if f == "abs-pow" and not (p > 0 and math.isfinite(p)):
+        raise ParameterError(f"p must be finite and > 0, got {p!r}")
     check_array_size(n + 1, f"the integer grid 0..{n}")
     grid = TimeGrid(np.arange(n + 1, dtype=float))
-    chunks = sample_chunks(spec, grid, n_paths, seed, inner_steps=_ERGODIC_INNER_STEPS)
     power = 2.0 if f == "square" else p  # |x|^2 is x^2 bytewise
-    sums = np.empty(n_paths)  # sum_k f(Z_{k+1} - Z_k) for each path
-    for start, rows in chunks:
-        sums[start:start + len(rows)] = _pvariation_sums(rows, power)
-    average = float(np.mean(sums / n))
+    blocks = reduce_blocks(spec, grid, n_paths, seed, lambda rows, scratch: _pvariation_sums(rows, power, scratch),
+                           inner_steps=_ERGODIC_INNER_STEPS)
+    average = float(np.mean(np.concatenate(blocks) / n))  # sum_k f(Z_{k+1} - Z_k) for each path, over n
 
     sigma_sq = volterra_g_variance(spec)
     target = sigma_sq if f == "square" else gaussian_abs_moment(sigma_sq, p)

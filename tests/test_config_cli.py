@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -417,6 +418,35 @@ seed = 9
         sidecar = pathlib.Path(f"{out_path}.json").read_bytes()
         blobs.add((csv_path.read_bytes(), out_path.read_bytes(), sidecar))
     assert len(blobs) == 1
+
+
+def test_cli_bytes_same_on_one_cpu_as_on_all(tmp_path):
+    # a trichotomy's blocks and a multi-block long-row fBm ensemble (4096 normals a row, so four
+    # blocks of 32 paths) are drawn on one thread per CPU: pinned to one CPU, the report, the
+    # ensemble file and its sidecar keep their bytes
+    if shutil.which("taskset") is None:
+        pytest.skip("taskset is not installed")
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip("fewer than two CPUs to run on: one CPU is all of them")
+    src = str(pathlib.Path(ssgm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    grid = ",".join(repr(k / 2**11) for k in range(2**11 + 1))
+    commands = [
+        ["variation", "--spec", "canonical:H=0.5,c=-1", "--p", "2", "--n", "2^12..2^14", "--paths", "64",
+         "--seed", "7", "--json", "v.json"],
+        ["sample", "--spec", "fbm:H=0.3", "--grid", grid, "--paths", "100", "--seed", "7", "--out", "e.bin"],
+    ]
+    outputs = []
+    for pin in (["taskset", "-c", str(cpus[0])], []):
+        run_dir = tmp_path / ("one_cpu" if pin else "all_cpus")
+        run_dir.mkdir()
+        for argv in commands:
+            out = subprocess.run(pin + [sys.executable, "-m", "ssgm.cli", *argv], env=env, cwd=run_dir,
+                                 capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+        outputs.append([(run_dir / name).read_bytes() for name in ("v.json", "e.bin", "e.bin.json")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -73,16 +73,17 @@ def _calls_of(name: str) -> list:
 
 
 def test_one_chunk_generator_draws():
-    # one generator draws every path: sample_chunks hands its chunks to reducers, and
-    # _draw_block, the block runner's job, draws one block into its rows (sample_spec's
-    # ensemble, selfsim_check's per-block buffers); nothing else keys a Philox stream
+    # one generator draws every path: sample_chunks yields its blocks in order, and
+    # _reduce_blocks runs one per drawing thread of the block runner (sample_spec's ensemble,
+    # the reducers of selfsim_check, the trichotomy and the ergodic average); nothing else
+    # keys a Philox stream
     assert _calls_of("Philox") == ["samplers.py:_chunks"]
-    assert sorted(_calls_of("_chunks")) == ["samplers.py:_draw_block", "samplers.py:sample_chunks"]
+    assert sorted(_calls_of("_chunks")) == ["samplers.py:_reduce_blocks", "samplers.py:sample_chunks"]
 
 
 def test_threads_start_in_the_block_runner_only():
     # the one place the package starts threads: the block runner's per-call pool, which
-    # sample_spec and selfsim_check run their blocks on
+    # sample_spec, selfsim_check and reduce_blocks run their blocks on
     assert _calls_of("ThreadPoolExecutor") == ["samplers.py:_run_blocks"]
     assert _calls_of("Thread") == []
 

@@ -13,7 +13,7 @@ import pytest
 
 import ssgm
 from ssgm import (SCHEMES, GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
-                  ensemble_to_csv, increment_variance,
+                  ensemble_to_csv, ergodic_average, increment_variance,
                   load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_chunks,
                   sample_spec, sample_timechange, save_ensemble, selfsim_check)
 from ssgm.errors import NumericalError, ParameterError
@@ -23,6 +23,7 @@ from ssgm.samplers import (_circulant_transform, _hilbert_cholesky, _poly_transf
 GRID = TimeGrid.geometric(0.1, 2.0, 12)
 UNIFORM = TimeGrid(np.arange(1, 13) * 0.3)
 SPEC = ProcessSpec.canonical(0.7, -1.5)
+SPEC_BM = ProcessSpec.canonical(0.5, -1.0)
 
 
 def _exact(spec, grid):
@@ -53,7 +54,8 @@ def _sha(a) -> str:
 def test_block_threads_keep_bytes(monkeypatch, n_paths, lead0):
     # one, two or three threads draw the blocks of every scheme into the same bytes, and those
     # are the rows sample_chunks yields in order from the calling thread; the block moments
-    # of empirical_cov and selfsim_check merge into the same bytes too
+    # of empirical_cov and selfsim_check merge into the same bytes too, and so do the
+    # per-path sums of multi-block trichotomy and ergodic runs
     assert {scheme for _, _, scheme, _ in _LEAF_SAMPLERS.values()} == set(SCHEMES)
     for spec, grid, scheme, inner_steps in _LEAF_SAMPLERS.values():
         if lead0:
@@ -69,6 +71,18 @@ def test_block_threads_keep_bytes(monkeypatch, n_paths, lead0):
             ratios.add(_sha(selfsim_check(spec, 2.0, grid, n_paths, 5).ratios))
         assert digests == {_sha(rows)}, scheme
         assert len(covs) == 1 and len(ratios) == 1, scheme
+    if lead0:  # the reducers' grids start at t = 0
+        reports = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda workers=workers: workers)
+            # 32-path blocks on 2^12 + 1 points; 64-path blocks of the poly and midpoint schemes
+            tri = pvariation_trichotomy(SPEC_BM, 2.0, [2**10, 2**11, 2**12], n_paths // 10, 5)
+            poly = ergodic_average(ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0)), "square",
+                                   2**10, n_paths // 10, 5)
+            mid = ergodic_average(ProcessSpec.volterra_g(0.3, 0.5, GFunction.const(1.0)), "abs-pow",
+                                  40, n_paths // 10, 5, p=1.5)
+            reports.add((_sha(tri.mean_sums), _sha(tri.se_sums), tri.slope_estimate, poly.average, mid.average))
+        assert len(reports) == 1
 
 
 def test_block_threads_stress(monkeypatch):
@@ -101,7 +115,7 @@ def test_block_threads_end_with_the_call(monkeypatch):
 
 
 def _fail_in_block_1(monkeypatch, seed):
-    """Make the timechange scheme's transform raise on the chunk that starts block 1 of ``seed``."""
+    """Make the timechange scheme's transform raise on block 1 of ``seed``."""
     first = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64))).standard_normal()
     real = ssgm.samplers._SCHEMES["timechange"]
 
@@ -125,11 +139,16 @@ def test_block_error_reaches_the_caller(monkeypatch):
     with pytest.raises(NumericalError, match=r"^transform failed in block 1$"):
         sample_spec(SPEC, GRID, 2500, 5)
     assert threading.active_count() == before
-    # selfsim_check draws the blocks of seed 5 and then those of seed 6 in one pass
+    # selfsim_check draws the blocks of seed 5 and then those of seed 6
     with pytest.raises(NumericalError, match=r"^transform failed in block 1$"):
         selfsim_check(SPEC, 2.0, GRID, 2500, 5)
     assert threading.active_count() == before
+    # 64 Brownian paths on 2^12 + 1 points are two blocks of 32, reduced where they are drawn
+    with pytest.raises(NumericalError, match=r"^transform failed in block 1$"):
+        pvariation_trichotomy(SPEC_BM, 2.0, [2**10, 2**12], 64, 5)
+    assert threading.active_count() == before
     sample_spec(SPEC, GRID, 1024, 5)  # block 0 alone draws
+    pvariation_trichotomy(SPEC_BM, 2.0, [2**10, 2**12], 32, 5)
 
 
 def test_block_error_exits_3(monkeypatch, capsys):
@@ -137,6 +156,11 @@ def test_block_error_exits_3(monkeypatch, capsys):
 
     _fail_in_block_1(monkeypatch, 5)
     assert main(["sample", "--spec", SPEC.label(), "--grid", "geometric:0.1,2,12", "--paths", "2500",
+                 "--seed", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ssgm: numerical failure: transform failed in block 1\n"
+    assert main(["variation", "--spec", SPEC_BM.label(), "--p", "2", "--n", "2^10..2^12", "--paths", "64",
                  "--seed", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -680,17 +704,22 @@ def test_saved_bytes_for_any_shape_and_order(tmp_path, n_paths, d, order):
     assert (tmp_path / "e.bin").read_bytes() == np.asfortranarray(values).tobytes(order="F")
 
 
-@pytest.mark.parametrize("keep_rng", [True, False], ids=["new_sidecar", "old_sidecar"])
-def test_sidecar_rng_marker(tmp_path, keep_rng):
-    # sidecars written before the block layout carry no "rng" key and still load
+@pytest.mark.parametrize("rng", ["philox-block-v2", None, "philox-block-v1"],
+                         ids=["new_sidecar", "old_sidecar", "v1_sidecar"])
+def test_sidecar_rng_marker(tmp_path, rng):
+    # sidecars written before the block layout carry no "rng" key, those of 1024-path blocks
+    # "philox-block-v1"; both still load
     ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
     path = tmp_path / "ens.bin"
     save_ensemble(ens, path)
     side = tmp_path / "ens.bin.json"
     sidecar = json.loads(side.read_text())
-    assert sidecar["rng"] == "philox-block-v1"
-    if not keep_rng:
-        del sidecar["rng"]
+    assert sidecar["rng"] == "philox-block-v2"
+    if rng != sidecar["rng"]:
+        if rng is None:
+            del sidecar["rng"]
+        else:
+            sidecar["rng"] = rng
         side.write_text(json.dumps(sidecar))
     assert np.array_equal(load_ensemble(path).values, ens.values)
 
@@ -796,45 +825,85 @@ _LEAF_SAMPLERS = {
 }
 
 
-def _leaf(name, n_paths):
+# the same cases on grids whose rows hold more than 128 normals, so that a block holds fewer than 1024 paths
+_LONG_ROWS = {
+    "timechange": TimeGrid(np.arange(1, 2**12 + 1) / 2**11),
+    "whitenoise": TimeGrid(np.arange(1, 2**12 + 1) / 2**11),
+    "cholesky": TimeGrid.geometric(0.01, 3.0, 1000),
+    "circulant": TimeGrid(np.arange(1, 2**11 + 1) / 2**10),
+    "volterra_zg": TimeGrid.geometric(0.1, 8.0, 12),
+    "poly": TimeGrid.geometric(0.01, 3.0, 1024),
+}
+
+
+def _case(name, long_rows=False):
     spec, grid, scheme, inner_steps = _LEAF_SAMPLERS[name]
-    return sample_spec(spec, grid, n_paths, 5, scheme=scheme, inner_steps=inner_steps)
+    return spec, _LONG_ROWS[name] if long_rows else grid, scheme, inner_steps
+
+
+def _block_rows(spec, grid, scheme, inner_steps):
+    """P, the paths per Philox block of the case's plan."""
+    return ssgm.samplers._block_rows(ssgm.samplers._plan(spec, grid, 1, 5, scheme, inner_steps)[1])
+
+
+@pytest.mark.parametrize("name, long_rows",
+                         [(name, False) for name in sorted(_LEAF_SAMPLERS)]
+                         + [(name, True) for name in sorted(_LEAF_SAMPLERS)],
+                         ids=sorted(_LEAF_SAMPLERS) + [f"{name}-long_rows" for name in sorted(_LEAF_SAMPLERS)])
+def test_paths_depend_only_on_seed_and_index(name, long_rows):
+    # ensembles that end one row short of a block, on it, one row into the next, and five rows
+    # into the fourth are prefixes of one another
+    spec, grid, scheme, inner_steps = case = _case(name, long_rows)
+    P = _block_rows(*case)
+    assert (P < 1024) == (long_rows or name == "volterra_zg"), P  # the midpoint GRID case has 140 cells
+    longest = sample_spec(spec, grid, 3 * P + 5, 5, scheme, inner_steps).values
+    for n_paths in (1, P - 1, P, P + 1):
+        values = sample_spec(spec, grid, n_paths, 5, scheme, inner_steps).values
+        assert values.tobytes() == longest[:n_paths].tobytes(), n_paths
+
+
+@pytest.mark.parametrize("rows", range(1, 10))
+def test_tiled_pads_its_last_tile(rows):
+    # a partial last tile goes to BLAS padded with zero rows: k rows give the first k rows of
+    # the padded product, and of the product of nine rows, for a matrix and for a vector
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((9, 300))
+    padded = np.concatenate([z[:rows], np.zeros((-rows % 8, 300))])
+    for w in (rng.standard_normal((300, 40)), rng.standard_normal(300)):
+        expected = np.concatenate([padded[i:i + 8] @ w for i in range(0, len(padded), 8)])[:rows]
+        assert ssgm.samplers._tiled(z[:rows], w).tobytes() == expected.tobytes()
+        assert ssgm.samplers._tiled(z, w)[:rows].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [8, 40, None], ids=["8_rows", "mid", "whole_block"])
+@pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
+def test_row_chunks_keep_bytes(name, chunk):
+    # every scheme's transform is row-independent: 100 rows of normals (a partial last tile)
+    # mapped in 8-row calls, 40-row calls (a partial last call) or one call give the bytes of
+    # one call per row, so a block's rows do not depend on how many paths share it
+    spec, grid, scheme, inner_steps = _case(name)
+    plan = ssgm.samplers._plan(spec, grid, 1, 5, scheme, inner_steps)[1]
+    z = np.random.default_rng(7).standard_normal((100, plan.n_draws))
+    by_row = np.concatenate([plan.transform(z[i:i + 1].copy()) for i in range(len(z))])
+    step = chunk or len(z)
+    chunked = np.concatenate([plan.transform(z[i:i + step].copy()) for i in range(0, len(z), step)])
+    assert chunked.tobytes() == by_row.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
-def test_paths_depend_only_on_seed_and_index(name):
-    # 1025 paths end one row into the second block; 1500 fill more of it
-    short = _leaf(name, 1025).values
-    long = _leaf(name, 1500).values
-    assert np.array_equal(long[:1025], short)
-
-
-@pytest.mark.parametrize("chunk, loop_rows", [(1, 8), (2**10, 40), (2**40, 64)],
-                         ids=["8_rows", "mid", "whole_block"])
-@pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
-def test_row_chunks_keep_bytes(monkeypatch, name, chunk, loop_rows):
-    # 8-row chunks end the second block on a partial tile; 40-row chunks do not divide a block
-    default = _leaf(name, 1500).values
-    monkeypatch.setattr(ssgm.samplers, "_CHUNK", chunk)
-    monkeypatch.setattr(ssgm.samplers, "_LOOP_ROWS", loop_rows)
-    assert _leaf(name, 1500).values.tobytes() == default.tobytes()
-
-
-@pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
-def test_chunks_are_the_ensemble_rows(monkeypatch, name):
-    # 1500 paths in 40-row chunks: several chunks per block, and a partial one ending each block
-    spec, grid, scheme, inner_steps = _LEAF_SAMPLERS[name]
-    grid = TimeGrid(np.concatenate([[0.0], grid.times]))  # chunks carry the t = 0 column too
-    monkeypatch.setattr(ssgm.samplers, "_CHUNK", 2**10)
-    monkeypatch.setattr(ssgm.samplers, "_LOOP_ROWS", 40)
-    ens = sample_spec(spec, grid, 1500, 5, scheme=scheme, inner_steps=inner_steps)
+def test_chunks_are_the_ensemble_rows(name):
+    # 3P + 5 paths on long rows: sample_chunks yields one Philox block per item, starting at
+    # multiples of P, the last one five rows; together they are the ensemble's bytes
+    spec, grid, scheme, inner_steps = _case(name, long_rows=True)
+    grid = TimeGrid(np.concatenate([[0.0], grid.times]))  # blocks carry the t = 0 column too
+    P = _block_rows(spec, grid, scheme, inner_steps)
+    ens = sample_spec(spec, grid, 3 * P + 5, 5, scheme=scheme, inner_steps=inner_steps)
     starts, parts = [], []
-    for start, rows in sample_chunks(spec, grid, 1500, 5, scheme=scheme, inner_steps=inner_steps):
+    for start, rows in sample_chunks(spec, grid, 3 * P + 5, 5, scheme=scheme, inner_steps=inner_steps):
         starts.append(start)
-        parts.append(rows.copy())  # the next chunk reuses the buffer
-    assert starts == list(np.cumsum([0] + [len(p) for p in parts[:-1]]))
-    assert all(start // 1024 == (start + len(p) - 1) // 1024 for start, p in zip(starts, parts))
-    assert len(parts) > 2 and len({len(p) for p in parts}) > 1  # a partial chunk ends each block
+        parts.append(rows.copy())  # the next block reuses the buffer
+    assert starts == [0, P, 2 * P, 3 * P]
+    assert [len(p) for p in parts] == [P, P, P, 5]
     assert np.concatenate(parts).tobytes() == ens.values.tobytes()
 
 

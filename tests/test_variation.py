@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 import ssgm.variation
 from ssgm import (GFunction, ProcessSpec, TimeGrid, ergodic_average,
                   gaussian_abs_moment, increment_variance, int_limit_residual,
-                  pvariation_sum, pvariation_trichotomy, sample_chunks, sample_spec,
+                  pvariation_sum, pvariation_trichotomy, sample_spec,
                   variation_to_csv)
 from ssgm.errors import ParameterError
 
@@ -118,7 +119,7 @@ def test_trichotomy_rejects_nonfinite_p_before_sampling(monkeypatch, p):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before checking p")
 
-    monkeypatch.setattr(ssgm.variation, "sample_chunks", no_sampling)
+    monkeypatch.setattr(ssgm.variation, "reduce_blocks", no_sampling)
     with pytest.raises(ParameterError, match="p must be finite"):
         pvariation_trichotomy(ProcessSpec.fbm(0.75), p, [2**7, 2**8], 4, 1)
 
@@ -142,15 +143,24 @@ def test_trichotomy_levels_are_subgrids_of_one_ensemble(spec, scheme):
 
 
 def test_trichotomy_samples_once(monkeypatch):
-    calls = []
+    # one plan, on the finest grid, and each Philox block of it keyed once: 53 fBm paths on
+    # 2^12 + 1 points are three blocks of 16 paths and one of 5
+    plans, keys = [], []
+    real_plan, real_philox = ssgm.samplers._plan, np.random.Philox
 
-    def counting(spec, grid, *args, **kwargs):
-        calls.append(len(grid))
-        return sample_chunks(spec, grid, *args, **kwargs)
+    def planning(spec, grid, *args):
+        plans.append(len(grid))
+        return real_plan(spec, grid, *args)
 
-    monkeypatch.setattr(ssgm.variation, "sample_chunks", counting)
-    pvariation_trichotomy(ProcessSpec.fbm(0.75), 2.0, [2**6, 2**7, 2**8, 2**9], 4, 5)
-    assert calls == [2**9 + 1]
+    def keyed(key):
+        keys.append(tuple(int(k) for k in key))
+        return real_philox(key=key)
+
+    monkeypatch.setattr(ssgm.samplers, "_plan", planning)
+    monkeypatch.setattr(np.random, "Philox", keyed)
+    pvariation_trichotomy(ProcessSpec.fbm(0.75), 2.0, [2**9, 2**10, 2**11, 2**12], 53, 5)
+    assert plans == [2**12 + 1]
+    assert sorted(keys) == [(5, b) for b in range(4)]
 
 
 @pytest.mark.parametrize("shape, stride", [((3, 2**17 + 1), 1), ((200, 1001), 1), ((50, 17), 1),
@@ -188,6 +198,20 @@ def test_trichotomy_memory_fixed_in_path_count():
         finally:
             tracemalloc.stop()
         assert peak <= fixed + 4 * 8 * n_paths, (n_paths, peak / fixed)
+
+
+def test_trichotomy_memory_per_drawing_thread(monkeypatch):
+    # criterion 7's Brownian trichotomy on two drawing threads: each holds one 2-path block of
+    # normals and of rows (1 MiB each) and one row of increments, where the parent's single
+    # thread held 1024-path-block chunks of about 2^18 normals and peaked at 9.5 MiB
+    monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: 2)
+    tracemalloc.start()
+    try:
+        pvariation_trichotomy(ProcessSpec.canonical(0.5, -1.0), 2.0, [2**13, 2**14, 2**15, 2**16], 64, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, peak / 2**20
 
 
 def _trichotomy_of_ensemble(values, p, n_list):
@@ -282,6 +306,32 @@ def test_ergodic_validation():
         ergodic_average(ProcessSpec.fbm(0.5), "square", 100, 5, 1)
     with pytest.raises(ParameterError):
         ergodic_average(ProcessSpec.volterra_g(0.25, 1.0, G1), "cube", 100, 5, 1)
+
+
+@pytest.mark.parametrize("n, f, p, match", [
+    (2.5, "square", 1.0, "n must be an integer >= 2, got 2.5"),
+    (np.float64(3.0), "square", 1.0, "n must be an integer >= 2, got np.float64(3.0)"),
+    (True, "square", 1.0, "n must be an integer >= 2, got True"),
+    (1, "square", 1.0, "n must be an integer >= 2, got 1"),
+    (10, "abs-pow", float("nan"), "p must be finite and > 0, got nan"),
+    (10, "abs-pow", float("inf"), "p must be finite and > 0, got inf"),
+    (10, "abs-pow", -1.0, "p must be finite and > 0, got -1.0"),
+    (10, "abs-pow", 0.0, "p must be finite and > 0, got 0.0"),
+], ids=["fractional_n", "float_n", "bool_n", "n_1", "nan_p", "inf_p", "negative_p", "zero_p"])
+def test_ergodic_refuses_bad_n_and_p_before_sampling(monkeypatch, n, f, p, match):
+    # n = 2.5 once averaged three increments over 2.5; p = nan, inf or -1 once gave a nan or inf target
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking n and p")
+
+    monkeypatch.setattr(ssgm.variation, "reduce_blocks", no_sampling)
+    with pytest.raises(ParameterError, match=f"^{re.escape(match)}$"):
+        ergodic_average(ProcessSpec.volterra_g(0.25, 1.0, G1), f, n, 4, 1, p=p)
+
+
+def test_ergodic_square_ignores_p():
+    # p is the exponent of "abs-pow" only
+    spec = ProcessSpec.volterra_g(0.25, 1.0, G1)
+    assert ergodic_average(spec, "square", 20, 4, 1, p=float("nan")) == ergodic_average(spec, "square", 20, 4, 1)
 
 
 def test_ergodic_refuses_a_grid_no_array_holds():
