@@ -26,6 +26,10 @@ place that starts threads, runs them on the calling thread plus up to one
 pool thread per further CPU in the process's affinity mask (no option sets
 that count); each thread draws the blocks it takes through one normals
 buffer and one rows buffer, and the bytes are the same for any CPU count.
+``_drawing_threads`` caps the threads so that their buffers hold about
+2^18 normals at most (one thread where a block holds more), whatever the
+CPU count, and draws the ``poly`` and midpoint blocks on the calling thread
+alone.
 ``empirical_cov`` and ``selfsim_check`` reduce each block to its moments
 (``selfsim_check`` where the block is drawn) and merge them in block
 order, so ``selfsim_check`` holds no ensemble.  The Cholesky factor, each
@@ -74,6 +78,7 @@ _BLOCK = 1024  # most paths per Philox stream
 _BLOCK_NORMALS = 2**17  # normals per Philox stream, rounded down to whole rows (at least min_rows)
 _TILE = 8  # rows per BLAS call
 _LOOP_ROWS = 64  # least rows per call of a transform that loops over grid times in Python
+_DRAW_NORMALS = 2 * _BLOCK_NORMALS  # most normals in the drawing threads' buffers at once
 _RNG_LAYOUT = "philox-block-v2"  # recorded in ensemble sidecars
 
 
@@ -95,14 +100,10 @@ def _tiled(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     shapes, so fixed-shape calls keep each row's result independent of how
     many rows a run has.
     """
-    full = len(z) - len(z) % _TILE
-    # one stacked matmul, which makes one BLAS call per tile, over the whole tiles
-    parts = [np.matmul(z[:full].reshape(full // _TILE, _TILE, z.shape[1]), w).reshape((full,) + w.shape[1:])]
-    if full < len(z):
-        last = np.zeros((_TILE, z.shape[1]))
-        last[:len(z) - full] = z[full:]
-        parts.append((last @ w)[:len(z) - full])
-    return np.concatenate(parts)
+    n = len(z)
+    if n % _TILE:
+        z = np.concatenate([z, np.zeros((-n % _TILE, z.shape[1]))])
+    return np.concatenate([z[i:i + _TILE] @ w for i in range(0, len(z), _TILE)])[:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,12 +534,12 @@ def sample_chunks(
     return ((b * P, rows) for b, rows, _ in _chunks(plan, seed, n_paths, len(grid), range(-(-n_paths // P))))
 
 
-def _run_blocks(n_jobs: int, work: Callable[[Iterator[int]], Iterator[tuple[int, object]]]) -> list:
+def _run_blocks(n_jobs: int, work: Callable[[Iterator[int]], Iterator[tuple[int, object]]], threads: int) -> list:
     """``results[k]`` for every ``(k, result)`` that ``work`` yields, for each job ``k`` in ``range(n_jobs)``.
 
     The job numbers are handed out in order from one shared iterator to
-    ``min(n_jobs, CPUs) - 1`` pool threads and the calling thread, which
-    takes jobs too, all inside one ``gram.one_blas_thread``.  Each thread
+    ``min(n_jobs, CPUs, threads) - 1`` pool threads and the calling thread,
+    which takes jobs too, all inside one ``gram.one_blas_thread``.  Each thread
     runs one ``work`` generator over the jobs it is handed, so the buffers
     a generator holds are reused across them; it must yield each job's
     result before it takes the next job.  After a job fails no job is
@@ -571,7 +572,7 @@ def _run_blocks(n_jobs: int, work: Callable[[Iterator[int]], Iterator[tuple[int,
             with lock:
                 failed[taken] = exc
 
-    helpers = min(n_jobs, _cpu_count()) - 1
+    helpers = min(n_jobs, _cpu_count(), threads) - 1
     # held for the whole run, so that each block's entry nests instead of setting OpenBLAS's
     # thread count anew; the jobs' own BLAS calls (selfsim_check's block moments) run inside it
     with one_blas_thread():
@@ -588,15 +589,33 @@ def _run_blocks(n_jobs: int, work: Callable[[Iterator[int]], Iterator[tuple[int,
     return results
 
 
+def _drawing_threads(plan: _Plan) -> int:
+    """The most threads that draw ``plan``'s blocks, whatever the CPU count.
+
+    Each holds one block of normals and one of rows, so together they hold
+    about ``_DRAW_NORMALS`` normals at most, or one block where a block
+    holds more (two threads for blocks of
+    ``_BLOCK_NORMALS``, sixteen for 1024 rows of 16), and the peak does not
+    grow with the CPU count.  The ``poly`` and midpoint transforms loop over
+    grid times in Python and hold the GIL, so a second thread adds CPU time
+    and no speed: their blocks are drawn on the calling thread.
+    """
+    if plan.min_rows > 1:
+        return 1
+    return max(1, _DRAW_NORMALS // (_block_rows(plan) * max(1, plan.n_draws)))
+
+
 def _reduce_blocks(plan: _Plan, seed: int, n_paths: int, d: int,
                    reduce: Callable[[np.ndarray, np.ndarray], object], out: Optional[np.ndarray] = None) -> list:
     """``[reduce(rows, scratch) for each block]`` in block order, every block reduced on ``_run_blocks`` as it is drawn.
 
-    Each thread draws the blocks it takes through one ``_chunks`` generator,
-    into ``out`` when it is given; ``rows`` and ``scratch`` are as in ``_chunks``.
+    Up to ``_drawing_threads(plan)`` threads each draw the blocks they take
+    through one ``_chunks`` generator, into ``out`` when it is given;
+    ``rows`` and ``scratch`` are as in ``_chunks``.
     """
     return _run_blocks(-(-n_paths // _block_rows(plan)), lambda jobs: (
-        (b, reduce(rows, scratch)) for b, rows, scratch in _chunks(plan, seed, n_paths, d, jobs, out)))
+        (b, reduce(rows, scratch)) for b, rows, scratch in _chunks(plan, seed, n_paths, d, jobs, out)),
+        _drawing_threads(plan))
 
 
 def reduce_blocks(
@@ -607,7 +626,7 @@ def reduce_blocks(
     reduce: Callable[[np.ndarray, np.ndarray], object],
     inner_steps: Optional[int] = None,
 ) -> list:
-    """``reduce(rows, scratch)`` for each ``rows`` of ``sample_chunks(...)``, in order, on up to one thread per CPU.
+    """``reduce(rows, scratch)`` for each ``rows`` of ``sample_chunks(...)``, in order, on the block runner's threads.
 
     The blocks are drawn as ``sample_spec`` draws them with the family's
     default scheme (``inner_steps`` reaches only the midpoint one), and each
@@ -617,8 +636,9 @@ def reduce_blocks(
     overwrites.  ``scratch`` is a flat float64 buffer of at least
     ``len(rows) * (len(grid) - 1)`` values (the block's spent normals) that
     ``reduce`` may overwrite.  Beside the plan, each drawing thread holds
-    about two blocks.  The reducers of ``variation`` draw through it; it is
-    not in ``__all__`` and ``ssgm`` does not export it.
+    about two blocks, and ``_drawing_threads`` caps the threads by that
+    size.  The reducers of ``variation`` draw through it; it is not in
+    ``__all__`` and ``ssgm`` does not export it.
     """
     plan = _plan(spec, grid, n_paths, seed, None, inner_steps)[1]
     return _reduce_blocks(plan, seed, n_paths, len(grid), reduce)

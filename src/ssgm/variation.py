@@ -182,8 +182,8 @@ def pvariation_trichotomy(
     canonical, circulant embedding for fBm, whose dyadic grids are uniform,
     the exact polynomial-kernel state recursion for volterra-g with constant
     g and integer beta >= 0, discretized Volterra for other volterra-g,
-    Cholesky otherwise).  ``reduce_blocks`` draws its Philox blocks on up to
-    one thread per CPU and reduces each to its per-level sums where it is
+    Cholesky otherwise).  ``reduce_blocks`` draws its Philox blocks on the
+    block runner's threads and reduces each to its per-level sums where it is
     drawn, so the ensemble is never held whole, and the report has the same
     bytes for any CPU count.  Level n reads the columns
     ``rows[:, ::max(n_list) // n]``: the sub-grid k / n of the same paths,
@@ -258,9 +258,9 @@ def ergodic_average(
     ``n`` is an integer >= 2.  The paths are those of ``sample_spec`` on the
     integer grid 0, 1, ..., n: exact ``poly`` paths for constant g with
     integer beta >= 0, otherwise the midpoint ``volterra`` scheme with 64
-    cells per unit time.  ``reduce_blocks`` draws their Philox blocks on up
-    to one thread per CPU and reduces each to its per-path sums where it is
-    drawn, so the average has the same bytes for any CPU count.  The target
+    cells per unit time.  ``reduce_blocks`` draws their Philox blocks on
+    the calling thread, since both transforms hold the GIL, and reduces each
+    to its per-path sums as it is drawn, so the ensemble is never held whole.  The target
     is E[f(J)] for J ~ N(0, int_0^1 F^2), evaluated in closed form.
     """
     if spec.family != Family.VOLTERRA_G:

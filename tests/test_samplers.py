@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,44 @@ def test_block_threads_end_with_the_call(monkeypatch):
     before = threading.active_count()
     sample_spec(SPEC, GRID, 2500, 5)
     assert threading.active_count() == before
+
+
+def _drawing_thread_ids(monkeypatch, cpus, spec, grid, n_paths):
+    """The threads that reduce the blocks of ``reduce_blocks`` with ``_cpu_count`` patched to ``cpus``."""
+    monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: cpus)
+    ids = set()
+
+    def reduce(rows, scratch):
+        ids.add(threading.get_ident())
+        time.sleep(0.002)  # so that a thread the runner starts takes a block too
+
+    ssgm.samplers.reduce_blocks(spec, grid, n_paths, 5, reduce)
+    return ids
+
+
+def test_drawing_threads_capped_by_buffer_size(monkeypatch):
+    # the drawing threads' buffers hold about 2^18 normals at most, whatever the CPU count:
+    # two threads for blocks of 2^17 normals, sixteen for 1024 rows of 16; one block is drawn
+    # on the calling thread alone
+    long_grid = TimeGrid(np.arange(2**14 + 1, dtype=float))
+    for spec, grid, threads in ((SPEC_BM, long_grid, 2), (SPEC, TimeGrid.geometric(0.1, 2.0, 16), 16)):
+        assert ssgm.samplers._drawing_threads(ssgm.samplers._plan(spec, grid, 64, 5, None, None)[1]) == threads
+    # 64 Brownian paths on 2^14 + 1 points are eight blocks of 8
+    assert 1 <= len(_drawing_thread_ids(monkeypatch, 8, SPEC_BM, long_grid, 64)) <= 2
+    assert _drawing_thread_ids(monkeypatch, 8, SPEC_BM, long_grid, 8) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("spec, n", [(ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0)), 1024),
+                                     (ProcessSpec.volterra_g(0.3, 0.5, GFunction.const(1.0)), 8)],
+                         ids=["poly", "midpoint"])
+def test_loop_transforms_draw_on_the_calling_thread(monkeypatch, spec, n):
+    # the poly and midpoint transforms hold the GIL, so a second thread would add CPU time and no
+    # speed: their 64-path blocks (rows of 2048 normals, three blocks here, which the buffer cap
+    # alone would let two threads draw) are all drawn by the calling thread
+    grid = TimeGrid(np.arange(n + 1.0))
+    plan = ssgm.samplers._plan(spec, grid, 150, 5, None, None)[1]
+    assert ssgm.samplers._block_rows(plan) == 64 and ssgm.samplers._drawing_threads(plan) == 1
+    assert _drawing_thread_ids(monkeypatch, 4, spec, grid, 150) == {threading.get_ident()}
 
 
 def _fail_in_block_1(monkeypatch, seed):

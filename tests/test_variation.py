@@ -214,6 +214,21 @@ def test_trichotomy_memory_per_drawing_thread(monkeypatch):
     assert peak <= 6 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
+def test_trichotomy_memory_fixed_in_cpu_count(monkeypatch, cpus):
+    # the drawing threads are capped by their buffers' size, not by the CPU count, so the
+    # tight bounds above hold on any host
+    monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: cpus)
+    test_trichotomy_memory_fixed_in_path_count()
+    tracemalloc.start()
+    try:
+        pvariation_trichotomy(ProcessSpec.canonical(0.5, -1.0), 2.0, [2**13, 2**14, 2**15, 2**16], 64, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, (cpus, peak / 2**20)
+
+
 def _trichotomy_of_ensemble(values, p, n_list):
     # the reference: every level's sums and statistics from the whole ensemble held at once
     n_max, n_paths = n_list[-1], len(values)
