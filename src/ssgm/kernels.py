@@ -463,19 +463,16 @@ def volterra_kernel(H: float, c: float, s, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def isometry_residual(
-    H: float,
-    c: float,
-    s: float,
-    t: float,
-    tol: float = 1e-10,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
+_ISOMETRY_TOL = 1e-10  # isometry_residual's quadrature tolerance
+
+
+def isometry_residual(H: float, c: float, s: float, t: float) -> float:
     """| integral_0^(s^t) K(u,s) K(u,t) du  -  R_can(s,t) |.
 
     The integrand is a pure power u^(q-1) with q = -2(c+H) > 0, so it goes
     through :func:`integrate_power_upper` over x = (s^t) - u, which puts that
-    power at the upper limit, where ``dist`` is u itself.  K is evaluated
+    power at the upper limit, where ``dist`` is u itself, with tolerance
+    1e-10 and the default budget ``DEFAULT_BUDGET``.  K is evaluated
     through :func:`volterra_kernel` so the check exercises the same code path
     users call.
     """
@@ -485,7 +482,7 @@ def isometry_residual(
         raise ParameterError(f"isometry check requires finite c < -H, got c={c!r}, H={H!r}")
     q = -2.0 * (c + H)
     quad = integrate_power_upper(lambda x, u, _: volterra_kernel(H, c, u, s) * volterra_kernel(H, c, u, t),
-                                 0.0, min(s, t), q - 1.0, tol, budget)
+                                 0.0, min(s, t), q - 1.0, _ISOMETRY_TOL, DEFAULT_BUDGET)
     return abs(quad.value - make_kernel(ProcessSpec.canonical(H, c))(s, t))
 
 

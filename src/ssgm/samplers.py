@@ -7,8 +7,7 @@ every scheme.  A builder refuses a spec or grid it does not fit; otherwise
 its ``_Plan`` says how to draw.  ``sample_spec`` draws the paths into one
 ``PathEnsemble``; ``reduce_blocks`` draws the same paths and reduces each
 block where it is drawn, so a reducer (the p-variation trichotomy, the
-ergodic average) never holds the ensemble; ``sample_chunks`` yields the same
-blocks in order from the calling thread.
+ergodic average) never holds the ensemble.
 
 Randomness discipline: a plan's paths are drawn in blocks of
 P = min(1024, max(min_rows, 2^17 // n_draws)) paths, about 2^17 normals
@@ -21,19 +20,18 @@ transform maps the rows of normals to paths.  Matrix products go to BLAS in
 slices of exactly ``_TILE`` rows (``_tiled``), so a path's values depend
 only on ``(seed, path index)``: a longer run extends a shorter one.  P
 depends only on the plan, so this holds for any CPU count.  Blocks are
-independent streams that write disjoint rows, so ``_run_blocks``, the one
-place that starts threads, runs them on the calling thread plus up to one
-pool thread per further CPU in the process's affinity mask (no option sets
-that count); each thread draws the blocks it takes through one normals
-buffer and one rows buffer, and the bytes are the same for any CPU count.
-``_drawing_threads`` caps the threads so that their buffers hold about
-2^18 normals at most (one thread where a block holds more), whatever the
-CPU count, and draws the ``poly`` and midpoint blocks on the calling thread
-alone.
-``empirical_cov`` and ``selfsim_check`` reduce each block to its moments
-(``selfsim_check`` where the block is drawn) and merge them in block
-order, so ``selfsim_check`` holds no ensemble.  The Cholesky factor, each
-block's transform and each block's moments run inside
+independent streams that write disjoint rows, so ``_draw_blocks``, the one
+place that keys Philox and starts threads, draws them on the calling thread
+plus up to one pool thread per further CPU in the process's affinity mask
+(no option sets that count); each thread draws the blocks it takes through
+one normals buffer and one rows buffer, and the bytes are the same for any
+CPU count.  ``_drawing_threads`` caps the threads so that their buffers
+hold about 2^18 normals at most (one thread where a block holds more),
+whatever the CPU count, and draws the ``poly`` and midpoint blocks on the
+calling thread alone.  ``empirical_cov`` and ``selfsim_check`` reduce each
+block to its moments (``selfsim_check`` where the block is drawn) and merge
+them in block order, so ``selfsim_check`` holds no ensemble.  The Cholesky
+factor, the blocks' transforms and their moments run inside
 ``gram.one_blas_thread``, so where numpy's BLAS is an OpenBLAS it can find,
 paths and covariances are also the same bytes for any
 ``OPENBLAS_NUM_THREADS``; with another BLAS its thread count may change
@@ -49,7 +47,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -62,7 +60,6 @@ __all__ = [
     "EmpiricalCov",
     "SelfSimReport",
     "SCHEMES",
-    "sample_chunks",
     "sample_spec",
     "sample_timechange",
     "empirical_cov",
@@ -156,7 +153,7 @@ def _positive_times(grid: TimeGrid) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """A builder's answer: how ``_chunks`` draws, and what the ensemble records."""
+    """A builder's answer: how ``_draw_blocks`` draws, and what the ensemble records."""
 
     spec: ProcessSpec
     n_draws: int
@@ -477,118 +474,6 @@ def _block_rows(plan: _Plan) -> int:
     return min(_BLOCK, max(plan.min_rows, _BLOCK_NORMALS // max(1, plan.n_draws)))
 
 
-def _chunks(plan: _Plan, seed: int, n_paths: int, d: int, blocks: Iterable[int],
-            out: Optional[np.ndarray] = None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(b, rows, scratch)`` for each block ``b`` taken from ``blocks``: its paths as whole grid rows.
-
-    Block ``b`` holds paths ``b * P`` onward, P = ``_block_rows(plan)`` (fewer
-    in the last block).  It draws its rows of ``n_draws`` normals in one call
-    of Philox keyed ``(seed, b)`` and maps them with one ``transform`` call;
-    a transform that returns ``d - 1`` columns leaves the leading t = 0
-    column zero.  The rows are written into ``out`` when a zero array of
-    all ``n_paths`` rows is given (path ``i`` in row ``i``), else into one
-    rows buffer that the next block overwrites; the normals buffer is
-    reused the same way, so one generator holds about two blocks.
-    ``scratch`` is the normals buffer, flat, which the consumer may
-    overwrite before it takes the next block: at least
-    ``len(rows) * (d - 1)`` values, since every plan draws at least one
-    normal per positive grid time.
-    """
-    P = _block_rows(plan)
-    z = np.empty((min(P, n_paths), plan.n_draws))
-    buf = np.zeros((min(P, n_paths), d)) if out is None else None
-    for b in blocks:
-        lo = b * P
-        rows = min(P, n_paths - lo)
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-        rng.standard_normal(out=z[:rows])
-        with one_blas_thread():
-            x = plan.transform(z[:rows])
-        dest = buf[:rows] if out is None else out[lo:lo + rows]
-        dest[:, d - x.shape[1]:] = x
-        yield b, dest, z.reshape(-1)
-
-
-def sample_chunks(
-    spec: ProcessSpec,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    scheme: Optional[str] = None,
-    inner_steps: Optional[int] = None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The paths ``sample_spec`` would return, one Philox block per ``(start, rows)`` item.
-
-    ``rows`` holds paths ``start`` onward as whole rows of ``len(grid)``
-    values, a leading t = 0 column included, with the bytes of the same rows
-    of ``sample_spec(...).values``; ``start`` runs over the multiples of the
-    plan's block size P.  ``rows`` is a view of one buffer that the next
-    block overwrites, so a consumer reduces or copies it before moving on.
-    The blocks are drawn in order on the calling thread.  The arguments are
-    checked and the scheme's plan is built (a Gram matrix factorized, say)
-    when this is called, not when the first block is taken.  Beside the
-    plan, the iterator holds about two blocks: the normals and the rows.
-    """
-    plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)[1]
-    P = _block_rows(plan)
-    return ((b * P, rows) for b, rows, _ in _chunks(plan, seed, n_paths, len(grid), range(-(-n_paths // P))))
-
-
-def _run_blocks(n_jobs: int, work: Callable[[Iterator[int]], Iterator[tuple[int, object]]], threads: int) -> list:
-    """``results[k]`` for every ``(k, result)`` that ``work`` yields, for each job ``k`` in ``range(n_jobs)``.
-
-    The job numbers are handed out in order from one shared iterator to
-    ``min(n_jobs, CPUs, threads) - 1`` pool threads and the calling thread,
-    which takes jobs too, all inside one ``gram.one_blas_thread``.  Each thread
-    runs one ``work`` generator over the jobs it is handed, so the buffers
-    a generator holds are reused across them; it must yield each job's
-    result before it takes the next job.  After a job fails no job is
-    handed out; every thread is joined, and the error of the
-    lowest-numbered failed job is raised.  Every job below it was handed out
-    before it, so that is the error a serial run raises.
-    """
-    results: list = [None] * n_jobs
-    failed: dict[int, BaseException] = {}
-    order = iter(range(n_jobs))
-    lock = threading.Lock()
-
-    def take():
-        taken = -1  # the job this thread holds; -1 before the first
-
-        def jobs():
-            nonlocal taken
-            while True:
-                with lock:
-                    k = None if failed else next(order, None)
-                if k is None:
-                    return
-                taken = k
-                yield k
-
-        try:
-            for k, result in work(jobs()):
-                results[k] = result
-        except BaseException as exc:  # raised in the caller once every thread is joined
-            with lock:
-                failed[taken] = exc
-
-    helpers = min(n_jobs, _cpu_count(), threads) - 1
-    # held for the whole run, so that each block's entry nests instead of setting OpenBLAS's
-    # thread count anew; the jobs' own BLAS calls (selfsim_check's block moments) run inside it
-    with one_blas_thread():
-        if helpers > 0:
-            with ThreadPoolExecutor(helpers) as pool:  # leaving joins its threads
-                futures = [pool.submit(take) for _ in range(helpers)]
-                take()
-            for future in futures:
-                future.result()
-        else:
-            take()
-    if failed:
-        raise failed[min(failed)]
-    return results
-
-
 def _drawing_threads(plan: _Plan) -> int:
     """The most threads that draw ``plan``'s blocks, whatever the CPU count.
 
@@ -605,17 +490,70 @@ def _drawing_threads(plan: _Plan) -> int:
     return max(1, _DRAW_NORMALS // (_block_rows(plan) * max(1, plan.n_draws)))
 
 
-def _reduce_blocks(plan: _Plan, seed: int, n_paths: int, d: int,
-                   reduce: Callable[[np.ndarray, np.ndarray], object], out: Optional[np.ndarray] = None) -> list:
-    """``[reduce(rows, scratch) for each block]`` in block order, every block reduced on ``_run_blocks`` as it is drawn.
+def _draw_blocks(plan: _Plan, seed: int, n_paths: int, d: int,
+                 reduce: Callable[[np.ndarray, np.ndarray], object], out: Optional[np.ndarray] = None) -> list:
+    """``[reduce(rows, scratch) for each Philox block]`` in block order, each block reduced by the thread that drew it.
 
-    Up to ``_drawing_threads(plan)`` threads each draw the blocks they take
-    through one ``_chunks`` generator, into ``out`` when it is given;
-    ``rows`` and ``scratch`` are as in ``_chunks``.
+    Block ``b`` holds paths ``b * P`` onward, P = ``_block_rows(plan)`` (fewer
+    in the last block).  It draws its rows of ``n_draws`` normals in one call
+    of Philox keyed ``(seed, b)`` and maps them with one ``transform`` call;
+    a transform that returns ``d - 1`` columns leaves the leading t = 0
+    column zero.  ``rows`` holds the block's paths as whole grid rows: in
+    ``out`` when a zero array of all ``n_paths`` rows is given (path ``i`` in
+    row ``i``), else in the thread's rows buffer, which its next block
+    overwrites.  ``scratch`` is the thread's normals buffer, flat, which
+    ``reduce`` may overwrite: at least ``len(rows) * (d - 1)`` values, since
+    every plan draws at least one normal per positive grid time.
+
+    The block numbers are handed out in order from one shared iterator to
+    ``min(blocks, CPUs, _drawing_threads(plan)) - 1`` pool threads and the
+    calling thread, which draws too, all inside one ``gram.one_blas_thread``
+    that the transforms' and reducers' BLAS calls run in.  After a block
+    fails no block is handed out; every thread is joined, and the error of
+    the lowest-numbered failed block is raised.  Every block below it was
+    handed out before it, so that is the error a serial run raises.
     """
-    return _run_blocks(-(-n_paths // _block_rows(plan)), lambda jobs: (
-        (b, reduce(rows, scratch)) for b, rows, scratch in _chunks(plan, seed, n_paths, d, jobs, out)),
-        _drawing_threads(plan))
+    P = _block_rows(plan)
+    n_blocks = -(-n_paths // P)
+    results: list = [None] * n_blocks
+    failed: dict[int, BaseException] = {}
+    order = iter(range(n_blocks))
+    lock = threading.Lock()
+
+    def worker():
+        b = -1  # the block this thread holds; -1 before the first
+        try:
+            z = np.empty((min(P, n_paths), plan.n_draws))
+            buf = np.zeros((min(P, n_paths), d)) if out is None else None
+            while True:
+                with lock:
+                    b = None if failed else next(order, None)
+                if b is None:
+                    return
+                lo, rows = b * P, min(P, n_paths - b * P)
+                rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+                rng.standard_normal(out=z[:rows])
+                x = plan.transform(z[:rows])
+                dest = buf[:rows] if out is None else out[lo:lo + rows]
+                dest[:, d - x.shape[1]:] = x
+                results[b] = reduce(dest, z.reshape(-1))
+        except BaseException as exc:  # raised in the caller once every thread is joined
+            with lock:
+                failed[b] = exc
+
+    helpers = min(n_blocks, _cpu_count(), _drawing_threads(plan)) - 1
+    with one_blas_thread():
+        if helpers > 0:
+            with ThreadPoolExecutor(helpers) as pool:  # leaving joins its threads
+                futures = [pool.submit(worker) for _ in range(helpers)]
+                worker()
+            for future in futures:
+                future.result()
+        else:
+            worker()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def reduce_blocks(
@@ -626,14 +564,16 @@ def reduce_blocks(
     reduce: Callable[[np.ndarray, np.ndarray], object],
     inner_steps: Optional[int] = None,
 ) -> list:
-    """``reduce(rows, scratch)`` for each ``rows`` of ``sample_chunks(...)``, in order, on the block runner's threads.
+    """``reduce(rows, scratch)`` for each Philox block of ``sample_spec(...)``'s paths, in block order.
 
-    The blocks are drawn as ``sample_spec`` draws them with the family's
-    default scheme (``inner_steps`` reaches only the midpoint one), and each
-    is reduced by the thread that drew it, so the results are the same bytes
-    for any CPU count when ``reduce`` is a function of its rows alone.
-    ``rows`` is a C-contiguous view of a buffer that its thread's next block
-    overwrites.  ``scratch`` is a flat float64 buffer of at least
+    The blocks are drawn by ``_draw_blocks`` as ``sample_spec`` draws them
+    with the family's default scheme (``inner_steps`` reaches only the
+    midpoint one), and each is reduced by the thread that drew it, so the
+    results are the same bytes for any CPU count when ``reduce`` is a
+    function of its rows alone.  ``rows`` holds the block's paths as whole
+    rows of ``len(grid)`` values, a leading t = 0 column included: a
+    C-contiguous view of a buffer that its thread's next block overwrites.
+    ``scratch`` is a flat float64 buffer of at least
     ``len(rows) * (len(grid) - 1)`` values (the block's spent normals) that
     ``reduce`` may overwrite.  Beside the plan, each drawing thread holds
     about two blocks, and ``_drawing_threads`` caps the threads by that
@@ -641,7 +581,7 @@ def reduce_blocks(
     ``__all__`` and ``ssgm`` does not export it.
     """
     plan = _plan(spec, grid, n_paths, seed, None, inner_steps)[1]
-    return _reduce_blocks(plan, seed, n_paths, len(grid), reduce)
+    return _draw_blocks(plan, seed, n_paths, len(grid), reduce)
 
 
 def sample_spec(
@@ -661,12 +601,12 @@ def sample_spec(
     constant and beta an integer >= 0, and through the midpoint ``volterra``
     scheme otherwise; ``inner_steps`` reaches only that scheme.  A scheme
     that does not fit the spec or the grid raises :class:`ParameterError`.
-    The blocks of ``sample_chunks`` are drawn straight into the ensemble on
-    ``_run_blocks``, with the same bytes for any CPU count.
+    ``_draw_blocks`` draws the Philox blocks straight into the ensemble, with
+    the same bytes for any CPU count.
     """
     scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
     values = np.zeros((n_paths, len(grid)))
-    _reduce_blocks(plan, seed, n_paths, len(grid), lambda rows, scratch: None, values)
+    _draw_blocks(plan, seed, n_paths, len(grid), lambda rows, scratch: None, values)
     return PathEnsemble(plan.spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
 
 
@@ -741,7 +681,7 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
     Both are drawn with the family's default scheme, from independent
     substream families (seed and seed+1).  Reported ratios are |difference|
     / (4 * combined SE); values <= 1 are within the design tolerance.  Each
-    ensemble's blocks run on ``_run_blocks``, each reduced to its moments as
+    ensemble's blocks run on ``_draw_blocks``, each reduced to its moments as
     it is drawn, so no ensemble is held.  Where a block holds ``_BLOCK``
     paths (rows of at most 128 normals), the two covariances have the bytes
     of ``empirical_cov(sample_spec(...))``, which merges ``_BLOCK``-row
@@ -752,7 +692,7 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
         raise ParameterError("a must be positive")
     grids, seeds = (grid, grid.scaled(a)), (seed, seed + 1)
     plans = [_plan(spec, g, n_paths, s, None, None)[1] for g, s in zip(grids, seeds)]
-    base, scaled = (_merged_cov(g, _reduce_blocks(plan, s, n_paths, len(g), lambda rows, scratch: _moments(rows)))
+    base, scaled = (_merged_cov(g, _draw_blocks(plan, s, n_paths, len(g), lambda rows, scratch: _moments(rows)))
                     for g, s, plan in zip(grids, seeds, plans))
     factor = a ** (2.0 * spec.H)
     diff = np.abs(scaled.cov - factor * base.cov)

@@ -56,6 +56,7 @@ __all__ = [
 _SLOPE_BAND = 0.1
 _SUM_CHUNK = 2**16  # increments per p-variation reduction buffer
 _ERGODIC_INNER_STEPS = 64  # midpoint volterra cells per unit time in ergodic_average
+_LIMIT_TOL = 1e-12  # quadrature tolerance of increment_variance and int_limit_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +289,7 @@ def ergodic_average(
 # quadrature limits
 # ---------------------------------------------------------------------------
 
-def _bracket(spec: ProcessSpec, d: float, root: float, tol: float, budget: int):
+def _bracket(spec: ProcessSpec, d: float, root: float):
     """int_0^1 F(s) [F(s) - root F((1-1/d) s)] ds in one quadrature; 1 - (1-1/d) s = dist + s/d."""
     F = spec.weight_at_gap
 
@@ -296,28 +297,22 @@ def _bracket(spec: ProcessSpec, d: float, root: float, tol: float, budget: int):
         fs = F(dist)
         return fs * (fs - root * F(dist + s / d))
 
-    return integrate_power_upper(f2, 0.0, 1.0, spec.beta, tol, budget)
+    return integrate_power_upper(f2, 0.0, 1.0, spec.beta, _LIMIT_TOL, DEFAULT_BUDGET)
 
 
-def increment_variance(
-    H: float,
-    beta: float,
-    g: GFunction,
-    t: float,
-    tol: float = 1e-12,
-    budget: int = DEFAULT_BUDGET,
-) -> IncrementVariance:
+def increment_variance(H: float, beta: float, g: GFunction, t: float) -> IncrementVariance:
     """Increment-variance expression at time t, with its limit int_0^1 F^2.
 
     Evaluates int F^2 + 2 (t+1)^H t^H J(t) with
     J(t) = int F(s) [F(s) - sqrt(t/(1+t)) F((1-1/(t+1)) s)] ds as a single
     quadrature (the bracket is formed pointwise, so there is no catastrophic
-    cancellation between separately computed integrals).
+    cancellation between separately computed integrals) at tolerance 1e-12
+    with the default budget ``DEFAULT_BUDGET``.
     """
     if not t > 0:
         raise ParameterError("t must be positive")
     spec = ProcessSpec.volterra_g(H, beta, g)  # validates H, beta
-    bracket = _bracket(spec, t + 1.0, math.sqrt(t / (1.0 + t)), tol, budget)
+    bracket = _bracket(spec, t + 1.0, math.sqrt(t / (1.0 + t)))
     limit = volterra_g_variance(spec)
     cross = 2.0 * (t + 1.0) ** H * t**H * bracket.value
     value = limit + cross
@@ -326,24 +321,19 @@ def increment_variance(
     return IncrementVariance(float(value), float(err), float(limit), float(ito))
 
 
-def int_limit_residual(
-    beta: float,
-    g: GFunction,
-    t: float,
-    tol: float = 1e-12,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
+def int_limit_residual(beta: float, g: GFunction, t: float) -> float:
     """t int_0^1 F(s) [F(s) - F((1-1/t) s)] ds + (1/2) int_0^1 F^2 ds.
 
     Tends to 0 as t grows when F(1) = 0 (beta > 0).  For beta = 0 with
     constant g the bracket vanishes identically and the residual equals
     (1/2) int F^2 exactly; such specs are outside the proven regime and are
-    only reported, never asserted.
+    only reported, never asserted.  The bracket is one quadrature at
+    tolerance 1e-12 with the default budget ``DEFAULT_BUDGET``.
     """
     if t < 2:
         raise ParameterError("t must be >= 2")
     spec = ProcessSpec.volterra_g(0.25, beta, g)  # validates beta/g only
-    bracket = _bracket(spec, t, 1.0, tol, budget)
+    bracket = _bracket(spec, t, 1.0)
     half_var = 0.5 * volterra_g_variance(spec)
     return float(t * bracket.value + half_var)
 

@@ -73,18 +73,19 @@ def _calls_of(name: str) -> list:
 
 
 def test_one_chunk_generator_draws():
-    # one generator draws every path: sample_chunks yields its blocks in order, and
-    # _reduce_blocks runs one per drawing thread of the block runner (sample_spec's ensemble,
-    # the reducers of selfsim_check, the trichotomy and the ergodic average); nothing else
-    # keys a Philox stream
-    assert _calls_of("Philox") == ["samplers.py:_chunks"]
-    assert sorted(_calls_of("_chunks")) == ["samplers.py:_reduce_blocks", "samplers.py:sample_chunks"]
+    # one function draws every path: _draw_blocks's worker, once per drawing thread, keys each
+    # block's Philox stream (sample_spec's ensemble, the reducers of selfsim_check, the
+    # trichotomy and the ergodic average); nothing else keys one.  _calls_of walks nested
+    # defs, so the worker's call counts for _draw_blocks too
+    assert _calls_of("Philox") == ["samplers.py:_draw_blocks", "samplers.py:worker"]
+    assert sorted(_calls_of("_draw_blocks")) == [
+        "samplers.py:reduce_blocks", "samplers.py:sample_spec", "samplers.py:selfsim_check"]
 
 
 def test_threads_start_in_the_block_runner_only():
-    # the one place the package starts threads: the block runner's per-call pool, which
-    # sample_spec, selfsim_check and reduce_blocks run their blocks on
-    assert _calls_of("ThreadPoolExecutor") == ["samplers.py:_run_blocks"]
+    # the one place the package starts threads: the block drawer's per-call pool, which
+    # sample_spec, selfsim_check and reduce_blocks draw their blocks on
+    assert _calls_of("ThreadPoolExecutor") == ["samplers.py:_draw_blocks"]
     assert _calls_of("Thread") == []
 
 
@@ -212,8 +213,7 @@ def test_one_blas_thread_defined_in_gram_only():
     assert defined == ["gram.py:one_blas_thread"]
     assert sorted(_calls_of("one_blas_thread")) == [
         "gram.py:minor_residual", "gram.py:psd_check", "markov.py:_power_fit",
-        "samplers.py:_cholesky_with_jitter", "samplers.py:_chunks", "samplers.py:_run_blocks",
-        "samplers.py:empirical_cov"]
+        "samplers.py:_cholesky_with_jitter", "samplers.py:_draw_blocks", "samplers.py:empirical_cov"]
 
 
 def test_import_looks_up_no_blas():

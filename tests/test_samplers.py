@@ -15,8 +15,8 @@ import pytest
 import ssgm
 from ssgm import (SCHEMES, GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   ensemble_to_csv, ergodic_average, increment_variance,
-                  load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_chunks,
-                  sample_spec, sample_timechange, save_ensemble, selfsim_check)
+                  load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_spec,
+                  sample_timechange, save_ensemble, selfsim_check)
 from ssgm.errors import NumericalError, ParameterError
 from ssgm.samplers import (_circulant_transform, _hilbert_cholesky, _poly_transform, _uniform_step,
                            _volterra_transform, _zg_discrete_var)
@@ -53,15 +53,13 @@ def _sha(a) -> str:
 @pytest.mark.parametrize("lead0", [False, True], ids=["positive", "with_t0"])
 @pytest.mark.parametrize("n_paths", [1025, 2500])
 def test_block_threads_keep_bytes(monkeypatch, n_paths, lead0):
-    # one, two or three threads draw the blocks of every scheme into the same bytes, and those
-    # are the rows sample_chunks yields in order from the calling thread; the block moments
-    # of empirical_cov and selfsim_check merge into the same bytes too, and so do the
-    # per-path sums of multi-block trichotomy and ergodic runs
+    # one, two or three threads draw the blocks of every scheme into the same bytes, those of
+    # the calling thread alone; the block moments of empirical_cov and selfsim_check merge into
+    # the same bytes too, and so do the per-path sums of multi-block trichotomy and ergodic runs
     assert {scheme for _, _, scheme, _ in _LEAF_SAMPLERS.values()} == set(SCHEMES)
     for spec, grid, scheme, inner_steps in _LEAF_SAMPLERS.values():
         if lead0:
             grid = TimeGrid(np.concatenate([[0.0], grid.times]))
-        rows = np.concatenate([r.copy() for _, r in sample_chunks(spec, grid, n_paths, 5, scheme, inner_steps)])
         digests, covs, ratios = set(), set(), set()
         for workers in (1, 2, 3):
             monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda workers=workers: workers)
@@ -70,8 +68,7 @@ def test_block_threads_keep_bytes(monkeypatch, n_paths, lead0):
             emp = empirical_cov(ens)
             covs.add((_sha(emp.mean), _sha(emp.cov), _sha(emp.se)))
             ratios.add(_sha(selfsim_check(spec, 2.0, grid, n_paths, 5).ratios))
-        assert digests == {_sha(rows)}, scheme
-        assert len(covs) == 1 and len(ratios) == 1, scheme
+        assert len(digests) == 1 and len(covs) == 1 and len(ratios) == 1, scheme
     if lead0:  # the reducers' grids start at t = 0
         reports = set()
         for workers in (1, 2, 3):
@@ -87,9 +84,9 @@ def test_block_threads_keep_bytes(monkeypatch, n_paths, lead0):
 
 
 def test_block_threads_stress(monkeypatch):
-    # eight threads switching every microsecond, each chunk entering the shared one_blas_thread
-    # count inside the one the block runner holds: the paths and the merged moments keep their
-    # bytes, and the OpenBLAS thread counts come back
+    # eight threads switching every microsecond inside the one one_blas_thread the block drawer
+    # holds: the paths and the merged moments keep their bytes, and the OpenBLAS thread counts
+    # come back
     spec, grid, scheme, _ = _LEAF_SAMPLERS["cholesky"]
     monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: 1)
     serial = sample_spec(spec, grid, 8200, 5, scheme)
@@ -931,17 +928,15 @@ def test_row_chunks_keep_bytes(name, chunk):
 
 @pytest.mark.parametrize("name", sorted(_LEAF_SAMPLERS))
 def test_chunks_are_the_ensemble_rows(name):
-    # 3P + 5 paths on long rows: sample_chunks yields one Philox block per item, starting at
-    # multiples of P, the last one five rows; together they are the ensemble's bytes
+    # 3P + 5 paths on long rows: the block drawer reduces one Philox block of P rows at a time,
+    # the last one five rows, in its rows buffer; in block order they are the ensemble's bytes
     spec, grid, scheme, inner_steps = _case(name, long_rows=True)
     grid = TimeGrid(np.concatenate([[0.0], grid.times]))  # blocks carry the t = 0 column too
     P = _block_rows(spec, grid, scheme, inner_steps)
     ens = sample_spec(spec, grid, 3 * P + 5, 5, scheme=scheme, inner_steps=inner_steps)
-    starts, parts = [], []
-    for start, rows in sample_chunks(spec, grid, 3 * P + 5, 5, scheme=scheme, inner_steps=inner_steps):
-        starts.append(start)
-        parts.append(rows.copy())  # the next block reuses the buffer
-    assert starts == [0, P, 2 * P, 3 * P]
+    plan = ssgm.samplers._plan(spec, grid, 3 * P + 5, 5, scheme, inner_steps)[1]
+    copy = lambda rows, scratch: rows.copy()  # the thread's next block reuses the buffer
+    parts = ssgm.samplers._draw_blocks(plan, 5, 3 * P + 5, len(grid), copy)
     assert [len(p) for p in parts] == [P, P, P, 5]
     assert np.concatenate(parts).tobytes() == ens.values.tobytes()
 
@@ -957,9 +952,10 @@ def test_chunks_are_the_ensemble_rows(name):
 ], ids=["non_integer_n_paths", "bool_n_paths", "no_paths", "bad_seed", "bool_seed", "unknown_scheme",
         "unfitting_scheme"])
 def test_sample_chunks_checks_when_called(args, match):
-    # the iterator is not started: every fault shows at the call, before any chunk is taken
+    # sample_spec, the one library sampler, refuses every fault before any block is drawn; the
+    # test keeps the name of the removed block iterator whose checks it first held
     with pytest.raises(ParameterError, match=match):
-        sample_chunks(*args)
+        sample_spec(*args)
 
 
 def test_cli_csv_streams_rows(tmp_path):
