@@ -15,8 +15,8 @@ canonical family as a stochastic integral.
 
 Every kernel is closed form except off-diagonal log-pow volterra-g pairs, which
 (like the isometry check) go through ``integrate_power_upper``: the pairs of
-one evaluator call are refined together, up to 1024 at a time, each with its
-own mesh, tolerance share and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g
+one evaluator call share each tanh-sinh level's nodes, up to 1024 at a time,
+and each stops on its own test and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g
 (a rescaled RL) go through the Gauss hypergeometric function.
 
 Every covariance is evaluated through ``make_kernel(spec)(s, t)``: the one
@@ -522,7 +522,7 @@ class CovKernel:
 
 def _volterra_g_pairs(spec: ProcessSpec, m: np.ndarray, big: np.ndarray, gap: np.ndarray, tol: float, budget: int):
     """(m M)^(H-1/2) integral_0^m F(u/m) F(u/M) du for 0 < m < M, gap = M - m,
-    F(x) = (1-x)^beta g(x), all pairs refined together in blocks; each factor is
+    F(x) = (1-x)^beta g(x), all pairs integrated together in blocks; each factor is
     evaluated from its own gap 1 - u/m = dist/m or 1 - u/M = (gap + dist)/M."""
     F = spec.weight_at_gap
 

@@ -240,11 +240,11 @@ def test_cli_grid_budget_exit_3_names_pair(capsys):
 
 
 def test_cli_config_tolerances(tmp_path, capsys):
-    # quad_tol = 0.01 from [tolerances] fits a budget of 20 evaluations; 1e-10 does not
+    # quad_tol = 0.01 from [tolerances] fits a budget of 100 evaluations; 1e-10 does not
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[process]\nfamily = volterra-g\nH = 0.25\nbeta = 1.0\ng = log-pow:1\n"
                    "[grid]\ntimes = 1 2\n[tolerances]\nquad_tol = 0.01\npsd_tol = 1e-6\n")
-    argv = ["kernel-eval", "--config", str(cfg), "--s", "1", "--t", "2", "--budget", "20"]
+    argv = ["kernel-eval", "--config", str(cfg), "--s", "1", "--t", "2", "--budget", "100"]
     assert main(argv) == 0
     assert main(argv + ["--tol", "1e-10"]) == 3  # the flag wins over the file
     assert "numerical failure" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,28 @@ def test_rl_near_diagonal_matches_mpmath():
             exact = (mp.mpf(top) ** (h - 0.5) * mp.hyp2f1(0.5 - h, 1, h + 1.5, z)
                      / ((h + 0.5) * mp.gamma(h + 0.5) ** 2))
             assert k(1.0, top) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+def test_rl_direct_form_above_half_matches_mpmath():
+    # for H >= 1/2 the direct 2F1(1/2-H, 1; H+3/2; z) runs up to z = 1: pairs with
+    # s/t in (1/2, 1) for RL and for constant-g volterra-g at beta = 1/2 (RL at H = 1)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    ratios = [0.5001, 0.6, 0.75, 0.9, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-9]
+    pairs = [(s, s / r) for s in (0.3, 1.0, 7.0) for r in ratios]
+    for H in (0.75, 1.0, 1.25, 2.3):
+        k, h = make_kernel(ProcessSpec.riemann_liouville(H)), mp.mpf(H)
+        for s, t in pairs:
+            S, T = mp.mpf(s), mp.mpf(t)
+            exact = (S ** (h + 0.5) * T ** (h - 0.5) * mp.hyp2f1(0.5 - h, 1, h + 1.5, S / T)
+                     / ((h + 0.5) * mp.gamma(h + 0.5) ** 2))
+            assert k(s, t) == pytest.approx(float(exact), rel=1e-12, abs=0.0), (H, s, t)
+    H, beta = 0.25, 0.5
+    k = make_kernel(ProcessSpec.volterra_g(H, beta, GFunction.const(1.0)))
+    for s, t in pairs:
+        S, T = mp.mpf(s), mp.mpf(t)
+        exact = (S * T) ** (H - 0.5) * mp.quad(lambda u: ((1 - u / S) * (1 - u / T)) ** beta, [0, S])
+        assert k(s, t) == pytest.approx(float(exact), rel=1e-12, abs=0.0), (s, t)
 
 
 # RL and constant-g volterra-g (RL at H = beta + 1/2) through both 2F1 forms: the
@@ -318,9 +341,48 @@ def test_volterra_g_log_pow_entries_across_block_boundary():
         assert G[i, j].tobytes() == np.float64(kernel(float(t[i]), float(t[j]))).tobytes(), n
 
 
+def test_volterra_g_log_pow_near_diagonal_pairs_meet_tol():
+    # the 5334 pairs s < t of k/32, k = 1..256, with t/s < 1.2, where F(u/t) is nearly
+    # singular just past u = s: every entry within 10 tol of QUADPACK.  With y = s - u = s x,
+    # F(y/s) = -x log x is quad's algebraic-log weight, so the oracle integrates F((t-s+y)/t)
+    H = 0.25
+    t = np.arange(1, 257) / 32.0
+    iu, ju = np.triu_indices(t.size, 1)
+    near = t[ju] / t[iu] < 1.2
+    m, big = t[iu][near], t[ju][near]
+
+    def F(z):
+        return z * -math.log(z)
+
+    oracle = [-(a * b) ** (H - 0.5) * a * quad(lambda x: F((b - a + a * x) / b), 0.0, 1.0, weight="alg-loga",
+                                               wvar=(1.0, 0.0), epsabs=1e-15, epsrel=1e-14, limit=500)[0]
+              for a, b in zip(m, big)]
+    spec = ProcessSpec.volterra_g(H, 1.0, GFunction.log_pow(1))
+    assert (6.25, 7.28125) in zip(m, big)
+    for tol in (1e-6, 1e-8):
+        np.testing.assert_array_less(np.abs(make_kernel(spec, tol=tol)(m, big) - oracle), 10.0 * tol)
+
+
+def test_volterra_g_log_pow_gram_matches_quadrature_oracle():
+    # beta = 0.5, log-pow:2 on the standard grid at the default tol: every entry, the
+    # small ones near t = 0.05 included, within 1e-10 relative of QUADPACK
+    H, beta, k = 0.25, 0.5, 2
+    t = standard_grid().times
+    G = build_gram(make_kernel(ProcessSpec.volterra_g(H, beta, GFunction.log_pow(k))), standard_grid()).entries
+
+    def F(z):
+        return z**beta * (-math.log(z)) ** k if z > 0.0 else 0.0
+
+    for i, j in zip(*np.triu_indices(t.size)):
+        m, big = t[i], t[j]
+        # y = m - u = m e^-v puts F(y/m) = e^(-beta v) v^k on [0, inf)
+        val = m * _exp_quad(lambda v: math.exp(-(beta + 1.0) * v) * v**k * F((big - m + m * math.exp(-v)) / big))
+        assert G[i, j] == pytest.approx((m * big) ** (H - 0.5) * val, rel=1e-10, abs=0.0), (i, j)
+
+
 def test_volterra_g_log_pow_gram_memory_bounded():
-    # the 8128 pairs of k/128 are refined in blocks of 1024, not all at once
-    # (about 12 KB of live meshes per pair, 98 MiB for this Gram)
+    # the 8128 pairs of k/128 are integrated in blocks of 1024, not all at once
+    # (7.9 MiB peak in blocks, 38 MiB as one block)
     kernel = make_kernel(ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1)))
     grid = TimeGrid(np.arange(1, 129) / 128.0)
     tracemalloc.start()
@@ -493,6 +555,15 @@ def test_isometry_sweep():
         for c in (-H - 0.01, -2.0 * H, -5.0):
             s, t = rng.uniform(0.2, 4.0, size=2)
             assert isometry_residual(H, c, float(s), float(t)) <= 1e-8
+
+
+@pytest.mark.parametrize("c", [-0.51, -0.503, -0.502, -0.5001, -0.5 - 1e-12])
+def test_isometry_near_minus_h(c):
+    # q = -2(c + H) near 0: up to all but a sliver of the integral of u^(q-1) lies where
+    # u underflows, which the substituted integrand's w^2 model carries exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert isometry_residual(0.5, c, 1.0, 2.0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

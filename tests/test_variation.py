@@ -431,6 +431,25 @@ def test_log_weight_limits_match_quadrature_oracle(beta, k, t):
     assert int_limit_residual(beta, g, t) == pytest.approx(t * bracket + 0.5 * int_f2, rel=1e-8)
 
 
+def test_increment_variance_large_integral_of_f_squared():
+    # beta = -0.25, log-pow:3: int F^2 = 6!/(1/2)^7 = 92160 and the value is near 6.9e5,
+    # where the absolute tol 1e-12 is below one ulp; against a 40-digit cross term
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    H, beta, k, t = 0.25, -0.25, 3, 10.0
+    b, d = mp.mpf(beta), mp.mpf(t) + 1
+
+    def F(x):
+        return (1 - x) ** b * (-mp.log(1 - x)) ** k
+
+    root, shrink = mp.sqrt(mp.mpf(t) / d), 1 - 1 / d
+    bracket = mp.quad(lambda s: F(s) * (F(s) - root * F(shrink * s)), [0, shrink, 1])
+    exact = 92160 + 2 * d**H * mp.mpf(t) ** H * bracket
+    iv = increment_variance(H, beta, GFunction.log_pow(k), t)
+    assert iv.limit_value == 92160.0
+    assert iv.value == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # integral limit residual
 # ---------------------------------------------------------------------------
