@@ -14,9 +14,9 @@ from .markov import (AsymReport, CanonicalFit, FactorizationResult,
                      multiplicative_check, sqrt_diag_profile)
 from .quadrature import QuadResult, integrate_power_upper
 from .samplers import (SCHEMES, EmpiricalCov, PathEnsemble, SelfSimReport,
-                       empirical_cov, ensemble_csv_lines, ensemble_to_csv,
-                       load_ensemble, sample_spec, sample_timechange,
-                       save_ensemble, selfsim_check)
+                       empirical_cov, ensemble_csv_lines, load_ensemble,
+                       sample_spec, sample_timechange, save_ensemble,
+                       selfsim_check)
 from .variation import (ErgodicAverage, IncrementVariance, VariationReport,
                         ergodic_average, gaussian_abs_moment,
                         increment_variance, int_limit_residual,

@@ -376,8 +376,9 @@ def _add_common(p, spec_flag="--kernel"):
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility and ignored (no environment variable is read "
-                        "either); an ensemble of more than one Philox block draws its blocks on up to "
-                        "one thread per CPU, and output is identical for any value and any CPU count")
+                        "either); an ensemble of more than one block draws its blocks, each from its own "
+                        "SFC64 stream seeded by SeedSequence(seed, spawn_key=(block,)), on up to one "
+                        "thread per CPU, and output is identical for any value and any CPU count")
 
 
 @functools.cache

@@ -14,18 +14,21 @@ P = min(1024, max(min_rows, 2^17 // n_draws)) paths, about 2^17 normals
 (at least ``min_rows`` rows for the ``poly`` and midpoint transforms, which
 loop over grid times in Python).  Block ``b`` (paths ``b * P`` onward)
 draws ``n_draws`` standard normals per path, one row per path in grid
-order, in one call of the counter-based Philox generator keyed by
-``(seed, b)``, and one call of the sampler's vectorised, row-independent
-transform maps the rows of normals to paths.  Matrix products go to BLAS in
-slices of exactly ``_TILE`` rows (``_tiled``), so a path's values depend
-only on ``(seed, path index)``: a longer run extends a shorter one.  P
-depends only on the plan, so this holds for any CPU count.  Blocks are
-independent streams that write disjoint rows, so ``_draw_blocks``, the one
-place that keys Philox and starts threads, draws them on the calling thread
-plus up to one pool thread per further CPU in the process's affinity mask
-(no option sets that count); each thread draws the blocks it takes through
-one normals buffer and one rows buffer, and the bytes are the same for any
-CPU count.  ``_drawing_threads`` caps the threads so that their buffers
+order, in one call of an SFC64 generator seeded by
+``SeedSequence(seed, spawn_key=(b,))`` (``_block_generator``, numpy's route
+to independent parallel streams; the seeded sequence reads no OS entropy),
+and one call of the sampler's vectorised, row-independent transform maps
+the rows of normals to paths.  Ensemble sidecars record this layout as
+``"rng": "sfc64-block-v3"``.  Matrix products go to BLAS in slices of
+exactly ``_TILE`` rows (``_tiled``), so a path's values depend only on
+``(seed, path index)``: a longer run extends a shorter one.  P depends only
+on the plan, so this holds for any CPU count.  Blocks are independent
+streams that write disjoint rows, so ``_draw_blocks``, the one place that
+builds a block's generator and starts threads, draws them on the calling
+thread plus up to one pool thread per further CPU in the process's
+affinity mask (no option sets that count); each thread draws the blocks it
+takes through one normals buffer and one rows buffer, and the bytes are the
+same for any CPU count.  ``_drawing_threads`` caps the threads so that their buffers
 hold about 2^18 normals at most (one thread where a block holds more),
 whatever the CPU count, and draws the ``poly`` and midpoint blocks on the
 calling thread alone.  ``empirical_cov`` and ``selfsim_check`` reduce each
@@ -65,18 +68,17 @@ __all__ = [
     "empirical_cov",
     "selfsim_check",
     "get_max_workers",
-    "ensemble_to_csv",
     "ensemble_csv_lines",
     "save_ensemble",
     "load_ensemble",
 ]
 
-_BLOCK = 1024  # most paths per Philox stream
-_BLOCK_NORMALS = 2**17  # normals per Philox stream, rounded down to whole rows (at least min_rows)
+_BLOCK = 1024  # most paths per block stream
+_BLOCK_NORMALS = 2**17  # normals per block stream, rounded down to whole rows (at least min_rows)
 _TILE = 8  # rows per BLAS call
 _LOOP_ROWS = 64  # least rows per call of a transform that loops over grid times in Python
 _DRAW_NORMALS = 2 * _BLOCK_NORMALS  # most normals in the drawing threads' buffers at once
-_RNG_LAYOUT = "philox-block-v2"  # recorded in ensemble sidecars
+_RNG_LAYOUT = "sfc64-block-v3"  # recorded in ensemble sidecars
 
 
 # perfbench/spans.py looks this name up in Tracer.install(): deleting it makes every traced run raise KeyError
@@ -470,7 +472,7 @@ def _plan(spec: ProcessSpec, grid: TimeGrid, n_paths: int, seed: int, scheme: Op
 
 
 def _block_rows(plan: _Plan) -> int:
-    """P, the paths of each Philox block of ``plan``: about ``_BLOCK_NORMALS`` normals, at least ``min_rows``."""
+    """P, the paths of each block of ``plan``: about ``_BLOCK_NORMALS`` normals, at least ``min_rows``."""
     return min(_BLOCK, max(plan.min_rows, _BLOCK_NORMALS // max(1, plan.n_draws)))
 
 
@@ -490,13 +492,23 @@ def _drawing_threads(plan: _Plan) -> int:
     return max(1, _DRAW_NORMALS // (_block_rows(plan) * max(1, plan.n_draws)))
 
 
+def _block_generator(seed: int, b: int) -> np.random.Generator:
+    """Block ``b``'s generator: SFC64 seeded by ``SeedSequence(seed, spawn_key=(b,))``.
+
+    The seeded sequence hashes ``(seed, b)`` into SFC64's state and reads no
+    OS entropy, so block ``b`` of ``seed`` draws the same normals on any
+    thread and any CPU count.
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
 def _draw_blocks(plan: _Plan, seed: int, n_paths: int, d: int,
                  reduce: Callable[[np.ndarray, np.ndarray], object], out: Optional[np.ndarray] = None) -> list:
-    """``[reduce(rows, scratch) for each Philox block]`` in block order, each block reduced by the thread that drew it.
+    """``[reduce(rows, scratch) for each block]`` in block order, each block reduced by the thread that drew it.
 
     Block ``b`` holds paths ``b * P`` onward, P = ``_block_rows(plan)`` (fewer
     in the last block).  It draws its rows of ``n_draws`` normals in one call
-    of Philox keyed ``(seed, b)`` and maps them with one ``transform`` call;
+    of ``_block_generator(seed, b)`` and maps them with one ``transform`` call;
     a transform that returns ``d - 1`` columns leaves the leading t = 0
     column zero.  ``rows`` holds the block's paths as whole grid rows: in
     ``out`` when a zero array of all ``n_paths`` rows is given (path ``i`` in
@@ -531,8 +543,7 @@ def _draw_blocks(plan: _Plan, seed: int, n_paths: int, d: int,
                 if b is None:
                     return
                 lo, rows = b * P, min(P, n_paths - b * P)
-                rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
-                rng.standard_normal(out=z[:rows])
+                _block_generator(seed, b).standard_normal(out=z[:rows])
                 x = plan.transform(z[:rows])
                 dest = buf[:rows] if out is None else out[lo:lo + rows]
                 dest[:, d - x.shape[1]:] = x
@@ -564,7 +575,7 @@ def reduce_blocks(
     reduce: Callable[[np.ndarray, np.ndarray], object],
     inner_steps: Optional[int] = None,
 ) -> list:
-    """``reduce(rows, scratch)`` for each Philox block of ``sample_spec(...)``'s paths, in block order.
+    """``reduce(rows, scratch)`` for each block of ``sample_spec(...)``'s paths, in block order.
 
     The blocks are drawn by ``_draw_blocks`` as ``sample_spec`` draws them
     with the family's default scheme (``inner_steps`` reaches only the
@@ -601,7 +612,7 @@ def sample_spec(
     constant and beta an integer >= 0, and through the midpoint ``volterra``
     scheme otherwise; ``inner_steps`` reaches only that scheme.  A scheme
     that does not fit the spec or the grid raises :class:`ParameterError`.
-    ``_draw_blocks`` draws the Philox blocks straight into the ensemble, with
+    ``_draw_blocks`` draws the SFC64 blocks straight into the ensemble, with
     the same bytes for any CPU count.
     """
     scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
@@ -707,15 +718,11 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
 # ---------------------------------------------------------------------------
 
 def ensemble_csv_lines(ensemble: PathEnsemble) -> Iterator[str]:
-    """The lines of ``ensemble_to_csv``, each with its newline, formatted one at a time."""
+    """CSV lines, each with its newline, formatted one at a time: a header of grid times, then
+    one row per path, 17 significant digits."""
     yield ",".join(f"{x:.16e}" for x in ensemble.grid.times) + "\n"
     for row in ensemble.values:
         yield ",".join(f"{x:.16e}" for x in row) + "\n"
-
-
-def ensemble_to_csv(ensemble: PathEnsemble) -> str:
-    """CSV text: header = grid times, one row per path; 17 significant digits."""
-    return "".join(ensemble_csv_lines(ensemble))
 
 
 # every sidecar carries these; "rng", "inner_steps" and "jitter" are optional
@@ -752,8 +759,9 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
 def load_ensemble(path) -> PathEnsemble:
     """Read what :func:`save_ensemble` wrote; a missing file, or a sidecar that
     lacks a key, holds a malformed value or does not describe a float64
-    column-major file, is refused naming it.  Unknown scheme names and a
-    missing "rng" key load, as older files carry them."""
+    column-major file, is refused naming it.  Unknown scheme names, a
+    missing "rng" key and the Philox tags "philox-block-v1" and
+    "philox-block-v2" load, as older files carry them."""
     path = Path(path)
     side = path.with_suffix(path.suffix + ".json")
     try:

@@ -183,8 +183,9 @@ def pvariation_trichotomy(
     canonical, circulant embedding for fBm, whose dyadic grids are uniform,
     the exact polynomial-kernel state recursion for volterra-g with constant
     g and integer beta >= 0, discretized Volterra for other volterra-g,
-    Cholesky otherwise).  ``reduce_blocks`` draws its Philox blocks on the
-    block runner's threads and reduces each to its per-level sums where it is
+    Cholesky otherwise).  ``reduce_blocks`` draws its blocks, each from the
+    SFC64 stream of ``SeedSequence(seed, spawn_key=(b,))``, on the block
+    runner's threads and reduces each to its per-level sums where it is
     drawn, so the ensemble is never held whole, and the report has the same
     bytes for any CPU count.  Level n reads the columns
     ``rows[:, ::max(n_list) // n]``: the sub-grid k / n of the same paths,
@@ -259,10 +260,11 @@ def ergodic_average(
     ``n`` is an integer >= 2.  The paths are those of ``sample_spec`` on the
     integer grid 0, 1, ..., n: exact ``poly`` paths for constant g with
     integer beta >= 0, otherwise the midpoint ``volterra`` scheme with 64
-    cells per unit time.  ``reduce_blocks`` draws their Philox blocks on
-    the calling thread, since both transforms hold the GIL, and reduces each
-    to its per-path sums as it is drawn, so the ensemble is never held whole.  The target
-    is E[f(J)] for J ~ N(0, int_0^1 F^2), evaluated in closed form.
+    cells per unit time.  ``reduce_blocks`` draws their blocks, each from the
+    SFC64 stream of ``SeedSequence(seed, spawn_key=(b,))``, on the calling
+    thread, since both transforms hold the GIL, and reduces each to its
+    per-path sums as it is drawn, so the ensemble is never held whole.  The
+    target is E[f(J)] for J ~ N(0, int_0^1 F^2), evaluated in closed form.
     """
     if spec.family != Family.VOLTERRA_G:
         raise ParameterError("ergodic averages run on the volterra-g family")
@@ -297,7 +299,9 @@ def _bracket(spec: ProcessSpec, d: float, root: float):
         fs = F(dist)
         return fs * (fs - root * F(dist + s / d))
 
-    return integrate_power_upper(f2, 0.0, 1.0, spec.beta, _LIMIT_TOL, DEFAULT_BUDGET)
+    # near s = 1 the integrand behaves like dist^beta for beta >= 0, but for beta < 0 its
+    # F(s)^2 term ~ dist^(2 beta) dominates
+    return integrate_power_upper(f2, 0.0, 1.0, min(spec.beta, 2.0 * spec.beta), _LIMIT_TOL, DEFAULT_BUDGET)
 
 
 def increment_variance(H: float, beta: float, g: GFunction, t: float) -> IncrementVariance:

@@ -14,7 +14,7 @@ import pytest
 
 import ssgm
 from ssgm import (SCHEMES, GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
-                  ensemble_to_csv, ergodic_average, increment_variance,
+                  ensemble_csv_lines, ergodic_average, increment_variance,
                   load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_spec,
                   sample_timechange, save_ensemble, selfsim_check)
 from ssgm.errors import NumericalError, ParameterError
@@ -48,6 +48,66 @@ def test_bitwise_determinism():
 
 def _sha(a) -> str:
     return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def test_blocks_are_block_generator_streams():
+    # block b of sample_spec is the transform of block b's normals from _block_generator(seed, b):
+    # 2500 paths of 12 grid times are blocks of 1024, 1024 and 452
+    seed, n_paths = 7, 2500
+    ens = sample_spec(SPEC, GRID, n_paths, seed)
+    plan = ssgm.samplers._plan(SPEC, GRID, n_paths, seed, None, None)[1]
+    P = ssgm.samplers._block_rows(plan)
+    assert P == 1024
+    for b, lo in enumerate(range(0, n_paths, P)):
+        rows = min(P, n_paths - lo)
+        z = ssgm.samplers._block_generator(seed, b).standard_normal((rows, plan.n_draws))
+        assert ens.values[lo:lo + rows].tobytes() == plan.transform(z).tobytes(), b
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "max"])
+def test_extreme_seeds_draw(seed):
+    # 1030 paths are two blocks, two streams of the same seed
+    ens = sample_spec(SPEC, GRID, 1030, seed)
+    assert np.all(np.isfinite(ens.values)) and ens.seed == seed
+    assert not np.array_equal(ens.values[:6], ens.values[1024:])
+
+
+def test_block_generators_read_no_os_entropy(monkeypatch):
+    # the seeded SeedSequence hashes (seed, b) alone: no block reads os.urandom, which an unseeded
+    # SeedSequence reads through random._urandom
+    import random
+
+    calls = []
+    real = random._urandom
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(random, "_urandom", counted)
+    np.random.SeedSequence()
+    assert len(calls) == 1  # the counter sees an unseeded sequence's read
+    calls.clear()
+    for seed, b in ((0, 0), (5, 3), (2**64 - 1, 10**6)):
+        rng = ssgm.samplers._block_generator(seed, b)
+        seed_seq = rng.bit_generator.seed_seq
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        assert (seed_seq.entropy, seed_seq.spawn_key) == (seed, (b,))
+    sample_spec(SPEC, GRID, 2500, 5)
+    assert calls == []
+
+
+def test_block_streams_uncorrelated():
+    # the normals of (seed, 0), (seed, 1) and (seed + 1, 0): pairwise sample correlations within
+    # 5 / sqrt(n), and each stream's moments those of N(0, 1)
+    n = 2**17
+    streams = [ssgm.samplers._block_generator(seed, b).standard_normal(n)
+               for seed, b in ((11, 0), (11, 1), (12, 0))]
+    for i in range(3):
+        assert abs(np.mean(streams[i])) <= 5 / math.sqrt(n)
+        assert abs(np.var(streams[i]) - 1.0) <= 5 * math.sqrt(2.0 / n)
+        for j in range(i):
+            assert abs(np.corrcoef(streams[i], streams[j])[0, 1]) <= 5 / math.sqrt(n), (i, j)
 
 
 @pytest.mark.parametrize("lead0", [False, True], ids=["positive", "with_t0"])
@@ -152,7 +212,7 @@ def test_loop_transforms_draw_on_the_calling_thread(monkeypatch, spec, n):
 
 def _fail_in_block_1(monkeypatch, seed):
     """Make the timechange scheme's transform raise on block 1 of ``seed``."""
-    first = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64))).standard_normal()
+    first = ssgm.samplers._block_generator(seed, 1).standard_normal()
     real = ssgm.samplers._SCHEMES["timechange"]
 
     def builder(spec, pos, inner_steps):
@@ -328,7 +388,7 @@ def test_default_scheme_t0_column_is_positive_zero(label):
     # every scheme draws only for positive times, so t = 0 is +0.0 and the CSV never shows -0.0
     ens = sample_spec(parse_spec_string(label), TimeGrid(np.array([0.0, 0.5, 1.0])), 8, 1)
     assert not np.any(np.signbit(ens.values[:, 0]))
-    assert "-0.0" not in ensemble_to_csv(ens)
+    assert "-0.0" not in "".join(ensemble_csv_lines(ens))
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +760,7 @@ def test_volterra_scheme_is_volterra_g_only(spec):
 
 def test_csv_export_format():
     ens = sample_timechange(0.5, -1.0, TimeGrid(np.array([1.0, 2.0])), 3, 5)
-    text = ensemble_to_csv(ens)
+    text = "".join(ensemble_csv_lines(ens))
     lines = text.strip().split("\n")
     assert len(lines) == 4
     assert lines[0] == "1.0000000000000000e+00,2.0000000000000000e+00"
@@ -740,17 +800,18 @@ def test_saved_bytes_for_any_shape_and_order(tmp_path, n_paths, d, order):
     assert (tmp_path / "e.bin").read_bytes() == np.asfortranarray(values).tobytes(order="F")
 
 
-@pytest.mark.parametrize("rng", ["philox-block-v2", None, "philox-block-v1"],
-                         ids=["new_sidecar", "old_sidecar", "v1_sidecar"])
+@pytest.mark.parametrize("rng", ["sfc64-block-v3", None, "philox-block-v1", "philox-block-v2"],
+                         ids=["new_sidecar", "old_sidecar", "v1_sidecar", "v2_sidecar"])
 def test_sidecar_rng_marker(tmp_path, rng):
-    # sidecars written before the block layout carry no "rng" key, those of 1024-path blocks
-    # "philox-block-v1"; both still load
+    # sidecars written before the block layout carry no "rng" key, those of 1024-path Philox
+    # blocks "philox-block-v1", those of Philox blocks of about 2^17 normals "philox-block-v2";
+    # all still load
     ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
     path = tmp_path / "ens.bin"
     save_ensemble(ens, path)
     side = tmp_path / "ens.bin.json"
     sidecar = json.loads(side.read_text())
-    assert sidecar["rng"] == "philox-block-v2"
+    assert sidecar["rng"] == "sfc64-block-v3"
     if rng != sidecar["rng"]:
         if rng is None:
             del sidecar["rng"]
@@ -959,7 +1020,7 @@ def test_sample_chunks_checks_when_called(args, match):
 
 
 def test_cli_csv_streams_rows(tmp_path):
-    # --csv holds about one row's text at a time, and writes the bytes of ensemble_to_csv
+    # --csv holds about one row's text at a time, and writes the bytes of ensemble_csv_lines
     import tracemalloc
 
     from ssgm.cli import main
@@ -975,7 +1036,8 @@ def test_cli_csv_streams_rows(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    text = ensemble_to_csv(sample_spec(ProcessSpec.canonical(0.5, -1.0), TimeGrid(np.arange(d) / (d - 1)), 16, 3))
+    text = "".join(ensemble_csv_lines(sample_spec(ProcessSpec.canonical(0.5, -1.0), TimeGrid(np.arange(d) / (d - 1)),
+                                                  16, 3)))
     assert (tmp_path / "e.csv").read_bytes() == text.encode()
     row_text = len(text) / 17
     assert peaks[1] - peaks[0] <= 6 * row_text, (peaks, row_text)

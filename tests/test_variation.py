@@ -81,7 +81,9 @@ def test_trichotomy_bm_finite_limit():
     ],
 )
 def test_trichotomy_fbm_verdicts(H, p, expected):
-    rep = pvariation_trichotomy(ProcessSpec.fbm(H), p, [2**7, 2**8, 2**9, 2**10], 64, 103)
+    # 256 paths: over 40 seeds the slope's sd is 0.028 at 64 paths for H = 0.25, p = 4, where
+    # abs=0.05 fails about one stream in fourteen, and 0.011 at 256 paths (about 4.4 sd)
+    rep = pvariation_trichotomy(ProcessSpec.fbm(H), p, [2**7, 2**8, 2**9, 2**10], 256, 103)
     assert rep.verdict == expected, f"H={H} p={p}: slope {rep.slope_estimate:+.3f}"
     # stationary-increment scaling: slope tracks 1 - pH
     assert rep.slope_estimate == pytest.approx(1.0 - p * H, abs=0.05)
@@ -143,21 +145,21 @@ def test_trichotomy_levels_are_subgrids_of_one_ensemble(spec, scheme):
 
 
 def test_trichotomy_samples_once(monkeypatch):
-    # one plan, on the finest grid, and each Philox block of it keyed once: 53 fBm paths on
+    # one plan, on the finest grid, and each block of it keyed once: 53 fBm paths on
     # 2^12 + 1 points are three blocks of 16 paths and one of 5
     plans, keys = [], []
-    real_plan, real_philox = ssgm.samplers._plan, np.random.Philox
+    real_plan, real_generator = ssgm.samplers._plan, ssgm.samplers._block_generator
 
     def planning(spec, grid, *args):
         plans.append(len(grid))
         return real_plan(spec, grid, *args)
 
-    def keyed(key):
-        keys.append(tuple(int(k) for k in key))
-        return real_philox(key=key)
+    def keyed(seed, b):
+        keys.append((seed, b))
+        return real_generator(seed, b)
 
     monkeypatch.setattr(ssgm.samplers, "_plan", planning)
-    monkeypatch.setattr(np.random, "Philox", keyed)
+    monkeypatch.setattr(ssgm.samplers, "_block_generator", keyed)
     pvariation_trichotomy(ProcessSpec.fbm(0.75), 2.0, [2**9, 2**10, 2**11, 2**12], 53, 5)
     assert plans == [2**12 + 1]
     assert sorted(keys) == [(5, b) for b in range(4)]
@@ -450,6 +452,27 @@ def test_increment_variance_large_integral_of_f_squared():
     assert iv.value == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
+def _const_bracket_oracle(beta, shrink, root):
+    """int_0^1 F(s) [F(s) - root F(shrink s)] ds for F(s) = (1-s)^beta, by mpmath at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    b = mp.mpf(beta)
+    cross = mp.quad(lambda s: (1 - s) ** b * (1 - shrink * s) ** b, [0, 1])
+    return 1 / (2 * b + 1) - root * cross
+
+
+@pytest.mark.parametrize("beta", [-0.49, -0.45, -0.4, -0.3])
+def test_increment_variance_negative_beta(beta):
+    # for beta < 0 the bracket's integrand behaves like F(s)^2 ~ dist^(2 beta) near s = 1, not
+    # dist^beta: taken as dist^beta, beta = -0.49 exhausted the quadrature budget
+    mp = pytest.importorskip("mpmath")
+    H, t = 0.25, 10.0
+    bracket = _const_bracket_oracle(beta, mp.mpf(10) / 11, mp.sqrt(mp.mpf(10) / 11))
+    exact = 1 / (2 * mp.mpf(beta) + 1) + 2 * mp.mpf(11) ** H * mp.mpf(10) ** H * bracket
+    iv = increment_variance(H, beta, G1, t)
+    assert iv.value == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # integral limit residual
 # ---------------------------------------------------------------------------
@@ -469,6 +492,15 @@ def test_int_limit_log_weight_decreasing():
 def test_int_limit_beta_zero_degenerate():
     # the bracket vanishes identically, leaving (1/2) int F^2 = 1/2 exactly
     assert int_limit_residual(0.0, G1, 100.0) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [-0.49, -0.3])
+def test_int_limit_residual_negative_beta(beta):
+    mp = pytest.importorskip("mpmath")
+    t = 10.0
+    bracket = _const_bracket_oracle(beta, 1 - 1 / mp.mpf(t), 1)
+    exact = t * bracket + 1 / (2 * (2 * mp.mpf(beta) + 1))
+    assert int_limit_residual(beta, G1, t) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
 
 def test_int_limit_validation():
