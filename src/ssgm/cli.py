@@ -27,7 +27,7 @@ from .gram import (MinorQuery, TimeGrid, build_gram, check_array_size, gram_to_c
                    lindstrom_minor, power_gram, psd_check, standard_grid)
 from .kernels import L_FORM_FAMILIES, make_kernel, parse_spec_string
 from .markov import asym_coeff_estimate, markov_test, sqrt_diag_profile
-from .quadrature import DEFAULT_BUDGET
+from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, check_quadrature_args
 from .samplers import SCHEMES, empirical_cov, ensemble_csv_lines, sample_spec, save_ensemble
 from .variation import pvariation_trichotomy, variation_to_csv
 
@@ -165,8 +165,8 @@ def _settle(args) -> None:
         if getattr(args, name, None) is None:
             setattr(args, name, default)
     # asym's --tol is a noise floor, where 0 is allowed; asym_coeff_estimate checks it
-    if args.command != "asym" and not (args.tol > 0 and math.isfinite(args.tol)):
-        raise ParameterError(f"quadrature tolerance must be positive and finite, got {args.tol!r}")
+    if args.command != "asym":
+        check_quadrature_args(args.tol, DEFAULT_BUDGET)
     grid = cfg.grid.build() if cfg else None
     args.spec = parse_spec_string(args.spec) if args.spec else (cfg.process if cfg else None)
     args.grid = _parse_grid_arg(args.grid) if getattr(args, "grid", None) else grid
@@ -371,7 +371,7 @@ def _add_common(p, spec_flag="--kernel"):
     p.add_argument("--config", help="RunConfig file (flags override its blocks)")
     p.add_argument("--tol", type=float, default=None,
                    help="quadrature tolerance, positive and finite (default: the config's quad_tol, "
-                        "else 1e-10); only off-diagonal volterra-g log-pow pairs integrate; "
+                        f"else {DEFAULT_TOL:g}); only off-diagonal volterra-g log-pow pairs integrate; "
                         "asym's noise floor is 10*tol, where 0 is allowed")
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--threads", type=int, default=None,

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ParameterError
 from .gram import TimeGrid
 from .kernels import ProcessSpec, spec_from_params, spec_to_params
+from .quadrature import DEFAULT_TOL
 
 __all__ = ["GridConfig", "MCConfig", "ToleranceConfig", "RunConfig",
            "parse_config", "serialize_config", "load_config"]
@@ -69,7 +70,7 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    quad_tol: float = 1e-10
+    quad_tol: float = DEFAULT_TOL
     psd_tol: float = 1e-10
 
 

@@ -15,8 +15,8 @@ canonical family as a stochastic integral.
 
 Every kernel is closed form except off-diagonal log-pow volterra-g pairs, which
 (like the isometry check) go through ``integrate_power_upper``: the pairs of
-one evaluator call share each tanh-sinh level's nodes, up to 1024 at a time,
-and each stops on its own test and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g
+one evaluator call are one batch that shares each tanh-sinh level's nodes, and
+each stops on its own test and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g
 (a rescaled RL) go through the Gauss hypergeometric function.
 
 Every covariance is evaluated through ``make_kernel(spec)(s, t)``: the one
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, hyp2f1
 
 from .errors import ParameterError
-from .quadrature import DEFAULT_BUDGET, check_quadrature_args, integrate_power_upper
+from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, check_quadrature_args, integrate_power_upper
 
 __all__ = [
     "Family",
@@ -92,6 +92,9 @@ class GFunction:
             raise ParameterError(f"const g requires a finite value, got {self.a!r}")
         if self.kind == "log-pow" and not (1 <= self.k < math.inf and self.k == int(self.k)):
             raise ParameterError("log-pow exponent k must be a positive integer")
+        # numpy scalars become Python numbers, so the label parses back
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "k", int(self.k))
 
     @classmethod
     def const(cls, a: float = 1.0) -> "GFunction":
@@ -181,6 +184,9 @@ class ProcessSpec:
                 raise ParameterError("volterra-g requires beta and g")
             if not -0.5 < self.beta < math.inf:
                 raise ParameterError(f"volterra-g requires a finite beta > -1/2, got {self.beta!r}")
+        for name in ("H", "c", "htilde", "ktilde", "beta"):  # numpy scalars too, so the label parses back
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     # -- factories ---------------------------------------------------------
     @classmethod
@@ -244,10 +250,10 @@ class ProcessSpec:
 # ---------------------------------------------------------------------------
 
 def spec_to_params(spec: ProcessSpec) -> dict:
-    """Named numeric parameters of a spec; c = -inf is spelled "-inf"."""
+    """Named numeric parameters of a spec, each the ``repr`` of its float (c = -inf is "-inf")."""
     params: dict = {"family": spec.family.value, "H": repr(spec.H)}
     if spec.family == Family.CANONICAL:
-        params["c"] = "-inf" if math.isinf(spec.c) else repr(spec.c)
+        params["c"] = repr(spec.c)
     if spec.family == Family.BIFBM:
         params["htilde"] = repr(spec.htilde)
         params["ktilde"] = repr(spec.ktilde)
@@ -374,7 +380,7 @@ def _rl(H: float, lo, hi, gap):
     return lo ** (H + 0.5) * hi ** (H - 0.5) * f / ((H + 0.5) * gamma_fn(H + 0.5) ** 2)
 
 
-def _formula(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET) -> Callable:
+def _formula(spec: ProcessSpec, tol: float, budget: int) -> Callable:
     """The covariance of ``spec`` as a function of (lo, hi, gap) with 0 < lo <= hi, gap = hi - lo."""
     H, fam = spec.H, spec.family
     if fam == Family.WHITE_NOISE or (fam == Family.CANONICAL and math.isinf(spec.c)):
@@ -463,16 +469,13 @@ def volterra_kernel(H: float, c: float, s, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-_ISOMETRY_TOL = 1e-10  # isometry_residual's quadrature tolerance
-
-
 def isometry_residual(H: float, c: float, s: float, t: float) -> float:
     """| integral_0^(s^t) K(u,s) K(u,t) du  -  R_can(s,t) |.
 
     The integrand is a pure power u^(q-1) with q = -2(c+H) > 0, so it goes
     through :func:`integrate_power_upper` over x = (s^t) - u, which puts that
-    power at the upper limit, where ``dist`` is u itself, with tolerance
-    1e-10 and the default budget ``DEFAULT_BUDGET``.  K is evaluated
+    power at the upper limit, where ``dist`` is u itself, with the default
+    tolerance ``DEFAULT_TOL`` and budget ``DEFAULT_BUDGET``.  K is evaluated
     through :func:`volterra_kernel` so the check exercises the same code path
     users call.
     """
@@ -482,7 +485,7 @@ def isometry_residual(H: float, c: float, s: float, t: float) -> float:
         raise ParameterError(f"isometry check requires finite c < -H, got c={c!r}, H={H!r}")
     q = -2.0 * (c + H)
     quad = integrate_power_upper(lambda x, u, _: volterra_kernel(H, c, u, s) * volterra_kernel(H, c, u, t),
-                                 0.0, min(s, t), q - 1.0, _ISOMETRY_TOL, DEFAULT_BUDGET)
+                                 0.0, min(s, t), q - 1.0, DEFAULT_TOL, DEFAULT_BUDGET)
     return abs(quad.value - make_kernel(ProcessSpec.canonical(H, c))(s, t))
 
 
@@ -522,7 +525,7 @@ class CovKernel:
 
 def _volterra_g_pairs(spec: ProcessSpec, m: np.ndarray, big: np.ndarray, gap: np.ndarray, tol: float, budget: int):
     """(m M)^(H-1/2) integral_0^m F(u/m) F(u/M) du for 0 < m < M, gap = M - m,
-    F(x) = (1-x)^beta g(x), all pairs integrated together in blocks; each factor is
+    F(x) = (1-x)^beta g(x), all pairs integrated as one batch; each factor is
     evaluated from its own gap 1 - u/m = dist/m or 1 - u/M = (gap + dist)/M."""
     F = spec.weight_at_gap
 
@@ -543,7 +546,7 @@ def volterra_g_variance(spec: ProcessSpec) -> float:
     return math.factorial(2 * g.k) / (2.0 * beta + 1.0) ** (2 * g.k + 1)
 
 
-def make_kernel(spec: ProcessSpec, tol: float = 1e-10, budget: int = DEFAULT_BUDGET) -> CovKernel:
+def make_kernel(spec: ProcessSpec, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> CovKernel:
     """Build the evaluatable covariance kernel for a process spec.
 
     ``tol`` and ``budget`` reach only the adaptive quadrature of off-diagonal

@@ -13,9 +13,9 @@ done when two levels agree within the absolute ``tol``.  Where ``b - s``
 would underflow, the integrand in ``w`` is its ``w^2`` model, scaled to its
 value at the smallest ``w`` where it does not, and a node there is evaluated
 at that ``w``.  So ``evals`` counts nodes, each one point of the integrand.
-Every integral of a batch uses the same nodes: the live integrals of a block
-of up to 1024 are evaluated in one integrand call per level, while each keeps
-its own stopping test, budget and result.
+Every integral of a batch uses the same nodes: a level evaluates the live
+integrals in integrand calls of at most ``_POINTS`` (integral, node) pairs,
+while each integral keeps its own stopping test, budget and result.
 """
 
 from __future__ import annotations
@@ -29,13 +29,11 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 
-__all__ = ["DEFAULT_BUDGET", "QuadResult", "check_quadrature_args", "integrate_power_upper"]
+__all__ = ["DEFAULT_BUDGET", "DEFAULT_TOL", "QuadResult", "check_quadrature_args", "integrate_power_upper"]
 
 DEFAULT_BUDGET = 1 << 20
-# integrals per level loop: bounds the per-integral state of a large batch (a log-pow
-# Gram's pairs) while keeping the numpy calls per level few
-_BLOCK = 1024
-_POINTS = 1 << 20  # (integral, node) pairs per integrand call: bounds a deep level's arrays
+DEFAULT_TOL = 1e-10
+_POINTS = 1 << 14  # (integral, node) pairs per integrand call: the one bound on a call's arrays
 # level 0 has step 1/2 on t in [-6, 3.5], where w runs from 1e-275 to 1 - 3e-23: the
 # tails left out hold 3e-27 of the integral of w^-0.9 near 0 and 3e-23 times the bound
 # of a g bounded near 1
@@ -76,16 +74,16 @@ def _level(level: int):
     return w, np.pi * np.cosh(t) * w * w_rest, h
 
 
-def _tanh_sinh(f2, a: np.ndarray, b: np.ndarray, q: float, tol: float, budget: int, start: int):
+def _tanh_sinh(f2, a: np.ndarray, b: np.ndarray, q: float, tol: float, budget: int):
     """Integrate ``f2`` over every ``[a[i], b[i]]``; returns (values, errors, evals).
 
-    In ``w`` the integrand is ``g(w) = f2(s, dist, start + i) (b - a) q w^(q-1)`` with
+    In ``w`` the integrand is ``g(w) = f2(s, dist, i) (b - a) q w^(q-1)`` with
     ``dist = (b - a) w^q`` and ``s = b - dist``.  Below ``w_lo``, where ``dist`` (or
     ``w^q``) would fall under the smallest normal double, a node takes the ``w^2`` model
     ``g(w_lo) (w/w_lo)^2``, so ``g`` is called at ``w_lo`` in its place.  Each level is
-    evaluated in slices of at most ``_POINTS`` (integral, node) pairs, one slice unless
-    the level is deep.  An integral stops at the first level whose estimate is within
-    ``tol`` of the level before.
+    evaluated in slices of at most ``_POINTS`` (integral, node) pairs (at least one
+    integral), so no integrand call's arrays grow with the batch.  An integral stops at
+    the first level whose estimate is within ``tol`` of the level before.
     """
     span = b - a
     n = span.size
@@ -100,7 +98,7 @@ def _tanh_sinh(f2, a: np.ndarray, b: np.ndarray, q: float, tol: float, budget: i
         dist_per_w = span[i] * w ** (q - 1.0)
         dist = dist_per_w * w
         with np.errstate(all="ignore"):  # every non-finite value is reported below
-            out = f2(b[i] - dist, dist, start + i) * (q * dist_per_w)
+            out = f2(b[i] - dist, dist, i) * (q * dist_per_w)
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             j = bad[0]
@@ -137,7 +135,7 @@ def integrate_power_upper(
     a,
     b,
     power: float,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> QuadResult:
     """Integrate over ``[a, b]`` when the integrand behaves like ``(b - s)^power``
@@ -154,15 +152,14 @@ def integrate_power_upper(
     the points at which ``f2`` was called for that integral, one per node.
 
     ``a`` and ``b`` are scalars or arrays, broadcast to one integral per entry
-    and integrated together in blocks of up to 1024, each on the same nodes with
-    its own stopping test and ``budget``, so an entry is what its integral gives
-    alone.  Scalar ``a`` and ``b`` give Python scalars in the result, arrays give
-    arrays; an empty interval gives 0 with 0 evaluations.  Raises
-    :class:`NumericalError` for ``power <= -1``, for a non-finite integrand
-    value, or when any integral's next level would take it past ``budget``
-    (the first failing block's error), and :class:`ParameterError`, before any evaluation, for a
-    ``tol`` that is not positive and finite or a ``budget`` that is not an
-    integer >= 1.
+    and integrated together, each on the same nodes with its own stopping test
+    and ``budget``, so an entry is what its integral gives alone.  Scalar ``a``
+    and ``b`` give Python scalars in the result, arrays give arrays; an empty
+    interval gives 0 with 0 evaluations.  Raises :class:`NumericalError` for
+    ``power <= -1``, for a non-finite integrand value (naming the first one
+    met), or when any integral's next level would take it past ``budget``, and
+    :class:`ParameterError`, before any evaluation, for a ``tol`` that is not
+    positive and finite or a ``budget`` that is not an integer >= 1.
     """
     check_quadrature_args(tol, budget)
     if power <= -1.0:
@@ -170,7 +167,5 @@ def integrate_power_upper(
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
     a, b = (np.ravel(x).astype(float) for x in np.broadcast_arrays(a, b))
     q = 3.0 / (1.0 + power)
-    blocks = [_tanh_sinh(f2, a[i:i + _BLOCK], b[i:i + _BLOCK], q, tol, budget, i)
-              for i in range(0, max(a.size, 1), _BLOCK)]  # an empty batch makes one empty block
-    out = (np.concatenate(field) for field in zip(*blocks))
+    out = _tanh_sinh(f2, a, b, q, tol, budget)
     return QuadResult(*(x.item() if shape == () else x.reshape(shape) for x in out))

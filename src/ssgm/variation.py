@@ -8,7 +8,8 @@ log-log slope of mean S_n and classifies accordingly.  As in Levy's
 quadratic variation of Brownian motion, S_n follows the same paths along
 refining partitions: one ensemble is drawn on the finest dyadic grid (with
 ``seed`` itself) and every coarser level reads its sub-grid columns, block
-by block where the rows are drawn.
+by block where the rows are drawn, each level's increments reduced in one
+pass in the front of the block's spent normals.
 
 The quadrature side evaluates, for F(x) = (1-x)^beta g(x),
 
@@ -54,7 +55,6 @@ __all__ = [
 ]
 
 _SLOPE_BAND = 0.1
-_SUM_CHUNK = 2**16  # increments per p-variation reduction buffer
 _ERGODIC_INNER_STEPS = 64  # midpoint volterra cells per unit time in ergodic_average
 _LIMIT_TOL = 1e-12  # quadrature tolerance of increment_variance and int_limit_residual
 
@@ -108,30 +108,22 @@ def _check_p(p: float) -> None:
 def _pvariation_sums(values: np.ndarray, p: float, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """sum_k |Z_{k+1} - Z_k|^p along each row of a 2-D array of paths.
 
-    Rows are reduced in chunks of about ``_SUM_CHUNK`` increments (at least
-    one row) through one reused buffer, so no array of the input's size is
-    allocated; when ``scratch`` is given, a flat float64 array of at least
-    ``len(values) * (values.shape[1] - 1)`` values, the buffer is its front.
-    Each chunk's increments are ``np.diff``'s bytes, the power is taken in
-    place with the same fast paths as ``incr ** p`` (at p = 2 on the signed
-    increments, since x**2 is |x|**2 bytewise), and every row is summed on
-    its own, so the sums are bytewise those of the unchunked
-    ``np.sum(np.abs(np.diff(values, axis=1)) ** p, axis=1)``.
+    The increments of all rows go through one buffer in one pass: the front
+    of ``scratch`` when it is given, a flat float64 array of at least
+    ``len(values) * (values.shape[1] - 1)`` values (the callers pass a drawn
+    block's spent normals), else a new array of that size.  The increments
+    are ``np.diff``'s bytes, the power is taken in place with the same fast
+    paths as ``incr ** p`` (at p = 2 on the signed increments, since x**2 is
+    |x|**2 bytewise), and every row is summed on its own, so the sums are
+    bytewise those of ``np.sum(np.abs(np.diff(values, axis=1)) ** p, axis=1)``.
     """
-    n_rows, n_incr = values.shape[0], values.shape[1] - 1
-    step = max(1, _SUM_CHUNK // max(1, n_incr))
-    shape = (min(step, n_rows), n_incr)
-    buf = np.empty(shape) if scratch is None else scratch[:shape[0] * n_incr].reshape(shape)
-    sums = np.empty(n_rows)
-    for lo in range(0, n_rows, step):
-        v = values[lo:lo + step]
-        incr = buf[:len(v)]
-        np.subtract(v[:, 1:], v[:, :-1], out=incr)
-        if p != 2.0:
-            np.abs(incr, out=incr)
-        incr **= p
-        np.sum(incr, axis=1, out=sums[lo:lo + len(v)])
-    return sums
+    shape = (values.shape[0], values.shape[1] - 1)
+    incr = np.empty(shape) if scratch is None else scratch[:shape[0] * shape[1]].reshape(shape)
+    np.subtract(values[:, 1:], values[:, :-1], out=incr)
+    if p != 2.0:
+        np.abs(incr, out=incr)
+    incr **= p
+    return np.sum(incr, axis=1)
 
 
 def pvariation_sum(values, p: float) -> float:

@@ -381,8 +381,8 @@ def test_volterra_g_log_pow_gram_matches_quadrature_oracle():
 
 
 def test_volterra_g_log_pow_gram_memory_bounded():
-    # the 8128 pairs of k/128 are integrated in blocks of 1024, not all at once
-    # (7.9 MiB peak in blocks, 38 MiB as one block)
+    # the 8128 pairs of k/128 are one batch whose integrand calls hold at most _POINTS
+    # (integral, node) pairs each, so the peak stays far below one call over every pair
     kernel = make_kernel(ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1)))
     grid = TimeGrid(np.arange(1, 129) / 128.0)
     tracemalloc.start()
@@ -392,6 +392,20 @@ def test_volterra_g_log_pow_gram_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20, peak / 2**20
+
+
+def test_volterra_g_log_pow_gram_peak_pinned():
+    # the 32,640 pairs of k/32, k = 1..256: about 7.2 MiB at a 2^14-pair bound per integrand
+    # call, where 1024-integral blocks of 2^20-pair calls peaked at 10.9 MiB
+    kernel = make_kernel(parse_spec_string("volterra-g:H=0.25,beta=1,g=log-pow:1"))
+    grid = TimeGrid(np.arange(1, 257) / 32.0)
+    tracemalloc.start()
+    try:
+        build_gram(kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20, peak / 2**20
 
 
 def test_volterra_g_log_pow_axes_and_diagonal():
@@ -776,6 +790,27 @@ def test_spec_string_round_trip():
     for spec in specs:
         text = format_spec_string(spec)
         assert parse_spec_string(text) == spec
+
+
+def test_spec_label_of_numpy_scalars_parses_back():
+    # numpy scalar fields are held as Python numbers, so the label is the repr of a float
+    f = np.float64
+    specs = [
+        ProcessSpec(Family.CANONICAL, f(0.7), c=f(-0.9)),
+        ProcessSpec(Family.CANONICAL, f(0.5), c=f(NEG_INF)),
+        ProcessSpec(Family.WHITE_NOISE, f(0.6)),
+        ProcessSpec(Family.FBM, f(0.3)),
+        ProcessSpec(Family.SUBFBM, np.float32(0.75)),
+        ProcessSpec(Family.BIFBM, f(0.25) * f(0.5), htilde=f(0.25), ktilde=f(0.5)),
+        ProcessSpec(Family.RIEMANN_LIOUVILLE, f(0.4)),
+        ProcessSpec(Family.VOLTERRA_G, f(0.25), beta=f(1.0), g=GFunction("const", a=f(2.0))),
+        ProcessSpec(Family.VOLTERRA_G, f(0.3), beta=np.int64(0), g=GFunction("log-pow", k=np.int64(2))),
+    ]
+    assert specs[3].label() == "fbm:H=0.3"
+    assert specs[7].g.label() == "const:2.0"
+    for spec in specs:
+        assert parse_spec_string(spec.label()) == spec, spec.label()
+        assert "np." not in spec.label()
 
 
 @pytest.mark.parametrize("text, key", [

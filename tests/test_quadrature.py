@@ -155,6 +155,17 @@ def test_batch_matches_each_integral_alone():
     assert batch.value[0] == pytest.approx(0.25, abs=1e-11)
 
 
+def test_batch_larger_than_one_slice():
+    # 3000 integrals take several integrand calls per level; each keeps the bytes it has alone
+    def f2_of(p):
+        return lambda s, d: d * np.log(1.0 / d) ** 2 * np.cos(p * s)
+
+    batch, alone = _batch_and_alone(f2_of, np.linspace(0.0, 60.0, 3000), 1.0, tol=1e-12)
+    for field in ("value", "abs_error_estimate", "evals"):
+        each = np.array([getattr(r, field) for r in alone], dtype=getattr(batch, field).dtype)
+        assert getattr(batch, field).tobytes() == each.tobytes(), field
+
+
 def test_batch_zero_span_integrals():
     batch = integrate_power_upper(lambda s, d, i: d, [0.0, 1.0, 0.0], [1.0, 1.0, 2.0], 1.0, tol=1e-12)
     assert batch.value[1] == 0.0 and batch.evals[1] == 0

@@ -778,6 +778,20 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.grid.times, ens.grid.times)
 
 
+def test_numpy_scalar_spec_round_trip(tmp_path):
+    # a spec built from numpy scalars writes a sidecar label that load_ensemble parses back
+    spec = ProcessSpec(ssgm.Family.CANONICAL, np.float64(0.7), c=np.float64(-1.5))
+    ens = ssgm.PathEnsemble(spec, GRID, np.zeros((2, len(GRID))), 1, "timechange")
+    save_ensemble(ens, tmp_path / "e.bin")
+    back = load_ensemble(tmp_path / "e.bin")
+    assert back.spec == spec
+    assert np.array_equal(back.values, ens.values)
+    g_spec = ProcessSpec(ssgm.Family.VOLTERRA_G, np.float64(0.25), beta=np.float64(1.0),
+                         g=GFunction("const", a=np.float64(2.0)))
+    save_ensemble(sample_spec(g_spec, UNIFORM, 3, 5), tmp_path / "g.bin")
+    assert load_ensemble(tmp_path / "g.bin").spec == g_spec
+
+
 def test_saved_bytes_are_column_major_values(tmp_path):
     # a C-ordered ensemble as sampled and an F-ordered one as loaded write the same column-major bytes
     ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
