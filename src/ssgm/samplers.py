@@ -19,9 +19,15 @@ order, in one call of an SFC64 generator seeded by
 to independent parallel streams; the seeded sequence reads no OS entropy),
 and one call of the sampler's vectorised, row-independent transform maps
 the rows of normals to paths.  Ensemble sidecars record this layout as
-``"rng": "sfc64-block-v3"``.  Matrix products go to BLAS in slices of
-exactly ``_TILE`` rows (``_tiled``), so a path's values depend only on
-``(seed, path index)``: a longer run extends a shorter one.  P depends only
+``"rng": "sfc64-block-v3"``.  Matrix products go to BLAS as one stacked
+``np.matmul`` over zero-padded slices of exactly ``_TILE`` rows
+(``_tiled``), one call of the same shape per slice, so a path's values
+depend only on ``(seed, path index)``: a longer run extends a shorter one.
+The canonical ``timechange`` transform is such a product with the
+closed-form triangular factor of its Markov covariance where a row holds
+at most ``_BLOCK_NORMALS // _BLOCK`` (128) normals, and an in-place
+cumulative sum on longer rows; both read the same normals in the same
+layout, so the sidecar tag is the same for either.  P depends only
 on the plan, so this holds for any CPU count.  Blocks are independent
 streams that write disjoint rows, so ``_draw_blocks``, the one place that
 builds a block's generator and starts threads, draws them on the calling
@@ -93,16 +99,19 @@ def _cpu_count() -> int:
 
 
 def _tiled(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``z @ w`` in calls of exactly ``_TILE`` rows of ``z``; a last partial tile is padded with zero rows.
+    """``z @ w`` as one stacked ``np.matmul`` over tiles of exactly ``_TILE`` rows of ``z``.
 
-    BLAS picks its kernel, and with it the summation order, from the operand
-    shapes, so fixed-shape calls keep each row's result independent of how
-    many rows a run has.
+    A last partial tile is padded with zero rows.  BLAS picks its kernel, and
+    with it the summation order, from the operand shapes, and the stacked
+    product makes one call of the same shape per tile, so each row's result
+    does not depend on how many rows a run has: the bytes are those of one
+    ``@`` per tile.  The tile count is explicit, so ``z`` may have no columns.
     """
     n = len(z)
     if n % _TILE:
         z = np.concatenate([z, np.zeros((-n % _TILE, z.shape[1]))])
-    return np.concatenate([z[i:i + _TILE] @ w for i in range(0, len(z), _TILE)])[:n]
+    tiles = z.reshape(len(z) // _TILE, _TILE, z.shape[1])
+    return np.matmul(tiles, w).reshape(len(z), *w.shape[1:])[:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +180,14 @@ def _timechange(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) 
     The time change tau(t) = t^(-2H-2c) is nondecreasing, so W is built from
     independent Gaussian increments in grid order.  At c = -H all tau
     coincide and every path is the rank-one t^H W(1).
+
+    A path is x_j = t_j^(2H+c) sum_{i<=j} sqrt(dtau_i) z_i, that is z @ A with
+    the closed-form upper-triangular factor A[i, j] = sqrt(dtau_i) t_j^(2H+c),
+    i <= j, of the Markov covariance A^T A = (s v t)^(2H+c) (s ^ t)^(-c).
+    Rows of at most ``_BLOCK_NORMALS // _BLOCK`` (128) positive times, whose
+    blocks hold 1024 paths, are mapped as ``_tiled(z, A)``, one stacked BLAS
+    product; longer rows, where the d^2 product costs more than a cumulative
+    sum, keep ``scale * cumsum(sqrt_dtau * z)`` in place on the normals.
     """
     if spec.family != Family.CANONICAL:
         raise ParameterError("timechange scheme applies to the canonical family")
@@ -182,9 +199,12 @@ def _timechange(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) 
         raise NumericalError("time change is not monotone")
     sqrt_dtau = np.sqrt(dtau)
     scale = pos ** (2.0 * spec.H + spec.c)
+    if pos.size <= _BLOCK_NORMALS // _BLOCK:
+        factor = np.triu(np.outer(sqrt_dtau, scale))
+        return _Plan(spec, pos.size, lambda z: _tiled(z, factor))
 
     def transform(z):
-        # in place on the block's normals: scale * cumsum(sqrt_dtau * z), no full-size temporaries
+        # long rows, in place on the block's normals: scale * cumsum(sqrt_dtau * z), no full-size temporaries
         np.multiply(z, sqrt_dtau, out=z)
         np.cumsum(z, axis=1, out=z)
         return np.multiply(z, scale, out=z)

@@ -308,6 +308,59 @@ def test_timechange_rejects_infinite_c():
         sample_timechange(0.5, float("-inf"), GRID, 10, 1)
 
 
+def _timechange_plan(spec, d):
+    """(times, plan) of the timechange scheme on d geometric positive times in [0.05, 3]."""
+    grid = TimeGrid.geometric(0.05, 3.0, d)
+    return grid.times, ssgm.samplers._plan(spec, grid, 1, 5, "timechange", None)[1]
+
+
+def _cumsum_form(spec, t, z):
+    """t^(2H+c) cumsum(sqrt(dtau) z) with tau = t^(-2H-2c), the time change written out."""
+    tau = t ** (-2.0 * spec.H - 2.0 * spec.c)
+    return t ** (2.0 * spec.H + spec.c) * np.cumsum(np.sqrt(np.diff(tau, prepend=0.0)) * z, axis=1)
+
+
+@pytest.mark.parametrize("d", [16, 128, 129])
+@pytest.mark.parametrize("spec", [SPEC, SPEC_BM, ProcessSpec.canonical(0.3, -0.9)], ids=["H07", "bm", "H03"])
+def test_timechange_factor_is_the_markov_cholesky_factor(spec, d):
+    # the transform of the identity's rows is its factor A, upper triangular, and A^T A is the
+    # closed form (s v t)^(2H+c) (s ^ t)^(-c) and the kernel's Gram to 1e-13, in either form
+    t, plan = _timechange_plan(spec, d)
+    A = plan.transform(np.eye(d))
+    assert np.array_equal(A, np.triu(A))
+    closed = np.maximum.outer(t, t) ** (2.0 * spec.H + spec.c) * np.minimum.outer(t, t) ** -spec.c
+    np.testing.assert_allclose(A.T @ A, closed, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(A.T @ A, _exact(spec, TimeGrid(t)), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("d", [16, 128, 129])
+def test_timechange_product_matches_cumsum(d):
+    # rows of at most 128 normals are one stacked product with the factor, which agrees with the
+    # cumulative sum on the same normals column-relatively within 1e-14; 129 take the sum itself
+    t, plan = _timechange_plan(SPEC, d)
+    z = np.random.default_rng(8).standard_normal((1000, d))
+    ref = _cumsum_form(SPEC, t, z)
+    x = plan.transform(z.copy())
+    if d <= 128:
+        assert x.tobytes() == ssgm.samplers._tiled(z, plan.transform(np.eye(d))).tobytes()
+        assert np.max(np.abs(x - ref) / np.max(np.abs(ref), axis=0)) <= 1e-14
+    else:
+        assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [16, 129])
+def test_timechange_forms_keep_row_bytes_and_zero_column(d):
+    # both forms map a row alone to the bytes it gets among 100, and a leading t = 0 is a +0.0
+    # column in front of the bytes drawn without it
+    t, plan = _timechange_plan(SPEC, d)
+    z = np.random.default_rng(9).standard_normal((100, d))
+    by_row = np.concatenate([plan.transform(z[i:i + 1].copy()) for i in range(len(z))])
+    assert plan.transform(z.copy()).tobytes() == by_row.tobytes()
+    values = sample_spec(SPEC, TimeGrid(np.concatenate([[0.0], t])), 20, 3).values
+    assert np.all(values[:, 0] == 0.0) and not np.any(np.signbit(values[:, 0]))
+    assert values[:, 1:].tobytes() == sample_spec(SPEC, TimeGrid(t), 20, 3).values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # white-noise sampler
 # ---------------------------------------------------------------------------
@@ -973,17 +1026,21 @@ def test_paths_depend_only_on_seed_and_index(name, long_rows):
         assert values.tobytes() == longest[:n_paths].tobytes(), n_paths
 
 
-@pytest.mark.parametrize("rows", range(1, 10))
+@pytest.mark.parametrize("rows", [*range(1, 10), 1000])
 def test_tiled_pads_its_last_tile(rows):
-    # a partial last tile goes to BLAS padded with zero rows: k rows give the first k rows of
-    # the padded product, and of the product of nine rows, for a matrix and for a vector
+    # a partial last tile goes to BLAS padded with zero rows: the rows give the bytes of one `@`
+    # per padded 8-row tile (125 tiles for 1000 rows), and the first rows of the product of
+    # 1001 rows, for a matrix and for a vector; z is a column slice, as the midpoint scheme
+    # passes, and may have no columns, as on the grid {0}
     rng = np.random.default_rng(3)
-    z = rng.standard_normal((9, 300))
-    padded = np.concatenate([z[:rows], np.zeros((-rows % 8, 300))])
-    for w in (rng.standard_normal((300, 40)), rng.standard_normal(300)):
-        expected = np.concatenate([padded[i:i + 8] @ w for i in range(0, len(padded), 8)])[:rows]
-        assert ssgm.samplers._tiled(z[:rows], w).tobytes() == expected.tobytes()
-        assert ssgm.samplers._tiled(z, w)[:rows].tobytes() == expected.tobytes()
+    for k in (300, 0):
+        z = rng.standard_normal((1001, k + 5))[:, :k]
+        padded = np.concatenate([z[:rows], np.zeros((-rows % 8, k))])
+        for w in (rng.standard_normal((k, 40)), rng.standard_normal(k)):
+            expected = np.concatenate([padded[i:i + 8] @ w for i in range(0, len(padded), 8)])[:rows]
+            assert ssgm.samplers._tiled(z[:rows], w).shape == expected.shape
+            assert ssgm.samplers._tiled(z[:rows], w).tobytes() == expected.tobytes()
+            assert ssgm.samplers._tiled(z, w)[:rows].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("chunk", [8, 40, None], ids=["8_rows", "mid", "whole_block"])
