@@ -2,8 +2,8 @@
 
 from .errors import NumericalError, ParameterError
 from .gram import (GramMatrix, MinorQuery, PosDefReport, TimeGrid, build_gram,
-                   chain_det, gram_to_csv, lindstrom_minor, minor_residual,
-                   power_gram, psd_check, standard_grid)
+                   gram_to_csv, lindstrom_minor, minor_residual, power_gram,
+                   psd_check, standard_grid)
 from .kernels import (L_FORM_FAMILIES, CovKernel, Family, GFunction,
                       ProcessSpec, eval_l, format_spec_string,
                       isometry_residual, make_kernel, parse_spec_string,

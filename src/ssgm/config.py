@@ -20,8 +20,10 @@ Example::
     quad_tol = 1e-10
     psd_tol = 1e-10
 
-Numbers parse in full double precision; ``c = -inf`` spells the white-noise
-limit.  Other blocks are ignored; output paths are command-line flags.
+Numbers parse in full double precision.  A canonical block with
+``c = -inf`` still parses: it is the white-noise spec of its H, which
+serializes as ``family = white-noise``.  Other blocks are ignored; output
+paths are command-line flags.
 ``parse_config(serialize_config(cfg))`` is the identity.
 """
 

@@ -42,7 +42,6 @@ __all__ = [
     "psd_check",
     "power_gram",
     "lindstrom_minor",
-    "chain_det",
     "minor_residual",
     "gram_to_csv",
     "one_blas_thread",
@@ -302,23 +301,6 @@ def lindstrom_minor(q: MinorQuery) -> float:
     if t.size > 1:
         s = t ** (a + b)
         result *= float(np.prod((s[:-1] - s[1:]) / t[:-1] ** (2.0 * b)))
-    return float(result)
-
-
-def chain_det(values, grid: TimeGrid) -> float:
-    """Determinant of (f_i(x_i ^ x_j)) from the triangular table f_i(x_j), j <= i.
-
-    Equals prod_i (f_i(x_i) - f_i(x_{i-1})), with the i = 1 factor f_1(x_1):
-    the chain's Moebius function is 1 on the diagonal, -1 on the subdiagonal
-    and 0 elsewhere.
-    """
-    table = np.asarray(values, dtype=float)
-    d = len(grid)
-    if table.shape != (d, d):
-        raise ParameterError(f"values table must be {d}x{d}, got {table.shape}")
-    result = table[0, 0]
-    for i in range(1, d):
-        result *= table[i, i] - table[i, i - 1]
     return float(result)
 
 

@@ -25,15 +25,16 @@ family's formula the pairs (s ^ t, s v t) off the axes with their gap, and
 sets R = 0 on them.  Each family's covariance is stated once, in ``_formula``.
 A ``CovKernel`` holds only the spec and that formula: R(1, 1) is the kernel at
 (1, 1), and ``eval_l`` reads the formula at (1, 1 + u) with the gap u passed exactly.
-Parameter domains are checked in one place, ``ProcessSpec``.  All evaluators
-accept scalars or numpy arrays and are pure and stateless, so they are safe
-for concurrent use.
+Parameter domains are checked, and each spec canonicalised (the ``c = -inf``
+limit is the white-noise spec), in one place, ``ProcessSpec``.  All
+evaluators accept scalars or numpy arrays and are pure and stateless, so they
+are safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
 from typing import Callable, Optional
@@ -76,9 +77,11 @@ class Family(str, Enum):
 class GFunction:
     """Weight function g on [0, 1) of sub-power growth.
 
-    The catalog is deliberately small: constants, and integer powers of
-    log(1/(1-x)).  Both satisfy the growth condition that
-    ``(1-x)^eps * |g|`` and ``(1-x)^(1+eps) * |g'|`` stay bounded as x -> 1.
+    The catalog is deliberately small: constants a (``const``, which takes no
+    ``k``), and integer powers log(1/(1-x))^k (``log-pow``, which takes no
+    ``a``).  Both satisfy the growth condition that ``(1-x)^eps * |g|`` and
+    ``(1-x)^(1+eps) * |g'|`` stay bounded as x -> 1.  g is evaluated only
+    through ``ProcessSpec.weight_at_gap``.
     """
 
     kind: str  # "const" | "log-pow"
@@ -92,6 +95,9 @@ class GFunction:
             raise ParameterError(f"const g requires a finite value, got {self.a!r}")
         if self.kind == "log-pow" and not (1 <= self.k < math.inf and self.k == int(self.k)):
             raise ParameterError("log-pow exponent k must be a positive integer")
+        stray = "k" if self.kind == "const" else "a"  # the field this kind does not take stays at 1
+        if getattr(self, stray) != 1:
+            raise ParameterError(f"{self.kind} g takes no {stray}, got {stray}={getattr(self, stray)!r}")
         # numpy scalars become Python numbers, so the label parses back
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "k", int(self.k))
@@ -103,19 +109,6 @@ class GFunction:
     @classmethod
     def log_pow(cls, k: int = 1) -> "GFunction":
         return cls(kind="log-pow", k=int(k))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "const":
-            return np.full_like(x, self.a)
-        return np.log1p(x / (1.0 - x)) ** self.k
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "const":
-            return np.zeros_like(x)
-        base = np.log1p(x / (1.0 - x))
-        return self.k * base ** (self.k - 1) / (1.0 - x)
 
     def _at_one_minus(self, y: np.ndarray):
         """g(1 - y) from y itself, finite where 1 - y would round to 1 (g(1) = inf)."""
@@ -139,14 +132,30 @@ class GFunction:
         raise ParameterError(f"cannot parse g function {text!r}")
 
 
+# the fields each family takes besides H, in label order; a spec holds no other
+_FAMILY_KEYS = {
+    Family.CANONICAL: ("c",),
+    Family.WHITE_NOISE: (),
+    Family.FBM: (),
+    Family.SUBFBM: (),
+    Family.BIFBM: ("htilde", "ktilde"),
+    Family.RIEMANN_LIOUVILLE: (),
+    Family.VOLTERRA_G: ("beta", "g"),
+}
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
     """Tagged description of a process family and its parameters.
 
-    Every parameter is finite except that ``c`` may be ``-inf`` for the
-    canonical family; every arithmetic use of ``c`` downstream branches on
-    finiteness first.  This is the one check of each family's parameter
-    domain: the public evaluators build a spec to check theirs.
+    This is the one check of each family's parameter domain (the public
+    evaluators build a spec to check theirs), and the one place that
+    canonicalises a spec, so that it is what its label parses to: a field
+    the family does not take is refused by name, numpy scalars become
+    Python floats, a canonical spec given the limit c = -inf is the
+    white-noise spec of its H, and a bfbm H within 1e-12 of
+    htilde * ktilde becomes that product.  So every parameter a spec holds
+    is finite, and no module downstream branches on c = -inf.
     """
 
     family: Family
@@ -158,14 +167,20 @@ class ProcessSpec:
     g: Optional[GFunction] = None
 
     def __post_init__(self):
+        fam, keys = self.family, _FAMILY_KEYS.get(self.family)
+        if keys is None:
+            raise ParameterError(f"unknown process family {fam!r}")
+        given = [f.name for f in fields(self)[2:] if getattr(self, f.name) is not None]
+        stray = [key for key in given if key not in keys]
+        if stray:
+            raise ParameterError(f"{fam.value} takes no {' or '.join(stray)}")
+        if len(given) < len(keys):
+            raise ParameterError(f"{fam.value} requires {' and '.join(keys)}")
         H = self.H
         if not (0 < H < math.inf):
             raise ParameterError(f"H must be positive and finite, got {H!r}")
-        fam = self.family
         if fam == Family.CANONICAL:
             c = self.c
-            if c is None:
-                raise ParameterError("canonical family requires c")
             if not c <= -H:  # also refuses nan and +inf
                 raise ParameterError(f"canonical family requires c <= -H, got c={c!r}, H={H!r}")
         elif fam in (Family.FBM, Family.SUBFBM):
@@ -173,20 +188,22 @@ class ProcessSpec:
                 raise ParameterError(f"{fam.value} requires H in (0,1), got {H!r}")
         elif fam == Family.BIFBM:
             ht, kt = self.htilde, self.ktilde
-            if ht is None or kt is None:
-                raise ParameterError("bfbm requires htilde and ktilde")
             if not (0 < ht < 1) or not (0 < kt <= 1):
                 raise ParameterError(f"bfbm requires htilde in (0,1), ktilde in (0,1], got {ht!r}, {kt!r}")
             if abs(H - ht * kt) > 1e-12 * max(1.0, H):
                 raise ParameterError("bfbm requires H = htilde * ktilde")
         elif fam == Family.VOLTERRA_G:
-            if self.beta is None or self.g is None:
-                raise ParameterError("volterra-g requires beta and g")
             if not -0.5 < self.beta < math.inf:
                 raise ParameterError(f"volterra-g requires a finite beta > -1/2, got {self.beta!r}")
-        for name in ("H", "c", "htilde", "ktilde", "beta"):  # numpy scalars too, so the label parses back
-            if getattr(self, name) is not None:
+        for name in ("H", *keys):  # numpy scalars too, so the label parses back
+            if name != "g":
                 object.__setattr__(self, name, float(getattr(self, name)))
+        if fam == Family.CANONICAL and math.isinf(self.c):
+            fam = Family.WHITE_NOISE
+            object.__setattr__(self, "c", None)
+        elif fam == Family.BIFBM:
+            object.__setattr__(self, "H", self.htilde * self.ktilde)
+        object.__setattr__(self, "family", Family(fam))  # a family given as its value, e.g. "fbm", too
 
     # -- factories ---------------------------------------------------------
     @classmethod
@@ -235,12 +252,6 @@ class ProcessSpec:
             raise ParameterError("the Volterra weight F applies to the volterra-g family")
         return gap**self.beta * self.g._at_one_minus(gap)
 
-    def to_white_noise(self) -> "ProcessSpec":
-        """Explicit conversion of a canonical spec with c = -inf."""
-        if self.family == Family.CANONICAL and self.c is not None and math.isinf(self.c):
-            return ProcessSpec.white_noise(self.H)
-        raise ParameterError("only canonical specs with c = -inf convert to white noise")
-
     def label(self) -> str:
         return format_spec_string(self)
 
@@ -250,47 +261,38 @@ class ProcessSpec:
 # ---------------------------------------------------------------------------
 
 def spec_to_params(spec: ProcessSpec) -> dict:
-    """Named numeric parameters of a spec, each the ``repr`` of its float (c = -inf is "-inf")."""
+    """Named parameters of a spec: H and the keys ``_FAMILY_KEYS`` lists, each number the ``repr`` of its float."""
     params: dict = {"family": spec.family.value, "H": repr(spec.H)}
-    if spec.family == Family.CANONICAL:
-        params["c"] = repr(spec.c)
-    if spec.family == Family.BIFBM:
-        params["htilde"] = repr(spec.htilde)
-        params["ktilde"] = repr(spec.ktilde)
-    if spec.family == Family.VOLTERRA_G:
-        params["beta"] = repr(spec.beta)
-        params["g"] = spec.g.label()
+    for key in _FAMILY_KEYS[spec.family]:
+        value = getattr(spec, key)
+        params[key] = value.label() if key == "g" else repr(value)
     return params
 
 
 def spec_from_params(params: dict) -> ProcessSpec:
-    """The spec the parameters name; a family takes the keys ``spec_to_params`` writes for it."""
+    """The spec the parameters name: H and the keys ``_FAMILY_KEYS`` lists for the family, bfbm's H optional."""
     p = {k.strip(): str(v).strip() for k, v in params.items()}
     try:
-        family = Family(p["family"])
+        family = Family(p.pop("family"))
     except (KeyError, ValueError) as exc:
         raise ParameterError(f"missing or unknown process family in {params!r}") from exc
+    keys = _FAMILY_KEYS[family]
+    unknown = sorted(p.keys() - {"H", *keys})
+    if unknown:
+        raise ParameterError(f"unknown parameter {', '.join(map(repr, unknown))} for family {family.value}")
     try:
-        if family == Family.CANONICAL:
-            spec = ProcessSpec.canonical(float(p["H"]), float(p["c"]))
-        elif family == Family.BIFBM:
-            spec = ProcessSpec.bi_fbm(float(p["htilde"]), float(p["ktilde"]))
-            if "H" in p:  # a given H must pass the H = htilde * ktilde check
-                replace(spec, H=float(p["H"]))
-        elif family == Family.VOLTERRA_G:
-            spec = ProcessSpec.volterra_g(float(p["H"]), float(p["beta"]), GFunction.from_label(p["g"]))
-        else:  # white noise, fbm, sfbm and rl take H alone
-            spec = ProcessSpec(family, float(p["H"]))
+        values = {key: GFunction.from_label(p[key]) if key == "g" else float(p[key]) for key in keys}
+        if "H" in p or family != Family.BIFBM:
+            H = float(p["H"])
+        else:  # bfbm's H is htilde * ktilde, so it may be left out
+            H = values["htilde"] * values["ktilde"]
     except KeyError as exc:
         raise ParameterError(f"missing parameter {exc} for family {family.value}") from exc
     except ParameterError:
         raise
     except ValueError as exc:  # a malformed number
         raise ParameterError(f"cannot parse {family.value} parameters: {exc}") from exc
-    unknown = sorted(p.keys() - spec_to_params(spec).keys())
-    if unknown:
-        raise ParameterError(f"unknown parameter {', '.join(map(repr, unknown))} for family {family.value}")
-    return spec
+    return ProcessSpec(family, H, **values)
 
 
 def parse_spec_string(text: str) -> ProcessSpec:
@@ -383,7 +385,7 @@ def _rl(H: float, lo, hi, gap):
 def _formula(spec: ProcessSpec, tol: float, budget: int) -> Callable:
     """The covariance of ``spec`` as a function of (lo, hi, gap) with 0 < lo <= hi, gap = hi - lo."""
     H, fam = spec.H, spec.family
-    if fam == Family.WHITE_NOISE or (fam == Family.CANONICAL and math.isinf(spec.c)):
+    if fam == Family.WHITE_NOISE:
         return lambda lo, hi, gap: np.where(lo == hi, hi ** (2.0 * H), 0.0)
     if fam == Family.CANONICAL:
         c = spec.c

@@ -171,18 +171,18 @@ def fit_canonical(kernel: CovKernel) -> CanonicalFit:
 
 
 def multiplicative_check(kernel: CovKernel) -> float:
-    """Max residual of g(x+y) - g(x) g(y), g(x) = R(e^-x, 1)/R(1,1), over x, y in linspace(0, 3, 13)."""
+    """Max residual of g(x+y) - g(x) g(y), g(x) = R(e^-x, 1)/R(1,1), over x, y in linspace(0, 3, 13).
+
+    x and y are the multiples k/4 of 1/4, exact in binary, so x + y takes
+    only the 25 values k/4, k = 0..24: g is evaluated once at each and indexed.
+    """
     r11 = kernel.r11
     if not r11 > 0:
         raise ParameterError(f"multiplicative check requires R(1,1) > 0, got {r11!r}")
-    x = np.linspace(0.0, 3.0, 13)
-
-    def g(z):
-        return np.asarray(kernel(np.exp(-z), np.ones_like(z)), dtype=float) / r11
-
-    gx = g(x)
-    gxy = g(np.add.outer(x, x).ravel()).reshape(x.size, x.size)
-    return float(np.max(np.abs(gxy - np.outer(gx, gx))))
+    z = np.linspace(0.0, 6.0, 25)
+    g = np.asarray(kernel(np.exp(-z), np.ones_like(z)), dtype=float) / r11
+    k = np.arange(13)
+    return float(np.max(np.abs(g[np.add.outer(k, k)] - np.outer(g[:13], g[:13]))))
 
 
 def gf_factorize(kernel: CovKernel, grid: TimeGrid) -> FactorizationResult:

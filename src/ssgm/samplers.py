@@ -166,7 +166,6 @@ def _positive_times(grid: TimeGrid) -> np.ndarray:
 class _Plan(NamedTuple):
     """A builder's answer: how ``_draw_blocks`` draws, and what the ensemble records."""
 
-    spec: ProcessSpec
     n_draws: int
     transform: Callable[[np.ndarray], np.ndarray]
     min_rows: int = 1
@@ -190,9 +189,8 @@ def _timechange(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) 
     sum, keep ``scale * cumsum(sqrt_dtau * z)`` in place on the normals.
     """
     if spec.family != Family.CANONICAL:
-        raise ParameterError("timechange scheme applies to the canonical family")
-    if math.isinf(spec.c):
-        raise ParameterError("time-change sampler requires finite c; use the whitenoise scheme")
+        raise ParameterError("timechange scheme applies to the canonical family with finite c; "
+                             "its c = -inf limit, white noise, takes the whitenoise scheme")
     tau = pos ** (-2.0 * spec.H - 2.0 * spec.c)
     dtau = np.diff(np.concatenate([[0.0], tau]))
     if np.any(dtau < 0):  # theoretically impossible for c <= -H
@@ -201,7 +199,7 @@ def _timechange(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) 
     scale = pos ** (2.0 * spec.H + spec.c)
     if pos.size <= _BLOCK_NORMALS // _BLOCK:
         factor = np.triu(np.outer(sqrt_dtau, scale))
-        return _Plan(spec, pos.size, lambda z: _tiled(z, factor))
+        return _Plan(pos.size, lambda z: _tiled(z, factor))
 
     def transform(z):
         # long rows, in place on the block's normals: scale * cumsum(sqrt_dtau * z), no full-size temporaries
@@ -209,15 +207,19 @@ def _timechange(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) 
         np.cumsum(z, axis=1, out=z)
         return np.multiply(z, scale, out=z)
 
-    return _Plan(spec, pos.size, transform)
+    return _Plan(pos.size, transform)
 
 
 def _whitenoise(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Plan:
-    """Independent N(0, t^(2H)) draws per positive grid time; also the canonical c = -inf limit."""
-    if spec.family != Family.WHITE_NOISE and not (spec.family == Family.CANONICAL and math.isinf(spec.c)):
+    """Independent N(0, t^(2H)) draws per positive grid time, for the white-noise family.
+
+    ``ProcessSpec`` makes a canonical spec given c = -inf the white-noise spec
+    of its H, so the canonical limit arrives here as that spec.
+    """
+    if spec.family != Family.WHITE_NOISE:
         raise ParameterError("whitenoise scheme applies to the white-noise family")
     sd = pos**spec.H
-    return _Plan(ProcessSpec.white_noise(spec.H), pos.size, lambda z: sd * z)
+    return _Plan(pos.size, lambda z: sd * z)
 
 
 _JITTER_START = 1e-12
@@ -253,7 +255,7 @@ def _cholesky(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) ->
     """
     G = build_gram(make_kernel(spec), TimeGrid(pos)).entries if pos.size else np.zeros((0, 0))
     L, jitter = _cholesky_with_jitter(G)
-    return _Plan(spec, pos.size, lambda z: _tiled(z, L.T), jitter=jitter)
+    return _Plan(pos.size, lambda z: _tiled(z, L.T), jitter=jitter)
 
 
 def _uniform_step(pos: np.ndarray) -> Optional[float]:
@@ -315,7 +317,7 @@ def _circulant(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -
     h = _uniform_step(pos)
     if h is None:
         raise ParameterError("circulant scheme needs a uniform grid t_k = k*h (optionally with a leading 0)")
-    return _Plan(spec, 2 * pos.size, _circulant_transform(spec.H, pos.size, h))
+    return _Plan(2 * pos.size, _circulant_transform(spec.H, pos.size, h))
 
 
 def _zg_discrete_var(spec: ProcessSpec, inner_steps: int) -> float:
@@ -368,7 +370,7 @@ def _volterra(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) ->
     if inner_steps is not None and inner_steps < 64:
         raise ParameterError("inner_steps must be >= 64")
     if not pos.size:  # the grid {0}: one zero column
-        return _Plan(spec, 0, lambda z: z, inner_steps=inner_steps)
+        return _Plan(0, lambda z: z, inner_steps=inner_steps)
     if inner_steps is None:
         inner_steps = 256
         v1 = _zg_discrete_var(spec, inner_steps)
@@ -378,7 +380,7 @@ def _volterra(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) ->
                 break
             inner_steps, v1 = 2 * inner_steps, v2
     n_cells, transform = _volterra_transform(spec, pos, inner_steps)
-    return _Plan(spec, n_cells, transform, _LOOP_ROWS, inner_steps)
+    return _Plan(n_cells, transform, _LOOP_ROWS, inner_steps)
 
 
 def _poly_degree(beta: float, g: GFunction) -> Optional[int]:
@@ -459,7 +461,7 @@ def _poly(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Pl
     degree = _poly_degree(spec.beta, spec.g)
     if degree is None:
         raise ParameterError(f"poly scheme needs an integer beta >= 0, got beta={spec.beta!r}")
-    return _Plan(spec, (degree + 1) * pos.size, _poly_transform(spec.H, degree, spec.g.a, pos), _LOOP_ROWS)
+    return _Plan((degree + 1) * pos.size, _poly_transform(spec.H, degree, spec.g.a, pos), _LOOP_ROWS)
 
 
 # scheme name -> builder (spec, positive times, inner_steps) -> _Plan; the order is the CLI's
@@ -470,9 +472,9 @@ SCHEMES = tuple(_SCHEMES)
 
 def _default_scheme(spec: ProcessSpec, pos: np.ndarray) -> str:
     fam = spec.family
-    if fam == Family.CANONICAL and not math.isinf(spec.c):
+    if fam == Family.CANONICAL:
         return "timechange"
-    if fam in (Family.CANONICAL, Family.WHITE_NOISE):
+    if fam == Family.WHITE_NOISE:
         return "whitenoise"
     if fam == Family.VOLTERRA_G:
         return "volterra" if _poly_degree(spec.beta, spec.g) is None else "poly"
@@ -625,8 +627,9 @@ def sample_spec(
 ) -> PathEnsemble:
     """Sample a spec with its family's default scheme, or the requested one of ``SCHEMES``.
 
-    The canonical family goes through the exact ``timechange`` scheme, its
-    c = -inf limit through ``whitenoise``.  fBm goes through ``circulant`` on
+    The canonical family goes through the exact ``timechange`` scheme, and
+    white noise, which is also what a canonical spec given c = -inf is,
+    through ``whitenoise``.  fBm goes through ``circulant`` on
     a uniform grid and ``cholesky``, which fits every family, on any other
     grid.  Volterra-g goes through the exact ``poly`` scheme when g is
     constant and beta an integer >= 0, and through the midpoint ``volterra``
@@ -638,7 +641,7 @@ def sample_spec(
     scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
     values = np.zeros((n_paths, len(grid)))
     _draw_blocks(plan, seed, n_paths, len(grid), lambda rows, scratch: None, values)
-    return PathEnsemble(plan.spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
+    return PathEnsemble(spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
 
 
 def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:

@@ -151,7 +151,7 @@ def _sigma_j_sq(spec: ProcessSpec) -> Optional[float]:
     """Reference increment-scale sigma_J^2, where one is documented."""
     if spec.family == Family.FBM:
         return 1.0
-    if spec.family == Family.CANONICAL and spec.c is not None and not math.isinf(spec.c):
+    if spec.family == Family.CANONICAL:
         if abs(spec.H - 0.5) < 1e-12 and abs(spec.c + 1.0) < 1e-12:
             return 1.0  # Brownian motion
         return None

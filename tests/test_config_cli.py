@@ -52,11 +52,12 @@ def test_round_trip_identity(cfg):
 
 
 def test_minus_inf_spelled_in_config():
-    cfg = RunConfig(ProcessSpec.canonical(0.5, float("-inf")), GridConfig(times=(1.0, 2.0)))
+    # c = -inf in a canonical [process] block still parses: the spec is white noise, written as such
+    cfg = parse_config("[process]\nfamily = canonical\nH = 0.5\nc = -inf\n[grid]\ntimes = 1 2\n")
+    assert cfg.process == ProcessSpec.white_noise(0.5)
     text = serialize_config(cfg)
-    assert "c = -inf" in text
-    back = parse_config(text)
-    assert math.isinf(back.process.c)
+    assert "family = white-noise" in text and "c =" not in text
+    assert parse_config(text) == cfg
 
 
 def test_full_precision_round_trip():
@@ -583,6 +584,22 @@ def test_cli_sample_canonical_volterra_scheme_exit_2(capsys):
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("ssgm: invalid parameters: volterra scheme applies to volterra-g")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_sample_minus_inf_spelling_labels_white_noise(tmp_path, capsys):
+    # one run records one spelling of the spec it sampled: the sidecar, the --json report and
+    # the loaded ensemble all name white noise; forcing timechange on it exits 2, pointing to whitenoise
+    out, rep = tmp_path / "f", tmp_path / "j"
+    argv = ["sample", "--spec", "canonical:H=0.4,c=-inf", "--grid", "0,0.5,1,2", "--paths", "3", "--seed", "1"]
+    assert main(argv + ["--out", str(out), "--json", str(rep)]) == 0
+    assert json.loads(pathlib.Path(f"{out}.json").read_text())["spec"] == "white-noise:H=0.4"
+    assert json.loads(rep.read_text())["spec"] == "white-noise:H=0.4"
+    assert load_ensemble(out).spec == ProcessSpec.white_noise(0.4)
+    capsys.readouterr()
+    assert main(argv + ["--scheme", "timechange"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ssgm: invalid parameters: timechange scheme") and "whitenoise scheme" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_sample_fbm_uniform_grid_uses_circulant(tmp_path, capsys):

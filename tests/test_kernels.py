@@ -642,8 +642,7 @@ def test_make_kernel_rejects_bad_budget(spec):
             make_kernel(spec, budget=budget)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS + [ProcessSpec.canonical(0.6, NEG_INF),
-                                              ProcessSpec.riemann_liouville(0.25),
+@pytest.mark.parametrize("spec", ALL_SPECS + [ProcessSpec.riemann_liouville(0.25),
                                               ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))],
                          ids=lambda s: s.label())
 def test_every_evaluator_rejects_negative_and_nonfinite_times(spec):
@@ -702,7 +701,7 @@ def test_r11_matches_evaluator():
     assert misses == []
 
 
-_POINT_SPECS = ALL_SPECS + [ProcessSpec.canonical(0.6, NEG_INF), ProcessSpec.riemann_liouville(0.25),
+_POINT_SPECS = ALL_SPECS + [ProcessSpec.riemann_liouville(0.25),
                             ProcessSpec.riemann_liouville(0.4999), ProcessSpec.riemann_liouville(0.75),
                             ProcessSpec.bi_fbm(0.3, 0.5), ProcessSpec.volterra_g(0.25, 1.0, GFunction.log_pow(1))]
 
@@ -756,23 +755,23 @@ def test_cauchy_schwarz_fails_above_boundary():
 # ---------------------------------------------------------------------------
 
 def test_gfunction_values_and_derivs():
-    g = GFunction.log_pow(2)
-    x = np.array([0.0, 0.5, 0.9])
-    expected = np.log(1.0 / (1.0 - x)) ** 2
-    assert np.allclose(g(x), expected, rtol=1e-14)
-    c = GFunction.const(3.0)
-    assert np.all(c(x) == 3.0)
-    assert np.all(c.deriv(x) == 0.0)
+    # g is evaluated through weight_at_gap: F(1 - y) = y^beta g(1 - y), g = a or log(1/(1-x))^k,
+    # finite where 1 - y rounds to 1
+    y = np.array([1.0, 0.5, 0.1, 1e-12, 1e-20])
+    log_pow = ProcessSpec.volterra_g(0.3, 0.5, GFunction.log_pow(2))
+    np.testing.assert_allclose(log_pow.weight_at_gap(y), np.sqrt(y) * np.log(1.0 / y) ** 2, rtol=1e-14, atol=0.0)
+    const = ProcessSpec.volterra_g(0.3, 1.0, GFunction.const(3.0))
+    np.testing.assert_allclose(const.weight_at_gap(y), 3.0 * y, rtol=1e-15, atol=0.0)
 
 
 def test_gfunction_subpower_growth():
-    # (1-x)^eps |g| and (1-x)^(1+eps) |g'| stay bounded as x -> 1; the worst
-    # catalog member, log^3, peaks at u^0.1 (ln 1/u)^3 <= (30/e)^3 ~ 1.35e3
+    # g has sub-power growth: (1-x)^eps |g| and (1-x)^(1+eps) |g'| stay bounded as x -> 1.
+    # g(1 - u) is the beta = 0 weight at gap u; the worst catalog member, log^3,
+    # peaks at u^0.1 (ln 1/u)^3 <= (30/e)^3 ~ 1.35e3
     eps = 0.1
-    x = 1.0 - np.geomspace(1e-12, 0.5, 40)
+    u = np.geomspace(1e-12, 0.5, 40)
     for g in (GFunction.const(2.0), GFunction.log_pow(1), GFunction.log_pow(3)):
-        assert np.all((1.0 - x) ** eps * np.abs(g(x)) < 2e3)
-        assert np.all((1.0 - x) ** (1 + eps) * np.abs(g.deriv(x)) < 2e3)
+        assert np.all(u**eps * np.abs(ProcessSpec.volterra_g(0.3, 0.0, g).weight_at_gap(u)) < 2e3)
 
 
 def test_spec_string_round_trip():
@@ -802,12 +801,14 @@ def test_spec_label_of_numpy_scalars_parses_back():
         ProcessSpec(Family.FBM, f(0.3)),
         ProcessSpec(Family.SUBFBM, np.float32(0.75)),
         ProcessSpec(Family.BIFBM, f(0.25) * f(0.5), htilde=f(0.25), ktilde=f(0.5)),
+        ProcessSpec(Family.BIFBM, f(0.125 + 1e-14), htilde=f(0.25), ktilde=f(0.5)),  # passes the 1e-12 check
         ProcessSpec(Family.RIEMANN_LIOUVILLE, f(0.4)),
         ProcessSpec(Family.VOLTERRA_G, f(0.25), beta=f(1.0), g=GFunction("const", a=f(2.0))),
         ProcessSpec(Family.VOLTERRA_G, f(0.3), beta=np.int64(0), g=GFunction("log-pow", k=np.int64(2))),
     ]
     assert specs[3].label() == "fbm:H=0.3"
-    assert specs[7].g.label() == "const:2.0"
+    assert specs[6].label() == "bfbm:H=0.125,htilde=0.25,ktilde=0.5"
+    assert specs[8].g.label() == "const:2.0"
     for spec in specs:
         assert parse_spec_string(spec.label()) == spec, spec.label()
         assert "np." not in spec.label()
@@ -844,18 +845,40 @@ def test_spec_string_bfbm_given_H_is_checked():
 
 
 def test_spec_string_minus_inf_spelling():
-    text = format_spec_string(ProcessSpec.canonical(0.5, NEG_INF))
-    assert "-inf" in text
-    spec = parse_spec_string(text)
-    assert math.isinf(spec.c)
+    # c=-inf still parses, checked against the keys of the family as written; the spec is
+    # the white-noise spec of its H, and that is what its label says
+    spec = parse_spec_string("canonical:H=0.5,c=-inf")
+    assert spec == ProcessSpec.white_noise(0.5)
+    assert format_spec_string(spec) == "white-noise:H=0.5"
+    with pytest.raises(ParameterError, match="unknown parameter 'c' for family white-noise"):
+        parse_spec_string("white-noise:H=0.5,c=-inf")
 
 
 def test_white_noise_conversion_is_explicit():
+    # no conversion is left to do: a canonical spec given c = -inf is the white-noise spec
     spec = ProcessSpec.canonical(0.5, NEG_INF)
-    assert spec.family == Family.CANONICAL
-    assert spec.to_white_noise() == ProcessSpec.white_noise(0.5)
-    with pytest.raises(ParameterError):
-        ProcessSpec.canonical(0.5, -1.0).to_white_noise()
+    assert spec == ProcessSpec.white_noise(0.5)
+    assert (spec.family, spec.c) == (Family.WHITE_NOISE, None)
+    assert not hasattr(spec, "to_white_noise")
+    assert ProcessSpec.canonical(0.5, -1.0).family == Family.CANONICAL
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ProcessSpec(Family.FBM, 0.3, c=-1.0), "fbm takes no c"),
+    (lambda: ProcessSpec(Family.FBM, 0.3, c=NEG_INF), "fbm takes no c"),
+    (lambda: ProcessSpec(Family.WHITE_NOISE, 0.3, beta=1.0), "white-noise takes no beta"),
+    (lambda: ProcessSpec(Family.CANONICAL, 0.5, c=-1.0, htilde=0.5), "canonical takes no htilde"),
+    (lambda: ProcessSpec(Family.BIFBM, 0.25, htilde=0.5, ktilde=0.5, g=GFunction.const()), "bfbm takes no g"),
+    (lambda: ProcessSpec(Family.RIEMANN_LIOUVILLE, 0.3, c=-1.0, ktilde=0.5), "rl takes no c or ktilde"),
+    (lambda: ProcessSpec(Family.VOLTERRA_G, 0.3, c=-1.0, beta=1.0, g=GFunction.const()), "volterra-g takes no c"),
+    (lambda: GFunction("const", a=2.0, k=5), "const g takes no k"),
+    (lambda: GFunction("log-pow", a=2.0, k=2), "log-pow g takes no a"),
+], ids=["fbm_c", "fbm_c_minus_inf", "white_noise_beta", "canonical_htilde", "bfbm_g", "rl_c_ktilde",
+        "volterra_g_c", "const_g_k", "log_pow_g_a"])
+def test_stray_fields_are_refused_by_name(build, message):
+    # a spec is what its label says: a field the family (or g kind) does not take would be dropped by it
+    with pytest.raises(ParameterError, match=f"^{message}"):
+        build()
 
 
 def test_proven_regime_flag():

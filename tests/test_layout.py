@@ -93,6 +93,30 @@ def test_threads_start_in_the_block_runner_only():
     assert _calls_of("Thread") == []
 
 
+def _isinf_of_c(path: pathlib.Path) -> list:
+    """``module:line`` for every ``isinf`` call that takes a ``.c`` attribute."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "isinf"
+            and any(isinstance(arg, ast.Attribute) and arg.attr == "c" for arg in node.args)]
+
+
+def test_isinf_checker_flags_attribute_c(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("a = math.isinf(spec.c)\nb = np.isinf(self.c) or isinf(c) or math.isinf(spec.H)\n")
+    assert _isinf_of_c(mod) == ["mod.py:1", "mod.py:2"]
+
+
+def test_only_kernels_branches_on_infinite_c():
+    # ProcessSpec makes a canonical spec given c = -inf the white-noise spec of its H, so no other
+    # module tests a spec's c for the limit, and a sampler's plan carries no spec of its own:
+    # sample_spec records the spec it was given
+    assert [site for path in _MODULES if path.name != "kernels.py" for site in _isinf_of_c(path)] == []
+    (plan,) = [node for node in ast.parse((_SRC / "samplers.py").read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name == "_Plan"]
+    fields = [stmt.target.id for stmt in plan.body if isinstance(stmt, ast.AnnAssign)]
+    assert "n_draws" in fields and "spec" not in fields
+
+
 def _environment_reads(path: pathlib.Path) -> list:
     """``module:line`` for every ``environ`` or ``getenv`` the module names."""
     return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))

@@ -115,6 +115,29 @@ def test_mult_canonical_tiny():
     assert multiplicative_check(make_kernel(ProcessSpec.canonical(0.7, -0.9))) <= 1e-12
 
 
+def _mult_169(kernel):
+    """The residual from g at the 13 x and the 169 sums x + y, each evaluated as given."""
+    r11 = kernel.r11
+    x = np.linspace(0.0, 3.0, 13)
+
+    def g(z):
+        return np.asarray(kernel(np.exp(-z), np.ones_like(z)), dtype=float) / r11
+
+    gxy = g(np.add.outer(x, x).ravel()).reshape(13, 13)
+    return float(np.max(np.abs(gxy - np.outer(g(x), g(x)))))
+
+
+@pytest.mark.parametrize("spec", [
+    ProcessSpec.canonical(0.7, -0.9), ProcessSpec.white_noise(0.6), ProcessSpec.fbm(0.3), ProcessSpec.sub_fbm(0.25),
+    ProcessSpec.bi_fbm(0.5, 0.5), ProcessSpec.riemann_liouville(0.25),
+    ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(2.0)), ProcessSpec.volterra_g(0.25, 0.5, GFunction.log_pow(1)),
+], ids=lambda s: s.label())
+def test_mult_reads_each_sum_once(spec):
+    # the 25 distinct sums k/4 are exact, so evaluating g once at each gives the bytes of the 169-point form
+    k = make_kernel(spec)
+    assert np.float64(multiplicative_check(k)).tobytes() == np.float64(_mult_169(k)).tobytes()
+
+
 def test_mult_zero_arguments():
     # any kernel has zero residual on the x = 0 or y = 0 line since g(0) = 1
     k = make_kernel(ProcessSpec.sub_fbm(0.25))

@@ -141,6 +141,42 @@ def test_spec_string_round_trip(family):
     check()
 
 
+# specs as a caller may build them: numpy-scalar fields, a family named by its value, the canonical
+# limit c = -inf, and a bfbm H anywhere within the 1e-12 check of htilde * ktilde
+_f64 = np.float64
+_RAW_SPECS = {
+    Family.CANONICAL: st.builds(lambda H, gap: ProcessSpec(Family.CANONICAL, _f64(H), c=_f64(-H - gap)),
+                                _floats(0.05, 2.0), _floats(0.0, 5.0) | st.just(math.inf)),
+    Family.BIFBM: st.builds(lambda ht, kt, rel: ProcessSpec(Family.BIFBM, _f64(ht * float(kt) * (1.0 + rel)),
+                                                            htilde=_f64(ht), ktilde=kt),
+                            _floats(0.02, 0.98), _floats(0.02, 1.0).map(np.float32), _floats(-9e-13, 9e-13)),
+    Family.VOLTERRA_G: st.one_of(
+        st.builds(lambda H, beta, a: ProcessSpec(Family.VOLTERRA_G, _f64(H), beta=_f64(beta),
+                                                 g=GFunction("const", a=_f64(a))),
+                  _floats(0.05, 1.5), _floats(-0.45, 3.0), _floats(0.1, 3.0)),
+        st.builds(lambda H, beta, k: ProcessSpec(Family.VOLTERRA_G, _f64(H), beta=np.int64(beta),
+                                                 g=GFunction("log-pow", k=np.int64(k))),
+                  _floats(0.1, 1.0), st.integers(0, 2), st.integers(1, 3)),
+    ),
+}
+for _family in (Family.WHITE_NOISE, Family.FBM, Family.SUBFBM, Family.RIEMANN_LIOUVILLE):
+    _RAW_SPECS[_family] = st.builds(lambda family, H: ProcessSpec(family, _f64(H)),
+                                    st.sampled_from([_family, _family.value]), _floats(0.02, 0.98))
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda f: f.value)
+def test_every_spec_is_its_label(family):
+    # whatever a spec was built from, it is the spec its label parses to, and a config file keeps it
+    @_SETTINGS
+    @given(_RAW_SPECS[family])
+    def check(spec):
+        assert parse_spec_string(spec.label()) == spec
+        cfg = RunConfig(spec, GridConfig(times=(1.0,)))
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    check()
+
+
 _TRICHOTOMY_SPECS = st.sampled_from([
     ProcessSpec.canonical(0.5, -1.0),  # timechange
     ProcessSpec.fbm(0.3),  # circulant

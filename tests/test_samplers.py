@@ -304,7 +304,7 @@ def test_timechange_zero_column():
 
 
 def test_timechange_rejects_infinite_c():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="whitenoise scheme"):
         sample_timechange(0.5, float("-inf"), GRID, 10, 1)
 
 
@@ -559,8 +559,9 @@ def _midpoint_cov(spec, pos, inner_steps):
     edges = sorted(lattice | {float(t) for t in pos})
     cells = list(zip(edges[:-1], edges[1:]))
 
-    def F(x):
-        return (1.0 - x) ** spec.beta * float(spec.g(x))
+    def F(x):  # F(x) = (1-x)^beta g(x), with g written out here: a, or log(1/(1-x))^k
+        g = spec.g.a if spec.g.kind == "const" else np.log1p(x / (1.0 - x)) ** spec.g.k
+        return (1.0 - x) ** spec.beta * g
 
     cov = np.zeros((pos.size, pos.size))
     for i, s in enumerate(pos):
@@ -843,6 +844,24 @@ def test_numpy_scalar_spec_round_trip(tmp_path):
                          g=GFunction("const", a=np.float64(2.0)))
     save_ensemble(sample_spec(g_spec, UNIFORM, 3, 5), tmp_path / "g.bin")
     assert load_ensemble(tmp_path / "g.bin").spec == g_spec
+
+
+@pytest.mark.parametrize("spec", [
+    ProcessSpec.canonical(0.7, -1.5),
+    ProcessSpec.canonical(0.4, float("-inf")),
+    ProcessSpec.white_noise(0.6),
+    ProcessSpec.fbm(0.3),
+    ProcessSpec.sub_fbm(0.3),
+    ProcessSpec(ssgm.Family.BIFBM, 0.125 + 1e-14, htilde=0.25, ktilde=0.5),
+    ProcessSpec.riemann_liouville(0.25),
+    ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(2.0)),
+    ProcessSpec.volterra_g(0.25, 0.5, GFunction.log_pow(1)),
+], ids=lambda s: s.label())
+def test_saved_spec_loads_equal(spec, tmp_path):
+    # every family's spec, however it was spelled, is the spec load_ensemble reads back from its sidecar
+    ens = sample_spec(spec, TimeGrid(np.array([0.5, 1.0])), 2, 3, inner_steps=64)
+    save_ensemble(ens, tmp_path / "e.bin")
+    assert load_ensemble(tmp_path / "e.bin").spec == ens.spec == spec
 
 
 def test_saved_bytes_are_column_major_values(tmp_path):
