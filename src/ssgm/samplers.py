@@ -11,15 +11,15 @@ ergodic average) never holds the ensemble.
 
 Randomness discipline: a plan's paths are drawn in blocks of
 P = min(1024, max(min_rows, 2^17 // n_draws)) paths, about 2^17 normals
-(at least ``min_rows`` rows for the ``poly`` and midpoint transforms, which
-loop over grid times in Python).  Block ``b`` (paths ``b * P`` onward)
+(at least ``min_rows`` = 64 rows for the midpoint transform, which loops
+over grid times in Python; 1 for every other).  Block ``b`` (paths ``b * P`` onward)
 draws ``n_draws`` standard normals per path, one row per path in grid
 order, in one call of an SFC64 generator seeded by
 ``SeedSequence(seed, spawn_key=(b,))`` (``_block_generator``, numpy's route
 to independent parallel streams; the seeded sequence reads no OS entropy),
 and one call of the sampler's vectorised, row-independent transform maps
 the rows of normals to paths.  Ensemble sidecars record this layout as
-``"rng": "sfc64-block-v3"``.  Matrix products go to BLAS as one stacked
+``"rng": "sfc64-block-v4"``.  Matrix products go to BLAS as one stacked
 ``np.matmul`` over zero-padded slices of exactly ``_TILE`` rows
 (``_tiled``), one call of the same shape per slice, so a path's values
 depend only on ``(seed, path index)``: a longer run extends a shorter one.
@@ -36,8 +36,8 @@ affinity mask (no option sets that count); each thread draws the blocks it
 takes through one normals buffer and one rows buffer, and the bytes are the
 same for any CPU count.  ``_drawing_threads`` caps the threads so that their buffers
 hold about 2^18 normals at most (one thread where a block holds more),
-whatever the CPU count, and draws the ``poly`` and midpoint blocks on the
-calling thread alone.  ``empirical_cov`` and ``selfsim_check`` reduce each
+whatever the CPU count, and draws the midpoint blocks on the calling
+thread alone.  ``empirical_cov`` and ``selfsim_check`` reduce each
 block to its moments (``selfsim_check`` where the block is drawn) and merge
 them in block order, so ``selfsim_check`` holds no ensemble.  The Cholesky
 factor, the blocks' transforms and their moments run inside
@@ -82,9 +82,9 @@ __all__ = [
 _BLOCK = 1024  # most paths per block stream
 _BLOCK_NORMALS = 2**17  # normals per block stream, rounded down to whole rows (at least min_rows)
 _TILE = 8  # rows per BLAS call
-_LOOP_ROWS = 64  # least rows per call of a transform that loops over grid times in Python
+_LOOP_ROWS = 64  # least rows per call of the midpoint transform, which loops over grid times in Python
 _DRAW_NORMALS = 2 * _BLOCK_NORMALS  # most normals in the drawing threads' buffers at once
-_RNG_LAYOUT = "sfc64-block-v3"  # recorded in ensemble sidecars
+_RNG_LAYOUT = "sfc64-block-v4"  # recorded in ensemble sidecars
 
 
 # perfbench/spans.py looks this name up in Tracer.install(): deleting it makes every traced run raise KeyError
@@ -367,8 +367,6 @@ def _volterra(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) ->
     """
     if spec.family != Family.VOLTERRA_G:
         raise ParameterError("volterra scheme applies to volterra-g specs")
-    if inner_steps is not None and inner_steps < 64:
-        raise ParameterError("inner_steps must be >= 64")
     if not pos.size:  # the grid {0}: one zero column
         return _Plan(0, lambda z: z, inner_steps=inner_steps)
     if inner_steps is None:
@@ -403,45 +401,63 @@ def _hilbert_cholesky(K: int) -> np.ndarray:
 def _poly_transform(H: float, beta: int, a: float, times: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Map rows of (beta+1) d standard normals to Z at the d positive ``times``, exactly.
 
-    Z_t = a t^(H-1/2-beta) Y_beta(t) with Y_k(t) = int_0^t (t-u)^k dB_u.  The
-    state X_k(t) = t^-(k+1/2) Y_k(t), k = 0..beta, is Gaussian Markov: from
-    t to t' = t + h, with rho = t/t' and q = h/t',
+    Z_t = a t^(H-1/2-beta) Y_beta(t) with Y_k(t) = int_0^t (t-u)^k dB_u.  Over
+    the cell (t_{j-1}, t_j] of width h, (t_j-u)^k = sum_i C(k,i) h^(k-i)
+    (t_{j-1}-u)^i expands about the cell's start, so
 
-        X_k(t') = sum_i C(k,i) q^(k-i) rho^(i+1/2) X_i(t) + q^(k+1/2) (L z)_k,
+        Y_k(t_j) = Y_k(t_{j-1}) + sum_{i<k} C(k,i) h^(k-i) Y_i(t_{j-1}) + h^(k+1/2) (L z_j)_k,
 
-    since (t'-u)^k = sum_i C(k,i) h^(k-i) (t-u)^i and the new increments'
-    moments int_0^h v^(k+l) dv = h^(k+l+1) / (k+l+1) are a scaled Hilbert
-    matrix with factor ``_hilbert_cholesky``.  This is the transition
-    Y(t+h) = P(h) Y(t) + C(h) z conjugated by diag(t^(k+1/2)), so the state
-    stays O(1) and Z_t = a t^H X_beta(t).  Step j uses normals
-    z[:, j(beta+1):(j+1)(beta+1)]; each step is elementwise in fixed order,
-    so a row's result does not depend on how many rows there are.
+    where the cell's moments int_0^h v^(k+l) dv = h^(k+l+1) / (k+l+1) are a
+    scaled Hilbert matrix with factor L = ``_hilbert_cholesky``.  Every
+    coefficient is positive, so the expansion cancels nothing (one about
+    u = 0 has alternating binomial terms and loses about 2^beta eps), and
+    once the modes below k are known each Y_k is one cumulative sum along the
+    grid.  The sums run in units of a segment's last time T, Y_k / T^(k+1/2);
+    a new segment starts only where (t/T)^(beta+1/2) would fall below the
+    smallest normal float64, so most grids are one segment, and the state is
+    carried into the next segment's unit at its start.  Cell j uses normals
+    z[:, j(beta+1):(j+1)(beta+1)]; every operation is elementwise in a fixed
+    order, so a row's result does not depend on how many rows there are.
     """
-    K = beta + 1
-    k = np.arange(K)
-    prev = np.concatenate([[0.0], times[:-1]])
-    rho = (prev / times)[:, None, None]
-    q = ((times - prev) / times)[:, None, None]
-    binom = np.array([[math.comb(r, c) for c in range(K)] for r in range(K)], dtype=float)
-    P = binom * q ** np.maximum(k[:, None] - k, 0) * rho ** (k + 0.5)  # (d, K, K), lower triangular
-    C = q ** (k[:, None] + 0.5) * _hilbert_cholesky(K)  # (d, K, K)
+    K, d = beta + 1, times.size
+    L = _hilbert_cholesky(K)
+    tiny = float(np.finfo(float).tiny)
+    floor = max(tiny ** (1.0 / (beta + 0.5)), tiny)  # least t / T in a segment; t / T itself stays normal
+    ends = [0]
+    while ends[-1] < d:
+        ends.append(int(np.searchsorted(floor * times, times[ends[-1]], side="right")))
+    last = times[np.array(ends[1:], dtype=int) - 1]  # each segment's unit T
+    unit = np.repeat(last, np.diff(ends))
+    step = np.diff(times, prepend=0.0) / unit
+    k = np.arange(K)[:, None]
+    step_pow = step**k  # (K, d): h^n of the drift C(k,i) h^(k-i), n = k - i >= 1
+    noise_scale = step ** (k + 0.5)  # (K, d)
+    carry = (last[:-1] / last[1:]) ** (k + 0.5)  # (K, segments - 1): Y_k into the next segment's unit
+    out_scale = (unit / times) ** (beta + 0.5)  # Y_beta / t^(beta+1/2), the O(1) state, before a t^H
     scale = a * times**H
 
     def transform(z):
-        zt = z.reshape(len(z), times.size, K).transpose(1, 2, 0)  # (d, K, rows) view
-        # the noise (C z)_k of every step, laid out (d, K, rows) so that each step is contiguous;
-        # step j's state then overwrites its noise in place
-        state = np.multiply(zt[:, :1], C[:, :, :1], out=np.empty((times.size, K, len(z))))
-        for m in range(1, K):
-            state += zt[:, m:m + 1] * C[:, :, m:m + 1]
-        x = np.zeros((K, len(z)))
-        prod = np.empty((K, K, len(z)))
-        for new, Pj in zip(state, P[:, :, :, None]):
-            np.multiply(x, Pj, out=prod)  # prod[k, i] = P[j, k, i] x_i
-            for i in range(K):
-                new += prod[:, i]
-            x = new
-        return scale * state[:, beta].T
+        zt = z.reshape(len(z), d, K)
+        Y = np.empty((K, len(z), d + 1))  # Y[k, :, j + 1] is mode k at times[j], Y[:, :, 0] the state at t = 0
+        Y[:, :, 0] = 0.0
+        x = np.empty((len(z), d))  # the terms' buffer, then each segment's Z
+        for m in range(K):  # every cell's noise h^(m+1/2) (L z)_m
+            y = Y[m, :, 1:]
+            np.multiply(zt[:, :, 0], L[m, 0], out=y)
+            for n in range(1, m + 1):
+                y += np.multiply(zt[:, :, n], L[m, n], out=x)
+            y *= noise_scale[m]
+        for s, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            if s:
+                Y[:, :, lo] *= carry[:, s - 1:s]
+            for m in range(K):  # mode m adds the drift of the modes below it, then sums along the grid
+                y, terms = Y[m, :, lo + 1:hi + 1], x[:, lo:hi]
+                for i in range(m):
+                    y += np.multiply(Y[i, :, lo:hi], math.comb(m, i) * step_pow[m - i, lo:hi], out=terms)
+                np.cumsum(Y[m, :, lo:hi + 1], axis=1, out=Y[m, :, lo:hi + 1])
+            np.multiply(Y[beta, :, lo + 1:hi + 1], out_scale[lo:hi], out=x[:, lo:hi])
+        x *= scale
+        return x
 
     return transform
 
@@ -450,18 +466,20 @@ def _poly(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) -> _Pl
     """Exact volterra-g with constant g = a and integer beta >= 0.
 
     (t-u)^beta is a polynomial in u, so Z_t is a linear function of the
-    (beta+1)-dimensional Gaussian Markov state described in
-    ``_poly_transform``.  Each path draws (beta+1) normals per positive grid
-    point and costs O(d (beta+1)^2); there is no Gram matrix, factorization
-    or ``inner_steps``.  Any positive grid works, and the covariance equals
-    ``make_kernel``'s up to rounding.
+    (beta+1)-dimensional Gaussian Markov state Y_0..Y_beta of
+    ``_poly_transform``, each mode one cumulative sum along the grid.  Each
+    path draws (beta+1) normals per positive grid point and costs
+    O(d (beta+1)^2); there is no Gram matrix, factorization or
+    ``inner_steps``.  Any positive grid works, and the covariance equals
+    ``make_kernel``'s up to rounding.  The transform is vectorised over the
+    grid, so its blocks are ordinary ones of about 2^17 normals.
     """
     if spec.family != Family.VOLTERRA_G or spec.g.kind != "const":
         raise ParameterError("poly scheme applies to volterra-g specs with constant g")
     degree = _poly_degree(spec.beta, spec.g)
     if degree is None:
         raise ParameterError(f"poly scheme needs an integer beta >= 0, got beta={spec.beta!r}")
-    return _Plan((degree + 1) * pos.size, _poly_transform(spec.H, degree, spec.g.a, pos), _LOOP_ROWS)
+    return _Plan((degree + 1) * pos.size, _poly_transform(spec.H, degree, spec.g.a, pos))
 
 
 # scheme name -> builder (spec, positive times, inner_steps) -> _Plan; the order is the CLI's
@@ -483,8 +501,16 @@ def _default_scheme(spec: ProcessSpec, pos: np.ndarray) -> str:
 
 def _plan(spec: ProcessSpec, grid: TimeGrid, n_paths: int, seed: int, scheme: Optional[str],
           inner_steps: Optional[int]) -> tuple[str, _Plan]:
-    """Check the path count and seed, pick the scheme and run its builder: (scheme, plan)."""
+    """Check the path count, seed and ``inner_steps``, pick the scheme and run its builder: (scheme, plan).
+
+    ``inner_steps`` is None or an integer >= 64 for every scheme, also those
+    that do not read it, and reaches the builder as a Python int.
+    """
     _check_sampling_args(n_paths, seed, len(grid))
+    if inner_steps is not None:
+        if not isinstance(inner_steps, (int, np.integer)) or isinstance(inner_steps, bool) or inner_steps < 64:
+            raise ParameterError(f"inner_steps must be None or an integer >= 64, got {inner_steps!r}")
+        inner_steps = int(inner_steps)
     pos = _positive_times(grid)
     if scheme is None:
         scheme = _default_scheme(spec, pos)
@@ -505,9 +531,10 @@ def _drawing_threads(plan: _Plan) -> int:
     about ``_DRAW_NORMALS`` normals at most, or one block where a block
     holds more (two threads for blocks of
     ``_BLOCK_NORMALS``, sixteen for 1024 rows of 16), and the peak does not
-    grow with the CPU count.  The ``poly`` and midpoint transforms loop over
-    grid times in Python and hold the GIL, so a second thread adds CPU time
-    and no speed: their blocks are drawn on the calling thread.
+    grow with the CPU count.  The midpoint transform (the one plan with
+    ``min_rows`` > 1) loops over grid times in Python and holds the GIL, so
+    a second thread adds CPU time and no speed: its blocks are drawn on the
+    calling thread.
     """
     if plan.min_rows > 1:
         return 1
@@ -609,8 +636,9 @@ def reduce_blocks(
     ``scratch`` is a flat float64 buffer of at least
     ``len(rows) * (len(grid) - 1)`` values (the block's spent normals) that
     ``reduce`` may overwrite.  Beside the plan, each drawing thread holds
-    about two blocks, and ``_drawing_threads`` caps the threads by that
-    size.  The reducers of ``variation`` draw through it; it is not in
+    about two blocks (the ``poly`` transform's modes a third), and
+    ``_drawing_threads`` caps the threads by that size.  ``selfsim_check``
+    and the reducers of ``variation`` draw through it; it is not in
     ``__all__`` and ``ssgm`` does not export it.
     """
     plan = _plan(spec, grid, n_paths, seed, None, inner_steps)[1]
@@ -641,7 +669,7 @@ def sample_spec(
     scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
     values = np.zeros((n_paths, len(grid)))
     _draw_blocks(plan, seed, n_paths, len(grid), lambda rows, scratch: None, values)
-    return PathEnsemble(spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
+    return PathEnsemble(spec, grid, values, int(seed), scheme, plan.inner_steps, plan.jitter)
 
 
 def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -713,10 +741,11 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
     """Compare sampled covariance on a*grid against a^(2H) times grid's.
 
     Both are drawn with the family's default scheme, from independent
-    substream families (seed and seed+1).  Reported ratios are |difference|
-    / (4 * combined SE); values <= 1 are within the design tolerance.  Each
-    ensemble's blocks run on ``_draw_blocks``, each reduced to its moments as
-    it is drawn, so no ensemble is held.  Where a block holds ``_BLOCK``
+    substream families (seed and seed+1), so ``seed`` must be below
+    2^64 - 1.  Reported ratios are |difference| / (4 * combined SE); values
+    <= 1 are within the design tolerance.  Each ensemble is drawn by
+    ``reduce_blocks``, each block reduced to its moments as it is drawn, so
+    no ensemble is held.  Where a block holds ``_BLOCK``
     paths (rows of at most 128 normals), the two covariances have the bytes
     of ``empirical_cov(sample_spec(...))``, which merges ``_BLOCK``-row
     blocks; with longer rows they are the same numbers merged from smaller
@@ -724,10 +753,14 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
     """
     if not a > 0:
         raise ParameterError("a must be positive")
+    _check_sampling_args(n_paths, seed, len(grid))
+    seed = int(seed)
+    if seed == 2**64 - 1:
+        raise ParameterError(f"seed must be below 2^64 - 1, as the scaled grid's ensemble draws with seed + 1, "
+                             f"got {seed}")
     grids, seeds = (grid, grid.scaled(a)), (seed, seed + 1)
-    plans = [_plan(spec, g, n_paths, s, None, None)[1] for g, s in zip(grids, seeds)]
-    base, scaled = (_merged_cov(g, _draw_blocks(plan, s, n_paths, len(g), lambda rows, scratch: _moments(rows)))
-                    for g, s, plan in zip(grids, seeds, plans))
+    base, scaled = (_merged_cov(g, reduce_blocks(spec, g, n_paths, s, lambda rows, scratch: _moments(rows)))
+                    for g, s in zip(grids, seeds))
     factor = a ** (2.0 * spec.H)
     diff = np.abs(scaled.cov - factor * base.cov)
     combined = np.sqrt(scaled.se**2 + (factor * base.se) ** 2)
@@ -783,8 +816,9 @@ def load_ensemble(path) -> PathEnsemble:
     """Read what :func:`save_ensemble` wrote; a missing file, or a sidecar that
     lacks a key, holds a malformed value or does not describe a float64
     column-major file, is refused naming it.  Unknown scheme names, a
-    missing "rng" key and the Philox tags "philox-block-v1" and
-    "philox-block-v2" load, as older files carry them."""
+    missing "rng" key, the Philox tags "philox-block-v1" and
+    "philox-block-v2" and the SFC64 tag "sfc64-block-v3" load, as older
+    files carry them."""
     path = Path(path)
     side = path.with_suffix(path.suffix + ".json")
     try:

@@ -173,8 +173,9 @@ def pvariation_trichotomy(
     k / max(n_list) with ``sample_spec``'s default scheme and substream
     family ``seed`` itself, not ``seed`` + level index (time change for
     canonical, circulant embedding for fBm, whose dyadic grids are uniform,
-    the exact polynomial-kernel state recursion for volterra-g with constant
-    g and integer beta >= 0, discretized Volterra for other volterra-g,
+    the exact polynomial-kernel modes, one cumulative sum each, for
+    volterra-g with constant g and integer beta >= 0, discretized Volterra
+    for other volterra-g,
     Cholesky otherwise).  ``reduce_blocks`` draws its blocks, each from the
     SFC64 stream of ``SeedSequence(seed, spawn_key=(b,))``, on the block
     runner's threads and reduces each to its per-level sums where it is
@@ -253,9 +254,10 @@ def ergodic_average(
     integer grid 0, 1, ..., n: exact ``poly`` paths for constant g with
     integer beta >= 0, otherwise the midpoint ``volterra`` scheme with 64
     cells per unit time.  ``reduce_blocks`` draws their blocks, each from the
-    SFC64 stream of ``SeedSequence(seed, spawn_key=(b,))``, on the calling
-    thread, since both transforms hold the GIL, and reduces each to its
-    per-path sums as it is drawn, so the ensemble is never held whole.  The
+    SFC64 stream of ``SeedSequence(seed, spawn_key=(b,))``, on the block
+    runner's threads (the midpoint ones on the calling thread alone, as that
+    transform holds the GIL), and reduces each to its per-path sums as it is
+    drawn, so the ensemble is never held whole.  The
     target is E[f(J)] for J ~ N(0, int_0^1 F^2), evaluated in closed form.
     """
     if spec.family != Family.VOLTERRA_G:

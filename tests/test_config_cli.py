@@ -682,6 +682,8 @@ _MALFORMED_ROWS = {
     "p_without_value": ["variation", "--spec", "fbm:H=0.75", "--n", "2^3..2^4", "--p"],
     "unknown_flag": ["asym", "--spec", "rl:H=0.25", "--bogus"],
     "no_subcommand": [],
+    # checked for every scheme, also one that does not read it
+    "inner_steps_negative_fbm": ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--inner-steps", "-5"] + _PATHS,
 }
 
 

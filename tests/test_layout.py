@@ -74,16 +74,15 @@ def _calls_of(name: str) -> list:
 
 def test_one_chunk_generator_draws():
     # one function draws every path: _draw_blocks's worker, once per drawing thread, keys each
-    # block's stream through _block_generator (sample_spec's ensemble, the reducers of
-    # selfsim_check, the trichotomy and the ergodic average); nothing else keys one, and
+    # block's stream through _block_generator (sample_spec's ensemble, and through reduce_blocks
+    # the reducers of selfsim_check, the trichotomy and the ergodic average); nothing else keys one, and
     # _block_generator is the one place that builds a bit generator.  _calls_of walks nested
     # defs, so the worker's call counts for _draw_blocks too
     assert _calls_of("_block_generator") == ["samplers.py:_draw_blocks", "samplers.py:worker"]
     assert _calls_of("SFC64") == _calls_of("SeedSequence") == ["samplers.py:_block_generator"]
     assert [name for name in ("Philox", "PCG64", "MT19937", "default_rng", "RandomState")
             if _calls_of(name)] == []
-    assert sorted(_calls_of("_draw_blocks")) == [
-        "samplers.py:reduce_blocks", "samplers.py:sample_spec", "samplers.py:selfsim_check"]
+    assert sorted(_calls_of("_draw_blocks")) == ["samplers.py:reduce_blocks", "samplers.py:sample_spec"]
 
 
 def test_threads_start_in_the_block_runner_only():

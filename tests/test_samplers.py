@@ -25,6 +25,7 @@ GRID = TimeGrid.geometric(0.1, 2.0, 12)
 UNIFORM = TimeGrid(np.arange(1, 13) * 0.3)
 SPEC = ProcessSpec.canonical(0.7, -1.5)
 SPEC_BM = ProcessSpec.canonical(0.5, -1.0)
+SPEC_POLY = ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0))
 
 
 def _exact(spec, grid):
@@ -187,23 +188,24 @@ def _drawing_thread_ids(monkeypatch, cpus, spec, grid, n_paths):
 
 def test_drawing_threads_capped_by_buffer_size(monkeypatch):
     # the drawing threads' buffers hold about 2^18 normals at most, whatever the CPU count:
-    # two threads for blocks of 2^17 normals, sixteen for 1024 rows of 16; one block is drawn
-    # on the calling thread alone
-    long_grid = TimeGrid(np.arange(2**14 + 1, dtype=float))
-    for spec, grid, threads in ((SPEC_BM, long_grid, 2), (SPEC, TimeGrid.geometric(0.1, 2.0, 16), 16)):
+    # two threads for blocks of 2^17 normals, sixteen for 1024 rows of 16, and two for the poly
+    # scheme's blocks of 64 rows of 2048 normals; one block is drawn on the calling thread alone
+    long_grid, poly_grid = TimeGrid(np.arange(2**14 + 1, dtype=float)), TimeGrid(np.arange(1025.0))
+    for spec, grid, threads in ((SPEC_BM, long_grid, 2), (SPEC, TimeGrid.geometric(0.1, 2.0, 16), 16),
+                                (SPEC_POLY, poly_grid, 2)):
         assert ssgm.samplers._drawing_threads(ssgm.samplers._plan(spec, grid, 64, 5, None, None)[1]) == threads
-    # 64 Brownian paths on 2^14 + 1 points are eight blocks of 8
+    # 64 Brownian paths on 2^14 + 1 points are eight blocks of 8, 150 poly paths on 1025 three of 64
     assert 1 <= len(_drawing_thread_ids(monkeypatch, 8, SPEC_BM, long_grid, 64)) <= 2
+    assert 1 <= len(_drawing_thread_ids(monkeypatch, 8, SPEC_POLY, poly_grid, 150)) <= 2
     assert _drawing_thread_ids(monkeypatch, 8, SPEC_BM, long_grid, 8) == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("spec, n", [(ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0)), 1024),
-                                     (ProcessSpec.volterra_g(0.3, 0.5, GFunction.const(1.0)), 8)],
-                         ids=["poly", "midpoint"])
+@pytest.mark.parametrize("spec, n", [(ProcessSpec.volterra_g(0.3, 0.5, GFunction.const(1.0)), 8)],
+                         ids=["midpoint"])
 def test_loop_transforms_draw_on_the_calling_thread(monkeypatch, spec, n):
-    # the poly and midpoint transforms hold the GIL, so a second thread would add CPU time and no
-    # speed: their 64-path blocks (rows of 2048 normals, three blocks here, which the buffer cap
-    # alone would let two threads draw) are all drawn by the calling thread
+    # the midpoint transform holds the GIL, so a second thread would add CPU time and no speed:
+    # its 64-path blocks (rows of 2048 normals, three blocks here, which the buffer cap alone
+    # would let two threads draw) are all drawn by the calling thread
     grid = TimeGrid(np.arange(n + 1.0))
     plan = ssgm.samplers._plan(spec, grid, 150, 5, None, None)[1]
     assert ssgm.samplers._block_rows(plan) == 64 and ssgm.samplers._drawing_threads(plan) == 1
@@ -608,7 +610,7 @@ def _poly_matrix(H, beta, a, times):
 
 @pytest.mark.parametrize("lead0", [False, True], ids=["no_zero", "leading_zero"])
 @pytest.mark.parametrize("positive", [UNIFORM.times, GRID.times], ids=["uniform", "geometric"])
-@pytest.mark.parametrize("beta", [0, 1, 2, 3, 8])
+@pytest.mark.parametrize("beta", [0, 1, 2, 3, 8, 16, 30])
 def test_poly_exact_covariance(beta, positive, lead0):
     times = np.concatenate([[0.0], positive]) if lead0 else positive
     for H in (0.1, 0.25, 0.5, 0.9):
@@ -641,6 +643,9 @@ def test_poly_zero_column_and_metadata():
     assert ens.spec == ProcessSpec.volterra_g(0.25, 2.0, GFunction.const(0.7))
     assert np.all(ens.values[:, 0] == 0.0)
     assert np.all(ens.values[:, 1:] != 0.0)
+    # no positive time: one zero column and no normals
+    ens = sample_spec(ProcessSpec.volterra_g(0.25, 2, GFunction.const(0.7)), TimeGrid(np.array([0.0])), 3, 9)
+    assert ens.scheme == "poly" and ens.values.tobytes() == np.zeros((3, 1)).tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0 + 1e-12])
@@ -650,7 +655,11 @@ def test_poly_rejects_non_integer_beta(beta):
 
 
 def _poly_stepwise(H, beta, a, times, z):
-    """The poly recursion on (rows, K) states, one grid step and one term at a time."""
+    """The state recursion the poly scheme used before its cumulative sums, one grid step and one term at a time.
+
+    X_k(t) = t^-(k+1/2) Y_k(t) steps from t to t' = t + h with rho = t/t' and q = h/t' as
+    X_k(t') = sum_i C(k,i) q^(k-i) rho^(i+1/2) X_i(t) + q^(k+1/2) (L z)_k, and Z_t = a t^H X_beta(t).
+    """
     K = beta + 1
     k = np.arange(K)
     prev = np.concatenate([[0.0], times[:-1]])
@@ -674,13 +683,76 @@ def _poly_stepwise(H, beta, a, times, z):
     return a * times**H * out
 
 
+def _poly_sums_stepwise(H, beta, a, times, z):
+    """``_poly_transform``'s cumulative sums one grid time and one term at a time, in its order.
+
+    The constants are its expressions on the same arrays; the segments are found by a scan.
+    """
+    K = beta + 1
+    L = _hilbert_cholesky(K)
+    tiny = float(np.finfo(float).tiny)
+    floor = max(tiny ** (1.0 / (beta + 0.5)), tiny)
+    unit = np.empty(times.size)  # each time's segment's last time: a segment holds the times up to its first / floor
+    lo = 0
+    while lo < times.size:
+        hi = lo
+        while hi < times.size and floor * times[hi] <= times[lo]:
+            hi += 1
+        unit[lo:hi] = times[hi - 1]
+        lo = hi
+    last = np.unique(unit)
+    step = np.diff(times, prepend=0.0) / unit
+    k = np.arange(K)[:, None]
+    step_pow, noise_scale = step**k, step ** (k + 0.5)
+    carry = (last[:-1] / last[1:]) ** (k + 0.5)
+    out_scale = (unit / times) ** (beta + 0.5)
+    z = z.reshape(len(z), times.size, K)
+    y = np.zeros((K, len(z)))
+    out = np.empty((len(z), times.size))
+    segment = 0
+    for j in range(times.size):
+        if j and unit[j] != unit[j - 1]:  # into the next segment's unit
+            y = y * carry[:, segment:segment + 1]
+            segment += 1
+        new = np.empty_like(y)
+        for m in range(K):
+            noise = z[:, j, 0] * L[m, 0]
+            for n in range(1, m + 1):
+                noise = noise + z[:, j, n] * L[m, n]
+            inc = noise * noise_scale[m, j]
+            for i in range(m):
+                inc = inc + y[i] * (math.comb(m, i) * step_pow[m - i, j])
+            new[m] = y[m] + inc
+        y = new
+        out[:, j] = y[beta] * out_scale[j]
+    return out * (a * times**H)
+
+
+_EXTREME_GRIDS = {"from_1e-300": np.geomspace(1e-300, 1.0, 40), "from_1e-12": np.geomspace(1e-12, 1.0, 40)}
+
+
 @pytest.mark.parametrize("beta", [0, 1, 3, 8])
 def test_poly_transform_matches_stepwise_reference(beta):
-    times = GRID.times
+    # bytewise, on one segment and on several (the grid from 1e-300 is two at beta >= 1)
+    for times in (GRID.times, _EXTREME_GRIDS["from_1e-300"]):
+        z = np.random.default_rng(beta).standard_normal((13, (beta + 1) * times.size))
+        expected = _poly_sums_stepwise(0.3, beta, 0.7, times, z)
+        got = _poly_transform(0.3, beta, 0.7, times)(z.copy())
+        assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("times", [GRID.times, UNIFORM.times, *_EXTREME_GRIDS.values()],
+                         ids=["geometric", "uniform", *_EXTREME_GRIDS])
+@pytest.mark.parametrize("beta", [0, 1, 3, 8, 16, 30])
+def test_poly_transform_matches_state_recursion(beta, times):
+    # the cumulative sums against the recursion they replaced, each column relative to its largest
+    # value: 1e-13 bounds them (5e-15 at most was seen), also where unsegmented sums would under-
+    # flow t^(beta+1/2) (from 1e-300 at beta >= 1, from 1e-12 at beta = 30) and give inf or nan
     z = np.random.default_rng(beta).standard_normal((13, (beta + 1) * times.size))
-    expected = _poly_stepwise(0.3, beta, 0.7, times, z)
-    got = _poly_transform(0.3, beta, 0.7, times)(z.copy())
-    assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+    old = _poly_stepwise(0.3, beta, 0.7, times, z)
+    new = _poly_transform(0.3, beta, 0.7, times)(z.copy())
+    assert np.all(np.isfinite(new))
+    assert np.max(np.abs(new - old) / np.max(np.abs(old), axis=0)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -886,18 +958,18 @@ def test_saved_bytes_for_any_shape_and_order(tmp_path, n_paths, d, order):
     assert (tmp_path / "e.bin").read_bytes() == np.asfortranarray(values).tobytes(order="F")
 
 
-@pytest.mark.parametrize("rng", ["sfc64-block-v3", None, "philox-block-v1", "philox-block-v2"],
-                         ids=["new_sidecar", "old_sidecar", "v1_sidecar", "v2_sidecar"])
+@pytest.mark.parametrize("rng", ["sfc64-block-v4", None, "philox-block-v1", "philox-block-v2", "sfc64-block-v3"],
+                         ids=["new_sidecar", "old_sidecar", "v1_sidecar", "v2_sidecar", "v3_sidecar"])
 def test_sidecar_rng_marker(tmp_path, rng):
     # sidecars written before the block layout carry no "rng" key, those of 1024-path Philox
-    # blocks "philox-block-v1", those of Philox blocks of about 2^17 normals "philox-block-v2";
-    # all still load
+    # blocks "philox-block-v1", those of Philox blocks of about 2^17 normals "philox-block-v2",
+    # those of SFC64 blocks with at least 64 poly rows "sfc64-block-v3"; all still load
     ens = sample_timechange(0.7, -1.5, GRID, 7, 77)
     path = tmp_path / "ens.bin"
     save_ensemble(ens, path)
     side = tmp_path / "ens.bin.json"
     sidecar = json.loads(side.read_text())
-    assert sidecar["rng"] == "sfc64-block-v3"
+    assert sidecar["rng"] == "sfc64-block-v4"
     if rng != sidecar["rng"]:
         if rng is None:
             del sidecar["rng"]
@@ -1178,6 +1250,39 @@ def test_seed_out_of_range_rejected(seed):
 
 def test_largest_seed_accepted():
     assert sample_timechange(0.7, -1.5, GRID, 3, 2**64 - 1).seed == 2**64 - 1
+
+
+def test_selfsim_refuses_the_largest_seed():
+    # its second ensemble draws with seed + 1, so the message names the seed it was given
+    with pytest.raises(ParameterError, match=r"got 18446744073709551615$"):
+        selfsim_check(SPEC, 2.0, GRID, 3, 2**64 - 1)
+
+
+def test_numpy_integer_seed_round_trips(tmp_path):
+    # the ensemble records a Python int, so the sidecar is written and loads
+    ens = sample_spec(ProcessSpec.fbm(0.3), TimeGrid(np.array([0.5, 1.0])), 2, np.int64(1))
+    assert type(ens.seed) is int
+    save_ensemble(ens, tmp_path / "e.bin")
+    loaded = load_ensemble(tmp_path / "e.bin")
+    assert loaded.seed == 1 and loaded.values.tobytes() == ens.values.tobytes()
+
+
+@pytest.mark.parametrize("inner_steps", [100.0, 100.5, 63, -5, True, "128"])
+@pytest.mark.parametrize("spec", [ProcessSpec.fbm(0.3), ProcessSpec.volterra_g(0.3, 0.5, GFunction.const(1.0))],
+                         ids=["fbm", "midpoint"])
+def test_bad_inner_steps_rejected_for_every_scheme(spec, inner_steps):
+    # checked once for every scheme, also those that do not read it: a float 100.0 would
+    # otherwise sample and save a sidecar that load_ensemble refuses
+    with pytest.raises(ParameterError, match="inner_steps must be None or an integer >= 64"):
+        sample_spec(spec, TimeGrid(np.array([0.5, 1.0])), 2, 1, inner_steps=inner_steps)
+
+
+def test_numpy_integer_inner_steps_recorded_as_int(tmp_path):
+    spec = ProcessSpec.volterra_g(0.3, 0.5, GFunction.const(1.0))
+    ens = sample_spec(spec, TimeGrid(np.array([0.5, 1.0])), 2, 1, inner_steps=np.int64(64))
+    assert type(ens.inner_steps) is int
+    save_ensemble(ens, tmp_path / "e.bin")
+    assert load_ensemble(tmp_path / "e.bin").inner_steps == 64
 
 
 @pytest.mark.parametrize("n_paths", [2, 300, 1025, 3000])  # 1025: a one-row last block

@@ -202,6 +202,22 @@ def test_trichotomy_memory_fixed_in_path_count():
         assert peak <= fixed + 4 * 8 * n_paths, (n_paths, peak / fixed)
 
 
+def test_poly_trichotomy_memory_fixed_in_path_count():
+    # the poly scheme draws ordinary blocks too, of about 2^17 normals (4 paths of 2 x 2^14 here), so
+    # 64 and 1024 paths on 2^14 + 1 points (8 and 128 MiB ensembles) peak within one fixed 12 MiB,
+    # two drawing threads' blocks, normals, modes and rows, plus the 4 per-level sums of a path
+    fixed = 12 * 2**20
+    for n_paths in (64, 1024):
+        tracemalloc.start()
+        try:
+            pvariation_trichotomy(ProcessSpec.volterra_g(0.25, 1.0, G1), 4.0, [2**11, 2**12, 2**13, 2**14],
+                                  n_paths, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fixed + 4 * 8 * n_paths, (n_paths, peak / 2**20)
+
+
 def test_trichotomy_memory_per_drawing_thread(monkeypatch):
     # criterion 7's Brownian trichotomy on two drawing threads: each holds one 2-path block of
     # normals and of rows (1 MiB each) and one row of increments, where the parent's single
@@ -222,6 +238,7 @@ def test_trichotomy_memory_fixed_in_cpu_count(monkeypatch, cpus):
     # tight bounds above hold on any host
     monkeypatch.setattr(ssgm.samplers, "_cpu_count", lambda: cpus)
     test_trichotomy_memory_fixed_in_path_count()
+    test_poly_trichotomy_memory_fixed_in_path_count()
     tracemalloc.start()
     try:
         pvariation_trichotomy(ProcessSpec.canonical(0.5, -1.0), 2.0, [2**13, 2**14, 2**15, 2**16], 64, 11)
