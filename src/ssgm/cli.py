@@ -75,10 +75,6 @@ def _check_writable(outputs: dict) -> None:
         raise ParameterError(f"cannot write {path}: {os.strerror(code)}")
 
 
-def _write_text(path, text: str) -> None:
-    _write_lines(path, [text])
-
-
 def _write_lines(path, lines) -> None:
     """Write an iterable of strings one at a time, so only one is held."""
     with _writing(path), open(path, "wb") as fh:
@@ -89,7 +85,7 @@ def _write_lines(path, lines) -> None:
 def _write_json(path, payload: dict) -> None:
     payload = dict(payload)
     payload["version"] = report_schema_version()
-    _write_text(path, json.dumps(payload, indent=2, default=_json_default) + "\n")
+    _write_lines(path, [json.dumps(payload, indent=2, default=_json_default) + "\n"])
 
 
 def _json_default(obj):
@@ -180,7 +176,10 @@ def _cmd_kernel_eval(args) -> int:
     spec = args.spec
     kernel = make_kernel(spec, tol=args.tol, budget=args.budget)
     if args.s is not None:
-        value = float(kernel(args.s, args.t))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below, as build_gram does
+            value = float(kernel(args.s, args.t))
+        if not math.isfinite(value):
+            raise NumericalError(f"R({args.s!r}, {args.t!r}) of {spec.label()} is {value!r}, not finite")
         print(f"kernel-eval {spec.label()} R({args.s:g},{args.t:g}) = {value:.16e}")
         if args.json:
             _write_json(args.json, {"kernel": spec.label(), "s": args.s, "t": args.t, "value": value})
@@ -188,7 +187,7 @@ def _cmd_kernel_eval(args) -> int:
     grid = standard_grid() if args.grid is None else args.grid
     gram = build_gram(kernel, grid)
     if args.csv:
-        _write_text(args.csv, gram_to_csv(gram))
+        _write_lines(args.csv, [gram_to_csv(gram)])
     print(f"kernel-eval {spec.label()} gram {len(grid)}x{len(grid)} "
           f"max|R| = {np.max(np.abs(gram.entries)):.6e}")
     if args.json:
@@ -213,7 +212,7 @@ def _cmd_posdef(args) -> int:
     verdict = "PSD" if report.is_psd else "NotPSD"
     print(f"posdef {label}: {verdict} (min eigenvalue {report.min_eigenvalue_bound:.6e})")
     if args.csv:
-        _write_text(args.csv, gram_to_csv(gram))
+        _write_lines(args.csv, [gram_to_csv(gram)])
     if args.json:
         payload = {
             "kernel": label,
@@ -314,7 +313,7 @@ def _cmd_variation(args) -> int:
     print(f"variation {spec.label()} p={args.p:g}: {report.verdict} "
           f"(slope {report.slope_estimate:+.3f}){limit}")
     if args.csv:
-        _write_text(args.csv, variation_to_csv(report))
+        _write_lines(args.csv, [variation_to_csv(report)])
     if args.json:
         _write_json(args.json, {
             "spec": spec.label(),
@@ -462,7 +461,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's says which array it could not allocate
         print(f"ssgm: invalid parameters: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:  # an OverflowError: a float64 result out of range
         print(f"ssgm: numerical failure: {exc}", file=sys.stderr)
         return 3
 

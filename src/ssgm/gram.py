@@ -169,7 +169,7 @@ def standard_grid() -> TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric covariance matrix entries[i][j] = R(t_i, t_j) over a grid."""
+    """Symmetric covariance matrix entries[i][j] = R(t_i, t_j) over a grid; a non-finite entry is refused."""
 
     grid: TimeGrid
     entries: np.ndarray
@@ -180,6 +180,12 @@ class GramMatrix:
         d = len(self.grid)
         if entries.shape != (d, d):
             raise ParameterError(f"entries must be {d}x{d}, got {entries.shape}")
+        finite = np.isfinite(entries)
+        if not finite.all():
+            i, j = (int(k) for k in np.argwhere(~finite)[0])  # row-major first, so i <= j in a symmetric matrix
+            t = self.grid.times
+            raise NumericalError(f"Gram entry ({i},{j}) at times ({float(t[i])!r}, {float(t[j])!r}) "
+                                 f"is {float(entries[i, j])!r}, not finite")
 
 
 @dataclass(frozen=True)
@@ -213,17 +219,6 @@ class PosDefReport:
         return self.verdict == "PSD"
 
 
-def _finite_gram(grid: TimeGrid, entries: np.ndarray) -> GramMatrix:
-    """The Gram matrix of ``entries``, or NumericalError naming its first non-finite entry."""
-    finite = np.isfinite(entries)
-    if not finite.all():
-        i, j = (int(k) for k in np.argwhere(~finite)[0])  # row-major first, so i <= j in a symmetric matrix
-        t = grid.times
-        raise NumericalError(f"Gram entry ({i},{j}) at times ({float(t[i])!r}, {float(t[j])!r}) "
-                             f"is {float(entries[i, j])!r}, not finite")
-    return GramMatrix(grid, entries)
-
-
 def build_gram(kernel: CovKernel, grid: TimeGrid) -> GramMatrix:
     """Evaluate the kernel on the upper triangle i <= j and mirror it.
 
@@ -252,7 +247,7 @@ def build_gram(kernel: CovKernel, grid: TimeGrid) -> GramMatrix:
     entries = np.zeros((d, d), dtype=float)
     entries[iu, ju] = vals
     entries[ju, iu] = vals
-    return _finite_gram(grid, entries)
+    return GramMatrix(grid, entries)
 
 
 def psd_check(gram: GramMatrix, tol: float = 1e-10) -> PosDefReport:
@@ -285,18 +280,16 @@ def power_gram(q: MinorQuery) -> GramMatrix:
     t = q.grid.times
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite entry is refused
         entries = np.maximum.outer(t, t) ** q.alpha / np.minimum.outer(t, t) ** q.beta
-    return _finite_gram(q.grid, entries)
+    return GramMatrix(q.grid, entries)
 
 
 def lindstrom_minor(q: MinorQuery) -> float:
     """Closed-form determinant of the (alpha, beta) Gram matrix.
 
-    For d = 1 this is t_1^(alpha - beta).
+    For d = 1 this is t_1^(alpha - beta).  ``MinorQuery`` makes every time positive.
     """
     t = q.grid.times
     a, b = q.alpha, q.beta
-    if np.any(t <= 0):
-        raise ParameterError("grid times must be strictly positive")
     result = t[-1] ** (a - b)
     if t.size > 1:
         s = t ** (a + b)

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gamma as gamma_fn, hyp2f1
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, check_quadrature_args, integrate_power_upper
 
 __all__ = [
@@ -339,15 +339,11 @@ def _on_quadrant(formula: Callable, s, t):
     if scalar:
         s, t = s.reshape(1), t.reshape(1)
     lo, hi = np.minimum(s, t), np.maximum(s, t)
-    first = lo.min(initial=math.inf)
-    if not (first >= 0 and hi.max(initial=0.0) < math.inf):  # nan fails both
+    if not (lo.min(initial=math.inf) >= 0 and hi.max(initial=0.0) < math.inf):  # nan fails both
         raise ParameterError("times must be nonnegative and finite")
-    if first > 0:  # no pair on an axis
-        out = formula(lo, hi, hi - lo)
-    else:
-        axis = lo == 0
-        lo, hi = np.where(axis, 1.0, lo), np.where(axis, 1.0, hi)
-        out = np.where(axis, 0.0, formula(lo, hi, hi - lo))
+    axis = lo == 0
+    lo, hi = np.where(axis, 1.0, lo), np.where(axis, 1.0, hi)
+    out = np.where(axis, 0.0, formula(lo, hi, hi - lo))
     return float(out[0]) if scalar else out
 
 
@@ -404,7 +400,8 @@ def _formula(spec: ProcessSpec, tol: float, budget: int) -> Callable:
     beta, g = spec.beta, spec.g  # volterra-g
     if g.kind == "const":
         # a^2 integral_0^m ((s-u)(t-u))^beta du = a^2 Gamma(beta+1)^2 R_RL(beta+1/2; s, t)
-        coef = (g.a * gamma_fn(beta + 1.0)) ** 2
+        with np.errstate(over="ignore"):  # an inf coefficient gives inf entries: build_gram refuses them
+            coef = (g.a * gamma_fn(beta + 1.0)) ** 2
 
         def const(lo, hi, gap):
             rl = _rl(beta + 0.5, lo, hi, gap)
@@ -539,13 +536,23 @@ def _volterra_g_pairs(spec: ProcessSpec, m: np.ndarray, big: np.ndarray, gap: np
 
 
 def volterra_g_variance(spec: ProcessSpec) -> float:
-    """int_0^1 F^2 for F(x) = (1-x)^beta g(x): a^2/(2beta+1) for g = a, (2k)!/(2beta+1)^(2k+1) for log^k."""
+    """int_0^1 F^2 for F(x) = (1-x)^beta g(x): a^2/(2beta+1) for g = a, (2k)!/(2beta+1)^(2k+1) for log^k.
+
+    Where float64 cannot hold a term or the value, :class:`NumericalError` names the spec.
+    """
     if spec.family != Family.VOLTERRA_G:
         raise ParameterError("variance integral applies to the volterra-g family")
     beta, g = spec.beta, spec.g
-    if g.kind == "const":
-        return g.a**2 / (2.0 * beta + 1.0)
-    return math.factorial(2 * g.k) / (2.0 * beta + 1.0) ** (2 * g.k + 1)
+    try:
+        if g.kind == "const":
+            value = g.a**2 / (2.0 * beta + 1.0)
+        else:
+            value = math.factorial(2 * g.k) / (2.0 * beta + 1.0) ** (2 * g.k + 1)
+    except (OverflowError, ZeroDivisionError):  # a^2 or (2k)! too large, or the power underflowing to 0
+        value = math.inf
+    if not value < math.inf:
+        raise NumericalError(f"int_0^1 F^2 of {spec.label()} is not representable in float64")
+    return value
 
 
 def make_kernel(spec: ProcessSpec, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET) -> CovKernel:

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -121,7 +122,7 @@ class PathEnsemble:
     spec: ProcessSpec
     grid: TimeGrid
     values: np.ndarray  # n_paths x d
-    seed: int
+    seed: int  # seed and inner_steps are held as Python ints (a float is refused), jitter as a float
     scheme: str  # one of SCHEMES; "volterra" is the midpoint scheme of volterra-g
     inner_steps: Optional[int] = None
     jitter: float = 0.0
@@ -129,6 +130,10 @@ class PathEnsemble:
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[1] != len(self.grid):
             raise ParameterError("values must be n_paths x len(grid)")
+        inner = self.inner_steps
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "inner_steps", None if inner is None else operator.index(inner))
+        object.__setattr__(self, "jitter", float(self.jitter))
 
     @property
     def n_paths(self) -> int:
@@ -191,12 +196,17 @@ def _timechange(spec: ProcessSpec, pos: np.ndarray, inner_steps: Optional[int]) 
     if spec.family != Family.CANONICAL:
         raise ParameterError("timechange scheme applies to the canonical family with finite c; "
                              "its c = -inf limit, white noise, takes the whitenoise scheme")
-    tau = pos ** (-2.0 * spec.H - 2.0 * spec.c)
-    dtau = np.diff(np.concatenate([[0.0], tau]))
-    if np.any(dtau < 0):  # theoretically impossible for c <= -H
-        raise NumericalError("time change is not monotone")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        tau = pos ** (-2.0 * spec.H - 2.0 * spec.c)
+        dtau = np.diff(np.concatenate([[0.0], tau]))
+        scale = pos ** (2.0 * spec.H + spec.c)
+    # nan fails each test; dtau < 0, impossible for c <= -H in exact arithmetic, would be rounding
+    bad = ~((dtau >= 0) & (dtau < math.inf) & (scale < math.inf))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NumericalError(f"time change at t = {float(pos[j])!r} is not finite and nondecreasing: "
+                             f"dtau = {float(dtau[j])!r}, t^(2H+c) = {float(scale[j])!r}")
     sqrt_dtau = np.sqrt(dtau)
-    scale = pos ** (2.0 * spec.H + spec.c)
     if pos.size <= _BLOCK_NORMALS // _BLOCK:
         factor = np.triu(np.outer(sqrt_dtau, scale))
         return _Plan(pos.size, lambda z: _tiled(z, factor))
@@ -504,13 +514,12 @@ def _plan(spec: ProcessSpec, grid: TimeGrid, n_paths: int, seed: int, scheme: Op
     """Check the path count, seed and ``inner_steps``, pick the scheme and run its builder: (scheme, plan).
 
     ``inner_steps`` is None or an integer >= 64 for every scheme, also those
-    that do not read it, and reaches the builder as a Python int.
+    that do not read it.
     """
     _check_sampling_args(n_paths, seed, len(grid))
     if inner_steps is not None:
         if not isinstance(inner_steps, (int, np.integer)) or isinstance(inner_steps, bool) or inner_steps < 64:
             raise ParameterError(f"inner_steps must be None or an integer >= 64, got {inner_steps!r}")
-        inner_steps = int(inner_steps)
     pos = _positive_times(grid)
     if scheme is None:
         scheme = _default_scheme(spec, pos)
@@ -602,15 +611,11 @@ def _draw_blocks(plan: _Plan, seed: int, n_paths: int, d: int,
                 failed[b] = exc
 
     helpers = min(n_blocks, _cpu_count(), _drawing_threads(plan)) - 1
-    with one_blas_thread():
-        if helpers > 0:
-            with ThreadPoolExecutor(helpers) as pool:  # leaving joins its threads
-                futures = [pool.submit(worker) for _ in range(helpers)]
-                worker()
-            for future in futures:
-                future.result()
-        else:
-            worker()
+    # a pool starts a thread per submit only; worker records its own errors, and leaving joins the threads
+    with one_blas_thread(), ThreadPoolExecutor(max(1, helpers)) as pool:
+        for _ in range(helpers):
+            pool.submit(worker)
+        worker()
     if failed:
         raise failed[min(failed)]
     return results
@@ -669,7 +674,7 @@ def sample_spec(
     scheme, plan = _plan(spec, grid, n_paths, seed, scheme, inner_steps)
     values = np.zeros((n_paths, len(grid)))
     _draw_blocks(plan, seed, n_paths, len(grid), lambda rows, scratch: None, values)
-    return PathEnsemble(spec, grid, values, int(seed), scheme, plan.inner_steps, plan.jitter)
+    return PathEnsemble(spec, grid, values, seed, scheme, plan.inner_steps, plan.jitter)
 
 
 def sample_timechange(H: float, c: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -786,7 +791,7 @@ _SIDECAR_KEYS = frozenset({"spec", "grid", "seed", "scheme", "shape", "dtype", "
 
 
 def save_ensemble(ensemble: PathEnsemble, path) -> None:
-    """Write a column-major float64 matrix file plus a JSON sidecar."""
+    """Write a column-major float64 matrix file plus a JSON sidecar, whose text is made before either is written."""
     path = Path(path)
     values = ensemble.values
     cols = values.T  # its row-major bytes are the file's column-major ones
@@ -795,9 +800,7 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
         cols = np.empty_like(cols, order="C")
         for lo in range(0, len(values), _BLOCK):
             cols[:, lo:lo + _BLOCK] = values[lo:lo + _BLOCK].T
-    with open(path, "wb") as fh:
-        fh.write(cols)
-    sidecar = {
+    sidecar = json.dumps({
         "spec": ensemble.spec.label(),
         "grid": [float(t) for t in ensemble.grid.times],
         "seed": ensemble.seed,
@@ -808,8 +811,10 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
         "dtype": "float64",
         "order": "F",
         "rng": _RNG_LAYOUT,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    }, indent=2) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(cols)
+    path.with_suffix(path.suffix + ".json").write_text(sidecar)
 
 
 def load_ensemble(path) -> PathEnsemble:
@@ -858,4 +863,4 @@ def load_ensemble(path) -> PathEnsemble:
             f"{8 * math.prod(shape)} float64 bytes"
         )
     values = np.frombuffer(data, dtype=np.float64).reshape(shape, order="F")
-    return PathEnsemble(spec, grid, values, seed, sidecar["scheme"], inner_steps=inner, jitter=float(jitter))
+    return PathEnsemble(spec, grid, values, seed, sidecar["scheme"], inner_steps=inner, jitter=jitter)

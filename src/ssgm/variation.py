@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .gram import TimeGrid, check_array_size
 from .kernels import Family, GFunction, ProcessSpec, volterra_g_variance
 from .quadrature import DEFAULT_BUDGET, integrate_power_upper
@@ -191,7 +191,9 @@ def pvariation_trichotomy(
     Fits the log-log slope of mean S_n over the top half of ``n_list``.
     Slopes within +-0.1 of zero classify as FiniteLimit with the largest-n
     mean as the limit estimate; the self-similar stationary-increment
-    benchmark slope is 1 - pH.
+    benchmark slope is 1 - pH.  A level whose mean is not positive and
+    finite (its sums underflow to 0 or overflow) leaves the slope undefined
+    and raises :class:`NumericalError` naming it.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2 or any(n & (n - 1) or n < 2 for n in n_list):
@@ -200,12 +202,18 @@ def pvariation_trichotomy(
         raise ParameterError("n_list must be increasing")
     _check_p(p)
     n_max = n_list[-1]
+    sigma_j_sq = _sigma_j_sq(spec)
 
     def level_sums(rows, scratch):  # one block's sums, one row per level
-        return np.array([_pvariation_sums(rows[:, ::n_max // n], p, scratch) for n in n_list])
+        with np.errstate(over="ignore"):  # a sum that overflows is refused below
+            return np.array([_pvariation_sums(rows[:, ::n_max // n], p, scratch) for n in n_list])
 
     sums = np.concatenate(reduce_blocks(spec, _dyadic_grid(n_max), n_paths, seed, level_sums), axis=1)
     means_arr = np.array([float(np.mean(level)) for level in sums])
+    for n, mean in zip(n_list, means_arr):
+        if not 0 < mean < math.inf:
+            raise NumericalError(f"the mean p-variation sum at n = {n} is {float(mean)!r}, not positive and finite, "
+                                 f"so the log-log slope is undefined")
     ses_arr = np.array([float(np.std(level, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
                         for level in sums])
     half = min(len(n_list) // 2, len(n_list) - 2)
@@ -227,16 +235,26 @@ def pvariation_trichotomy(
         slope_estimate=slope,
         verdict=verdict,
         limit_value=limit,
-        sigmaJ_sq=_sigma_j_sq(spec),
+        sigmaJ_sq=sigma_j_sq,
         proven_regime=spec.proven_regime,
     )
 
 
 def gaussian_abs_moment(sigma_sq: float, p: float) -> float:
-    """E|N(0, sigma^2)|^p = sigma^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi)."""
+    """E|N(0, sigma^2)|^p = sigma^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi).
+
+    Where float64 cannot hold a factor or the value, :class:`NumericalError` names p.
+    """
     if sigma_sq < 0:
         raise ParameterError("sigma_sq must be nonnegative")
-    return sigma_sq ** (p / 2.0) * 2.0 ** (p / 2.0) * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    try:
+        with np.errstate(invalid="ignore"):  # 0 * inf where sigma^p underflows and Gamma overflows
+            value = sigma_sq ** (p / 2.0) * 2.0 ** (p / 2.0) * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    except OverflowError:  # sigma^p or 2^(p/2) too large
+        value = math.inf
+    if not value < math.inf:
+        raise NumericalError(f"E|N(0, {sigma_sq!r})|^p at p = {p!r} is not representable in float64")
+    return value
 
 
 def ergodic_average(

@@ -392,6 +392,52 @@ def test_cli_non_finite_gram_exits_3(argv, tmp_path):
                         r"not finite\n", out.stderr)
 
 
+_LOG_POW_86 = "volterra-g:H=0.25,beta=1,g=log-pow:86"  # (2k)! = 172! exceeds float64
+_INT_F2 = r"int_0\^1 F\^2 of volterra-g:H=0\.25,beta=1\.0,g={} is not representable in float64"
+_UNREPRESENTABLE = {
+    "kernel_eval_log_pow": (["kernel-eval", "--kernel", _LOG_POW_86, "--s", "0.5", "--t", "2"],
+                            _INT_F2.format("log-pow:86")),
+    "markov_test_log_pow": (["markov-test", "--kernel", _LOG_POW_86], _INT_F2.format("log-pow:86")),
+    "posdef_log_pow": (["posdef", "--kernel", _LOG_POW_86], _INT_F2.format("log-pow:86")),
+    "variation_log_pow": (["variation", "--spec", _LOG_POW_86, "--p", "2", "--n", "2^2..2^3", "--paths", "2",
+                           "--seed", "1"], _INT_F2.format("log-pow:86")),
+    "variation_const": (["variation", "--spec", "volterra-g:H=0.25,beta=1,g=const:1e200", "--p", "2",
+                         "--n", "2^2..2^3", "--paths", "2", "--seed", "1"], _INT_F2.format(r"const:1e\+200")),
+    "variation_slope": (["variation", "--spec", "fbm:H=0.3", "--p", "2000", "--n", "2^2..2^4", "--paths", "2",
+                         "--seed", "1", "--json", "v.json"],
+                        r"the mean p-variation sum at n = 8 is inf, not positive and finite, "
+                        r"so the log-log slope is undefined"),
+    "kernel_eval_point_nan": (["kernel-eval", "--kernel", "rl:H=1e6", "--s", "0.5", "--t", "2", "--json", "k.json"],
+                              r"R\(0\.5, 2\.0\) of rl:H=1000000\.0 is nan, not finite"),
+    "kernel_eval_point_inf": (["kernel-eval", "--kernel", "volterra-g:H=0.25,beta=1,g=const:1e200", "--s", "1",
+                               "--t", "1"], r"R\(1\.0, 1\.0\) of volterra-g:.*g=const:1e\+200 is inf, not finite"),
+    "sample_time_change": (["sample", "--spec", "canonical:H=0.5,c=-1e308", "--grid", "0.5,2", "--paths", "3",
+                            "--seed", "1", "--json", "J.json"],
+                           r"time change at t = 0\.5 is not finite and nondecreasing: dtau = 0\.0, "
+                           r"t\^\(2H\+c\) = inf"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(_UNREPRESENTABLE.values()), ids=list(_UNREPRESENTABLE))
+def test_cli_unrepresentable_result_exits_3(argv, message, tmp_path, monkeypatch, capsys):
+    # each exited 1 with an OverflowError traceback, or 0 printing or writing inf or nan
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"ssgm: numerical failure: {message}\n", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_escaping_overflow_error_exits_3(monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(ssgm.cli, "markov_test", overflow)
+    assert main(["markov-test", "--kernel", "fbm:H=0.3"]) == 3
+    assert capsys.readouterr() == ("", "ssgm: numerical failure: (34, 'Numerical result out of range')\n")
+
+
 def test_cli_reproducible_csv_across_threads(tmp_path, monkeypatch):
     # 2500 paths are three blocks, so the block pool runs; --threads and SSGM_THREADS change nothing
     cfg_text = """

@@ -148,6 +148,14 @@ def test_power_gram_refuses_non_finite_entry():
             power_gram(q)
 
 
+def test_gram_matrix_refuses_non_finite_entry():
+    # the type states the rule: a hand-built matrix is refused as build_gram's are
+    entries = np.array([[1.0, np.nan], [np.nan, 4.0]])
+    with pytest.raises(NumericalError) as info:
+        GramMatrix(TimeGrid(np.array([1.0, 2.0])), entries)
+    assert str(info.value) == "Gram entry (0,1) at times (1.0, 2.0) is nan, not finite"
+
+
 def test_not_psd_above_boundary_with_witness():
     # alpha + beta = 0.5 > 0 on grid (1, 2): [[1, 2^a], [2^a, 2^(a-b)]]
     alpha, beta = 0.3, 0.2

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,7 +13,7 @@ from ssgm import (Family, GFunction, ProcessSpec, TimeGrid, build_gram, eval_l,
                   format_spec_string, isometry_residual, make_kernel,
                   parse_spec_string, standard_grid, volterra_g_variance,
                   volterra_kernel)
-from ssgm.errors import ParameterError
+from ssgm.errors import NumericalError, ParameterError
 from ssgm.quadrature import integrate_power_upper
 
 NEG_INF = float("-inf")
@@ -284,6 +285,14 @@ def test_volterra_g_variance_matches_quadrature_oracle(beta, g):
     else:
         oracle = _exp_quad(lambda v: math.exp(-(2 * beta + 1) * v) * v ** (2 * g.k))
     assert volterra_g_variance(ProcessSpec.volterra_g(0.25, beta, g)) == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("g", [GFunction.log_pow(86), GFunction.const(1e200)], ids=["log-pow:86", "const:1e200"])
+def test_volterra_g_variance_refuses_unrepresentable(g):
+    # 172! and (1e200)^2 do not fit a float64: refused naming the spec, not an OverflowError
+    spec = ProcessSpec.volterra_g(0.25, 1.0, g)
+    with pytest.raises(NumericalError, match=rf"^int_0\^1 F\^2 of {re.escape(spec.label())} is not representable"):
+        volterra_g_variance(spec)
 
 
 @pytest.mark.parametrize("beta, k", [(0.0, 1), (-0.25, 3), (1.0, 1)])

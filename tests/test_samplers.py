@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ssgm
-from ssgm import (SCHEMES, GFunction, ProcessSpec, TimeGrid, build_gram, empirical_cov,
+from ssgm import (SCHEMES, GFunction, PathEnsemble, ProcessSpec, TimeGrid, build_gram, empirical_cov,
                   ensemble_csv_lines, ergodic_average, increment_variance,
                   load_ensemble, make_kernel, parse_spec_string, pvariation_trichotomy, sample_spec,
                   sample_timechange, save_ensemble, selfsim_check)
@@ -1265,6 +1265,25 @@ def test_numpy_integer_seed_round_trips(tmp_path):
     save_ensemble(ens, tmp_path / "e.bin")
     loaded = load_ensemble(tmp_path / "e.bin")
     assert loaded.seed == 1 and loaded.values.tobytes() == ens.values.tobytes()
+
+
+def test_directly_built_ensemble_records_python_numbers(tmp_path):
+    # PathEnsemble converts its metadata, so an ensemble not drawn by sample_spec saves both files and loads
+    values = np.zeros((2, 2))
+    ens = PathEnsemble(ProcessSpec.fbm(0.3), TimeGrid(np.array([0.5, 1.0])), values, np.int64(1), "cholesky",
+                       np.int64(64), np.float64(0.0))
+    assert (type(ens.seed), type(ens.inner_steps), type(ens.jitter)) == (int, int, float)
+    save_ensemble(ens, tmp_path / "e.bin")
+    loaded = load_ensemble(tmp_path / "e.bin")
+    assert (loaded.seed, loaded.inner_steps, loaded.values.tobytes()) == (1, 64, values.tobytes())
+    with pytest.raises(TypeError):
+        PathEnsemble(ens.spec, ens.grid, values, 1.0, "cholesky")
+
+
+def test_timechange_refuses_a_time_change_float64_cannot_hold():
+    # c = -1e308 puts t^(2H+c) at inf and tau at 0 or inf: refused naming the first time, not NaN paths
+    with pytest.raises(NumericalError, match=r"^time change at t = 0\.5 is not finite and nondecreasing"):
+        sample_spec(ProcessSpec.canonical(0.5, -1e308), TimeGrid(np.array([0.5, 2.0])), 3, 1)
 
 
 @pytest.mark.parametrize("inner_steps", [100.0, 100.5, 63, -5, True, "128"])

@@ -11,7 +11,7 @@ from ssgm import (GFunction, ProcessSpec, TimeGrid, ergodic_average,
                   gaussian_abs_moment, increment_variance, int_limit_residual,
                   pvariation_sum, pvariation_trichotomy, sample_spec,
                   variation_to_csv)
-from ssgm.errors import ParameterError
+from ssgm.errors import NumericalError, ParameterError
 
 G1 = GFunction.const(1.0)
 
@@ -378,6 +378,18 @@ def test_gaussian_abs_moment_identities():
     assert gaussian_abs_moment(4.0, 2.0) == pytest.approx(4.0, rel=1e-14)
     assert gaussian_abs_moment(1.0, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
     assert gaussian_abs_moment(1.0 / 3.0, 1.0) == pytest.approx(math.sqrt(2.0 / (3.0 * math.pi)), rel=1e-14)
+
+
+def test_gaussian_abs_moment_refuses_unrepresentable():
+    # 2^1500 does not fit a float64: refused naming p, not an OverflowError
+    with pytest.raises(NumericalError, match=r"^E\|N\(0, 1\.0\)\|\^p at p = 3000\.0 is not representable"):
+        gaussian_abs_moment(1.0, 3000.0)
+
+
+def test_trichotomy_refuses_a_mean_that_is_not_positive_and_finite():
+    # |increment|^2000 overflows at n = 8: the log-log slope is undefined, not a FiniteLimit read off nan
+    with pytest.raises(NumericalError, match=r"^the mean p-variation sum at n = 8 is inf, not positive and finite"):
+        pvariation_trichotomy(ProcessSpec.fbm(0.3), 2000.0, [4, 8, 16], 2, 1)
 
 
 # ---------------------------------------------------------------------------
