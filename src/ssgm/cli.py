@@ -89,19 +89,8 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _finite_or_str(x):
-    if x is None:
-        return None
-    if isinstance(x, float) and math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    return x
+    """Every report value is a Python number, bool, str, None or list, or an ndarray."""
+    return obj.tolist()
 
 
 def _number(kind, text: str):
@@ -146,8 +135,9 @@ def _parse_pow(text: str) -> int:
 def _settle(args) -> None:
     """Settle every input once: its flag, else the --config block, else the default.
 
-    ``args.spec`` becomes a ProcessSpec (None only for power-family posdef)
-    and ``args.grid`` a TimeGrid or None.  ``tol`` and ``psd_tol`` default to
+    ``args.spec`` becomes a ProcessSpec (None only for power-family posdef,
+    whose ``--alpha``/``--beta`` a flag spec may not join) and ``args.grid``
+    a TimeGrid or None.  ``tol`` and ``psd_tol`` default to
     1e-10; ``paths``, ``seed`` and ``inner_steps`` to MCConfig's defaults with
     a config and to None without one.  The quadrature tolerance must be
     positive and finite, also where a command does not use it.  The config and
@@ -164,9 +154,12 @@ def _settle(args) -> None:
     if args.command != "asym":
         check_quadrature_args(args.tol, DEFAULT_BUDGET)
     grid = cfg.grid.build() if cfg else None
+    power = getattr(args, "alpha", None) is not None or getattr(args, "beta", None) is not None
+    if power and args.spec:
+        raise ParameterError("posdef takes --kernel or --alpha/--beta, not both")
     args.spec = parse_spec_string(args.spec) if args.spec else (cfg.process if cfg else None)
     args.grid = _parse_grid_arg(args.grid) if getattr(args, "grid", None) else grid
-    if args.spec is None and getattr(args, "alpha", None) is None and getattr(args, "beta", None) is None:
+    if args.spec is None and not power:
         raise ParameterError("no process spec given (flag or config [process] block)")
 
 
@@ -209,14 +202,13 @@ def _cmd_posdef(args) -> int:
         label = args.spec.label()
         minor = None
     report = psd_check(gram, tol=args.psd_tol)
-    verdict = "PSD" if report.is_psd else "NotPSD"
-    print(f"posdef {label}: {verdict} (min eigenvalue {report.min_eigenvalue_bound:.6e})")
+    print(f"posdef {label}: {report.verdict} (min eigenvalue {report.min_eigenvalue_bound:.6e})")
     if args.csv:
         _write_lines(args.csv, [gram_to_csv(gram)])
     if args.json:
         payload = {
             "kernel": label,
-            "verdict": verdict,
+            "verdict": report.verdict,
             "min_eigenvalue_bound": report.min_eigenvalue_bound,
             "tol": report.tol,
             "witness": report.witness,
@@ -232,13 +224,14 @@ def _cmd_markov_test(args) -> int:
     spec = args.spec
     kernel = make_kernel(spec, tol=args.tol)
     report = markov_test(kernel, args.grid)
+    c = report.fit.c_hat  # finite, or -inf (white noise), which JSON has no number for
     payload = {
         "kernel": report.kernel,
         "verdict": report.verdict,
         "doob": {"max": report.doob_max_residual, "mean": report.doob_mean_residual},
         "fit": {
             "r11": report.fit.r11_hat,
-            "c": _finite_or_str(report.fit.c_hat),
+            "c": str(c) if math.isinf(c) else c,
             "residual": report.fit.regression_residual,
         },
         "mult_residual": report.mult_residual,

@@ -321,8 +321,8 @@ def sqrt_diag_profile(kernel: CovKernel, t_values, alpha: float = 0.5) -> AsymRe
     )
 
 
-def _predicted_pair(spec: ProcessSpec) -> tuple[Optional[float], Optional[float]]:
-    """Leading (coefficient, exponent) of l(u) - lim l(u) at infinity."""
+def _predicted_pair(spec: ProcessSpec) -> tuple[float, float]:
+    """Leading (coefficient, exponent) of l(u) - lim l(u) at infinity, for an l-form family."""
     H = spec.H
     if spec.family == Family.FBM:
         return H, 2.0 * H - 1.0
@@ -330,14 +330,12 @@ def _predicted_pair(spec: ProcessSpec) -> tuple[Optional[float], Optional[float]
         return 4.0 * H / (2.0 * H + 1.0), H - 0.5
     if spec.family == Family.SUBFBM:
         return H * (1.0 - 2.0 * H) / make_kernel(spec).r11, 2.0 * H - 2.0
-    if spec.family == Family.BIFBM:
-        ht, kt = spec.htilde, spec.ktilde
-        if ht < 0.5 and kt < 1.0:
-            return 2.0 ** (-kt) * kt, 2.0 * ht * (kt - 1.0)
-        if ht == 0.5:
-            return 2.0 ** (-kt) * 2.0 * kt, kt - 1.0
-        return 2.0 ** (-kt) * 2.0 * ht * kt, 2.0 * ht * kt - 1.0
-    return None, None
+    ht, kt = spec.htilde, spec.ktilde  # bfbm
+    if ht < 0.5 and kt < 1.0:
+        return 2.0 ** (-kt) * kt, 2.0 * ht * (kt - 1.0)
+    if ht == 0.5:
+        return 2.0 ** (-kt) * 2.0 * kt, kt - 1.0
+    return 2.0 ** (-kt) * 2.0 * ht * kt, 2.0 * ht * kt - 1.0
 
 
 def asym_coeff_estimate(spec: ProcessSpec, u_values, tol: float = 1e-10) -> AsymReport:

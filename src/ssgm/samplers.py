@@ -756,8 +756,6 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
     blocks; with longer rows they are the same numbers merged from smaller
     blocks.
     """
-    if not a > 0:
-        raise ParameterError("a must be positive")
     _check_sampling_args(n_paths, seed, len(grid))
     seed = int(seed)
     if seed == 2**64 - 1:

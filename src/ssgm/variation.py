@@ -247,6 +247,8 @@ def gaussian_abs_moment(sigma_sq: float, p: float) -> float:
     """
     if sigma_sq < 0:
         raise ParameterError("sigma_sq must be nonnegative")
+    if sigma_sq == 0 and p > 0:  # exactly 0, also where Gamma((p+1)/2) overflows
+        return 0.0
     try:
         with np.errstate(invalid="ignore"):  # 0 * inf where sigma^p underflows and Gamma overflows
             value = sigma_sq ** (p / 2.0) * 2.0 ** (p / 2.0) * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -130,6 +131,7 @@ _GOOD_HEAD = "[process]\nfamily = fbm\nH = 0.3\n[grid]\n"
     "[process]\nfamily = fbm\nH = 0.3\nc = -1\n[grid]\ntimes = 1 2\n",  # a key fbm does not take
     _GOOD_HEAD + "times = 1 2\ngeometric = 0.1 2 8\n",  # both grid recipes
     _GOOD_HEAD + "points = 8\n",  # neither grid recipe
+    _GOOD_HEAD + "geometric = 1 2\n",  # a geometric recipe without its point count
 ])
 def test_cli_malformed_config_exit_2(tmp_path, capsys, text):
     path = tmp_path / "run.cfg"
@@ -276,6 +278,14 @@ def test_cli_markov_sfbm_not_markov(tmp_path):
     assert payload["asym"]["predicted_exponent"] == -1.5
 
 
+@pytest.mark.parametrize("spec", ["fbm:H=0.50001", "sfbm:H=0.50001"])
+def test_cli_markov_indeterminate_between_thresholds(spec, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["markov-test", "--kernel", spec, "--json", str(out)]) == 0
+    assert f"markov-test {spec}: Indeterminate" in capsys.readouterr().out
+    assert json.loads(out.read_text())["verdict"] == "Indeterminate"
+
+
 def test_cli_posdef_witness(tmp_path, capsys):
     out = tmp_path / "psd.json"
     rc = main(["posdef", "--alpha", "0.3", "--beta", "0.1", "--grid", "1,2", "--json", str(out)])
@@ -285,6 +295,17 @@ def test_cli_posdef_witness(tmp_path, capsys):
     assert payload["verdict"] == "NotPSD"
     assert payload["witness"] is not None
     assert payload["quadratic_form"] < 0
+
+
+@pytest.mark.parametrize("power", [["--alpha", "1"], ["--beta", "-1.5"], ["--alpha", "1", "--beta", "-1.5"]],
+                         ids=["alpha", "beta", "both"])
+def test_cli_posdef_refuses_kernel_with_power_family(power, capsys):
+    # the --kernel flag is not dropped without a word for the power family; a config's [process]
+    # block with --alpha/--beta stays allowed (the grid-posdef-power precedence row)
+    assert main(["posdef", "--kernel", "fbm:H=0.3", *power, "--grid", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ssgm: invalid parameters: posdef takes --kernel or --alpha/--beta, not both\n"
 
 
 def test_cli_posdef_kernel_psd(tmp_path, capsys):
@@ -349,6 +370,16 @@ def test_cli_variation(tmp_path, capsys):
     payload = json.loads((tmp_path / "var.json").read_text())
     assert payload["n_values"] == [256, 512, 1024]
     assert payload["version"] == "1"
+
+
+def test_cli_variation_n_list_same_bytes_as_range(tmp_path, capsys):
+    outputs = []
+    for n in ("2^8,2^9", "2^8..2^9"):
+        json_path, csv_path = tmp_path / f"{n}.json", tmp_path / f"{n}.csv"
+        assert main(["variation", "--spec", "fbm:H=0.75", "--p", "2", "--n", n, "--paths", "8", "--seed", "5",
+                     "--json", str(json_path), "--csv", str(csv_path)]) == 0
+        outputs.append((capsys.readouterr().out, json_path.read_bytes(), csv_path.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_asym(capsys):
@@ -535,6 +566,29 @@ def test_cli_unwritable_output_exit_2(tmp_path, argv, capsys):
     assert captured.out == ""  # refused before any work, so no summary line
 
 
+def test_cli_write_failing_after_the_check_exit_2(tmp_path, monkeypatch, capsys):
+    # a path that passes the check but fails as it is written (a full disk, say) is one line too
+    def full(ensemble, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(ssgm.cli, "save_ensemble", full)
+    out = tmp_path / "e.bin"
+    argv = ["sample", "--spec", "fbm:H=0.3", "--grid", "1,2", "--paths", "3", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ssgm: invalid parameters: cannot write {out}: No space left on device\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root may write through any mode bits")
+def test_cli_output_without_write_permission_exit_2(tmp_path, capsys):
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o500)
+    assert main(["markov-test", "--kernel", "fbm:H=0.3", "--json", str(locked / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"ssgm: invalid parameters: cannot write {locked / 'x.json'}: "
+                                                f"Permission denied\n")
+
+
 def test_cli_sample_unwritable_sidecar_exit_2(tmp_path, capsys):
     # --out also writes <out>.json: a sidecar path that cannot be written is refused before sampling
     out = tmp_path / "e.bin"
@@ -716,6 +770,10 @@ _MALFORMED_ROWS = {
     "inner_steps_oversize": ["sample", "--spec", "volterra-g:H=0.3,beta=0.5,g=const:1", "--grid", "1,2",
                              "--inner-steps", "1" + "0" * 18] + _PATHS,
     "alpha_nan": ["posdef", "--alpha", "nan", "--beta", "0.1", "--grid", "1,2"],
+    "alpha_without_beta": ["posdef", "--alpha", "0.3", "--grid", "1,2"],
+    "kernel_with_power_family": ["posdef", "--kernel", "fbm:H=0.3", "--alpha", "1", "--beta", "-1.5",
+                                 "--grid", "1,2"],
+    "grid_geometric_two_parts": ["kernel-eval", "--kernel", "fbm:H=0.3", "--grid", "geometric:1,2"],
     "beta_inf": ["posdef", "--alpha", "0.3", "--beta", "inf", "--grid", "1,2"],
     "s_without_t": ["kernel-eval", "--kernel", "fbm:H=0.3", "--s", "1"],
     "t_without_s": ["kernel-eval", "--kernel", "fbm:H=0.3", "--t", "2", "--grid", "1,2"],

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -127,6 +128,17 @@ def test_build_gram_locates_failing_pair():
     msg = str(info.value)
     assert "grid indices (0,1), times (0.05, 0.0637" in msg
     assert "np." not in msg and "budget of 20" in msg
+
+
+def test_build_gram_batch_failure_that_no_pair_repeats():
+    # every pair evaluates alone, so the batch's own error is reported
+    def formula(lo, hi, gap):
+        if np.size(lo) > 1:
+            raise ValueError("batch only")
+        return lo
+
+    with pytest.raises(NumericalError, match="^kernel evaluation failed on grid: batch only$"):
+        build_gram(CovKernel(ProcessSpec.fbm(0.3), formula), TimeGrid(np.array([1.0, 2.0])))
 
 
 def test_build_gram_refuses_non_finite_entry():
@@ -289,6 +301,17 @@ def chain_det(table: np.ndarray) -> float:
     for i in range(1, len(table)):
         result *= table[i, i] - table[i, i - 1]
     return float(result)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GramMatrix(TimeGrid(np.array([1.0, 2.0])), np.eye(3)), "entries must be 2x2, got (3, 3)"),
+    (lambda: GramMatrix(TimeGrid(np.array([1.0, 2.0])), np.ones(2)), "entries must be 2x2, got (2,)"),
+    (lambda: minor_residual(MinorQuery(0.3, 0.1, TimeGrid(np.arange(1.0, 14.0)))),
+     "direct determinants are limited to d <= 12"),
+], ids=["gram_3x3_on_2", "gram_1d", "minor_d13"])
+def test_refusals_name_the_rule(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        call()
 
 
 def test_chain_det_trivial():
@@ -471,6 +494,17 @@ def test_one_blas_thread_overlapping_threads_restore_once(monkeypatch):
     assert not any(w.is_alive() for w in workers)
     assert a_left.is_set() and seen == [1]
     assert lib.threads == 2
+
+
+def test_openblas_controls_without_proc_or_loadable_library(monkeypatch):
+    def fail(*args, **kwargs):
+        raise OSError("not here")
+
+    find = gram_module._openblas_thread_controls.__wrapped__  # the cached lookup, run afresh
+    monkeypatch.setattr(gram_module.ctypes, "CDLL", fail)
+    assert find() == ()  # every mapped OpenBLAS is skipped
+    monkeypatch.setattr(gram_module, "open", fail, raising=False)
+    assert find() == ()  # no /proc/self/maps
 
 
 def test_one_blas_thread_without_openblas_is_a_no_op(monkeypatch):

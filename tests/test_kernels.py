@@ -890,6 +890,25 @@ def test_stray_fields_are_refused_by_name(build, message):
         build()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: GFunction("sin"), "unknown g function kind 'sin'"),
+    (lambda: GFunction.from_label("sin"), "cannot parse g function 'sin'"),
+    (lambda: ProcessSpec("sin", 0.3), "unknown process family 'sin'"),
+    (lambda: ProcessSpec(Family.CANONICAL, 0.7), "canonical requires c"),
+    (lambda: parse_spec_string("canonical:H=0.7"), "missing parameter 'c' for family canonical"),
+    (lambda: parse_spec_string("fbm:H"), "cannot parse spec fragment 'H'"),
+    (lambda: ProcessSpec.fbm(0.3).weight_at_gap(0.5), "the Volterra weight F applies to the volterra-g family"),
+    (lambda: volterra_g_variance(ProcessSpec.fbm(0.3)), "variance integral applies to the volterra-g family"),
+    (lambda: volterra_kernel(0.0, -1.0, 1.0, 2.0), "H must be positive"),
+    (lambda: isometry_residual(0.5, -1.0, 0.0, 1.0), "s and t must be positive"),
+    (lambda: isometry_residual(0.5, -0.2, 1.0, 2.0), "isometry check requires finite c < -H"),
+], ids=["g_kind", "g_label", "family", "canonical_without_c", "spec_without_c", "spec_fragment", "weight_fbm",
+        "variance_fbm", "volterra_H", "isometry_time", "isometry_c"])
+def test_refusals_name_the_rule(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        call()
+
+
 def test_proven_regime_flag():
     assert ProcessSpec.volterra_g(0.25, 1.0, GFunction.const(1.0)).proven_regime
     assert not ProcessSpec.volterra_g(0.25, -0.25, GFunction.const(1.0)).proven_regime

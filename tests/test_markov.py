@@ -360,6 +360,15 @@ def test_verdict_not_markov_family():
         assert rep.verdict == "NotMarkov"
 
 
+@pytest.mark.parametrize("spec, doob_max", [(ProcessSpec.fbm(0.50001), 9.0e-6), (ProcessSpec.sub_fbm(0.50001), 1.2e-5)],
+                         ids=lambda v: v.label() if isinstance(v, ProcessSpec) else None)
+def test_verdict_indeterminate_between_thresholds(spec, doob_max):
+    # barely off Brownian motion: the Doob residual sits between the Markov and the not-Markov threshold
+    rep = markov_test(make_kernel(spec))
+    assert rep.verdict == "Indeterminate"
+    assert rep.doob_max_residual == pytest.approx(doob_max, rel=0.05)
+
+
 def test_report_carries_thresholds():
     rep = markov_test(make_kernel(ProcessSpec.canonical(0.5, -1.0)))
     assert rep.thresholds["doob_markov_max"] == 1e-8
@@ -391,3 +400,50 @@ def test_markov_test_builds_one_gram(spec, monkeypatch):
     monkeypatch.setattr(ssgm.markov, "build_gram", counting)
     assert markov_test(kernel, grid) == expected
     assert len(built) == 1
+
+
+class _TableKernel:
+    """A kernel that reads its first time alone, R(s, t) = fn(s), with fbm's spec and R(1, 1) = r11."""
+
+    def __init__(self, fn, r11=1.0):
+        self.spec, self.r11, self._fn = ProcessSpec.fbm(0.3), r11, fn
+
+    def __call__(self, s, t):
+        return self._fn(np.asarray(s, dtype=float))
+
+
+_FBM = make_kernel(ProcessSpec.fbm(0.3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: doob_residual(_FBM, TimeGrid(np.array([0.0, 1.0, 2.0]))), "doob residual requires positive grid times"),
+    (lambda: gf_factorize(_FBM, TimeGrid(np.array([1.0]))), "factorization requires d >= 2"),
+    (lambda: gf_factorize(_FBM, TimeGrid(np.array([0.0, 1.0]))), "factorization requires positive grid times"),
+    (lambda: sqrt_diag_profile(_FBM, np.geomspace(1e4, 1e10, 49), alpha=1.0), "alpha must lie in"),
+    (lambda: sqrt_diag_profile(_FBM, np.geomspace(1e4, 1e10, 7)), "profile needs at least 8 points"),
+    (lambda: sqrt_diag_profile(_FBM, np.geomspace(0.5, 1e10, 49)), "profile times must be >= 1"),
+    (lambda: asym_coeff_estimate(ProcessSpec.fbm(0.3), np.geomspace(1e3, 1e6, 11)), "need at least 12 u values"),
+    (lambda: asym_coeff_estimate(ProcessSpec.fbm(0.3), np.geomspace(1e6, 1e3, 49)),
+     "u values must be positive and increasing"),
+    (lambda: fit_canonical(_TableKernel(lambda t: t - 0.5)), r"R\(\., 1\) takes negative values"),
+    (lambda: fit_canonical(_TableKernel(lambda t: np.where(t < 0.5, 0.0, t))), r"R\(t, 1\) has zeros on"),
+    (lambda: multiplicative_check(_TableKernel(lambda t: t, r11=0.0)), r"multiplicative check requires R\(1,1\) > 0"),
+], ids=["doob_zero_time", "factorize_d1", "factorize_zero_time", "profile_alpha", "profile_points",
+        "profile_below_one", "asym_points", "asym_decreasing", "fit_negative", "fit_zeros", "mult_r11"])
+def test_refusals_name_the_rule(call, message):
+    with pytest.raises(ParameterError, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize("y, exponents, message", [
+    (np.r_[1.0, np.zeros(11)], [1.0], "power fit needs finite nonzero values to weight by"),
+    (np.ones(12), [1e5], "power fit has no finite starting point"),  # x^1e5 overflows at x = 1e10
+], ids=["zero_value", "overflowing_start"])
+def test_power_fit_refusals(y, exponents, message):
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        ssgm.markov._power_fit(np.geomspace(1.0, 1e10, 12), y, exponents, constant=True)
+
+
+def test_profile_refuses_nonpositive_values():
+    with pytest.raises(NumericalError, match="^profile takes nonpositive values"):
+        sqrt_diag_profile(_TableKernel(lambda s: -s), np.geomspace(1e4, 1e10, 49))

@@ -1258,6 +1258,27 @@ def test_selfsim_refuses_the_largest_seed():
         selfsim_check(SPEC, 2.0, GRID, 3, 2**64 - 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: selfsim_check(SPEC, 0.0, GRID, 3, 1), "scale factor must be positive"),
+    (lambda: selfsim_check(SPEC, math.nan, GRID, 3, 1), "scale factor must be positive"),
+    (lambda: sample_spec(ProcessSpec.fbm(0.3), GRID, 3, 1, scheme="whitenoise"),
+     "whitenoise scheme applies to the white-noise family"),
+    (lambda: PathEnsemble(SPEC, GRID, np.zeros((3, len(GRID) + 1)), 1, "timechange"),
+     "values must be n_paths x len(grid)"),
+    (lambda: PathEnsemble(SPEC, GRID, np.zeros(len(GRID)), 1, "timechange"), "values must be n_paths x len(grid)"),
+], ids=["selfsim_a_zero", "selfsim_a_nan", "whitenoise_on_fbm", "ensemble_columns", "ensemble_1d"])
+def test_refusals_name_the_rule(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_cholesky_refuses_an_indefinite_covariance():
+    # no jitter up to 1e-6 times the mean diagonal makes [[1, 2], [2, 1]] (eigenvalues -1, 3) factor
+    with pytest.raises(NumericalError, match=r"^covariance factorization failed after maximal jitter 1e-06; "
+                                             r"min eigenvalue -1\.000e\+00, max diagonal 1\.000e\+00, d=2$"):
+        ssgm.samplers._cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 def test_numpy_integer_seed_round_trips(tmp_path):
     # the ensemble records a Python int, so the sidecar is written and loads
     ens = sample_spec(ProcessSpec.fbm(0.3), TimeGrid(np.array([0.5, 1.0])), 2, np.int64(1))

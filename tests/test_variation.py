@@ -20,6 +20,17 @@ G1 = GFunction.const(1.0)
 # pvariation_sum
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: pvariation_sum(np.zeros((2, 3)), 2.0), "path must be a 1-D array with at least two points"),
+    (lambda: pvariation_trichotomy(ProcessSpec.fbm(0.3), 2.0, [2**9, 2**8], 2, 1), "n_list must be increasing"),
+    (lambda: gaussian_abs_moment(-1.0, 2.0), "sigma_sq must be nonnegative"),
+    (lambda: increment_variance(0.25, 1.0, G1, 0.0), "t must be positive"),
+], ids=["sum_2d", "n_list_decreasing", "moment_negative_variance", "increment_variance_t0"])
+def test_refusals_name_the_rule(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        call()
+
+
 def test_sum_constant_path():
     assert pvariation_sum(np.ones(17), 2.0) == 0.0
 
@@ -378,6 +389,12 @@ def test_gaussian_abs_moment_identities():
     assert gaussian_abs_moment(4.0, 2.0) == pytest.approx(4.0, rel=1e-14)
     assert gaussian_abs_moment(1.0, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
     assert gaussian_abs_moment(1.0 / 3.0, 1.0) == pytest.approx(math.sqrt(2.0 / (3.0 * math.pi)), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [2.0, 400.0, 1e6])
+def test_gaussian_abs_moment_of_zero_variance_is_zero(p):
+    # E|N(0, 0)|^p = 0, also where Gamma((p+1)/2) overflows float64 (p above about 342)
+    assert gaussian_abs_moment(0.0, p) == 0.0
 
 
 def test_gaussian_abs_moment_refuses_unrepresentable():
