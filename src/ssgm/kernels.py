@@ -17,7 +17,7 @@ Every kernel is closed form except off-diagonal log-pow volterra-g pairs, which
 (like the isometry check) go through ``integrate_power_upper``: the pairs of
 one evaluator call are one batch that shares each tanh-sinh level's nodes, and
 each stops on its own test and ``budget``.  RL, its ``l(u)`` and constant-g volterra-g
-(a rescaled RL) go through the Gauss hypergeometric function.
+(a rescaled RL) go through ``_rl``: a continued fraction and a binomial series in numpy.
 
 Every covariance is evaluated through ``make_kernel(spec)(s, t)``: the one
 front end, ``_on_quadrant``, refuses negative or non-finite times, hands the
@@ -36,11 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, hyp2f1
 
 from .errors import NumericalError, ParameterError
 from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, check_quadrature_args, integrate_power_upper
@@ -347,35 +346,64 @@ def _on_quadrant(formula: Callable, s, t):
     return float(out[0]) if scalar else out
 
 
+@lru_cache(maxsize=128)
+def _gauss_cf(a: float, c: float) -> tuple:
+    """(k_2j+1, k_2j+2), j = 16..0, of Gauss's fraction 1/(1 + k_1 z/(1 + k_2 z/...)) (Cuyt et al. 2008, ch. 15)."""
+    j = np.arange(16.0, -1.0, -1.0)
+    return tuple(zip((-(a + j) * (c + j) / ((c + 2 * j) * (c + 2 * j + 1))).tolist(),
+                     (-(j + 1) * (c - a + j + 1) / ((c + 2 * j + 1) * (c + 2 * j + 2))).tolist()))
+
+
+def _hyp2f1_b1(a: float, c: float, z):
+    """2F1(a, 1; c+1; z) for 0 < z <= 3/4, where 34 levels converge like 3^-k; each level one / and one +."""
+    w, u = 1.0 / z, 1.0
+    for k_odd, k_even in _gauss_cf(a, c):
+        u = 1.0 + k_odd / (w + k_even / u)
+    return 1.0 / u
+
+
+@lru_cache(maxsize=128)
+def _rl_terms(H: float) -> tuple:
+    """Per-H constants of ``_rl``: Gamma(H+1/2)^2 (inf past float64), J(3, 1), then per near-series term
+    k < 36 (columns) -|p|, -min(k, 2H) and C(H-1/2, k) 3^-k / -|p| (0 at p = 0), and C(H-1/2, 2H) at p = 0."""
+    try:  # Gamma(H+1/2) = (H-1/2) Gamma(H-1/2) from the exact H - 1/2, where H + 1/2 may round at large H
+        gamma2 = ((H - 0.5) * math.gamma(H - 0.5) if H > 1 else math.gamma(H + 0.5)) ** 2
+    except OverflowError:
+        gamma2 = math.inf
+    k = np.arange(36.0)
+    binom = np.cumprod(np.r_[1.0, (H - 0.5 - k[:-1]) / k[1:]])
+    q = -np.abs(2.0 * H - k)
+    j31 = np.float64(12.0) ** (H - 0.5) * 3.0 * _hyp2f1_b1(0.5 - H, H + 0.5, 0.75) / (H + 0.5)
+    weight = binom * 3.0 ** -k / np.where(q == 0, -math.inf, q)
+    return gamma2, j31, q[:, None], -np.minimum(k, 2.0 * H)[:, None], weight[:, None], binom[q == 0].sum()
+
+
+def _rl_near(H: float, m, g):
+    """J(m, g) for m > 3g > 0, split at 3g: g^(2H) J(3, 1) + sum_k C(H-1/2, k) g^k (m^p - (3g)^p)/p, p = 2H - k,
+    L = log(m/3g): m^(2H) C 3^-k e^(-min(k,2H)L) expm1(-|p|L)/-|p|, or g^(2H) C L at p = 0, summed pairwise."""
+    _, j31, q, a, weight, binom0 = _rl_terms(H)
+    L = np.log(m / (3.0 * g))
+    e = np.expm1(q * L) * np.exp(a * L) * weight
+    while len(e) > 1:  # rows i and i + ceil(n/2) are added, the middle one kept when n is odd
+        e[:len(e) // 2] += e[(len(e) + 1) // 2:]
+        e = e[:(len(e) + 1) // 2]
+    return m ** (2.0 * H) * e[0] + g ** (2.0 * H) * (j31 + binom0 * L)
+
+
 def _rl(H: float, lo, hi, gap):
-    """Riemann-Liouville covariance R(lo, hi) for 0 < lo <= hi, gap = hi - lo, in closed form:
-
-    R(s, t) = Gamma(H+1/2)^-2 * integral_0^m ((s-r)(t-r))^(H-1/2) dr
-            = m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; m/M) / ((H+1/2) Gamma(H+1/2)^2)
-
-    with m = s ^ t and M = s v t.  For H < 1/2 and m/M > 1/2, where scipy's 2F1 is up to
-    ~100% off a few ulps from the diagonal, it goes through z -> 1 - z in eps = (M - m)/M
-    (DLMF 15.8.4).  Each form is evaluated only on the pairs that take it: the connection
-    form costs tens of microseconds a point far from the diagonal, where it is not used.
-    """
+    """Riemann-Liouville R(lo, hi) = Gamma(H+1/2)^-2 J(m, g), J = integral_0^m x^(H-1/2) (x + g)^(H-1/2) dx with
+    m = lo, g = gap, for every H > 0: m^(2H)/(2H) on the diagonal, m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; z)
+    / (H+1/2) for z = m/M <= 3/4 (H - 1/2 is exact where H + 1/2 may round), else ``_rl_near``, each on its pairs.
+    Against 40-digit mpmath, relative gaps from one ulp to 1e6: within 2e-15 for H <= 3.5, 2.1e-15 up to H = 10."""
+    J = lo ** (2.0 * H) / (2.0 * H)
     z = lo / hi
-
-    def direct(z):
-        return hyp2f1(0.5 - H, 1.0, H + 1.5, z)
-
-    def reflected(z, eps):
-        return ((H + 0.5) / (2.0 * H) * hyp2f1(0.5 - H, 1.0, 1.0 - 2.0 * H, eps)
-                + eps ** (2.0 * H) * gamma_fn(H + 1.5) * gamma_fn(-2.0 * H) / gamma_fn(0.5 - H)
-                * z ** (-H - 0.5))
-
-    if H >= 0.5:
-        f = direct(z)
-    else:
-        near = z > 0.5
-        f = np.empty_like(z)
-        f[~near] = direct(z[~near])
-        f[near] = reflected(z[near], gap[near] / hi[near])
-    return lo ** (H + 0.5) * hi ** (H - 0.5) * f / ((H + 0.5) * gamma_fn(H + 0.5) ** 2)
+    far, near = z <= 0.75, np.flatnonzero((z > 0.75) & (gap > 0))
+    if far.any():
+        m, big = lo[far], hi[far]
+        J[far] = m ** (H - 0.5) * big ** (H - 0.5) * m * _hyp2f1_b1(0.5 - H, H + 0.5, z[far]) / (H + 0.5)
+    for block in (near[i:i + 4096] for i in range(0, near.size, 4096)):  # the series' 36 rows: 2^12 pairs at most
+        J[block] = _rl_near(H, lo[block], gap[block])
+    return J / _rl_terms(H)[0]
 
 
 def _formula(spec: ProcessSpec, tol: float, budget: int) -> Callable:
@@ -400,8 +428,7 @@ def _formula(spec: ProcessSpec, tol: float, budget: int) -> Callable:
     beta, g = spec.beta, spec.g  # volterra-g
     if g.kind == "const":
         # a^2 integral_0^m ((s-u)(t-u))^beta du = a^2 Gamma(beta+1)^2 R_RL(beta+1/2; s, t)
-        with np.errstate(over="ignore"):  # an inf coefficient gives inf entries: build_gram refuses them
-            coef = (g.a * gamma_fn(beta + 1.0)) ** 2
+        coef = g.a * g.a * _rl_terms(beta + 0.5)[0]  # Gamma(beta+1)^2; inf gives entries build_gram refuses
 
         def const(lo, hi, gap):
             rl = _rl(beta + 0.5, lo, hi, gap)

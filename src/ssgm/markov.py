@@ -392,6 +392,8 @@ def markov_test(kernel: CovKernel, grid: Optional[TimeGrid] = None) -> MarkovRep
         grid = standard_grid()
     _check_doob_grid(grid)  # also every grid gf_factorize needs
     gram = build_gram(kernel, grid).entries  # one Gram for the Doob residual and the G*F split
+    if not kernel.r11 > 0:  # every family's R(1, 1) is positive: 0 is float64 underflow (rl at H = 200)
+        raise NumericalError(f"R(1, 1) of {kernel.label()} is {kernel.r11!r} in float64, not positive")
     dmax, dmean = _doob_from_gram(gram)
     fit = fit_canonical(kernel)
     mult = multiplicative_check(kernel)

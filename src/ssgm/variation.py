@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import NumericalError, ParameterError
 from .gram import TimeGrid, check_array_size
@@ -243,16 +242,18 @@ def pvariation_trichotomy(
 def gaussian_abs_moment(sigma_sq: float, p: float) -> float:
     """E|N(0, sigma^2)|^p = sigma^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi).
 
+    It diverges for p <= -1, and for p < 0 at zero variance: :class:`ParameterError` names p.
     Where float64 cannot hold a factor or the value, :class:`NumericalError` names p.
     """
     if sigma_sq < 0:
         raise ParameterError("sigma_sq must be nonnegative")
+    if p <= -1 or (sigma_sq == 0 and p < 0):
+        raise ParameterError(f"E|N(0, {sigma_sq!r})|^p diverges at p = {p!r}")
     if sigma_sq == 0 and p > 0:  # exactly 0, also where Gamma((p+1)/2) overflows
         return 0.0
     try:
-        with np.errstate(invalid="ignore"):  # 0 * inf where sigma^p underflows and Gamma overflows
-            value = sigma_sq ** (p / 2.0) * 2.0 ** (p / 2.0) * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)
-    except OverflowError:  # sigma^p or 2^(p/2) too large
+        value = sigma_sq ** (p / 2.0) * 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    except OverflowError:  # sigma^p, 2^(p/2) or Gamma((p+1)/2) too large
         value = math.inf
     if not value < math.inf:
         raise NumericalError(f"E|N(0, {sigma_sq!r})|^p at p = {p!r} is not representable in float64")

@@ -460,6 +460,22 @@ def test_cli_unrepresentable_result_exits_3(argv, message, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["kernel-eval", "--kernel", "rl:H=200", "--s", "1", "--t", "2"], 0,
+     "kernel-eval rl:H=200.0 R(1,2) = 0.0000000000000000e+00\n", ""),
+    (["markov-test", "--kernel", "rl:H=200"], 3, "",
+     r"ssgm: numerical failure: R\(1, 1\) of rl:H=200\.0 is 0\.0 in float64, not positive\n"),
+    (["kernel-eval", "--kernel", "volterra-g:H=0.25,beta=200,g=const:1.0", "--s", "1", "--t", "2"], 3, "",
+     r"ssgm: numerical failure: R\(1\.0, 2\.0\) of volterra-g:H=0\.25,beta=200\.0,g=const:1\.0 is nan, not finite\n"),
+], ids=["rl_point_underflows", "rl_markov_test", "const_g_point"])
+def test_cli_gamma_beyond_float64(argv, code, out, err, capsys):
+    # Gamma(H + 1/2) or Gamma(beta + 1) above 171 overflows float64: math.gamma raises where scipy's gave inf,
+    # and the results stay as they were: the RL point underflows to 0, the others fail numerically in one line
+    assert main(argv) == code
+    got_out, got_err = capsys.readouterr()
+    assert got_out == out and re.fullmatch(err, got_err)
+
+
 def test_cli_escaping_overflow_error_exits_3(monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise OverflowError(34, "Numerical result out of range")

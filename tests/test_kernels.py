@@ -134,19 +134,21 @@ def test_rl_closed_form_matches_quadrature_oracle():
 
 
 def test_rl_near_diagonal_matches_mpmath():
-    # scipy's 2F1(1/2-H, 1; H+3/2; z) is up to ~100% off (H = 0.01) for 1 - z
-    # in [1e-16, 1e-14]; relative gaps 1e-4 down to one ulp above the diagonal
+    # one ulp above the diagonal to a relative gap of 1e6, with the switch z = 3/4 at gap 1/3, across
+    # H = 1/2 and the integer H where every connection formula degenerates: scipy's 2F1 was up to ~100% off
+    # (H = 0.01) for 1 - z in [1e-16, 1e-14], and its direct form, kept for H >= 1/2, 1.2e-13 off (H = 1.25)
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    tops = [1.0 + 10.0**-k for k in range(4, 16)] + [np.nextafter(1.0, 2.0), 1.0]
-    for H in (0.01, 0.1, 0.25, 0.45, 0.75, 1.3):
+    gaps = [10.0**-k for k in range(4, 16)] + [2.0**-52, 0.0, 0.1, 1.0 / 3.0, 0.5, 1.0, 10.0, 1e3, 1e6]
+    for H in (0.01, 0.25, 0.4999, 0.5001, 0.75, 0.9999, 1.0, 1.0001, 1.3, 2.0, 3.5):
         h = mp.mpf(H)
         k = make_kernel(ProcessSpec.riemann_liouville(H))
-        for top in tops:
-            z = mp.mpf(1.0) / mp.mpf(top)
-            exact = (mp.mpf(top) ** (h - 0.5) * mp.hyp2f1(0.5 - h, 1, h + 1.5, z)
-                     / ((h + 0.5) * mp.gamma(h + 0.5) ** 2))
-            assert k(1.0, top) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+        for s in (1e-3, 1.0, 1e3):
+            for t in (s * (1.0 + gap) for gap in gaps):
+                z = mp.mpf(s) / mp.mpf(t)
+                exact = (mp.mpf(s) ** (h + 0.5) * mp.mpf(t) ** (h - 0.5) * mp.hyp2f1(0.5 - h, 1, h + 1.5, z)
+                         / ((h + 0.5) * mp.gamma(h + 0.5) ** 2))
+                assert k(s, t) == pytest.approx(float(exact), rel=2e-15, abs=0.0), (H, s, t)
 
 
 def test_rl_direct_form_above_half_matches_mpmath():
@@ -171,12 +173,14 @@ def test_rl_direct_form_above_half_matches_mpmath():
         assert k(s, t) == pytest.approx(float(exact), rel=1e-12, abs=0.0), (s, t)
 
 
-# RL and constant-g volterra-g (RL at H = beta + 1/2) through both 2F1 forms: the
-# direct form 2F1(1/2-h, 1; h+3/2; z) for z = m/M <= 1/2, the z -> 1 - z connection
-# 2F1(1/2-h, 1; 1-2h; eps), eps = (M-m)/M, for z > 1/2
+# RL and constant-g volterra-g (RL at H = beta + 1/2) through every form of J: the continued fraction
+# for z = m/M <= 3/4, the near series for the other pairs off the diagonal, m^(2H)/(2H) on it; H = 1
+# and beta = 1/2 take the series' p = 0 term
 _RL_SPLIT_SPECS = [ProcessSpec.riemann_liouville(0.1), ProcessSpec.riemann_liouville(0.25),
-                   ProcessSpec.riemann_liouville(0.49),
-                   ProcessSpec.volterra_g(0.3, -0.25, GFunction.const(1.0))]
+                   ProcessSpec.riemann_liouville(0.49), ProcessSpec.riemann_liouville(0.75),
+                   ProcessSpec.riemann_liouville(1.0),
+                   ProcessSpec.volterra_g(0.3, -0.25, GFunction.const(1.0)),
+                   ProcessSpec.volterra_g(0.3, 0.5, GFunction.const(1.0))]
 
 
 def _rl_h(spec):
@@ -192,23 +196,31 @@ def _mixed_pairs():
 
 @pytest.mark.parametrize("spec", _RL_SPLIT_SPECS, ids=lambda s: s.label())
 def test_rl_evaluates_each_2f1_form_only_where_kept(spec, monkeypatch):
-    calls = []
-    real = ssgm.kernels.hyp2f1
+    far_z, near = [], []
+    real_cf, real_near = ssgm.kernels._hyp2f1_b1, ssgm.kernels._rl_near
+    k = make_kernel(spec)
+    k(1.0, 1.1)  # the per-H constants, J(3, 1) among them, are made before recording
 
-    def recording(a, b, c, z):
-        calls.append((c, np.array(z, dtype=float).ravel()))
-        return real(a, b, c, z)
+    def recording_cf(a, c, z):
+        far_z.append(np.array(z, dtype=float).ravel())
+        return real_cf(a, c, z)
 
-    monkeypatch.setattr(ssgm.kernels, "hyp2f1", recording)
+    def recording_near(H, m, g):
+        assert H == _rl_h(spec)
+        near.append((m, g))
+        return real_near(H, m, g)
+
+    monkeypatch.setattr(ssgm.kernels, "_hyp2f1_b1", recording_cf)
+    monkeypatch.setattr(ssgm.kernels, "_rl_near", recording_near)
     s, t = _mixed_pairs()
     z = s / t
-    make_kernel(spec)(s, t)
-    h = _rl_h(spec)
-    direct = np.concatenate([arg for c, arg in calls if c == h + 1.5])
-    reflected = np.concatenate([arg for c, arg in calls if c == 1.0 - 2.0 * h])
-    assert direct.size + reflected.size == sum(arg.size for _, arg in calls) == s.size
-    assert np.array_equal(np.sort(direct), np.sort(z[z <= 0.5]))
-    assert np.array_equal(np.sort(reflected), np.sort(((t - s) / t)[z > 0.5]))
+    k(s, t)
+    far = np.concatenate(far_z)
+    m, g = (np.concatenate(part) for part in zip(*near))
+    off = (z > 0.75) & (t > s)
+    assert far.size + m.size + np.count_nonzero(s == t) == s.size  # each pair once; the diagonal in closed form
+    assert np.array_equal(np.sort(far), np.sort(z[z <= 0.75]))
+    assert np.array_equal(np.sort(m), np.sort(s[off])) and np.array_equal(np.sort(g), np.sort((t - s)[off]))
 
 
 @pytest.mark.parametrize("spec", _RL_SPLIT_SPECS, ids=lambda s: s.label())
@@ -226,6 +238,18 @@ def test_rl_vectorised_values_equal_pointwise(spec):
         u = t / s - 1.0
         lvec = eval_l(spec, u)
         assert lvec.tobytes() == np.concatenate([eval_l(spec, u[i:i + 1]) for i in range(u.size)]).tobytes()
+
+
+def test_rl_near_pairs_in_blocks_do_not_depend_on_their_batch():
+    # the 5,000 near-diagonal pairs of k/200 run in blocks of 2^12: every pair keeps its value in any order and alone
+    k = make_kernel(ProcessSpec.riemann_liouville(0.3))
+    t = np.arange(1, 201) / 200.0
+    iu, ju = np.triu_indices(t.size)
+    whole = k(t[iu], t[ju])
+    assert np.count_nonzero((t[iu] / t[ju] > 0.75) & (iu != ju)) > 4096
+    order = np.random.default_rng(0).permutation(whole.size)
+    assert k(t[iu][order], t[ju][order]).tobytes() == whole[order].tobytes()
+    assert all(k(float(t[iu[i]]), float(t[ju[i]])) == whole[i] for i in order[:200])
 
 
 @pytest.mark.parametrize("spec", _RL_SPLIT_SPECS, ids=lambda s: s.label())
@@ -728,9 +752,10 @@ def test_point_is_its_gram_entry(spec):
 
 
 def test_rl_point_near_half_is_its_gram_entry():
-    # numpy's scalar ** gave ...886 here, one ulp from every Gram's (1, 1.5) entry
+    # numpy's scalar ** once gave a point one ulp from every Gram's (1, 1.5) entry; the value is 3.4e-16
+    # below 40-digit mpmath's 0.99998907164208873136
     k = make_kernel(ProcessSpec.riemann_liouville(0.4999))
-    assert k(1.0, 1.5) == build_gram(k, TimeGrid(np.array([1.0, 1.5]))).entries[0, 1] == 0.9999890716420888
+    assert k(1.0, 1.5) == build_gram(k, TimeGrid(np.array([1.0, 1.5]))).entries[0, 1] == 0.9999890716420884
 
 
 @pytest.mark.parametrize("spec", [ProcessSpec.fbm(0.1), ProcessSpec.sub_fbm(0.3), ProcessSpec.bi_fbm(0.7, 0.9),

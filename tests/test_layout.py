@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from ssgm import CovKernel
+from ssgm.cli import main
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ssgm"
 _MODULES = sorted(_SRC.glob("*.py"))
@@ -189,13 +190,63 @@ def test_eval_l_restates_no_covariance():
     assert [ast.unparse(n) for n in ast.walk(fn) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)] == []
 
 
+def _env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(_SRC.parent), os.environ.get("PYTHONPATH", "")]))
+
+
 def test_import_loads_no_optimizer():
-    # the power-law fits are numpy variable projection: importing the package
-    # and its CLI leaves scipy.optimize unloaded
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(_SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, ssgm, ssgm.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # the power-law fits are numpy variable projection and the special functions are numpy too:
+    # importing the package and its CLI loads no scipy module at all
+    code = "import sys, ssgm, ssgm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _scipy_imports(path: pathlib.Path) -> list:
+    return [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy"]
+
+
+def test_scipy_checker_flags_both_forms(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import scipy.special\nfrom scipy import integrate\nimport scipyx\nfrom .scipy import x\n")
+    assert _scipy_imports(bad) == ["import scipy.special", "from scipy import integrate"]
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test oracle only: no module imports it, and the package depends on numpy alone
+    assert {path.name: _scipy_imports(path) for path in _MODULES} == {path.name: [] for path in _MODULES}
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((_SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+# one small call of each subcommand; the files they write are named relative to the directory they run in
+_NO_SCIPY_CALLS = {
+    "kernel-eval": ["kernel-eval", "--kernel", "rl:H=0.3", "--s", "0.5", "--t", "2"],
+    "posdef": ["posdef", "--kernel", "volterra-g:H=0.25,beta=0.5,g=const:1.0", "--grid", "geometric:0.1,2,8"],
+    "markov-test": ["markov-test", "--kernel", "rl:H=0.75", "--json", "m.json"],
+    "asym": ["asym", "--spec", "rl:H=0.25", "--json", "a.json"],
+    "variation": ["variation", "--spec", "fbm:H=0.75", "--p", "2", "--n", "2^6..2^7", "--paths", "8", "--seed", "7"],
+    "sample": ["sample", "--spec", "rl:H=0.3", "--grid", "geometric:0.1,2,8", "--paths", "4", "--seed", "1",
+               "--csv", "paths.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_NO_SCIPY_CALLS.values()), ids=list(_NO_SCIPY_CALLS))
+def test_every_subcommand_runs_without_scipy(argv, tmp_path, monkeypatch, capsys):
+    # in a fresh interpreter where importing scipy fails, each subcommand exits 0 with the stdout and
+    # files of the same call run here
+    code = "import sys; sys.modules['scipy'] = None; from ssgm.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    there, here = tmp_path / "there", tmp_path / "here"
+    there.mkdir(), here.mkdir()
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=_env(), cwd=there, capture_output=True, text=True)
+    monkeypatch.chdir(here)
+    assert main(argv) == 0
+    assert (out.returncode, out.stdout, out.stderr) == (0, capsys.readouterr().out, "")
+    assert {p.name: p.read_bytes() for p in there.iterdir()} == {p.name: p.read_bytes() for p in here.iterdir()}
 
 
 def _enters_one_blas_thread(fn: ast.AST) -> bool:
@@ -245,7 +296,6 @@ def test_one_blas_thread_defined_in_gram_only():
 
 def test_import_looks_up_no_blas():
     # the OpenBLAS thread controls are found on the first one_blas_thread, not by importing
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(_SRC.parent), os.environ.get("PYTHONPATH", "")]))
     code = "import ssgm, ssgm.cli; print(ssgm.gram._openblas_thread_controls.cache_info().currsize)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"

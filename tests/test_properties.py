@@ -106,10 +106,10 @@ def test_zero_on_axes(family):
 
 
 @_SETTINGS
-@given(_floats(0.01, 0.49), _floats(0.01, 100.0))
-def test_rl_continuous_across_branch_switch(H, big):
-    # z = m/M = 1/2 exactly takes the direct 2F1; one ulp above it takes z -> 1 - z
-    m = 0.5 * big
+@given(_floats(0.01, 5.0), st.integers(1, 2**20))
+def test_rl_continuous_across_branch_switch(H, n):
+    # z = m/M = 3/4 exactly takes the continued fraction; one ulp above it takes the near series
+    m, big = 3.0 * n / 2**13, 4.0 * n / 2**13
     k = make_kernel(ProcessSpec.riemann_liouville(H))
     at = float(k(m, big))
     above = float(k(math.nextafter(m, math.inf), big))

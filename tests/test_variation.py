@@ -24,8 +24,11 @@ G1 = GFunction.const(1.0)
     (lambda: pvariation_sum(np.zeros((2, 3)), 2.0), "path must be a 1-D array with at least two points"),
     (lambda: pvariation_trichotomy(ProcessSpec.fbm(0.3), 2.0, [2**9, 2**8], 2, 1), "n_list must be increasing"),
     (lambda: gaussian_abs_moment(-1.0, 2.0), "sigma_sq must be nonnegative"),
+    (lambda: gaussian_abs_moment(1.0, -1.0), "E|N(0, 1.0)|^p diverges at p = -1.0"),  # Gamma(0) is a pole
+    (lambda: gaussian_abs_moment(0.0, -0.5), "E|N(0, 0.0)|^p diverges at p = -0.5"),  # 0^p
     (lambda: increment_variance(0.25, 1.0, G1, 0.0), "t must be positive"),
-], ids=["sum_2d", "n_list_decreasing", "moment_negative_variance", "increment_variance_t0"])
+], ids=["sum_2d", "n_list_decreasing", "moment_negative_variance", "moment_p_minus_one", "moment_zero_variance",
+        "increment_variance_t0"])
 def test_refusals_name_the_rule(call, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
         call()
