@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import MCConfig, ToleranceConfig, load_config
-from .errors import NumericalError, ParameterError
-from .gram import (MinorQuery, TimeGrid, build_gram, check_array_size, gram_to_csv,
-                   lindstrom_minor, power_gram, psd_check, standard_grid)
+from .errors import NumericalError, ParameterError, check_integer
+from .gram import (MinorQuery, TimeGrid, build_gram, gram_to_csv, lindstrom_minor, power_gram, psd_check,
+                   standard_grid)
 from .kernels import L_FORM_FAMILIES, make_kernel, parse_spec_string
 from .markov import asym_coeff_estimate, markov_test, sqrt_diag_profile
 from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, check_quadrature_args
@@ -116,10 +116,9 @@ def _parse_nlist(text: str):
     """Parse '2^10..2^16' or a comma list of powers of two."""
     text = text.strip()
     if ".." in text:
-        ends = [_parse_pow(x) for x in text.split("..", 1)]
-        for n in ends:
-            if not (isinstance(n, int) and n >= 2 and n & (n - 1) == 0):
-                raise ParameterError(f"--n range ends must be powers of two >= 2, got {n!r}")
+        ends = [check_integer(_parse_pow(x), "--n range end", 2) for x in text.split("..", 1)]
+        if any(n & (n - 1) for n in ends):
+            raise ParameterError(f"--n range ends must be powers of two, got {text!r}")
         return [2**k for k in range(ends[0].bit_length() - 1, ends[1].bit_length())]
     return [_parse_pow(x) for x in text.split(",")]
 
@@ -326,11 +325,9 @@ def _cmd_variation(args) -> int:
 
 def _cmd_asym(args) -> int:
     spec = args.spec
-    if not (0 < args.u_min < args.u_max < math.inf and args.points >= 1):
-        raise ParameterError(f"asym needs 0 < --u-min < --u-max < inf and --points >= 1, "
-                             f"got {args.u_min!r}, {args.u_max!r}, {args.points!r}")
-    check_array_size(args.points, "the --points grid")
-    u = np.geomspace(args.u_min, args.u_max, args.points)
+    if not 0 < args.u_min < args.u_max < math.inf:
+        raise ParameterError(f"asym needs 0 < --u-min < --u-max < inf, got {args.u_min!r}, {args.u_max!r}")
+    u = TimeGrid.geometric(args.u_min, args.u_max, args.points).times
     report = asym_coeff_estimate(spec, u, tol=args.tol)
     coeff = "n/a" if report.coefficient is None else f"{report.coefficient:.6g}"
     expo = "n/a" if report.exponent is None else f"{report.exponent:+.4f}"

@@ -60,7 +60,7 @@ class GridConfig:
         if self.times is not None:
             return TimeGrid(np.asarray(self.times, dtype=float))
         start, stop, points = self.geometric
-        return TimeGrid.geometric(start, stop, int(points))
+        return TimeGrid.geometric(start, stop, points)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integer
 from .kernels import CovKernel
 
 __all__ = [
@@ -139,10 +139,9 @@ class TimeGrid:
 
     @classmethod
     def geometric(cls, start: float, stop: float, points: int) -> "TimeGrid":
-        if not (start > 0 and stop > start and points >= 1):
-            raise ParameterError(
-                f"geometric grid requires 0 < start < stop and points >= 1, got {start!r}, {stop!r}, {points!r}"
-            )
+        if not 0 < start < stop:
+            raise ParameterError(f"geometric grid requires 0 < start < stop, got {start!r}, {stop!r}")
+        points = check_integer(points, "points", 1)
         check_array_size(points, "a geometric grid")
         return cls(np.geomspace(start, stop, points))
 

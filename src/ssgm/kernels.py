@@ -36,12 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integer
 from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, check_quadrature_args, integrate_power_upper
 
 __all__ = [
@@ -92,14 +92,13 @@ class GFunction:
             raise ParameterError(f"unknown g function kind {self.kind!r}")
         if self.kind == "const" and not math.isfinite(self.a):
             raise ParameterError(f"const g requires a finite value, got {self.a!r}")
-        if self.kind == "log-pow" and not (1 <= self.k < math.inf and self.k == int(self.k)):
-            raise ParameterError("log-pow exponent k must be a positive integer")
+        if self.kind == "log-pow":
+            object.__setattr__(self, "k", check_integer(self.k, "log-pow exponent k", 1))
         stray = "k" if self.kind == "const" else "a"  # the field this kind does not take stays at 1
         if getattr(self, stray) != 1:
             raise ParameterError(f"{self.kind} g takes no {stray}, got {stray}={getattr(self, stray)!r}")
-        # numpy scalars become Python numbers, so the label parses back
+        # a numpy scalar becomes a Python float, so the label parses back
         object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "k", int(self.k))
 
     @classmethod
     def const(cls, a: float = 1.0) -> "GFunction":
@@ -107,7 +106,7 @@ class GFunction:
 
     @classmethod
     def log_pow(cls, k: int = 1) -> "GFunction":
-        return cls(kind="log-pow", k=int(k))
+        return cls(kind="log-pow", k=k)
 
     def _at_one_minus(self, y: np.ndarray):
         """g(1 - y) from y itself, finite where 1 - y would round to 1 (g(1) = inf)."""
@@ -391,8 +390,8 @@ def _rl_near(H: float, m, g):
 
 
 def _rl(H: float, lo, hi, gap):
-    """Riemann-Liouville R(lo, hi) = Gamma(H+1/2)^-2 J(m, g), J = integral_0^m x^(H-1/2) (x + g)^(H-1/2) dx with
-    m = lo, g = gap, for every H > 0: m^(2H)/(2H) on the diagonal, m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; z)
+    """J(m, g) = integral_0^m x^(H-1/2) (x + g)^(H-1/2) dx, Gamma(H+1/2)^2 times the Riemann-Liouville R(lo, hi),
+    with m = lo, g = gap, for every H > 0: m^(2H)/(2H) on the diagonal, m^(H+1/2) M^(H-1/2) 2F1(1/2-H, 1; H+3/2; z)
     / (H+1/2) for z = m/M <= 3/4 (H - 1/2 is exact where H + 1/2 may round), else ``_rl_near``, each on its pairs.
     Against 40-digit mpmath, relative gaps from one ulp to 1e6: within 2e-15 for H <= 3.5, 2.1e-15 up to H = 10."""
     J = lo ** (2.0 * H) / (2.0 * H)
@@ -403,7 +402,7 @@ def _rl(H: float, lo, hi, gap):
         J[far] = m ** (H - 0.5) * big ** (H - 0.5) * m * _hyp2f1_b1(0.5 - H, H + 0.5, z[far]) / (H + 0.5)
     for block in (near[i:i + 4096] for i in range(0, near.size, 4096)):  # the series' 36 rows: 2^12 pairs at most
         J[block] = _rl_near(H, lo[block], gap[block])
-    return J / _rl_terms(H)[0]
+    return J
 
 
 def _formula(spec: ProcessSpec, tol: float, budget: int) -> Callable:
@@ -424,16 +423,15 @@ def _formula(spec: ProcessSpec, tol: float, budget: int) -> Callable:
         return lambda lo, hi, gap: 2.0 ** (-kt) * ((lo ** (2 * ht) + hi ** (2 * ht)) ** kt
                                                    - gap ** (2 * ht * kt))
     if fam == Family.RIEMANN_LIOUVILLE:
-        return partial(_rl, H)
+        return lambda lo, hi, gap: _rl(H, lo, hi, gap) / _rl_terms(H)[0]
     beta, g = spec.beta, spec.g  # volterra-g
     if g.kind == "const":
-        # a^2 integral_0^m ((s-u)(t-u))^beta du = a^2 Gamma(beta+1)^2 R_RL(beta+1/2; s, t)
-        coef = g.a * g.a * _rl_terms(beta + 0.5)[0]  # Gamma(beta+1)^2; inf gives entries build_gram refuses
+        # a^2 (st)^(H-1/2-beta) integral_0^m ((s-u)(t-u))^beta du, the integral J of _rl at beta + 1/2
 
         def const(lo, hi, gap):
-            rl = _rl(beta + 0.5, lo, hi, gap)
-            # the base stays an array (numpy's scalar ** rounds differently) and is 1 where R_RL underflows
-            return coef * np.where(rl > 0, lo * hi, 1.0) ** (H - 0.5 - beta) * rl
+            J = _rl(beta + 0.5, lo, hi, gap)
+            # the base stays an array (numpy's scalar ** rounds differently) and is 1 where J underflows
+            return g.a * g.a * np.where(J > 0, lo * hi, 1.0) ** (H - 0.5 - beta) * J
 
         return const
     r11 = volterra_g_variance(spec)

@@ -359,7 +359,11 @@ def asym_coeff_estimate(spec: ProcessSpec, u_values, tol: float = 1e-10) -> Asym
         raise ParameterError("need at least 12 u values")
     if np.any(u <= 0) or np.any(np.diff(u) <= 0):
         raise ParameterError("u values must be positive and increasing")
-    lvals = np.asarray(eval_l(spec, u), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite l(u) is refused below
+        lvals = np.asarray(eval_l(spec, u), dtype=float)
+    if not np.all(np.isfinite(lvals)):  # R(1, 1 + u) / R(1, 1) is 0/0 where Gamma(H + 1/2)^2 is inf (rl at H = 100)
+        bad = float(u[~np.isfinite(lvals)][0])
+        raise NumericalError(f"l(u) of {spec.label()} is not finite in float64 at u = {bad!r}")
     fam = spec.family.value
     pred_coeff, pred_exp = _predicted_pair(spec)
 

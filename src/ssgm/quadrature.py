@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integer
 
 __all__ = ["DEFAULT_BUDGET", "DEFAULT_TOL", "QuadResult", "check_quadrature_args", "integrate_power_upper"]
 
@@ -57,8 +57,7 @@ def check_quadrature_args(tol: float, budget: int) -> None:
     """Refuse a ``tol`` that is not positive and finite or a ``budget`` that is not an integer >= 1."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ParameterError(f"quadrature tolerance must be positive and finite, got {tol!r}")
-    if not (isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1):
-        raise ParameterError(f"quadrature budget must be an integer >= 1, got {budget!r}")
+    check_integer(budget, "quadrature budget", 1)
 
 
 @cache

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -61,7 +61,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integer
 from .gram import TimeGrid, build_gram, check_array_size, one_blas_thread
 from .kernels import Family, GFunction, ProcessSpec, make_kernel, parse_spec_string
 
@@ -117,23 +117,28 @@ def _tiled(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Sampled paths on a grid plus full seeding metadata."""
+    """Sampled paths on a grid plus full seeding metadata, which it checks when built: every ensemble
+    that builds is one ``save_ensemble`` writes and ``load_ensemble`` reads back."""
 
     spec: ProcessSpec
     grid: TimeGrid
     values: np.ndarray  # n_paths x d
-    seed: int  # seed and inner_steps are held as Python ints (a float is refused), jitter as a float
+    seed: int  # in [0, 2^64); seed and inner_steps are held as Python ints, jitter as a float
     scheme: str  # one of SCHEMES; "volterra" is the midpoint scheme of volterra-g
-    inner_steps: Optional[int] = None
-    jitter: float = 0.0
+    inner_steps: Optional[int] = None  # None or >= 1
+    jitter: float = 0.0  # finite and >= 0
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[1] != len(self.grid):
             raise ParameterError("values must be n_paths x len(grid)")
-        inner = self.inner_steps
-        object.__setattr__(self, "seed", operator.index(self.seed))
-        object.__setattr__(self, "inner_steps", None if inner is None else operator.index(inner))
-        object.__setattr__(self, "jitter", float(self.jitter))
+        if not isinstance(self.scheme, str):
+            raise ParameterError(f"scheme must be a string, got {self.scheme!r}")
+        inner, jitter = self.inner_steps, self.jitter
+        if isinstance(jitter, bool) or not (isinstance(jitter, numbers.Real) and 0 <= jitter < math.inf):
+            raise ParameterError(f"jitter must be a finite number >= 0, got {jitter!r}")
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", 0, 2**64))
+        object.__setattr__(self, "inner_steps", None if inner is None else check_integer(inner, "inner_steps", 1))
+        object.__setattr__(self, "jitter", float(jitter))
 
     @property
     def n_paths(self) -> int:
@@ -149,17 +154,6 @@ class EmpiricalCov:
     cov: np.ndarray
     se: np.ndarray
     n_paths: int
-
-
-def _check_sampling_args(n_paths: int, seed: int, d: int) -> None:
-    # bool is an int subclass, but True is neither a path count nor a seed
-    if not isinstance(n_paths, (int, np.integer)) or isinstance(n_paths, bool):
-        raise ParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
-    if n_paths < 1:
-        raise ParameterError(f"n_paths must be >= 1, got {n_paths!r}")
-    check_array_size(int(n_paths) * d, f"an ensemble of {n_paths} paths x {d} grid points")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def _positive_times(grid: TimeGrid) -> np.ndarray:
@@ -516,10 +510,11 @@ def _plan(spec: ProcessSpec, grid: TimeGrid, n_paths: int, seed: int, scheme: Op
     ``inner_steps`` is None or an integer >= 64 for every scheme, also those
     that do not read it.
     """
-    _check_sampling_args(n_paths, seed, len(grid))
+    n_paths = check_integer(n_paths, "n_paths", 1)
+    check_array_size(n_paths * len(grid), f"an ensemble of {n_paths} paths x {len(grid)} grid points")
+    check_integer(seed, "seed", 0, 2**64)
     if inner_steps is not None:
-        if not isinstance(inner_steps, (int, np.integer)) or isinstance(inner_steps, bool) or inner_steps < 64:
-            raise ParameterError(f"inner_steps must be None or an integer >= 64, got {inner_steps!r}")
+        inner_steps = check_integer(inner_steps, "inner_steps", 64)
     pos = _positive_times(grid)
     if scheme is None:
         scheme = _default_scheme(spec, pos)
@@ -756,11 +751,7 @@ def selfsim_check(spec: ProcessSpec, a: float, grid: TimeGrid, n_paths: int, see
     blocks; with longer rows they are the same numbers merged from smaller
     blocks.
     """
-    _check_sampling_args(n_paths, seed, len(grid))
-    seed = int(seed)
-    if seed == 2**64 - 1:
-        raise ParameterError(f"seed must be below 2^64 - 1, as the scaled grid's ensemble draws with seed + 1, "
-                             f"got {seed}")
+    seed = check_integer(seed, "seed", 0, 2**64 - 1)  # the scaled grid's ensemble draws with seed + 1
     grids, seeds = (grid, grid.scaled(a)), (seed, seed + 1)
     base, scaled = (_merged_cov(g, reduce_blocks(spec, g, n_paths, s, lambda rows, scratch: _moments(rows)))
                     for g, s in zip(grids, seeds))
@@ -838,27 +829,26 @@ def load_ensemble(path) -> PathEnsemble:
     if (sidecar["dtype"], sidecar["order"]) != ("float64", "F"):
         raise ParameterError(f"{side}: sidecar says dtype {sidecar['dtype']!r}, order {sidecar['order']!r}; "
                              "ensemble files are float64 in column-major (F) order")
-    shape, seed, inner, jitter = (sidecar["shape"], sidecar["seed"], sidecar.get("inner_steps"),
-                                  sidecar.get("jitter", 0.0))
+    shape = sidecar["shape"]
     try:  # TypeError, ValueError: grid entries that are not numbers
         grid = TimeGrid(np.asarray(sidecar["grid"], dtype=float))
         if not (isinstance(shape, list) and len(shape) == 2 and shape[1] == len(grid)):
             raise ParameterError(f"shape {shape!r} is not [n_paths, {len(grid)}] for its grid")
-        _check_sampling_args(shape[0], seed, len(grid))
-        if not (inner is None or type(inner) is int and inner >= 1):
-            raise ParameterError(f"inner_steps {inner!r} is not null or an integer >= 1")
-        if not (type(jitter) in (int, float) and 0 <= jitter < math.inf):
-            raise ParameterError(f"jitter {jitter!r} is not a finite number >= 0")
-        if not (isinstance(sidecar["spec"], str) and isinstance(sidecar["scheme"], str)):
-            raise ParameterError(f"spec {sidecar['spec']!r} or scheme {sidecar['scheme']!r} is not a string")
+        # the grid's own int length: a float 12.0 passes == 12 but cannot reshape
+        shape = [check_integer(shape[0], "shape[0]", 1), len(grid)]
+        if not isinstance(sidecar["spec"], str):
+            raise ParameterError(f"spec {sidecar['spec']!r} is not a string")
         spec = parse_spec_string(sidecar["spec"])
     except (ParameterError, TypeError, ValueError) as exc:
         raise ParameterError(f"{side}: malformed sidecar: {exc}") from exc
-    shape = [shape[0], len(grid)]  # the grid's own int length: a float 12.0 passes == 12 but cannot reshape
     if len(data) != 8 * math.prod(shape):
         raise ParameterError(
             f"{path}: {len(data)} bytes, but the sidecar shape {shape} needs "
             f"{8 * math.prod(shape)} float64 bytes"
         )
     values = np.frombuffer(data, dtype=np.float64).reshape(shape, order="F")
-    return PathEnsemble(spec, grid, values, seed, sidecar["scheme"], inner_steps=inner, jitter=jitter)
+    try:  # PathEnsemble refuses the seed, scheme, inner_steps and jitter
+        return PathEnsemble(spec, grid, values, sidecar["seed"], sidecar["scheme"], sidecar.get("inner_steps"),
+                            sidecar.get("jitter", 0.0))
+    except ParameterError as exc:
+        raise ParameterError(f"{side}: malformed sidecar: {exc}") from exc

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integer
 from .gram import TimeGrid, check_array_size
 from .kernels import Family, GFunction, ProcessSpec, volterra_g_variance
 from .quadrature import DEFAULT_BUDGET, integrate_power_upper
@@ -194,8 +194,8 @@ def pvariation_trichotomy(
     finite (its sums underflow to 0 or overflow) leaves the slope undefined
     and raises :class:`NumericalError` naming it.
     """
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 2 or any(n & (n - 1) or n < 2 for n in n_list):
+    n_list = [check_integer(n, "n_list entry", 2) for n in n_list]
+    if len(n_list) < 2 or any(n & (n - 1) for n in n_list):
         raise ParameterError("n_list must hold at least two powers of two")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ParameterError("n_list must be increasing")
@@ -242,11 +242,13 @@ def pvariation_trichotomy(
 def gaussian_abs_moment(sigma_sq: float, p: float) -> float:
     """E|N(0, sigma^2)|^p = sigma^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi).
 
-    It diverges for p <= -1, and for p < 0 at zero variance: :class:`ParameterError` names p.
-    Where float64 cannot hold a factor or the value, :class:`NumericalError` names p.
+    ``sigma_sq`` must be finite and >= 0 and ``p`` finite; it diverges for p <= -1, and for p < 0 at zero
+    variance (:class:`ParameterError`).  Where float64 cannot hold a factor or the value, NumericalError names p.
     """
-    if sigma_sq < 0:
-        raise ParameterError("sigma_sq must be nonnegative")
+    if not 0 <= sigma_sq < math.inf:
+        raise ParameterError(f"sigma_sq must be nonnegative and finite, got {sigma_sq!r}")
+    if not math.isfinite(p):
+        raise ParameterError(f"p must be finite, got {p!r}")
     if p <= -1 or (sigma_sq == 0 and p < 0):
         raise ParameterError(f"E|N(0, {sigma_sq!r})|^p diverges at p = {p!r}")
     if sigma_sq == 0 and p > 0:  # exactly 0, also where Gamma((p+1)/2) overflows
@@ -283,9 +285,7 @@ def ergodic_average(
     """
     if spec.family != Family.VOLTERRA_G:
         raise ParameterError("ergodic averages run on the volterra-g family")
-    # bool is an int subclass, but True is not a grid size
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
+    n = check_integer(n, "n", 2)
     if f not in ("square", "abs-pow"):
         raise ParameterError(f"f must be 'square' or 'abs-pow', got {f!r}")
     if f == "abs-pow" and not (p > 0 and math.isfinite(p)):
@@ -328,8 +328,8 @@ def increment_variance(H: float, beta: float, g: GFunction, t: float) -> Increme
     cancellation between separately computed integrals) at tolerance 1e-12
     with the default budget ``DEFAULT_BUDGET``.
     """
-    if not t > 0:
-        raise ParameterError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ParameterError(f"t must be positive and finite, got {t!r}")
     spec = ProcessSpec.volterra_g(H, beta, g)  # validates H, beta
     bracket = _bracket(spec, t + 1.0, math.sqrt(t / (1.0 + t)))
     limit = volterra_g_variance(spec)
@@ -349,8 +349,8 @@ def int_limit_residual(beta: float, g: GFunction, t: float) -> float:
     only reported, never asserted.  The bracket is one quadrature at
     tolerance 1e-12 with the default budget ``DEFAULT_BUDGET``.
     """
-    if t < 2:
-        raise ParameterError("t must be >= 2")
+    if not 2 <= t < math.inf:
+        raise ParameterError(f"t must be >= 2 and finite, got {t!r}")
     spec = ProcessSpec.volterra_g(0.25, beta, g)  # validates beta/g only
     bracket = _bracket(spec, t, 1.0)
     half_var = 0.5 * volterra_g_variance(spec)

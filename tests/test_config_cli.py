@@ -446,6 +446,9 @@ _UNREPRESENTABLE = {
                             "--seed", "1", "--json", "J.json"],
                            r"time change at t = 0\.5 is not finite and nondecreasing: dtau = 0\.0, "
                            r"t\^\(2H\+c\) = inf"),
+    # R(1, 1 + u) and R(1, 1) both read 0 once Gamma(H + 1/2)^2 overflows: l(u) is 0/0 (polyfit raised a TypeError)
+    **{f"asym_rl_{H}": (["asym", "--spec", f"rl:H={H}", "--json", "a.json"],
+                        rf"l\(u\) of rl:H={H}\.0 is not finite in float64 at u = 1000\.0") for H in (100, 200)},
 }
 
 
@@ -465,12 +468,13 @@ def test_cli_unrepresentable_result_exits_3(argv, message, tmp_path, monkeypatch
      "kernel-eval rl:H=200.0 R(1,2) = 0.0000000000000000e+00\n", ""),
     (["markov-test", "--kernel", "rl:H=200"], 3, "",
      r"ssgm: numerical failure: R\(1, 1\) of rl:H=200\.0 is 0\.0 in float64, not positive\n"),
-    (["kernel-eval", "--kernel", "volterra-g:H=0.25,beta=200,g=const:1.0", "--s", "1", "--t", "2"], 3, "",
-     r"ssgm: numerical failure: R\(1\.0, 2\.0\) of volterra-g:H=0\.25,beta=200\.0,g=const:1\.0 is nan, not finite\n"),
+    (["kernel-eval", "--kernel", "volterra-g:H=0.25,beta=200,g=const:1.0", "--s", "1", "--t", "2"], 0,
+     "kernel-eval volterra-g:H=0.25,beta=200.0,g=const:1.0 R(1,2) = 2.7952200958775418e-03\n", ""),
 ], ids=["rl_point_underflows", "rl_markov_test", "const_g_point"])
 def test_cli_gamma_beyond_float64(argv, code, out, err, capsys):
-    # Gamma(H + 1/2) or Gamma(beta + 1) above 171 overflows float64: math.gamma raises where scipy's gave inf,
-    # and the results stay as they were: the RL point underflows to 0, the others fail numerically in one line
+    # Gamma(H + 1/2) above 171 overflows float64: the RL point underflows to 0 and its markov-test fails
+    # numerically in one line.  Constant g needs no Gamma: a^2 (st)^(H-1/2-beta) J is 2.79522009587754e-3
+    # (40-digit mpmath), where dividing J by Gamma(beta+1)^2 and multiplying it back gave nan
     assert main(argv) == code
     got_out, got_err = capsys.readouterr()
     assert got_out == out and re.fullmatch(err, got_err)

@@ -173,6 +173,21 @@ def test_rl_direct_form_above_half_matches_mpmath():
         assert k(s, t) == pytest.approx(float(exact), rel=1e-12, abs=0.0), (s, t)
 
 
+@pytest.mark.parametrize("beta", [1.5, 50.0, 170.5, 200.0, 300.0])
+def test_const_g_matches_mpmath_where_gamma_overflows(beta):
+    # a^2 (st)^(H-1/2-beta) J with J = m^(beta+1) M^beta 2F1(-beta, 1; beta+2; m/M) / (beta+1): no Gamma(beta+1)^2
+    # is formed, so beta >= 170.5, where it overflows float64, gives the value (it gave nan)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    H, b = 0.25, mp.mpf(beta)
+    k = make_kernel(ProcessSpec.volterra_g(H, beta, GFunction.const(2.0)))
+    for s, t in ((1.0, 2.0), (0.5, 3.0), (1.0, 1.5)):
+        S, T = mp.mpf(s), mp.mpf(t)
+        J = S ** (b + 1) * T**b * mp.hyp2f1(-b, 1, b + 2, S / T) / (b + 1)
+        exact = 4 * (S * T) ** (mp.mpf(H) - 0.5 - b) * J
+        assert k(s, t) == pytest.approx(float(exact), rel=1e-15, abs=0.0), (s, t)
+
+
 # RL and constant-g volterra-g (RL at H = beta + 1/2) through every form of J: the continued fraction
 # for z = m/M <= 3/4, the near series for the other pairs off the diagonal, m^(2H)/(2H) on it; H = 1
 # and beta = 1/2 take the series' p = 0 term

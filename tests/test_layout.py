@@ -117,6 +117,47 @@ def test_only_kernels_branches_on_infinite_c():
     assert "n_draws" in fields and "spec" not in fields
 
 
+def _hand_integer_tests(path: pathlib.Path) -> list:
+    """``module:line form`` for every integer test spelled by hand: ``isinstance(x, int)`` or with
+    ``np.integer`` (alone or in a tuple), ``operator.index`` and ``type(x) is int``."""
+    names = lambda node: {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2
+                and names(node.args[1]) & {"int", "integer", "Integral"}):  # int, np.integer, numbers.Integral
+            found.append((node.lineno, "isinstance"))
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "operator.index" or (
+                isinstance(node, ast.ImportFrom) and node.module == "operator"
+                and any(a.name == "index" for a in node.names)):
+            found.append((node.lineno, "operator.index"))
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+              and getattr(node.left.func, "id", None) == "type" and any(names(c) & {"int"} for c in node.comparators)):
+            found.append((node.lineno, "type is int"))
+    return [f"{path.name}:{line} {form}" for line, form in sorted(found)]
+
+
+def test_integer_checker_flags_every_form(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("a = isinstance(n, int)\nb = isinstance(n, (int, np.integer)) and not isinstance(n, bool)\n"
+                   "c = isinstance(n, np.integer) or isinstance(n, numbers.Integral)\n"
+                   "d = operator.index(n)\nfrom operator import index\n"
+                   "e = type(n) is int or type(n) in (int, float)\n"
+                   "f = isinstance(x, (float, str)) or isinstance(x, numbers.Real) or int(n) or type(x) is str\n")
+    assert _hand_integer_tests(mod) == [
+        "mod.py:1 isinstance", "mod.py:2 isinstance", "mod.py:3 isinstance", "mod.py:3 isinstance",
+        "mod.py:4 operator.index", "mod.py:5 operator.index", "mod.py:6 type is int", "mod.py:6 type is int"]
+
+
+def test_integer_inputs_checked_in_errors_only():
+    # every count, seed, size and exponent goes through errors.check_integer, the one place that
+    # spells an integer test: it accepts Python and numpy integers and refuses bools and floats
+    assert [site for path in _MODULES if path.name != "errors.py" for site in _hand_integer_tests(path)] == []
+    (rule,) = [node for node in ast.parse((_SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == "check_integer"]
+    lines = [int(site.split(":")[1].split()[0]) for site in _hand_integer_tests(_SRC / "errors.py")]
+    assert lines and all(rule.lineno <= line <= rule.end_lineno for line in lines)
+
+
 def _environment_reads(path: pathlib.Path) -> list:
     """``module:line`` for every ``environ`` or ``getenv`` the module names."""
     return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))

@@ -1167,7 +1167,7 @@ def test_chunks_are_the_ensemble_rows(name):
 @pytest.mark.parametrize("args, match", [
     ((SPEC, GRID, 2.5, 1), "n_paths must be an integer"),
     ((SPEC, GRID, True, 1), "n_paths must be an integer"),
-    ((SPEC, GRID, 0, 1), "n_paths must be >= 1"),
+    ((SPEC, GRID, 0, 1), "n_paths must be an integer >= 1"),
     ((SPEC, GRID, 3, -1), "seed"),
     ((SPEC, GRID, 3, True), "seed"),
     ((SPEC, GRID, 3, 1, "gibbs"), "unknown sampling scheme"),
@@ -1258,6 +1258,10 @@ def test_selfsim_refuses_the_largest_seed():
         selfsim_check(SPEC, 2.0, GRID, 3, 2**64 - 1)
 
 
+def _ensemble_with(**metadata):
+    return PathEnsemble(SPEC, GRID, np.zeros((2, len(GRID))), **{"seed": 1, "scheme": "timechange", **metadata})
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: selfsim_check(SPEC, 0.0, GRID, 3, 1), "scale factor must be positive"),
     (lambda: selfsim_check(SPEC, math.nan, GRID, 3, 1), "scale factor must be positive"),
@@ -1266,7 +1270,18 @@ def test_selfsim_refuses_the_largest_seed():
     (lambda: PathEnsemble(SPEC, GRID, np.zeros((3, len(GRID) + 1)), 1, "timechange"),
      "values must be n_paths x len(grid)"),
     (lambda: PathEnsemble(SPEC, GRID, np.zeros(len(GRID)), 1, "timechange"), "values must be n_paths x len(grid)"),
-], ids=["selfsim_a_zero", "selfsim_a_nan", "whitenoise_on_fbm", "ensemble_columns", "ensemble_1d"])
+    # an ensemble refuses its metadata when built, so save_ensemble writes no sidecar that load_ensemble refuses
+    (lambda: _ensemble_with(seed=2**64),
+     "seed must be an integer in [0, 18446744073709551616), got 18446744073709551616"),
+    (lambda: _ensemble_with(jitter=math.nan), "jitter must be a finite number >= 0, got nan"),
+    (lambda: _ensemble_with(jitter=math.inf), "jitter must be a finite number >= 0, got inf"),
+    (lambda: _ensemble_with(jitter=-1e-9), "jitter must be a finite number >= 0, got -1e-09"),
+    (lambda: _ensemble_with(jitter=True), "jitter must be a finite number >= 0, got True"),
+    (lambda: _ensemble_with(jitter="0.1"), "jitter must be a finite number >= 0, got '0.1'"),
+    (lambda: _ensemble_with(scheme=None), "scheme must be a string, got None"),
+], ids=["selfsim_a_zero", "selfsim_a_nan", "whitenoise_on_fbm", "ensemble_columns", "ensemble_1d", "ensemble_seed_2_64",
+        "ensemble_jitter_nan", "ensemble_jitter_inf", "ensemble_jitter_negative", "ensemble_jitter_bool",
+        "ensemble_jitter_string", "ensemble_scheme_none"])
 def test_refusals_name_the_rule(call, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
         call()
@@ -1297,7 +1312,7 @@ def test_directly_built_ensemble_records_python_numbers(tmp_path):
     save_ensemble(ens, tmp_path / "e.bin")
     loaded = load_ensemble(tmp_path / "e.bin")
     assert (loaded.seed, loaded.inner_steps, loaded.values.tobytes()) == (1, 64, values.tobytes())
-    with pytest.raises(TypeError):
+    with pytest.raises(ParameterError):
         PathEnsemble(ens.spec, ens.grid, values, 1.0, "cholesky")
 
 
@@ -1313,7 +1328,7 @@ def test_timechange_refuses_a_time_change_float64_cannot_hold():
 def test_bad_inner_steps_rejected_for_every_scheme(spec, inner_steps):
     # checked once for every scheme, also those that do not read it: a float 100.0 would
     # otherwise sample and save a sidecar that load_ensemble refuses
-    with pytest.raises(ParameterError, match="inner_steps must be None or an integer >= 64"):
+    with pytest.raises(ParameterError, match="inner_steps must be an integer >= 64"):
         sample_spec(spec, TimeGrid(np.array([0.5, 1.0])), 2, 1, inner_steps=inner_steps)
 
 

@@ -27,8 +27,18 @@ G1 = GFunction.const(1.0)
     (lambda: gaussian_abs_moment(1.0, -1.0), "E|N(0, 1.0)|^p diverges at p = -1.0"),  # Gamma(0) is a pole
     (lambda: gaussian_abs_moment(0.0, -0.5), "E|N(0, 0.0)|^p diverges at p = -0.5"),  # 0^p
     (lambda: increment_variance(0.25, 1.0, G1, 0.0), "t must be positive"),
+    # criterion 8 refuses a non-finite argument: each returned nan or raised a NumericalError
+    (lambda: int_limit_residual(1.0, G1, math.inf), "t must be >= 2 and finite, got inf"),
+    (lambda: int_limit_residual(1.0, G1, math.nan), "t must be >= 2 and finite, got nan"),
+    (lambda: increment_variance(0.25, 1.0, G1, math.inf), "t must be positive and finite, got inf"),
+    (lambda: increment_variance(0.25, 1.0, G1, math.nan), "t must be positive and finite, got nan"),
+    (lambda: gaussian_abs_moment(math.nan, 2.0), "sigma_sq must be nonnegative and finite, got nan"),
+    (lambda: gaussian_abs_moment(math.inf, 2.0), "sigma_sq must be nonnegative and finite, got inf"),
+    (lambda: gaussian_abs_moment(1.0, math.nan), "p must be finite, got nan"),
+    (lambda: gaussian_abs_moment(1.0, math.inf), "p must be finite, got inf"),
 ], ids=["sum_2d", "n_list_decreasing", "moment_negative_variance", "moment_p_minus_one", "moment_zero_variance",
-        "increment_variance_t0"])
+        "increment_variance_t0", "residual_t_inf", "residual_t_nan", "increment_t_inf", "increment_t_nan",
+        "moment_sigma_nan", "moment_sigma_inf", "moment_p_nan", "moment_p_inf"])
 def test_refusals_name_the_rule(call, message):
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
         call()
